@@ -28,7 +28,8 @@ from .profiles import (
     DiscontinuityError, TiePointError, invert_branch, profile_jump_location,
     profile_value, log_corrected_scale,
 )
-from .rescaled import case_for_data, phase_tie_point, check_properties, concentration_ratio
+from .rescaled import (TieWindowError, case_for_data, phase_tie_point, check_properties,
+                       concentration_ratio)
 
 EXPERIMENTS = ("decay", "ddecay", "profile", "zc", "concentration",
                "properties", "heat_profile", "fd_compare", "field")
@@ -258,17 +259,23 @@ def run_decay(cfg: ExperimentConfig):
 
 def _derivative_sup(data, t, n, k, cfg):
     """sup over the scaled window of |d_t^n d_x^k f|, including a dense scan
-    of the internal layer at the profile jump where the derivative peaks."""
+    of the internal layer at the profile jump where the derivative peaks.
+
+    Returns (sup, argmax, tie_fallback): tie_fallback is True when the
+    finite-time tie point was not found and the layer scan is centred on the
+    limit jump case.discontinuity_z instead."""
     m, _amp = _scales(data, t)
     fn = lambda x: abs(burgers.eval_derivative(data, x, t, n, k, rel_tol=1e-8))
     best_v, best_x = burgers.scan_max(fn, -cfg.window_Z * m, cfg.window_Z * m,
                                       cfg.n_coarse, cfg.threads)
     case = case_for_data(data)
+    fallback = False
     if case is not None and (n, k) != (0, 0):
         try:
             zc_t = phase_tie_point(data, t)
-        except Exception:
+        except TieWindowError:
             zc_t = case.discontinuity_z
+            fallback = True
         yp = invert_branch(case, BRANCH_PLUS, zc_t).y
         ym = invert_branch(case, BRANCH_MINUS, zc_t).y
         amp_phase = t ** ((1.0 - case.alpha) / (1.0 + case.alpha))
@@ -277,7 +284,7 @@ def _derivative_sup(data, t, n, k, cfg):
                                   cfg.threads)
         if v2 > best_v:
             best_v, best_x = v2, x2
-    return best_v, best_x
+    return best_v, best_x, fallback
 
 
 def run_derivative_decay(cfg: ExperimentConfig):
@@ -288,9 +295,12 @@ def run_derivative_decay(cfg: ExperimentConfig):
     data = make_family(cfg.family)
     ts = cfg.t_grid()
     rows = []
+    tie_fallback_t = []
     for t in ts:
         if cfg.equation == "burgers":
-            v, ax = _derivative_sup(data, float(t), n, k, cfg)
+            v, ax, fallback = _derivative_sup(data, float(t), n, k, cfg)
+            if fallback:
+                tie_fallback_t.append(float(t))
         else:
             m = math.sqrt(t)
             fn = lambda x: abs(heat.heat_derivative(data, x, float(t), n, k,
@@ -302,6 +312,10 @@ def run_derivative_decay(cfg: ExperimentConfig):
     alpha = data.alpha
     checks = []
     results = {"fit": fit, "n": n, "k": k}
+    if cfg.equation == "burgers":
+        # t-points whose layer scan is centred on the limit jump because the
+        # finite-time tie point was not found
+        results["tie_fallback_t"] = tie_fallback_t
     if alpha is not None:
         if cfg.equation == "burgers":
             rate = alpha / (1.0 + alpha) * (1.0 + 2 * n + k)

@@ -16,7 +16,8 @@ from numpy.polynomial.hermite import hermval
 from scipy.special import gamma
 
 from .initial_data import FamilySpec, InitialData, make_family, UnsupportedOrderError
-from .quadrature import PhysicalPhase, adaptive_quadrature, ratio_moment
+from .quadrature import (NotConvergedError, PhysicalPhase, adaptive_quadrature,
+                         ratio_moment)
 from .burgers import SupNormResult, heat_quotient_batch, scan_max
 
 _ZERO = make_family(FamilySpec("Zero"))
@@ -91,21 +92,27 @@ def heat_limit_profile(z: float, kappa: float, alpha: float,
             pts.update([max(a, z - 2.0), min(b, z + 2.0), z])
         return sorted(pts)
 
+    where = f"heat limit profile at z={z:.6g}, alpha={alpha:.6g}"
     total = 0.0
-    err = 0.0
-    for fn, edges in (
-        (sing_pos, np.linspace(0.0, 1.0, 5)),
-        (sing_neg, np.linspace(0.0, 1.0, 5)),
-        (outer, edges_between(1.0, reach)),
-        (outer, edges_between(-reach, -1.0)),
+    for piece, fn, edges in (
+        ("singular piece 0 < y < 1", sing_pos, np.linspace(0.0, 1.0, 5)),
+        ("singular piece -1 < y < 0", sing_neg, np.linspace(0.0, 1.0, 5)),
+        (f"outer piece 1 < y < {reach:.6g}", outer, edges_between(1.0, reach)),
+        (f"outer piece {-reach:.6g} < y < -1", outer, edges_between(-reach, -1.0)),
     ):
-        v, e, _ = adaptive_quadrature(fn, np.asarray(edges, dtype=float), rel_tol)
+        v, e, ok = adaptive_quadrature(fn, np.asarray(edges, dtype=float), rel_tol)
+        if not ok:
+            raise NotConvergedError(
+                f"{where}: {piece} did not converge: error {e:.3g} at "
+                f"value {v:.6g}, rel_tol {rel_tol:.3g}")
         total += v
-        err += e
     # beyond the truncation |y|^-alpha <= reach^-alpha, leaving a pure
     # Gaussian tail; it is far below the tolerance and only checked here
     tail = reach ** (-alpha) * math.sqrt(math.pi) * math.erfc((reach - abs(z)) / 2.0)
-    assert tail <= rel_tol * max(total, 1e-300) + 1e-300
+    if tail > rel_tol * max(total, 1e-300) + 1e-300:
+        raise NotConvergedError(
+            f"{where}: Gaussian tail beyond |y| = {reach:.6g} is {tail:.3g}, above "
+            f"rel_tol {rel_tol:.3g} times the integral {total:.6g}")
     return kappa / math.sqrt(4.0 * math.pi) * total
 
 

@@ -6,6 +6,15 @@ max-subtracted form and stored as (log_scale, mantissa).  The work flow is
 the classical Laplace-point one: locate all zeros of Phi', integrate
 adaptively on peak-scaled panels between computable truncation points, and
 bound the remaining tails by the Gaussian domination of the phase.
+
+One kernel does the panel work.  The weights of a call are compiled once
+(compile_weights) into a function that evaluates f0, f0' and f0'' once per
+node array and every weight from them in one matrix product.  _panel_eval
+applies the non-nested 10- and 21-point Gauss-Legendre rules to an array of
+panels in one call, and _refine splits the panel with the largest error
+against its weight's target, evaluating the initial partition and both
+children of a split in one call each.  adaptive_quadrature is the same
+refinement with one plain function as its only weight.
 """
 from __future__ import annotations
 
@@ -26,6 +35,7 @@ KIND_DEGENERATE = "degenerate"
 
 _GL10 = np.polynomial.legendre.leggauss(10)
 _GL21 = np.polynomial.legendre.leggauss(21)
+_NODES = np.concatenate([_GL10[0], _GL21[0]])  # both rules, 31 nodes a panel
 
 
 class NotConvergedError(RuntimeError):
@@ -104,15 +114,6 @@ class MomentWeight:
     def shift_inv_t(self, n=1):
         return MomentWeight({(a, b, c, p + n): v for (a, b, c, p), v in self.terms.items()})
 
-    def max_derivative_order(self):
-        order = 0
-        for (a, b, c, _p) in self.terms:
-            if c:
-                order = max(order, 2)
-            elif b:
-                order = max(order, 1)
-        return order
-
     def diff_y(self):
         out = {}
         for (a, b, c, p), v in self.terms.items():
@@ -129,24 +130,54 @@ class MomentWeight:
         return MomentWeight(out)
 
     def evaluate(self, data: InitialData, y, t):
+        """The weight at y (any shape, at least 1-d out) for data at time t."""
+        y = np.atleast_1d(np.asarray(y, dtype=float))
+        return compile_weights([self], data, t)(y.ravel())[0].reshape(y.shape)
+
+
+def compile_weights(gs, data: InitialData, t):
+    """One function y -> array (len(gs), y.size) for a list of weights.
+
+    Each MomentWeight term (a, b, c, p) is a monomial f0^a (f0')^b (f0'')^c
+    with its coefficient times t^-p in a coefficient matrix; f0 and its
+    derivatives are evaluated once per node array, up to the highest order
+    any weight needs, and the moment rows are one matrix product.  None
+    (unit weight), scalars and plain callables y -> g(y) fill their own
+    rows."""
+    monomials = {}  # (a, b, c) -> column of the coefficient matrix
+    coef = []
+    fixed = []
+    for i, g in enumerate(gs):
+        if isinstance(g, MomentWeight):
+            for (a, b, c, p), v in g.terms.items():
+                col = monomials.setdefault((a, b, c), len(monomials))
+                coef.append((i, col, v * t ** (-p)))
+        elif g is None:
+            fixed.append((i, 1.0))
+        elif np.isscalar(g):
+            fixed.append((i, float(g)))
+        else:
+            fixed.append((i, g))
+    exps = np.asarray(list(monomials), dtype=int).reshape(-1, 3)
+    order = max((2 if c else 1 if b else 0 for (_a, b, c) in monomials), default=0)
+    cmat = np.zeros((len(gs), len(monomials)))
+    for i, col, v in coef:
+        cmat[i, col] += v
+
+    def weights(y):
         y = np.asarray(y, dtype=float)
-        order = self.max_derivative_order()
-        f = [data.value(y)]
-        if order >= 1:
-            f.append(data.derivative(y, 1))
-        if order >= 2:
-            f.append(data.derivative(y, 2))
-        out = np.zeros_like(np.atleast_1d(y), dtype=float)
-        for (a, b, c, p), v in self.terms.items():
-            term = np.full_like(out, v * t ** (-p))
-            if a:
-                term = term * np.atleast_1d(f[0]) ** a
-            if b:
-                term = term * np.atleast_1d(f[1]) ** b
-            if c:
-                term = term * np.atleast_1d(f[2]) ** c
-            out += term
+        out = np.zeros((len(gs), y.size))
+        if monomials:
+            fs = np.empty((order + 1, y.size))
+            fs[0] = data.value(y)
+            for k in range(1, order + 1):
+                fs[k] = data.derivative(y, k)
+            out = cmat @ np.prod(fs[None, :, :] ** exps[:, :order + 1, None], axis=1)
+        for i, g in fixed:
+            out[i] = g(y) if callable(g) else g
         return out
+
+    return weights
 
 
 def derive_x(g: MomentWeight) -> MomentWeight:
@@ -440,93 +471,66 @@ def _log_gauss_tail(quad, dist):
     return -xi * xi - math.log(xi * math.sqrt(math.pi)) - 0.5 * math.log(quad) + math.log(0.5) + 0.5 * math.log(math.pi)
 
 
-def _as_weight_fn(g, phase):
-    if g is None:
-        return lambda y: np.ones_like(np.asarray(y, dtype=float))
-    if isinstance(g, MomentWeight):
-        data, t = phase.data, phase.t
-        return lambda y: g.evaluate(data, y, t)
-    if np.isscalar(g):
-        c = float(g)
-        return lambda y: np.full_like(np.asarray(y, dtype=float), c)
-    return g
-
-
-def _panel_eval(phase, weight_fns, log_scale, a, b):
-    """(I10[w], I21[w]) for one panel of the max-subtracted integrand."""
-    x10, w10 = _GL10
-    x21, w21 = _GL21
+def _panel_eval(integrand, a, b):
+    """(I10, I21), each of shape (n_weights, n_panels), for the panels
+    [a[j], b[j]]; integrand maps a node array y to (n_weights, y.size)."""
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    ys = np.concatenate([mid + half * x10, mid + half * x21])
-    ex = np.exp(np.asarray(phase.total(ys)) - log_scale)
-    warg = phase.weight_arg(ys)
-    i10, i21 = [], []
-    for fn in weight_fns:
-        gv = np.asarray(fn(warg), dtype=float) * ex
-        i10.append(half * float(w10 @ gv[:10]))
-        i21.append(half * float(w21 @ gv[10:]))
-    return np.asarray(i10), np.asarray(i21)
+    ys = (mid[:, None] + half[:, None] * _NODES[None, :]).ravel()
+    gv = np.asarray(integrand(ys), dtype=float).reshape(-1, a.size, _NODES.size)
+    i10 = half * (gv[:, :, :10] @ _GL10[1])
+    i21 = half * (gv[:, :, 10:] @ _GL21[1])
+    return i10, i21
 
 
-def _refine(phase, weight_fns, log_scale, edges, rel_tol, max_panels):
+def _refine(integrand, edges, rel_tol, max_panels):
     """Global adaptive refinement over the initial edge partition.
 
     Each weight has its own target rel_tol * max(|total|, 1e-3 L1), and the
     panel split next is the one with the largest error measured against
     those targets: absolute errors of weights whose magnitudes differ by
     many orders (a heat numerator far out in the tail against its
-    denominator) are not comparable.  Returns (totals, errors, targets,
-    converged), each with one entry per weight."""
-    nw = len(weight_fns)
+    denominator) are not comparable.  The initial partition is evaluated in
+    one call, and so are both children of a split.  Returns (totals,
+    errors, targets, converged), each with one entry per weight."""
     panels = {}
     heap = []
     counter = 0
-    total = np.zeros(nw)
-    err = np.zeros(nw)
-    l1 = np.zeros(nw)
+    total = err = l1 = 0.0
 
     def targets():
         return np.maximum(rel_tol * np.abs(total), 1e-3 * rel_tol * l1 + 1e-300)
 
     def evaluate(a, b):
         nonlocal counter, total, err, l1
-        i10, i21 = _panel_eval(phase, weight_fns, log_scale, a, b)
+        i10, i21 = _panel_eval(integrand, a, b)
         e = np.abs(i21 - i10)
-        panels[counter] = (a, b, i21, e)
-        total += i21
-        err += e
-        l1 += np.abs(i21)
-        counter += 1
-        return counter - 1
+        total = total + np.sum(i21, axis=1)
+        err = err + np.sum(e, axis=1)
+        l1 = l1 + np.sum(np.abs(i21), axis=1)
+        keys = np.max(e / targets()[:, None], axis=0)
+        for j in range(a.size):
+            panels[counter] = (a[j], b[j], i21[:, j], e[:, j])
+            heapq.heappush(heap, (-float(keys[j]), counter))
+            counter += 1
 
-    def push(pids):
-        tgt = targets()
-        for pid in pids:
-            heapq.heappush(heap, (-float(np.max(panels[pid][3] / tgt)), pid))
+    edges = np.asarray(edges, dtype=float)
+    keep = edges[1:] > edges[:-1]
+    evaluate(edges[:-1][keep], edges[1:][keep])
 
-    push([evaluate(a, b) for a, b in zip(edges[:-1], edges[1:]) if b > a])
-
-    while counter < max_panels:
-        if np.all(err <= targets()):
-            break
-        while heap:
-            neg_e, pid = heapq.heappop(heap)
-            if pid in panels:
-                break
-        else:
-            break
+    while counter < max_panels and heap and not np.all(err <= targets()):
+        _, pid = heapq.heappop(heap)
         a, b, i21, e = panels.pop(pid)
-        total -= i21
-        err -= e
-        l1 -= np.abs(i21)
+        total = total - i21
+        err = err - e
+        l1 = l1 - np.abs(i21)
         m = 0.5 * (a + b)
-        push([evaluate(a, m), evaluate(m, b)])
+        evaluate(np.asarray([a, m]), np.asarray([m, b]))
 
     tgt = targets()
     return total, err, tgt, err <= tgt
 
 
-def _truncation(phase, cps, log_scale, weight_fns):
+def _truncation(phase, cps, log_scale, weights):
     """[a, b] with the phase dropped DROP e-folds below its max at both ends
     and beyond the Gaussian-domination threshold; returns the log of the
     tail bound as well."""
@@ -542,10 +546,7 @@ def _truncation(phase, cps, log_scale, weight_fns):
         return phase.char_width
 
     def weight_mag(y):
-        m = 0.0
-        for fn in weight_fns:
-            m = max(m, float(np.max(np.abs(fn(phase.weight_arg(np.asarray([y])))))))
-        return m
+        return float(np.max(np.abs(weights(phase.weight_arg(np.asarray([y]))))))
 
     def expand(y0, direction):
         w = max(width_at(y0), 1e-12 * (1.0 + abs(y0)))
@@ -609,7 +610,7 @@ def integrate_moments(gs, phase, rel_tol=1e-8, cps=None, interval=None,
     """
     if cps is None:
         cps = locate_critical_points(phase)
-    weight_fns = [_as_weight_fn(g, phase) for g in gs]
+    weights = compile_weights(gs, phase.data, phase.t)
 
     if interval is not None:
         a, b = float(interval[0]), float(interval[1])
@@ -620,11 +621,13 @@ def integrate_moments(gs, phase, rel_tol=1e-8, cps=None, interval=None,
         edges = _initial_edges(inner, a, b, phase) if inner else np.linspace(a, b, 9)
     else:
         log_scale = max(float(np.max(phase.total(np.asarray([c.y])))) for c in cps)
-        a, b, log_tail = _truncation(phase, cps, log_scale, weight_fns)
+        a, b, log_tail = _truncation(phase, cps, log_scale, weights)
         edges = _initial_edges(cps, a, b, phase)
 
-    totals, errs, tgts, converged = _refine(phase, weight_fns, log_scale,
-                                            edges, rel_tol, max_panels)
+    def integrand(y):
+        return weights(phase.weight_arg(y)) * np.exp(phase.total(y) - log_scale)
+
+    totals, errs, tgts, converged = _refine(integrand, edges, rel_tol, max_panels)
     tail = math.exp(log_tail) if log_tail < 700 else math.inf
     out = []
     for i in range(len(gs)):
@@ -671,48 +674,11 @@ def ratio_moment(g, phase, rel_tol=1e-9, cps=None) -> float:
 
 
 def adaptive_quadrature(fn, edges, rel_tol=1e-9, max_panels=2000):
-    """Plain global-adaptive Gauss-Legendre over a fixed edge list.
+    """Global-adaptive Gauss-Legendre of one plain function over a fixed edge
+    list, on the panel kernel of the moment integrals.
 
     Returns (value, abs_error, converged)."""
-    x10, w10 = _GL10
-    x21, w21 = _GL21
-
-    def panel(a, b):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        v10 = half * float(w10 @ np.asarray(fn(mid + half * x10), dtype=float))
-        v21 = half * float(w21 @ np.asarray(fn(mid + half * x21), dtype=float))
-        return v21, abs(v21 - v10)
-
-    panels = {}
-    heap = []
-    counter = 0
-    total = 0.0
-    err = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b <= a:
-            continue
-        v, e = panel(a, b)
-        panels[counter] = (a, b, v, e)
-        heapq.heappush(heap, (-e, counter))
-        total += v
-        err += e
-        counter += 1
-    while counter < max_panels and err > rel_tol * abs(total) + 1e-300:
-        while heap:
-            _, pid = heapq.heappop(heap)
-            if pid in panels:
-                break
-        else:
-            break
-        a, b, v, e = panels.pop(pid)
-        total -= v
-        err -= e
-        m = 0.5 * (a + b)
-        for lo, hi in ((a, m), (m, b)):
-            v2, e2 = panel(lo, hi)
-            panels[counter] = (lo, hi, v2, e2)
-            heapq.heappush(heap, (-e2, counter))
-            total += v2
-            err += e2
-            counter += 1
-    return total, err, err <= rel_tol * abs(total) + 1e-300
+    total, err, _tgt, ok = _refine(
+        lambda y: np.asarray(fn(y), dtype=float).reshape(1, -1),
+        edges, rel_tol, max_panels)
+    return float(total[0]), float(err[0]), bool(ok[0])

@@ -266,3 +266,38 @@ def test_profile_runner_reports_spurious_maxima_flag(tmp_path):
     assert out["results"]["max_local_maxima"] >= 1
     assert out["results"]["spurious_maxima_flag"] in (False, True)
     assert not out["results"]["spurious_maxima_flag"]
+
+
+# -- ddecay tie-point fallback -----------------------------------------------
+
+
+def _cheap_ddecay(monkeypatch, tmp_path, tie_error):
+    """ddecay on PowerC0 with a constant derivative and a tie-point search
+    that raises tie_error: only the fallback handling is exercised."""
+    from hopfcole import burgers, experiments
+
+    def tie(data, t):
+        raise tie_error
+
+    monkeypatch.setattr(burgers, "eval_derivative", lambda *a, **k: 1.0)
+    monkeypatch.setattr(experiments, "phase_tie_point", tie)
+    cfg = ExperimentConfig(experiment="ddecay",
+                           family=FamilySpec("PowerC0", kappa=1.0, alpha=0.5),
+                           t_min=1e4, t_max=1e7, t_count=4, n=0, k=1,
+                           n_coarse=65, out_dir=str(tmp_path))
+    return experiments.run_derivative_decay(cfg)
+
+
+def test_ddecay_records_tie_point_fallback(monkeypatch, tmp_path):
+    from hopfcole.rescaled import TieWindowError
+    out = _cheap_ddecay(monkeypatch, tmp_path, TieWindowError("no sign change"))
+    ts = [1e4, 1e5, 1e6, 1e7]
+    assert out["results"]["tie_fallback_t"] == pytest.approx(ts)
+    meta = json.loads(Path(out["json"]).read_text())
+    assert meta["results"]["tie_fallback_t"] == pytest.approx(ts)
+
+
+def test_ddecay_propagates_other_tie_point_errors(monkeypatch, tmp_path):
+    from hopfcole.quadrature import NotConvergedError
+    with pytest.raises(NotConvergedError, match="budget"):
+        _cheap_ddecay(monkeypatch, tmp_path, NotConvergedError("budget"))

@@ -93,6 +93,15 @@ def test_profile_center_gamma_closed_form():
     assert heat.heat_profile_center_exact(1.0, 0.5) == pytest.approx(want, rel=1e-14)
 
 
+def test_profile_raises_when_a_piece_misses_its_tolerance():
+    # rel_tol = 1e-20 is below what the singular piece can reach in double
+    # precision; the profile must raise, not return the unconverged sum
+    from hopfcole.quadrature import NotConvergedError
+    with pytest.raises(NotConvergedError,
+                       match=r"z=0, alpha=0\.5: singular piece .* did not converge"):
+        heat.heat_limit_profile(0.0, 1.0, 0.5, rel_tol=1e-20)
+
+
 def test_profile_far_field():
     got = heat.heat_limit_profile(1e3, 1.0, 1 / 3)
     assert abs(got * 1e3 ** (1 / 3) - 1.0) <= 1e-3

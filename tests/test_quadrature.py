@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hopfcole.initial_data import FamilySpec, make_family
+from hopfcole import burgers
+from hopfcole.initial_data import FamilySpec, UnsupportedOrderError, make_family
 from hopfcole.quadrature import (
     KIND_MAX,
     KIND_MIN,
     MomentWeight,
+    _panel_eval,
+    compile_weights,
     PhysicalPhase,
     RescaledPhase,
     derive_t,
@@ -65,6 +69,91 @@ def test_weight_evaluation(power_c1_half):
     want = power_c1_half.derivative(y, 1) - 0.5 * power_c1_half.value(y) ** 2
     got = g.evaluate(power_c1_half, y, t=7.0)
     assert np.allclose(got, want, rtol=1e-14)
+
+
+def reference_evaluate(g, data, y, t):
+    """Term-by-term evaluation of a MomentWeight (the loop the compiled
+    weights replaced); returns the weight and the sum of |term|."""
+    y = np.asarray(y, dtype=float)
+    f = [data.value(y), data.derivative(y, 1), data.derivative(y, 2)]
+    out = np.zeros_like(y)
+    scale = np.zeros_like(y)
+    for (a, b, c, p), v in g.terms.items():
+        term = np.full_like(out, v * t ** (-p))
+        if a:
+            term = term * f[0] ** a
+        if b:
+            term = term * f[1] ** b
+        if c:
+            term = term * f[2] ** c
+        out += term
+        scale += np.abs(term)
+    return out, scale
+
+
+_KERNEL_DATA = {
+    "PowerC0": make_family(FamilySpec("PowerC0", kappa=1.0, alpha=0.5)),
+    "PowerC1": make_family(FamilySpec("PowerC1", kappa=1.0, alpha=1.0 / 3.0)),
+    "Gaussian": make_family(FamilySpec("Gaussian", extra={"amplitude": 1.0, "sigma": 1.0})),
+}
+
+
+@st.composite
+def derived_weights(draw):
+    """Sums of scalar multiples of derive_x / derive_t compositions applied
+    to 1 or f0; a step that would need a third derivative is skipped."""
+    out = MomentWeight()
+    for _ in range(draw(st.integers(1, 3))):
+        g = draw(st.sampled_from([MomentWeight.unit(), MomentWeight.f0()]))
+        for op in draw(st.lists(st.sampled_from([derive_x, derive_t]), max_size=3)):
+            try:
+                g = op(g)
+            except UnsupportedOrderError:
+                pass
+        out = out + draw(st.floats(-10.0, 10.0)) * g
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=derived_weights(),
+       family=st.sampled_from(sorted(_KERNEL_DATA)),
+       ys=st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=8),
+       log_t=st.floats(-2.0, 8.0))
+def test_compiled_weights_match_term_by_term(g, family, ys, log_t):
+    data = _KERNEL_DATA[family]
+    y = np.asarray(ys)
+    t = 10.0 ** log_t
+    want, scale = reference_evaluate(g, data, y, t)
+    got = compile_weights([g, None, 2.5, data.value], data, t)(y)
+    assert got.shape == (4, y.size)
+    assert np.all(np.abs(got[0] - want) <= 1e-13 * scale)
+    assert np.all(np.abs(g.evaluate(data, y, t) - want) <= 1e-13 * scale)
+    assert np.all(got[1] == 1.0) and np.all(got[2] == 2.5)
+    assert np.array_equal(got[3], data.value(y))
+
+
+def test_panel_eval_batch_matches_single_panels(power_c1_half):
+    # k panels in one call equal k one-panel calls, per weight and panel,
+    # relative to the panel's L1
+    gs = [burgers._F0, burgers._DX_F0, burgers._DT_F0, burgers._DX_U,
+          burgers._DT_U, burgers._DX2_F0, burgers._DX2_U, None]
+    phase = PhysicalPhase(power_c1_half, 3.0, 40.0)
+    weights = compile_weights(gs, power_c1_half, phase.t)
+    peak = next(c.y for c in locate_critical_points(phase) if c.is_global_max)
+    log_scale = float(phase.total(peak))
+
+    def integrand(y):
+        return weights(y) * np.exp(phase.total(y) - log_scale)
+
+    edges = np.sort(peak + np.random.default_rng(7).uniform(-60.0, 60.0, 12))
+    a, b = edges[:-1], edges[1:]
+    i10, i21 = _panel_eval(integrand, a, b)
+    assert i10.shape == i21.shape == (len(gs), a.size)
+    for j in range(a.size):
+        s10, s21 = _panel_eval(integrand, a[j:j + 1], b[j:j + 1])
+        _, l1 = _panel_eval(lambda y: np.abs(integrand(y)), a[j:j + 1], b[j:j + 1])
+        assert np.all(np.abs(i10[:, j] - s10[:, 0]) <= 1e-14 * l1[:, 0])
+        assert np.all(np.abs(i21[:, j] - s21[:, 0]) <= 1e-14 * l1[:, 0])
 
 
 # -- critical points ---------------------------------------------------------
