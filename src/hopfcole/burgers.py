@@ -4,6 +4,11 @@ f(x,t) = int f0(y) e^{H(y)} dy / int e^{H(y)} dy with
 H(y) = -(x-y)^2/(4t) - (1/2) int_0^y f0.  Space and time derivatives are
 exact quotient-rule expansions over the weight algebra, so the PDE residual
 d_t f - d_x^2 f + f d_x f is a strong end-to-end self test.
+
+An array of x at one t is one batch (eval_batch): its points share the
+critical points of G_t(y) = y + t f0(y) and are integrated together, and
+each point the batch cannot vouch for is evaluated by eval.  The coarse grid
+of a sup-norm scan is one batch; its refinement runs on eval.
 """
 from __future__ import annotations
 
@@ -20,8 +25,8 @@ from .quadrature import (
     PhysicalPhase,
     derive_x,
     derive_t,
-    ratio_moment,
     ratio_moments,
+    ratio_moments_batch,
 )
 
 _U = MomentWeight.unit()
@@ -115,148 +120,25 @@ def pde_residual(data: InitialData, x: float, t: float,
 
 
 # ---------------------------------------------------------------------------
-# batch evaluation (single-peak fast path)
+# batch evaluation
 
 
 def eval_batch(data: InitialData, xs, t: float, rel_tol: float = 1e-9):
-    """f(x, t) for an array of x at one t.
+    """f(x, t) for a 1-d array of x at one t.
 
-    When 1 + t min(f0') > 0 the phase has a unique maximum for every x and
-    the whole batch is handled by vectorized bisection plus fixed peak-local
-    panels; otherwise (or where the error estimate misses the target) each
-    point falls back to the adaptive path."""
+    The points share one table of the monotone pieces of
+    G_t(y) = y + t f0(y), whose inverses are the critical points of every
+    phase, and are refined together (quadrature.ratio_moments_batch); each
+    point that misses one of the kernel's checks is evaluated by eval."""
     xs = np.asarray(xs, dtype=float)
+    if t < 0:
+        raise ValueError("t must be nonnegative")
     if t == 0:
         return data.value(xs)
-    single_peak = 1.0 + t * data.derivative_min() > 0.05
-    if not single_peak:
-        return np.asarray([eval(data, float(x), t, rel_tol) for x in xs])
-
-    out = np.empty_like(xs)
-    for lo in range(0, xs.size, 1024):
-        blk = xs[lo:lo + 1024]
-        vals, ok = _batch_single_peak(data, data, blk, t, rel_tol)
-        bad = ~ok
-        if np.any(bad):
-            vals[bad] = [eval(data, float(x), t, rel_tol) for x in blk[bad]]
-        out[lo:lo + 1024] = vals
+    vals, ok = ratio_moments_batch([_F0], data, xs, t, rel_tol)
+    out = vals[0]
+    out[~ok] = [eval(data, float(x), t, rel_tol) for x in xs[~ok]]
     return out
-
-
-def heat_quotient_batch(weight_data: InitialData, zero_data: InitialData,
-                        xs, t: float, rel_tol: float = 1e-9):
-    """Batched int w e^G / int e^G for the pure Gaussian phase."""
-    xs = np.asarray(xs, dtype=float)
-    out = np.empty_like(xs)
-    for lo in range(0, xs.size, 1024):
-        blk = xs[lo:lo + 1024]
-        vals, ok = _batch_single_peak(zero_data, weight_data, blk, t, rel_tol)
-        if np.any(~ok):
-            for j in np.nonzero(~ok)[0]:
-                ph = PhysicalPhase(zero_data, float(blk[j]), t)
-                vals[j] = ratio_moment(lambda y: weight_data.value(y), ph, rel_tol)
-        out[lo:lo + 1024] = vals
-    return out
-
-
-_S_EDGES = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 2.75, 3.5, 4.5, 5.5, 7.0, 8.5, 10.5])
-_GLB = np.polynomial.legendre.leggauss(21)
-_GLB_LOW = np.polynomial.legendre.leggauss(10)
-
-
-def _batch_single_peak(phase_data, weight_data, xs, t, rel_tol):
-    """Vectorized quotient over x: unique-peak phases only."""
-    n = xs.size
-    lo = xs - t * phase_data.sup_abs - 1.0
-    hi = xs + t * phase_data.sup_abs + 1.0
-
-    def hprime2t(y):
-        # 2t H'(y) = x - y - t f0(y); strictly decreasing in y here
-        return xs - y - t * phase_data.value(y)
-
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        pos = hprime2t(mid) > 0.0
-        lo = np.where(pos, mid, lo)
-        hi = np.where(pos, hi, mid)
-    y0 = 0.5 * (lo + hi)
-    d2 = -0.5 / t - 0.5 * phase_data.derivative(y0, 1)
-    width = 1.0 / np.sqrt(np.maximum(-d2, 1e-300))
-
-    def phase_at(y):
-        return -((xs[:, None] - y) ** 2) / (4.0 * t) - 0.5 * np.asarray(
-            phase_data.primitive(y.reshape(-1)), dtype=float
-        ).reshape(y.shape)
-
-    h0 = (-((xs - y0) ** 2) / (4.0 * t)
-          - 0.5 * np.asarray(phase_data.primitive(y0), dtype=float))
-
-    edges = np.concatenate([-_S_EDGES[::-1], _S_EDGES[1:]])
-    # extend the stencil until the phase has dropped 45 e-folds at both ends
-    left = y0 + edges[0] * width
-    right = y0 + edges[-1] * width
-    extra_l, extra_r = [], []
-    for _ in range(40):
-        dl = (-((xs - left) ** 2) / (4.0 * t)
-              - 0.5 * np.asarray(phase_data.primitive(left), dtype=float)) - h0
-        dr = (-((xs - right) ** 2) / (4.0 * t)
-              - 0.5 * np.asarray(phase_data.primitive(right), dtype=float)) - h0
-        need_l = dl > -45.0
-        need_r = dr > -45.0
-        if not (np.any(need_l) or np.any(need_r)):
-            break
-        step = 3.0 * width
-        left = np.where(need_l, left - step, left)
-        right = np.where(need_r, right + step, right)
-        extra_l.append(left.copy())
-        extra_r.append(right.copy())
-
-    cols = [y0 + s * width for s in edges]
-    node_cols = [left] + extra_l[::-1] + cols + extra_r + [right]
-    ys = np.stack(node_cols, axis=1)
-    ys.sort(axis=1)
-
-    x21, w21 = _GLB
-    x10, w10 = _GLB_LOW
-    num = np.zeros(n)
-    den = np.zeros(n)
-    num_lo = np.zeros(n)
-    den_lo = np.zeros(n)
-    num_l1 = np.zeros(n)
-    for j in range(ys.shape[1] - 1):
-        a, b = ys[:, j], ys[:, j + 1]
-        midp = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        pts = midp[:, None] + half[:, None] * x21[None, :]
-        ex = np.exp(phase_at(pts) - h0[:, None])
-        wv = np.asarray(weight_data.value(pts.reshape(-1))).reshape(pts.shape)
-        num += half * ((wv * ex) @ w21)
-        num_l1 += half * ((np.abs(wv) * ex) @ w21)
-        den += half * (ex @ w21)
-        pts = midp[:, None] + half[:, None] * x10[None, :]
-        ex = np.exp(phase_at(pts) - h0[:, None])
-        wv = np.asarray(weight_data.value(pts.reshape(-1))).reshape(pts.shape)
-        num_lo += half * ((wv * ex) @ w10)
-        den_lo += half * (ex @ w10)
-
-    # the phase is concave, so past each end of the stencil it falls at
-    # least linearly with its end slope: the denominator's tails are at
-    # most e^{drop}/|H'| there, and the numerator's sup|w| times that
-    ends = ys[:, [0, -1]]
-    slope = np.abs((xs[:, None] - ends) / (2.0 * t) - 0.5 * np.asarray(
-        phase_data.value(ends.reshape(-1)), dtype=float).reshape(ends.shape))
-    tail = np.sum(np.exp(phase_at(ends) - h0[:, None])
-                  / np.maximum(slope, 1e-300), axis=1)
-
-    vals = num / den
-    # each moment's error against its own scale max(|I|, 1e-3 L1), as in the
-    # adaptive path: an absolute floor would pass any quotient far out in
-    # the tail, whatever its relative error
-    num_scale = np.maximum(np.maximum(np.abs(num), 1e-3 * num_l1), 1e-300)
-    rel_err = ((np.abs(num - num_lo) + weight_data.sup_abs * tail) / num_scale
-               + (np.abs(den - den_lo) + tail) / np.maximum(den, 1e-300))
-    ok = rel_err <= 10.0 * rel_tol
-    return vals, ok
 
 
 # ---------------------------------------------------------------------------
@@ -271,16 +153,31 @@ class SupNormResult:
     search_window: tuple  # (Z, n_coarse)
 
 
+def pointwise(fn):
+    """A scan_max score from a function of one float: an array of x is
+    scored point by point."""
+    def score(x):
+        if np.ndim(x):
+            return np.asarray([fn(v) for v in x], dtype=float)
+        return fn(x)
+    return score
+
+
 def scan_max(fn, lo: float, hi: float, n_coarse: int, threads: int = 1,
              n_refine: int = 3):
-    """Max of fn on [lo, hi]: coarse grid, then bounded golden refinement
-    around the best brackets.  Deterministic for any thread count."""
+    """Max of fn on [lo, hi]: coarse grid, then bounded Brent refinement
+    around the best brackets.  Deterministic for any thread count.
+
+    fn maps an array of x to an array of scores and a float to a float; see
+    pointwise.  The coarse grid is one call, or one call per thread chunk.
+    The best coarse point is scored again as a float, so the value returned
+    always comes from the float form, as do all refinement steps."""
     grid = np.linspace(lo, hi, n_coarse)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            vals = np.asarray(list(ex.map(fn, grid)))
+            vals = np.concatenate(list(ex.map(fn, np.array_split(grid, threads))))
     else:
-        vals = np.asarray([fn(g) for g in grid])
+        vals = np.asarray(fn(grid), dtype=float)
     order = np.argsort(vals)[::-1]
     picked = []
     for i in order:
@@ -288,8 +185,8 @@ def scan_max(fn, lo: float, hi: float, n_coarse: int, threads: int = 1,
             picked.append(int(i))
         if len(picked) == n_refine:
             break
-    best_v = float(np.max(vals))
     best_x = float(grid[int(np.argmax(vals))])
+    best_v = float(fn(best_x))
     for i in picked:
         a = grid[max(i - 1, 0)]
         b = grid[min(i + 1, n_coarse - 1)]
@@ -308,13 +205,19 @@ def sup_norm(data: InitialData, t: float, Z: float = 10.0, n_coarse: int = 129,
     """sup over |x| <= Z * scale(t) of |f(x, t)|.
 
     scale(t) is t^{1/(1+alpha)} for the power-tail families (the maximum
-    lives at x of that order) and sqrt(t) otherwise."""
+    lives at x of that order) and sqrt(t) otherwise.  The coarse grid of the
+    scan is one eval_batch call, the refinement runs on eval."""
     if n_coarse < 64:
         raise ValueError("n_coarse must be at least 64")
     if Z <= 0:
         raise ValueError("Z must be positive")
     alpha = data.alpha
     m = t ** (1.0 / (1.0 + alpha)) if alpha is not None else math.sqrt(t)
-    v, ax = scan_max(lambda x: abs(eval(data, x, t, rel_tol)), -Z * m, Z * m,
-                     n_coarse, threads)
+
+    def score(x):
+        if np.ndim(x):
+            return np.abs(eval_batch(data, x, t, rel_tol))
+        return abs(eval(data, x, t, rel_tol))
+
+    v, ax = scan_max(score, -Z * m, Z * m, n_coarse, threads)
     return SupNormResult(value=v, argmax_x=ax, t=t, search_window=(Z, n_coarse))

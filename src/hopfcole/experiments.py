@@ -265,7 +265,8 @@ def _derivative_sup(data, t, n, k, cfg):
     finite-time tie point was not found and the layer scan is centred on the
     limit jump case.discontinuity_z instead."""
     m, _amp = _scales(data, t)
-    fn = lambda x: abs(burgers.eval_derivative(data, x, t, n, k, rel_tol=1e-8))
+    fn = burgers.pointwise(
+        lambda x: abs(burgers.eval_derivative(data, x, t, n, k, rel_tol=1e-8)))
     best_v, best_x = burgers.scan_max(fn, -cfg.window_Z * m, cfg.window_Z * m,
                                       cfg.n_coarse, cfg.threads)
     case = case_for_data(data)
@@ -303,8 +304,9 @@ def run_derivative_decay(cfg: ExperimentConfig):
                 tie_fallback_t.append(float(t))
         else:
             m = math.sqrt(t)
-            fn = lambda x: abs(heat.heat_derivative(data, x, float(t), n, k,
-                                                    rel_tol=1e-8))
+            fn = burgers.pointwise(
+                lambda x: abs(heat.heat_derivative(data, x, float(t), n, k,
+                                                   rel_tol=1e-8)))
             v, ax = burgers.scan_max(fn, -cfg.window_Z * m, cfg.window_Z * m,
                                      cfg.n_coarse, cfg.threads)
         rows.append((float(t), v, ax))
@@ -355,8 +357,9 @@ def run_profile(cfg: ExperimentConfig):
     for t in ts:
         m, amp = _scales(data, float(t))
         errs = []
-        for z in zs:
-            v = amp * burgers.eval(data, z * m, float(t))
+        vals = amp * burgers.eval_batch(data, np.asarray(zs) * m, float(t))
+        for z, v in zip(zs, vals):
+            v = float(v)
             p = profile_value(case, z)
             err = abs(v - p)
             errs.append(err)
@@ -515,8 +518,9 @@ def run_heat_profile(cfg: ExperimentConfig):
     sups = []
     for t in cfg.t_grid():
         errs = []
-        for z in zs:
-            v = t ** (alpha / 2.0) * heat.heat_eval(data, float(z) * math.sqrt(t), float(t))
+        vals = t ** (alpha / 2.0) * heat.heat_eval_batch(data, zs * math.sqrt(t), float(t))
+        for z, v in zip(zs, vals):
+            v = float(v)
             err = abs(v - prof[float(z)])
             errs.append(err)
             rows.append((float(t), float(z), v, prof[float(z)], err))

@@ -107,6 +107,7 @@ class FamilySpec:
 
 _GL32 = np.polynomial.legendre.leggauss(32)
 _GL64 = np.polynomial.legendre.leggauss(64)
+_QUERY_CHUNK = 1024  # primitive-cache query points per vectorized batch
 
 
 def _gauss_legendre(fn, a, b, rule):
@@ -121,8 +122,9 @@ class _PrimitiveCache:
 
     Block sums are adaptive 64-node Gauss-Legendre values; a query adds a
     32-node partial panel from the nearest cached edge, so each call costs
-    one vectorized batch of f evaluations.  Extension is serialized behind a
-    lock and idempotent, so concurrent readers are safe.
+    one vectorized batch of f evaluations per _QUERY_CHUNK query points.
+    Extension is serialized behind a lock and idempotent, so concurrent
+    readers are safe.
     """
 
     def __init__(self, fn, rel_tol=1e-12, first_edge=0.5):
@@ -173,7 +175,16 @@ class _PrimitiveCache:
         amax = float(np.max(np.abs(y))) if y.size else 0.0
         if amax > self._mags[-1]:
             self._extend_to(amax)
-        mags, cum_pos, cum_neg = self._get_arrays()
+        arrays = self._get_arrays()
+        flat = y.ravel()
+        out = np.empty(flat.shape)
+        # each query point costs a (32,) row of temporaries: chunk the query
+        for lo in range(0, flat.size, _QUERY_CHUNK):
+            out[lo:lo + _QUERY_CHUNK] = self._partial(flat[lo:lo + _QUERY_CHUNK], arrays)
+        return out.reshape(y.shape)
+
+    def _partial(self, y, arrays):
+        mags, cum_pos, cum_neg = arrays
         ay = np.abs(y)
         idx = np.searchsorted(mags, ay, side="right") - 1
         sign = np.where(y >= 0.0, 1.0, -1.0)
@@ -210,7 +221,6 @@ class InitialData:
             self._cache = _PrimitiveCache(value_fn)
             self._p = self._cache
         self.sup_abs = float(sup_abs if sup_abs is not None else self._numeric_sup())
-        self._d1_min = None
         self._growth = None
 
     # -- basic evaluators ----------------------------------------------------
@@ -264,16 +274,6 @@ class InitialData:
         y = np.concatenate([[0.0], np.geomspace(1e-6, 1e7, 800)])
         y = np.concatenate([-y[::-1], y])
         return float(np.max(np.abs(self._v(y))))
-
-    def derivative_min(self):
-        """Global minimum of f0' (numeric; cached).  Used to detect the
-        single-peak regime of the Hopf-Cole phase: for t < -1/min(f0') the
-        phase derivative is strictly decreasing in y."""
-        if self._d1_min is None:
-            y = np.concatenate([[0.0], np.geomspace(1e-6, 1e6, 1200)])
-            y = np.concatenate([-y[::-1], y])
-            self._d1_min = float(np.min(self._d1(y)))
-        return self._d1_min
 
     def primitive_growth(self):
         """(K, p) with |primitive(y)| <= K (1 + |y|)^p for all y.

@@ -205,16 +205,6 @@ def finite_branches(data: InitialData, z: float, t: float,
     return out
 
 
-def branch_phase(data: InitialData, z: float, t: float, branch: str,
-                 space_scale: float | None = None) -> float:
-    """Reduced phase value Ht at the requested finite-time branch point."""
-    bs = finite_branches(data, z, t, space_scale=space_scale)
-    sol = bs.get(branch)
-    if sol is None:
-        raise ValueError(f"branch {branch!r} absent at z = {z}, t = {t}")
-    return rescaled_phase(data, sol.y, z, t, space_scale=space_scale)
-
-
 def phase_tie_point(data: InitialData, t: float, window: tuple | None = None,
                     space_scale: float | None = None) -> float:
     """The z at which the two competing phase maxima have equal height at

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -100,6 +101,24 @@ def test_primitive_cache_against_hypergeometric():
         exact = 1.7 * y * hyp2f1(0.5, 0.2, 1.5, -y * y)
         assert d.primitive(y) == pytest.approx(exact, rel=1e-10)
     assert d.primitive_error_bound <= 1e-10
+
+
+def test_primitive_cache_query_memory_is_bounded():
+    # each query point takes a (32,) row of temporaries; a 2e5-point query
+    # in one piece peaks near 160 MiB
+    d = make_family(FamilySpec("PowerC1", kappa=1.0, alpha=0.5))
+    y = np.linspace(-1e6, 1e6, 200_000)
+    d.primitive(y)  # extend the cache outside the measurement
+    tracemalloc.start()
+    try:
+        got = d.primitive(y)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    cache = d._cache
+    whole = np.where(y == 0.0, 0.0, cache._partial(y, cache._get_arrays()))
+    np.testing.assert_allclose(got, whole, rtol=1e-15, atol=0.0)
 
 
 def test_sign_flipped_primitive_closed_form():
