@@ -5,19 +5,19 @@ H(y) = -(x-y)^2/(4t) - (1/2) int_0^y f0.  Space and time derivatives are
 exact quotient-rule expansions over the weight algebra, so the PDE residual
 d_t f - d_x^2 f + f d_x f is a strong end-to-end self test.
 
-An array of x at one t is one batch (eval_batch): its points share the
-critical points of G_t(y) = y + t f0(y) and are integrated together, and
-each point the batch cannot vouch for is evaluated by eval.  The coarse grid
-of a sup-norm scan is one batch; its refinement runs on eval.
+An array of x at one t is one batch (eval_batch, derivative_fields_batch):
+its points share the critical points of G_t(y) = y + t f0(y) and are
+integrated together, and each point the batch cannot vouch for is evaluated
+by eval or derivative_fields.  A sup-norm scan (scan_max) scores its coarse
+grid as one batch, then refines its brackets in lockstep, each step one
+batch of the next x of every live bracket.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .initial_data import InitialData, UnsupportedOrderError
 from .quadrature import (
@@ -37,6 +37,9 @@ _DX_U = derive_x(_U)
 _DT_U = derive_t(_U)
 _DX2_F0 = derive_x(_DX_F0)
 _DX2_U = derive_x(_DX_U)
+_FIELD_WEIGHTS = [_F0, _DX_F0, _DT_F0, _DX_U, _DT_U, _DX2_F0, _DX2_U]
+# (n, k) of d_t^n d_x^k -> its key in derivative_fields
+FIELD_OF_ORDER = {(0, 0): "f", (0, 1): "f_x", (1, 0): "f_t", (0, 2): "f_xx"}
 
 
 def eval(data: InitialData, x: float, t: float, rel_tol: float = 1e-9) -> float:
@@ -55,9 +58,12 @@ def derivative_fields(data: InitialData, x: float, t: float,
     Uses d(A_g/A_1) = (A_{Dg} - (A_g/A_1) A_{D1}) / A_1 recursively with the
     x/t derivation maps of the weight algebra."""
     phase = PhysicalPhase(data, float(x), float(t))
-    r = ratio_moments(
-        [_F0, _DX_F0, _DT_F0, _DX_U, _DT_U, _DX2_F0, _DX2_U], phase, rel_tol
-    )
+    return _fields(ratio_moments(_FIELD_WEIGHTS, phase, rel_tol))
+
+
+def _fields(r):
+    """f, f_x, f_t, f_xx from the quotients of _FIELD_WEIGHTS (floats or
+    arrays)."""
     f = r[0]
     fx = r[1] - f * r[3]
     ft = r[2] - f * r[4]
@@ -93,8 +99,7 @@ def eval_derivative(data: InitialData, x: float, t: float, n: int, k: int,
     if order > 4:
         raise UnsupportedOrderError(f"2n + k = {order} > 4 not supported")
     if order <= 2:
-        fields = derivative_fields(data, x, t, rel_tol)
-        return fields[{(0, 0): "f", (0, 1): "f_x", (1, 0): "f_t", (0, 2): "f_xx"}[(n, k)]]
+        return derivative_fields(data, x, t, rel_tol)[FIELD_OF_ORDER[(n, k)]]
     hx = 0.05 * max(1.0, math.sqrt(t))
     ht = 0.02 * t
     if (n, k) == (0, 3):
@@ -141,6 +146,21 @@ def eval_batch(data: InitialData, xs, t: float, rel_tol: float = 1e-9):
     return out
 
 
+def derivative_fields_batch(data: InitialData, xs, t: float,
+                            rel_tol: float = 1e-10) -> dict:
+    """derivative_fields for a 1-d array of x at one t > 0: the seven
+    weights on the batch kernel (quadrature.ratio_moments_batch); each point
+    that misses one of the kernel's checks is evaluated by
+    derivative_fields."""
+    xs = np.asarray(xs, dtype=float)
+    r, ok = ratio_moments_batch(_FIELD_WEIGHTS, data, xs, t, rel_tol)
+    fields = _fields(r)
+    for i in np.nonzero(~ok)[0]:
+        for name, v in derivative_fields(data, float(xs[i]), t, rel_tol).items():
+            fields[name][i] = v
+    return fields
+
+
 # ---------------------------------------------------------------------------
 # sup norm
 
@@ -154,30 +174,96 @@ class SupNormResult:
 
 
 def pointwise(fn):
-    """A scan_max score from a function of one float: an array of x is
+    """A scan_max score from a function of one float: the array of x is
     scored point by point."""
-    def score(x):
-        if np.ndim(x):
-            return np.asarray([fn(v) for v in x], dtype=float)
-        return fn(x)
+    def score(xs):
+        return np.asarray([fn(v) for v in xs], dtype=float)
     return score
 
 
-def scan_max(fn, lo: float, hi: float, n_coarse: int, threads: int = 1,
-             n_refine: int = 3):
-    """Max of fn on [lo, hi]: coarse grid, then bounded Brent refinement
-    around the best brackets.  Deterministic for any thread count.
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
-    fn maps an array of x to an array of scores and a float to a float; see
-    pointwise.  The coarse grid is one call, or one call per thread chunk.
-    The best coarse point is scored again as a float, so the value returned
-    always comes from the float form, as do all refinement steps."""
+
+def _bounded_brent(a, b, xatol, maxfun=500):
+    """scipy's bounded Brent minimization (minimize_scalar with
+    method="bounded") of one bracket [a, b] as a generator.
+
+    It yields each x to score and is sent the value there, taking the same
+    parabolic and golden steps in the same order, with the same stopping
+    rule and cap of maxfun values; it returns (x, value) of the best point."""
+    fulc = a + _GOLDEN * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = yield xf
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the three best points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = _GOLDEN * e
+        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
+        fu = yield x
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            break
+    return xf, fx
+
+
+def scan_max(fn, lo: float, hi: float, n_coarse: int, n_refine: int = 3):
+    """Max of fn on [lo, hi]: a coarse grid, then bounded Brent refinement
+    of the brackets around the n_refine best separated grid points.
+
+    fn maps an array of x to an array of scores (see pointwise).  The grid
+    is one call.  Each bracket runs _bounded_brent on -fn with
+    xatol = 1e-6 (b - a) + 1e-12, and the brackets run in lockstep: each
+    step is one call on the next x of every live bracket.  Returns
+    (value, x) of the best point scored, with the values fn gave."""
     grid = np.linspace(lo, hi, n_coarse)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            vals = np.concatenate(list(ex.map(fn, np.array_split(grid, threads))))
-    else:
-        vals = np.asarray(fn(grid), dtype=float)
+    vals = np.asarray(fn(grid), dtype=float)
     order = np.argsort(vals)[::-1]
     picked = []
     for i in order:
@@ -185,39 +271,43 @@ def scan_max(fn, lo: float, hi: float, n_coarse: int, threads: int = 1,
             picked.append(int(i))
         if len(picked) == n_refine:
             break
-    best_x = float(grid[int(np.argmax(vals))])
-    best_v = float(fn(best_x))
+    best = int(np.argmax(vals))
+    best_v, best_x = float(vals[best]), float(grid[best])
+    runs = []
     for i in picked:
         a = grid[max(i - 1, 0)]
         b = grid[min(i + 1, n_coarse - 1)]
-        if b <= a:
-            continue
-        res = minimize_scalar(lambda v: -fn(v), bounds=(a, b), method="bounded",
-                              options={"xatol": 1e-6 * (b - a) + 1e-12})
-        if -res.fun > best_v:
-            best_v = float(-res.fun)
-            best_x = float(res.x)
+        if b > a:
+            runs.append(_bounded_brent(a, b, 1e-6 * (b - a) + 1e-12))
+    results = [None] * len(runs)
+    pending = {j: next(run) for j, run in enumerate(runs)}  # bracket -> next x
+    while pending:
+        scores = np.asarray(fn(np.asarray(list(pending.values()))), dtype=float)
+        for j, v in zip(list(pending), scores):
+            try:
+                pending[j] = runs[j].send(-v)
+            except StopIteration as stop:
+                results[j] = stop.value
+                del pending[j]
+    for x, fx in results:
+        if -fx > best_v:
+            best_v, best_x = float(-fx), float(x)
     return best_v, best_x
 
 
 def sup_norm(data: InitialData, t: float, Z: float = 10.0, n_coarse: int = 129,
-             rel_tol: float = 1e-9, threads: int = 1) -> SupNormResult:
+             rel_tol: float = 1e-9) -> SupNormResult:
     """sup over |x| <= Z * scale(t) of |f(x, t)|.
 
     scale(t) is t^{1/(1+alpha)} for the power-tail families (the maximum
-    lives at x of that order) and sqrt(t) otherwise.  The coarse grid of the
-    scan is one eval_batch call, the refinement runs on eval."""
+    lives at x of that order) and sqrt(t) otherwise.  Every call of the scan
+    is one eval_batch."""
     if n_coarse < 64:
         raise ValueError("n_coarse must be at least 64")
     if Z <= 0:
         raise ValueError("Z must be positive")
     alpha = data.alpha
     m = t ** (1.0 / (1.0 + alpha)) if alpha is not None else math.sqrt(t)
-
-    def score(x):
-        if np.ndim(x):
-            return np.abs(eval_batch(data, x, t, rel_tol))
-        return abs(eval(data, x, t, rel_tol))
-
-    v, ax = scan_max(score, -Z * m, Z * m, n_coarse, threads)
+    v, ax = scan_max(lambda xs: np.abs(eval_batch(data, xs, t, rel_tol)),
+                     -Z * m, Z * m, n_coarse)
     return SupNormResult(value=v, argmax_x=ax, t=t, search_window=(Z, n_coarse))

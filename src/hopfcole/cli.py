@@ -53,7 +53,6 @@ def _build_parser():
         p.add_argument("--tcount", type=int)
         p.add_argument("--eps", type=float,
                        help="exclusion half-width around the profile jump")
-        p.add_argument("--threads", type=int)
         p.add_argument("--check", action="store_true",
                        help="exit 4 if any built-in acceptance check fails")
         p.add_argument("--zmin", type=float)
@@ -81,7 +80,6 @@ _FLAG_TO_FIELD = {
     "tmax": "t_max",
     "tcount": "t_count",
     "eps": "exclusion",
-    "threads": "threads",
     "zmin": "z_min",
     "zmax": "z_max",
     "zcount": "z_count",

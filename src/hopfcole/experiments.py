@@ -4,8 +4,7 @@ finite-difference cross-check, and field dumps, with CSV/JSON emission.
 
 Every run writes one CSV (RFC 4180, header row, shortest-round-trip floats)
 plus a JSON sidecar carrying the config echo, library versions, wall time,
-and all fitted quantities.  Identical configs produce byte-identical CSVs
-regardless of thread count.
+and all fitted quantities.  Identical configs produce byte-identical CSVs.
 """
 from __future__ import annotations
 
@@ -54,7 +53,6 @@ class ExperimentConfig:
     z_count: int = 41
     exclusion: float = 0.25
     out_dir: str = "out"
-    threads: int = 1
     n: int = 0
     k: int = 1
     fd_L: float = 100.0
@@ -233,10 +231,10 @@ def run_decay(cfg: ExperimentConfig):
     for t in ts:
         if cfg.equation == "burgers":
             r = burgers.sup_norm(data, float(t), Z=cfg.window_Z,
-                                 n_coarse=cfg.n_coarse, threads=cfg.threads)
+                                 n_coarse=cfg.n_coarse)
         else:
             r = heat.heat_sup_norm(data, float(t), Z=cfg.window_Z,
-                                   n_coarse=cfg.n_coarse, threads=cfg.threads)
+                                   n_coarse=cfg.n_coarse)
         rows.append((float(t), r.value, r.argmax_x))
     fit = fit_power_law([(t, v) for (t, v, _x) in rows])
     sup_bound = data.sup_abs * (1.0 + 1e-6)
@@ -263,12 +261,16 @@ def _derivative_sup(data, t, n, k, cfg):
 
     Returns (sup, argmax, tie_fallback): tie_fallback is True when the
     finite-time tie point was not found and the layer scan is centred on the
-    limit jump case.discontinuity_z instead."""
+    limit jump case.discontinuity_z instead.  Both scans score on
+    burgers.derivative_fields_batch."""
     m, _amp = _scales(data, t)
-    fn = burgers.pointwise(
-        lambda x: abs(burgers.eval_derivative(data, x, t, n, k, rel_tol=1e-8)))
+    name = burgers.FIELD_OF_ORDER[(n, k)]
+
+    def fn(xs):
+        return np.abs(burgers.derivative_fields_batch(data, xs, t, rel_tol=1e-8)[name])
+
     best_v, best_x = burgers.scan_max(fn, -cfg.window_Z * m, cfg.window_Z * m,
-                                      cfg.n_coarse, cfg.threads)
+                                      cfg.n_coarse)
     case = case_for_data(data)
     fallback = False
     if case is not None and (n, k) != (0, 0):
@@ -281,8 +283,7 @@ def _derivative_sup(data, t, n, k, cfg):
         ym = invert_branch(case, BRANCH_MINUS, zc_t).y
         amp_phase = t ** ((1.0 - case.alpha) / (1.0 + case.alpha))
         dz = min(0.2, 8.0 / (amp_phase * 0.5 * (yp - ym)))
-        v2, x2 = burgers.scan_max(fn, (zc_t - dz) * m, (zc_t + dz) * m, 41,
-                                  cfg.threads)
+        v2, x2 = burgers.scan_max(fn, (zc_t - dz) * m, (zc_t + dz) * m, 41)
         if v2 > best_v:
             best_v, best_x = v2, x2
     return best_v, best_x, fallback
@@ -308,7 +309,7 @@ def run_derivative_decay(cfg: ExperimentConfig):
                 lambda x: abs(heat.heat_derivative(data, x, float(t), n, k,
                                                    rel_tol=1e-8)))
             v, ax = burgers.scan_max(fn, -cfg.window_Z * m, cfg.window_Z * m,
-                                     cfg.n_coarse, cfg.threads)
+                                     cfg.n_coarse)
         rows.append((float(t), v, ax))
     fit = fit_power_law([(t, v) for (t, v, _x) in rows])
     alpha = data.alpha

@@ -131,18 +131,12 @@ def heat_profile_center_exact(kappa: float, alpha: float) -> float:
 
 
 def heat_sup_norm(data: InitialData, t: float, Z: float = 10.0,
-                  n_coarse: int = 129, rel_tol: float = 1e-9,
-                  threads: int = 1) -> SupNormResult:
-    """sup over |x| <= Z sqrt(t) of |heat solution|; the coarse grid of the
-    scan is one heat_eval_batch call, the refinement runs on heat_eval."""
+                  n_coarse: int = 129, rel_tol: float = 1e-9) -> SupNormResult:
+    """sup over |x| <= Z sqrt(t) of |heat solution|; every call of the scan
+    (burgers.scan_max) is one heat_eval_batch."""
     if n_coarse < 64:
         raise ValueError("n_coarse must be at least 64")
     m = math.sqrt(t)
-
-    def score(x):
-        if np.ndim(x):
-            return np.abs(heat_eval_batch(data, x, t, rel_tol))
-        return abs(heat_eval(data, x, t, rel_tol))
-
-    v, ax = scan_max(score, -Z * m, Z * m, n_coarse, threads)
+    v, ax = scan_max(lambda xs: np.abs(heat_eval_batch(data, xs, t, rel_tol)),
+                     -Z * m, Z * m, n_coarse)
     return SupNormResult(value=v, argmax_x=ax, t=t, search_window=(Z, n_coarse))

@@ -9,6 +9,7 @@ mu(t), and the piecewise limit profile itself.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -67,6 +68,8 @@ def cusp(kappa: float, alpha: float):
 class ProfileCase:
     """One asymptotic class: case tag, tail parameters, and the cached limit
     objects (cusp, profile discontinuity location and how it was computed).
+    The discontinuity is solved lazily: the finite-time tie search and the
+    branch inversions never read it.
     """
 
     def __init__(self, case: str, kappa: float, alpha: float, beta: float | None = None,
@@ -96,8 +99,13 @@ class ProfileCase:
             self.discontinuity_z = float(discontinuity_z)
             self.discontinuity_source = discontinuity_source or "supplied"
         else:
-            self.discontinuity_z = profile_jump_location(self, VARIANT_LIMIT_DERIVED)
             self.discontinuity_source = VARIANT_LIMIT_DERIVED
+
+    @functools.cached_property
+    def discontinuity_z(self) -> float:
+        """The profile jump; unless supplied, the limit-derived tie, solved
+        on first read (a TiePointError surfaces there)."""
+        return profile_jump_location(self, VARIANT_LIMIT_DERIVED)
 
     def __repr__(self):
         return (f"ProfileCase({self.case}, kappa={self.kappa}, alpha={self.alpha}, "

@@ -591,7 +591,12 @@ def _truncation(phase, cps, log_scale, weights):
 
 
 def _initial_edges(cps, a, b, phase):
+    """The ends a and b, y = 0 (the kink of PowerC0 and the bump of Gaussian
+    data sit there), the critical points, and edges at 1, 3 and 8 peak
+    widths around each maximum."""
     edges = {a, b}
+    if a < 0.0 < b:
+        edges.add(0.0)
     maxima = [c for c in cps if c.kind != KIND_MIN]
     for c in cps:
         if a < c.y < b:

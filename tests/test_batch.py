@@ -1,13 +1,15 @@
 """The batch quotient kernel (quadrature.ratio_moments_batch) against the
-scalar path: a randomized oracle, its fallbacks, and the sup-norm scans that
-use it for their coarse grids."""
+scalar path: randomized oracles for eval_batch, heat_eval_batch and
+derivative_fields_batch, their fallbacks, and the sup-norm scans that run
+on them."""
 import functools
 import math
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy import integrate
 from scipy.optimize import minimize_scalar
 
 from hopfcole import burgers, heat, quadrature
@@ -48,16 +50,22 @@ def _budget(data, want):
     return 4.0 * RTOL * (np.abs(want) + 1e-3 * data.sup_abs)
 
 
-def tanh_sinh_quotient(data, x, t, heat_eq):
-    """int f0 e^H / int e^H by mpmath's tanh-sinh rule, with breaks at the
-    critical points, at y = 0 and at the unit scale of the data."""
-    phase = PhysicalPhase(ZERO if heat_eq else data, x, t)
+def oracle_breaks(phase):
+    """(top, breaks): the maximum of the phase, and breaks at its critical
+    points, at y = 0 and at the unit scale of the data."""
     cps = [c.y for c in locate_critical_points(phase)]
-    top = max(float(phase.total(c)) for c in cps)
-    w = math.sqrt(2.0 * t)
+    w = math.sqrt(2.0 * phase.t)
     breaks = {0.0, -1.0, 1.0, -8.0, 8.0}
     breaks.update(c + s * w for c in cps for s in (-3.0, -1.0, 0.0, 1.0, 3.0))
-    breaks = [-mpmath.inf] + sorted(breaks) + [mpmath.inf]
+    return max(float(phase.total(c)) for c in cps), sorted(breaks)
+
+
+def tanh_sinh_quotient(data, x, t, heat_eq):
+    """int f0 e^H / int e^H by mpmath's tanh-sinh rule between the breaks of
+    oracle_breaks."""
+    phase = PhysicalPhase(ZERO if heat_eq else data, x, t)
+    top, breaks = oracle_breaks(phase)
+    breaks = [-mpmath.inf] + breaks + [mpmath.inf]
 
     def e(y):
         return mpmath.exp(float(phase.total(float(y))) - top)
@@ -71,10 +79,11 @@ def check_against_scalar(batch, scalar, data, t, xs, pick, heat_eq):
 
     Values agree within both paths' budgets.  Where they are further apart,
     the scalar value must be the wrong one, by tanh-sinh: the scalar
-    partition has no edge at y = 0, so it misses the kink of PowerC0 and,
-    at large t, the whole bump of Gaussian data (heat_eval returns 0.0); and
-    one panel spans 8 peak widths to the truncation end, which misses the
-    slow tail beyond a narrow peak (Asymmetric data, 7e-5 at t = 1e6).
+    partition is not graded around its edge at y = 0, so at large t it
+    misses most of the bump of Gaussian data (heat_eval at x = 5000,
+    t = 1e6 returns half the closed form); and one panel spans 8 peak
+    widths to the truncation end, which misses the slow tail beyond a
+    narrow peak (Asymmetric data, 7e-5 at t = 1e6).
     Where the scalar path raises NotConvergedError, the batch either meets
     its budget or raises that same error from its fallback."""
     want = []
@@ -175,17 +184,167 @@ def reference_scan_max(fn, lo, hi, n_coarse, n_refine=3):
     return best_v, best_x
 
 
+@settings(max_examples=30, deadline=None)
+@given(c=st.lists(st.floats(-3.0, 3.0), min_size=5, max_size=5),
+       hi=st.floats(0.5, 6.0), n=st.integers(5, 70))
+def test_lockstep_brent_takes_scipys_steps(c, hi, n):
+    # several local maxima, flat stretches and brackets at the grid ends
+    def fn(x):
+        return math.sin(c[0] * x + c[1]) + c[2] * math.cos(c[3] * x * x) + 0.1 * c[4] * x
+
+    assert burgers.scan_max(burgers.pointwise(fn), -3.0, hi, n) == \
+        reference_scan_max(fn, -3.0, hi, n)
+
+
 @pytest.mark.parametrize("t", [1e3, 1e6])
-def test_sup_norms_equal_a_scalar_scan(power_c0, t):
-    # the coarse grid runs on the batch kernel, yet value and argmax are
-    # those of a scan that scores every point on the scalar path
+def test_lockstep_refinement_equals_scipy_scan(power_c0, t):
+    # on pointwise scores the lockstep brackets take scipy's steps, so value
+    # and argmax are bit for bit those of minimize_scalar per bracket
     m = t ** (1.0 / 1.5)
-    want = reference_scan_max(lambda x: abs(burgers.eval(power_c0, x, t)),
-                              -10.0 * m, 10.0 * m, 65)
-    got = burgers.sup_norm(power_c0, t, n_coarse=65)
-    assert (got.value, got.argmax_x) == want
+
+    def f(x):
+        return abs(burgers.eval(power_c0, x, t))
+
+    assert burgers.scan_max(burgers.pointwise(f), -10.0 * m, 10.0 * m, 65) == \
+        reference_scan_max(f, -10.0 * m, 10.0 * m, 65)
     m = math.sqrt(t)
-    want = reference_scan_max(lambda x: abs(heat.heat_eval(power_c0, x, t)),
-                              -10.0 * m, 10.0 * m, 65)
+
+    def h(x):
+        return abs(heat.heat_eval(power_c0, x, t))
+
+    assert burgers.scan_max(burgers.pointwise(h), -10.0 * m, 10.0 * m, 65) == \
+        reference_scan_max(h, -10.0 * m, 10.0 * m, 65)
+
+
+@pytest.mark.parametrize("n_coarse", [65, 129])
+def test_sup_norm_matches_mpmath_at_its_argmax(power_c0, n_coarse):
+    # the value the scan ranked is the batch kernel's; the scalar scan it
+    # replaces read 0.21124695603 at n_coarse 65, 2.6e-7 high from the
+    # kink of f0 at y = 0
+    t = 1e3
+    got = burgers.sup_norm(power_c0, t, n_coarse=n_coarse)
+    want = tanh_sinh_quotient(power_c0, got.argmax_x, t, heat_eq=False)
+    assert got.value == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("t", [1e3, 1180.0, 1e6])
+def test_heat_sup_norm_is_the_value_at_0(power_c0, t):
+    # heat of even data decreasing in |y| peaks at x = 0; the scalar scan
+    # this replaces refined to x = 0.0087 at t = 1e3 and read 1.5e-6 high
     got = heat.heat_sup_norm(power_c0, t, n_coarse=65)
-    assert (got.value, got.argmax_x) == want
+    want = heat.heat_eval(power_c0, 0.0, t, 1e-13)
+    assert got.value == pytest.approx(want, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# derivative fields
+
+
+FIELDS = ("f", "f_x", "f_t", "f_xx")
+
+
+def moment_sizes(data, xs, t):
+    """(r, a): the quotients r_i of burgers._FIELD_WEIGHTS at every x, and
+    the size a_i = |r_i| + 1e-3 L1_i against which each meets rel_tol (the
+    quadrature's target is rel_tol max(|I|, 1e-3 L1) per moment).  Both to
+    rel_tol 1e-6, which is plenty for a budget."""
+    n = len(burgers._FIELD_WEIGHTS)
+    w = quadrature.compile_weights(burgers._FIELD_WEIGHTS, data, t)
+    gs = burgers._FIELD_WEIGHTS + [lambda y, i=i: np.abs(w(y)[i]) for i in range(n)]
+    q, ok = ratio_moments_batch(gs, data, xs, t, 1e-6)
+    for i in np.nonzero(~ok)[0]:
+        q[:, i] = quadrature.ratio_moments(gs, PhysicalPhase(data, float(xs[i]), t), 1e-6)
+    return q[:n], np.abs(q[:n]) + 1e-3 * q[n:]
+
+
+def field_scales(r, a):
+    """First-order sizes of the errors of f, f_x, f_t and f_xx
+    (burgers._fields) when each quotient r_i is off by a_i: the fields
+    cancel far below the terms of their quotient-rule expansions."""
+    f, fx = np.abs(r[0]), np.abs(r[1] - r[0] * r[3])
+    s_fx = a[1] + f * a[3] + a[0] * np.abs(r[3])
+    return {"f": a[0], "f_x": s_fx,
+            "f_t": a[2] + f * a[4] + a[0] * np.abs(r[4]),
+            "f_xx": (a[5] + a[1] * np.abs(r[3]) + np.abs(r[1]) * a[3] + s_fx * np.abs(r[3])
+                     + fx * a[3] + a[0] * np.abs(r[6] - r[3] ** 2)
+                     + f * (a[6] + 2.0 * np.abs(r[3]) * a[3]))}
+
+
+def quadpack_moments(data, x, t):
+    """The quotients of burgers._FIELD_WEIGHTS by QUADPACK (scipy's quad,
+    rel 1e-13 per piece) between the breaks of oracle_breaks and at
+    +-2^k, k < 7.  Not tanh-sinh: it assumes an analytic integrand and
+    stalls on the tabulated primitive of Gaussian data (5e-9 off at
+    t = 3.7e6, x = -55340, with breaks at 1, 2, 4 and 8)."""
+    phase = PhysicalPhase(data, x, t)
+    top, breaks = oracle_breaks(phase)
+    breaks = [-math.inf] + sorted(set(breaks) | {s * 2.0 ** k for k in range(7)
+                                                 for s in (-1.0, 1.0)}) + [math.inf]
+    w = quadrature.compile_weights(burgers._FIELD_WEIGHTS + [None], data, t)
+
+    def moment(i):
+        def g(y):
+            return float(w(np.asarray([y]))[i, 0]) * math.exp(float(phase.total(y)) - top)
+        return math.fsum(integrate.quad(g, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                         for a, b in zip(breaks[:-1], breaks[1:]))
+
+    den = moment(len(burgers._FIELD_WEIGHTS))
+    return [moment(i) / den for i in range(len(burgers._FIELD_WEIGHTS))]
+
+
+def settled_fields(data, x, t, rel_tol):
+    """derivative_fields at rel_tol, then at rel_tol 1e-12, then by QUADPACK:
+    a generator of ever more expensive values, each None where its path
+    raises NotConvergedError."""
+    for tol in (rel_tol, 1e-12):
+        try:
+            yield burgers.derivative_fields(data, x, t, tol)
+        except NotConvergedError:
+            yield None
+    yield burgers._fields(quadpack_moments(data, x, t))
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=batch_cases(), rel_tol=st.sampled_from([1e-8, 1e-10]))
+# at x = 396010.2 both scalar values are 5e-7 off in every moment, the
+# batch is right: the case that needs QUADPACK
+@example(case=(make_family(FamilySpec("Asymmetric", kappa=1.8342317515235003,
+                                      alpha=0.38614512533537343, beta=0.6857939927555262)),
+               25491280.014810264, np.linspace(-1584040.81614137, 1584040.81614137, 9)),
+         rel_tol=1e-8)
+def test_derivative_fields_batch_matches_derivative_fields(case, rel_tol):
+    """derivative_fields_batch against derivative_fields at every x, each
+    field within 10 rel_tol of its error size (field_scales of
+    moment_sizes).  Where they are further apart
+    the scalar value is settled at rel_tol 1e-12: the scalar path meets
+    rel_tol per moment, and the cancellation in f_x, f_t and f_xx amplifies
+    that.  Where the settled value is off too, QUADPACK settles it: the
+    scalar partition misses the tail beyond a narrow peak, and the mass of
+    Gaussian data at large t."""
+    data, t, xs = case
+    try:
+        got = burgers.derivative_fields_batch(data, xs, t, rel_tol)
+    except NotConvergedError:
+        return  # its scalar fallback raised, as test_eval_batch_matches_eval settles
+    scales = field_scales(*moment_sizes(data, xs, t))
+    for i, x in enumerate(xs):
+        budget = {name: 10.0 * rel_tol * scales[name][i] for name in FIELDS}
+        for want in settled_fields(data, float(x), t, rel_tol):
+            if want is not None and all(abs(got[name][i] - want[name]) <= budget[name]
+                                        for name in FIELDS):
+                break
+        else:
+            raise AssertionError((data.spec, t, x, {name: got[name][i] for name in FIELDS},
+                                  want))
+
+
+def test_derivative_fields_batch_falls_back_per_point(power_c0):
+    # x = G_t(p) at the kink p = 0 of PowerC0 is a piece end: that point is
+    # derivative_fields', the other is the kernel's
+    t = 1e3
+    xs = np.asarray([t * power_c0.value(0.0), 5.0])
+    _vals, ok = ratio_moments_batch(burgers._FIELD_WEIGHTS, power_c0, xs, t)
+    assert ok.tolist() == [False, True]
+    got = burgers.derivative_fields_batch(power_c0, xs, t)
+    want = burgers.derivative_fields(power_c0, float(xs[0]), t)
+    assert {name: got[name][0] for name in FIELDS} == want

@@ -140,12 +140,6 @@ def test_sup_norm_validation(power_c0):
         burgers.sup_norm(power_c0, 10.0, Z=-1.0)
 
 
-def test_sup_norm_thread_determinism(power_c1_half):
-    a = burgers.sup_norm(power_c1_half, 100.0, n_coarse=65, threads=1)
-    b = burgers.sup_norm(power_c1_half, 100.0, n_coarse=65, threads=3)
-    assert a.value == b.value and a.argmax_x == b.argmax_x
-
-
 def test_pde_residual_other_c1_families():
     specs = [FamilySpec("PowerLog", kappa=1.0, alpha=1 / 3, beta=1.0),
              FamilySpec("SignFlipped", kappa=1.0, alpha=0.5),

@@ -110,19 +110,6 @@ def test_field_constant_column(tmp_path):
     assert header == "t,x,value"
 
 
-def test_csv_determinism_across_threads(tmp_path):
-    fam = FamilySpec("PowerC1", kappa=1.0, alpha=0.5)
-    blobs = []
-    for threads, sub in ((1, "a"), (3, "b")):
-        cfg = ExperimentConfig(
-            experiment="decay", family=fam, t_min=10.0, t_max=1e3, t_count=4,
-            n_coarse=65, threads=threads, out_dir=str(tmp_path / sub),
-        )
-        out = run_decay(cfg)
-        blobs.append(Path(out["csv"]).read_bytes())
-    assert blobs[0] == blobs[1]
-
-
 def test_csv_rfc4180_line_endings(tmp_path):
     cfg = ExperimentConfig(
         experiment="field", family=FamilySpec("Zero"),

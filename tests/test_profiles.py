@@ -190,6 +190,22 @@ def test_jump_location_positivity(sym_third):
     assert abs(sym_third.discontinuity_z - 2.1008116596919555) < 1e-9
 
 
+@pytest.mark.parametrize("case, want", [
+    (ProfileCase(CASE_SYMMETRIC, 1.0, 1 / 3), 2.1008116596919555),
+    (ProfileCase(CASE_LOG_CORRECTED, 1.0, 1 / 3, 1.0), 2.1008116596919555),
+    (ProfileCase(CASE_SIGN_FLIPPED, 1.0, 0.5), 0.0),
+    (ProfileCase(CASE_ASYMMETRIC, 1.0, 1 / 3, 2 / 3), 1.9999999999999998),
+])
+def test_lazy_jump_equals_the_eager_solve(case, want):
+    # want: the jump the constructor solved eagerly before it became lazy
+    assert "discontinuity_z" not in vars(case)
+    assert case.discontinuity_z == want
+    assert case.discontinuity_z == profile_jump_location(case, VARIANT_LIMIT_DERIVED)
+    assert case.discontinuity_source == VARIANT_LIMIT_DERIVED
+    supplied = ProfileCase(case.case, case.kappa, case.alpha, case.beta, discontinuity_z=1.5)
+    assert (supplied.discontinuity_z, supplied.discontinuity_source) == (1.5, "supplied")
+
+
 def test_jump_delta_residual(sym_third):
     from hopfcole.profiles import _branch_phase_case
     zc = sym_third.discontinuity_z

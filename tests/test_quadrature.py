@@ -276,6 +276,13 @@ def test_brute_force_oracle_power_c0_bracket(power_c0):
     assert 0.1 <= scaled <= 10.0
 
 
+def test_edge_at_the_power_c0_kink(power_c0):
+    # the initial partition has an edge at y = 0: without it the kink of
+    # f0 inside one panel left this quotient 1.06e-7 high at rel_tol 1e-9
+    got = ratio_moment(MomentWeight.f0(), PhysicalPhase(power_c0, 195.01761326249866, 1e3))
+    assert got == pytest.approx(0.211246920761458, rel=1e-12)  # mpmath tanh-sinh
+
+
 def test_dominated_tail(power_c1_half):
     # enlarging the truncation window twofold moves the result by less
     # than the reported error

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from hopfcole import profiles
 from hopfcole.initial_data import FamilySpec, make_family, negate_reflect
 from hopfcole.profiles import BRANCH_MIDDLE, BRANCH_MINUS, BRANCH_PLUS, invert_branch
 from hopfcole.rescaled import (
@@ -110,6 +111,21 @@ def test_tie_point_window_and_convergence(power_c1_third):
     # Cauchy behavior: the dyadic increments shrink toward the limit
     assert abs(z6 - case.discontinuity_z) < abs(z4 - case.discontinuity_z)
     assert abs(z6 - case.discontinuity_z) <= 0.05
+
+
+def test_tie_point_never_solves_the_limit_jump(monkeypatch, power_c1_third):
+    # the limit jump of a case is solved on first read only; the finite-time
+    # tie search builds a case on every call and never reads it
+    calls = []
+    solve = profiles.profile_jump_location
+    monkeypatch.setattr(profiles, "profile_jump_location",
+                        lambda *args: calls.append(args) or solve(*args))
+    phase_tie_point(power_c1_third, 1e4)
+    assert calls == []
+    case = case_for_data(power_c1_third)
+    first = case.discontinuity_z
+    assert case.discontinuity_z == first  # the second read is cached
+    assert len(calls) == 1
 
 
 def test_tie_difference_sign_structure(power_c1_third):
