@@ -10,7 +10,10 @@ its points share the critical points of G_t(y) = y + t f0(y) and are
 integrated together, and each point the batch cannot vouch for is evaluated
 by eval or derivative_fields.  A sup-norm scan (scan_max) scores its coarse
 grid as one batch, then refines its brackets in lockstep, each step one
-batch of the next x of every live bracket.
+batch of the next x of every live bracket.  The setup of the batches of one
+scan (the compiled weights, the table of the pieces of G_t and the origin
+scale: quadrature.BatchKernel) is built once per t for the scan window and
+called on each of them.
 """
 from __future__ import annotations
 
@@ -21,6 +24,7 @@ import numpy as np
 
 from .initial_data import InitialData, UnsupportedOrderError
 from .quadrature import (
+    BatchKernel,
     MomentWeight,
     PhysicalPhase,
     derive_x,
@@ -140,7 +144,13 @@ def eval_batch(data: InitialData, xs, t: float, rel_tol: float = 1e-9):
         raise ValueError("t must be nonnegative")
     if t == 0:
         return data.value(xs)
-    vals, ok = ratio_moments_batch([_F0], data, xs, t, rel_tol)
+    return _eval_filled(ratio_moments_batch([_F0], data, xs, t, rel_tol), data, xs, t, rel_tol)
+
+
+def _eval_filled(batch, data, xs, t, rel_tol):
+    """eval_batch from the kernel's (ratios, ok) at xs: each point the
+    kernel does not vouch for is evaluated by eval."""
+    vals, ok = batch
     out = vals[0]
     out[~ok] = [eval(data, float(x), t, rel_tol) for x in xs[~ok]]
     return out
@@ -153,7 +163,27 @@ def derivative_fields_batch(data: InitialData, xs, t: float,
     that misses one of the kernel's checks is evaluated by
     derivative_fields."""
     xs = np.asarray(xs, dtype=float)
-    r, ok = ratio_moments_batch(_FIELD_WEIGHTS, data, xs, t, rel_tol)
+    return _fields_filled(ratio_moments_batch(_FIELD_WEIGHTS, data, xs, t, rel_tol),
+                          data, xs, t, rel_tol)
+
+
+def derivative_fields_scorer(data: InitialData, t: float, x_reach: float,
+                             rel_tol: float = 1e-10):
+    """derivative_fields_batch at one t > 0 as a function of xs, for the
+    calls of a scan: the kernel's setup (quadrature.BatchKernel) is built
+    once, with its table for |x| <= x_reach."""
+    kernel = BatchKernel(_FIELD_WEIGHTS, data, t, x_reach)
+
+    def fields(xs):
+        xs = np.asarray(xs, dtype=float)
+        return _fields_filled(kernel(xs, rel_tol), data, xs, t, rel_tol)
+
+    return fields
+
+
+def _fields_filled(batch, data, xs, t, rel_tol):
+    """derivative_fields_batch from the kernel's (ratios, ok) at xs."""
+    r, ok = batch
     fields = _fields(r)
     for i in np.nonzero(~ok)[0]:
         for name, v in derivative_fields(data, float(xs[i]), t, rel_tol).items():
@@ -171,14 +201,6 @@ class SupNormResult:
     argmax_x: float
     t: float
     search_window: tuple  # (Z, n_coarse)
-
-
-def pointwise(fn):
-    """A scan_max score from a function of one float: the array of x is
-    scored point by point."""
-    def score(xs):
-        return np.asarray([fn(v) for v in xs], dtype=float)
-    return score
 
 
 _SQRT_EPS = math.sqrt(2.2e-16)
@@ -257,11 +279,13 @@ def scan_max(fn, lo: float, hi: float, n_coarse: int, n_refine: int = 3):
     """Max of fn on [lo, hi]: a coarse grid, then bounded Brent refinement
     of the brackets around the n_refine best separated grid points.
 
-    fn maps an array of x to an array of scores (see pointwise).  The grid
-    is one call.  Each bracket runs _bounded_brent on -fn with
-    xatol = 1e-6 (b - a) + 1e-12, and the brackets run in lockstep: each
-    step is one call on the next x of every live bracket.  Returns
-    (value, x) of the best point scored, with the values fn gave."""
+    fn maps an array of x to an array of scores; the scores of sup_norm,
+    heat_sup_norm and the ddecay scans are batches on one kernel setup per
+    scan (quadrature.BatchKernel).  The grid is one call.  Each bracket runs
+    _bounded_brent on -fn with xatol = 1e-6 (b - a) + 1e-12, and the
+    brackets run in lockstep: each step is one call on the next x of every
+    live bracket.  Returns (value, x) of the best point scored, with the
+    values fn gave."""
     grid = np.linspace(lo, hi, n_coarse)
     vals = np.asarray(fn(grid), dtype=float)
     order = np.argsort(vals)[::-1]
@@ -301,13 +325,17 @@ def sup_norm(data: InitialData, t: float, Z: float = 10.0, n_coarse: int = 129,
 
     scale(t) is t^{1/(1+alpha)} for the power-tail families (the maximum
     lives at x of that order) and sqrt(t) otherwise.  Every call of the scan
-    is one eval_batch."""
+    is one eval_batch, on one kernel setup for the window."""
     if n_coarse < 64:
         raise ValueError("n_coarse must be at least 64")
     if Z <= 0:
         raise ValueError("Z must be positive")
     alpha = data.alpha
     m = t ** (1.0 / (1.0 + alpha)) if alpha is not None else math.sqrt(t)
-    v, ax = scan_max(lambda xs: np.abs(eval_batch(data, xs, t, rel_tol)),
-                     -Z * m, Z * m, n_coarse)
+    kernel = BatchKernel([_F0], data, t, Z * m)
+
+    def score(xs):
+        return np.abs(_eval_filled(kernel(xs, rel_tol), data, xs, t, rel_tol))
+
+    v, ax = scan_max(score, -Z * m, Z * m, n_coarse)
     return SupNormResult(value=v, argmax_x=ax, t=t, search_window=(Z, n_coarse))

@@ -262,12 +262,13 @@ def _derivative_sup(data, t, n, k, cfg):
     Returns (sup, argmax, tie_fallback): tie_fallback is True when the
     finite-time tie point was not found and the layer scan is centred on the
     limit jump case.discontinuity_z instead.  Both scans score on
-    burgers.derivative_fields_batch."""
+    burgers.derivative_fields_batch, on one kernel setup."""
     m, _amp = _scales(data, t)
     name = burgers.FIELD_OF_ORDER[(n, k)]
+    fields = burgers.derivative_fields_scorer(data, t, cfg.window_Z * m, rel_tol=1e-8)
 
     def fn(xs):
-        return np.abs(burgers.derivative_fields_batch(data, xs, t, rel_tol=1e-8)[name])
+        return np.abs(fields(xs)[name])
 
     best_v, best_x = burgers.scan_max(fn, -cfg.window_Z * m, cfg.window_Z * m,
                                       cfg.n_coarse)
@@ -305,11 +306,10 @@ def run_derivative_decay(cfg: ExperimentConfig):
                 tie_fallback_t.append(float(t))
         else:
             m = math.sqrt(t)
-            fn = burgers.pointwise(
-                lambda x: abs(heat.heat_derivative(data, x, float(t), n, k,
-                                                   rel_tol=1e-8)))
-            v, ax = burgers.scan_max(fn, -cfg.window_Z * m, cfg.window_Z * m,
-                                     cfg.n_coarse)
+            derivative = heat.heat_derivative_scorer(data, float(t), n, k,
+                                                     cfg.window_Z * m, rel_tol=1e-8)
+            v, ax = burgers.scan_max(lambda xs: np.abs(derivative(xs)),
+                                     -cfg.window_Z * m, cfg.window_Z * m, cfg.n_coarse)
         rows.append((float(t), v, ax))
     fit = fit_power_law([(t, v) for (t, v, _x) in rows])
     alpha = data.alpha
@@ -403,9 +403,8 @@ def _emit_profile_curve(cfg, case, zs):
             p = profile_value(case, z)
         except DiscontinuityError:
             continue
-        if case.case in (profiles.CASE_SYMMETRIC, profiles.CASE_LOG_CORRECTED):
-            label = BRANCH_PLUS if z > case.discontinuity_z else BRANCH_MINUS
-        elif case.case == profiles.CASE_SIGN_FLIPPED:
+        if case.case in (profiles.CASE_SYMMETRIC, profiles.CASE_LOG_CORRECTED,
+                         profiles.CASE_SIGN_FLIPPED):
             label = BRANCH_PLUS if z > case.discontinuity_z else BRANCH_MINUS
         else:
             label = (BRANCH_PLUS if z > case.discontinuity_z

@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import math
 
-
 import numpy as np
-from numpy.polynomial.hermite import hermval
 from scipy.special import gamma
 
 from .initial_data import FamilySpec, InitialData, make_family, UnsupportedOrderError
-from .quadrature import (NotConvergedError, PhysicalPhase, adaptive_quadrature,
-                         ratio_moment, ratio_moments_batch)
+from .quadrature import (BatchKernel, HermiteWeight, NotConvergedError, PhysicalPhase,
+                         adaptive_quadrature, ratio_moment, ratio_moments_batch)
 from .burgers import SupNormResult, scan_max
 
 _ZERO = make_family(FamilySpec("Zero"))
@@ -42,34 +40,70 @@ def heat_eval_batch(data: InitialData, xs, t: float, rel_tol: float = 1e-9):
         raise ValueError("t must be nonnegative")
     if t == 0:
         return data.value(xs)
-    vals, ok = ratio_moments_batch([data.value], _ZERO, xs, t, rel_tol)
+    return _heat_filled(ratio_moments_batch([data.value], _ZERO, xs, t, rel_tol),
+                        data, xs, t, rel_tol)
+
+
+def _heat_filled(batch, data, xs, t, rel_tol):
+    """heat_eval_batch from the kernel's (ratios, ok) at xs: each point the
+    kernel does not vouch for is evaluated by heat_eval."""
+    vals, ok = batch
     out = vals[0]
     out[~ok] = [heat_eval(data, float(x), t, rel_tol) for x in xs[~ok]]
     return out
 
 
-def heat_derivative(data: InitialData, x: float, t: float, n: int, k: int,
-                    rel_tol: float = 1e-9) -> float:
-    """d_t^n d_x^k of the heat solution, n + k <= 3.
-
-    Every t derivative is two x derivatives of the kernel, so the integrand
-    weight is a Hermite-polynomial factor of degree 2n + k."""
+def _hermite_order(n, k):
+    """The degree 2n + k of the Hermite factor of d_t^n d_x^k, n + k <= 3:
+    every t derivative is two x derivatives of the kernel."""
     if n < 0 or k < 0:
         raise ValueError("orders must be nonnegative")
     if n + k > 3:
         raise UnsupportedOrderError(f"n + k = {n + k} > 3 not supported")
-    m = 2 * n + k
+    return 2 * n + k
+
+
+def heat_derivative(data: InitialData, x: float, t: float, n: int, k: int,
+                    rel_tol: float = 1e-9) -> float:
+    """d_t^n d_x^k of the heat solution, n + k <= 3: (-2 sqrt t)^-m times
+    the quotient of the weight H_m(s) f0(y) (quadrature.HermiteWeight), with
+    m = 2n + k and s = (x - y) / (2 sqrt t)."""
+    m = _hermite_order(n, k)
     if m == 0:
         return heat_eval(data, x, t, rel_tol)
-    coeffs = [0.0] * m + [1.0]
-    root_t2 = 2.0 * math.sqrt(t)
-
-    def weight(y):
-        return hermval((x - y) / root_t2, coeffs) * data.value(y)
-
     phase = PhysicalPhase(_ZERO, float(x), float(t))
-    r = ratio_moment(weight, phase, rel_tol)
-    return (-1.0 / root_t2) ** m * r
+    r = ratio_moment(HermiteWeight(m, data.value), phase, rel_tol)
+    return (-1.0 / (2.0 * math.sqrt(t))) ** m * r
+
+
+def heat_derivative_batch(data: InitialData, xs, t: float, n: int, k: int,
+                          rel_tol: float = 1e-9):
+    """heat_derivative for a 1-d array of x at one t > 0, on the batch
+    kernel (quadrature.BatchKernel, whose weights take each node's x); each
+    point that misses one of the kernel's checks is evaluated by
+    heat_derivative."""
+    xs = np.asarray(xs, dtype=float)
+    return heat_derivative_scorer(data, t, n, k, float(np.max(np.abs(xs), initial=0.0)),
+                                  rel_tol)(xs)
+
+
+def heat_derivative_scorer(data: InitialData, t: float, n: int, k: int, x_reach: float,
+                           rel_tol: float = 1e-9):
+    """heat_derivative_batch at one t > 0 as a function of xs, for the calls
+    of a scan: the kernel's setup (quadrature.BatchKernel) is built once,
+    with its table for |x| <= x_reach."""
+    m = _hermite_order(n, k)
+    kernel = BatchKernel([HermiteWeight(m, data.value)], _ZERO, t, x_reach)
+    scale = (-1.0 / (2.0 * math.sqrt(t))) ** m
+
+    def derivative(xs):
+        xs = np.asarray(xs, dtype=float)
+        r, ok = kernel(xs, rel_tol)
+        out = scale * r[0]
+        out[~ok] = [heat_derivative(data, float(x), t, n, k, rel_tol) for x in xs[~ok]]
+        return out
+
+    return derivative
 
 
 def heat_limit_profile(z: float, kappa: float, alpha: float,
@@ -133,10 +167,15 @@ def heat_profile_center_exact(kappa: float, alpha: float) -> float:
 def heat_sup_norm(data: InitialData, t: float, Z: float = 10.0,
                   n_coarse: int = 129, rel_tol: float = 1e-9) -> SupNormResult:
     """sup over |x| <= Z sqrt(t) of |heat solution|; every call of the scan
-    (burgers.scan_max) is one heat_eval_batch."""
+    (burgers.scan_max) is one heat_eval_batch, on one kernel setup for the
+    window."""
     if n_coarse < 64:
         raise ValueError("n_coarse must be at least 64")
     m = math.sqrt(t)
-    v, ax = scan_max(lambda xs: np.abs(heat_eval_batch(data, xs, t, rel_tol)),
-                     -Z * m, Z * m, n_coarse)
+    kernel = BatchKernel([data.value], _ZERO, t, Z * m)
+
+    def score(xs):
+        return np.abs(_heat_filled(kernel(xs, rel_tol), data, xs, t, rel_tol))
+
+    v, ax = scan_max(score, -Z * m, Z * m, n_coarse)
     return SupNormResult(value=v, argmax_x=ax, t=t, search_window=(Z, n_coarse))

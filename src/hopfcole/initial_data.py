@@ -9,7 +9,6 @@ phase of the exponential integrals evaluates it millions of times.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -123,21 +122,19 @@ class _PrimitiveCache:
     Block sums are adaptive 64-node Gauss-Legendre values; a query adds a
     32-node partial panel from the nearest cached edge, so each call costs
     one vectorized batch of f evaluations per _QUERY_CHUNK query points.
-    Extension is serialized behind a lock and idempotent, so concurrent
-    readers are safe.
+    The state is one tuple (edges, cumulative sums at +edges, at -edges) of
+    arrays of equal length, replaced whole by an extension, so a reader
+    never sees the three of different lengths.
     """
 
     def __init__(self, fn, rel_tol=1e-12, first_edge=0.5):
         self._fn = fn
         self._rel_tol = rel_tol
-        self._lock = threading.Lock()
-        self._mags = [0.0, first_edge]
-        self._cum_pos = [0.0]
-        self._cum_neg = [0.0]
         self.error_bound = 0.0
-        self._cum_pos.append(self._block(0.0, first_edge))
-        self._cum_neg.append(self._block(0.0, -first_edge))
-        self._arrays = None
+        pos = self._block(0.0, first_edge)
+        neg = self._block(0.0, -first_edge)
+        self._arrays = (np.asarray([0.0, first_edge]), np.asarray([0.0, pos]),
+                        np.asarray([0.0, neg]))
 
     def _block(self, a, b, depth=0):
         v64 = _gauss_legendre(self._fn, a, b, _GL64)
@@ -150,32 +147,21 @@ class _PrimitiveCache:
         return self._block(a, mid, depth + 1) + self._block(mid, b, depth + 1)
 
     def _extend_to(self, target):
-        with self._lock:
-            while self._mags[-1] < target:
-                lo = self._mags[-1]
-                hi = 2.0 * lo
-                self._mags.append(hi)
-                self._cum_pos.append(self._cum_pos[-1] + self._block(lo, hi))
-                self._cum_neg.append(self._cum_neg[-1] + self._block(-lo, -hi))
-            self._arrays = None
-
-    def _get_arrays(self):
-        arrays = self._arrays
-        if arrays is None or arrays[0].size != len(self._mags):
-            arrays = (
-                np.asarray(self._mags),
-                np.asarray(self._cum_pos),
-                np.asarray(self._cum_neg),
-            )
-            self._arrays = arrays
-        return arrays
+        mags, cum_pos, cum_neg = (a.tolist() for a in self._arrays)
+        while mags[-1] < target:
+            lo = mags[-1]
+            hi = 2.0 * lo
+            mags.append(hi)
+            cum_pos.append(cum_pos[-1] + self._block(lo, hi))
+            cum_neg.append(cum_neg[-1] + self._block(-lo, -hi))
+        self._arrays = (np.asarray(mags), np.asarray(cum_pos), np.asarray(cum_neg))
 
     def __call__(self, y):
         y = np.atleast_1d(np.asarray(y, dtype=float))
         amax = float(np.max(np.abs(y))) if y.size else 0.0
-        if amax > self._mags[-1]:
+        if amax > self._arrays[0][-1]:
             self._extend_to(amax)
-        arrays = self._get_arrays()
+        arrays = self._arrays
         flat = y.ravel()
         out = np.empty(flat.shape)
         # each query point costs a (32,) row of temporaries: chunk the query
@@ -202,8 +188,8 @@ class InitialData:
     """A concrete initial condition with value, derivatives and primitive.
 
     Instances are immutable after construction, except for the primitive
-    cache, which only grows (thread-safe).  All evaluators accept scalars or
-    numpy arrays.
+    cache, which only grows.  All evaluators accept scalars or numpy
+    arrays.
     """
 
     def __init__(self, spec, value_fn, d1_fn, d2_fn, primitive_fn=None,

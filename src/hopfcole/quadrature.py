@@ -9,25 +9,33 @@ bound the remaining tails by the Gaussian domination of the phase.
 
 One kernel does the panel work.  The weights of a call are compiled once
 (compile_weights) into a function that evaluates f0, f0' and f0'' once per
-node array and every weight from them in one matrix product.  _panel_eval
-applies the non-nested 10- and 21-point Gauss-Legendre rules to an array of
-panels in one call, and _refine splits the panel with the largest error
-against its weight's target, evaluating the initial partition and both
-children of a split in one call each.  adaptive_quadrature is the same
-refinement with one plain function as its only weight.
+node array and every weight from them in one matrix product.  The compiled
+weights take each node's x too, for the one weight that depends on it: the
+Hermite factor H_m((x - y) / (2 sqrt t)) of the heat derivatives
+(HermiteWeight).  _panel_eval applies the non-nested 10- and 21-point
+Gauss-Legendre rules to an array of panels in one call, and _refine splits
+the panel with the largest error against its weight's target, evaluating
+the initial partition and both children of a split in one call each.
+adaptive_quadrature is the same refinement with one plain function as its
+only weight.
 
-ratio_moments_batch computes the quotients of the physical phase for many x
-at one t: the critical points of all of them come from one table of the
-monotone pieces of G_t(y) = y + t f0(y), and all panels of all points are
-refined level by level in one flat array, against the same targets.
+BatchKernel computes the quotients of the physical phase for many x at one
+t: the critical points of all of them come from one table of the monotone
+pieces of G_t(y) = y + t f0(y), and all panels of all points are refined
+level by level in one flat array, against the same targets.  What does not
+depend on x (the compiled weights, that table and the origin scale) is set
+up once per (weights, data, t), so a scan calls one setup on each of its
+batches; ratio_moments_batch is one call of a fresh one.
 """
 from __future__ import annotations
 
 import heapq
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
+from numpy.polynomial.hermite import hermval
 from scipy.optimize import brentq
 from scipy.special import erfc
 
@@ -141,23 +149,43 @@ class MomentWeight:
         return compile_weights([self], data, t)(y.ravel())[0].reshape(y.shape)
 
 
+@dataclass(frozen=True)
+class HermiteWeight:
+    """The weight H_m(s) g(y), s = (x - y) / (2 sqrt t), with H_m the
+    physicists' Hermite polynomial of degree m and x the point of the phase.
+
+    By Rodrigues' formula d_x^m e^(-s^2) = (-2 sqrt t)^-m H_m(s) e^(-s^2),
+    so under the Gaussian phase of the heat equation the quotient of
+    H_m(s) f0(y) is (-2 sqrt t)^m times the m-th x derivative of the heat
+    solution.  It is the one weight that depends on x: the compiled weights
+    take each node's x for it."""
+
+    m: int
+    g: Callable
+
+
 def compile_weights(gs, data: InitialData, t):
-    """One function y -> array (len(gs), y.size) for a list of weights.
+    """One function (y, x) -> array (len(gs), y.size) for a list of weights.
 
     Each MomentWeight term (a, b, c, p) is a monomial f0^a (f0')^b (f0'')^c
     with its coefficient times t^-p in a coefficient matrix; f0 and its
     derivatives are evaluated once per node array, up to the highest order
     any weight needs, and the moment rows are one matrix product.  None
     (unit weight), scalars and plain callables y -> g(y) fill their own
-    rows."""
+    rows, and so does a HermiteWeight, from s = (x - y) / (2 sqrt t) with
+    each node's own x (a scalar or an array like y).  With x None that row
+    is its x-independent factor g(y) alone."""
     monomials = {}  # (a, b, c) -> column of the coefficient matrix
     coef = []
     fixed = []
+    hermite = []
     for i, g in enumerate(gs):
         if isinstance(g, MomentWeight):
             for (a, b, c, p), v in g.terms.items():
                 col = monomials.setdefault((a, b, c), len(monomials))
                 coef.append((i, col, v * t ** (-p)))
+        elif isinstance(g, HermiteWeight):
+            hermite.append((i, g.g, [0.0] * g.m + [1.0]))
         elif g is None:
             fixed.append((i, 1.0))
         elif np.isscalar(g):
@@ -169,8 +197,9 @@ def compile_weights(gs, data: InitialData, t):
     cmat = np.zeros((len(gs), len(monomials)))
     for i, col, v in coef:
         cmat[i, col] += v
+    root_t2 = 2.0 * math.sqrt(t)
 
-    def weights(y):
+    def weights(y, x=None):
         y = np.asarray(y, dtype=float)
         out = np.zeros((len(gs), y.size))
         if monomials:
@@ -181,6 +210,8 @@ def compile_weights(gs, data: InitialData, t):
             out = cmat @ np.prod(fs[None, :, :] ** exps[:, :order + 1, None], axis=1)
         for i, g in fixed:
             out[i] = g(y) if callable(g) else g
+        for i, g, coeffs in hermite:
+            out[i] = g(y) if x is None else hermval((x - y) / root_t2, coeffs) * g(y)
         return out
 
     return weights
@@ -331,6 +362,11 @@ class RescaledPhase:
         return self._m * np.asarray(y, dtype=float)
 
     @property
+    def x(self):
+        """The physical point m z, which a weight that depends on x sees."""
+        return self._m * self.z
+
+    @property
     def d2_ref(self):
         return 0.5 * self._amp
 
@@ -470,7 +506,6 @@ def _log_gauss_tail(quad, dist):
         return math.inf
     xi = dist * math.sqrt(quad)
     if xi < 25.0:
-        from scipy.special import erfc
         val = 0.5 * math.sqrt(math.pi / quad) * erfc(xi)
         return math.log(val) if val > 0 else -math.inf
     # asymptotic erfc
@@ -552,7 +587,7 @@ def _truncation(phase, cps, log_scale, weights):
         return phase.char_width
 
     def weight_mag(y):
-        return float(np.max(np.abs(weights(phase.weight_arg(np.asarray([y]))))))
+        return float(np.max(np.abs(weights(phase.weight_arg(np.asarray([y])), phase.x))))
 
     def expand(y0, direction):
         w = max(width_at(y0), 1e-12 * (1.0 + abs(y0)))
@@ -636,7 +671,7 @@ def integrate_moments(gs, phase, rel_tol=1e-8, cps=None, interval=None,
         edges = _initial_edges(cps, a, b, phase)
 
     def integrand(y):
-        return weights(phase.weight_arg(y)) * np.exp(phase.total(y) - log_scale)
+        return weights(phase.weight_arg(y), phase.x) * np.exp(phase.total(y) - log_scale)
 
     totals, errs, tgts, converged = _refine(integrand, edges, rel_tol, max_panels)
     tail = math.exp(log_tail) if log_tail < 700 else math.inf
@@ -732,42 +767,75 @@ def _sums(pid, v, n):
 def ratio_moments_batch(gs, data: InitialData, xs, t, rel_tol=1e-9,
                         max_panels=4000):
     """[int g e^H / int e^H for g in gs] at every x of xs, for the physical
-    phase H(y) = -(x-y)^2/(4t) - P(y)/2 of data at one t.
+    phase H(y) = -(x-y)^2/(4t) - P(y)/2 of data at one t: one call of a
+    fresh BatchKernel, whose table reaches max |xs|.
 
-    Returns (ratios, ok), ratios of shape (len(gs), xs.size).  The pieces of
-    G_t are tabulated once (monotone_pieces) and every piece is inverted for
-    all x at once: rising pieces give the maxima, falling ones the minima.
-    The truncation, the G10/G21 rules and each weight's target
-    rel_tol * max(|I|, 1e-3 L1) are those of integrate_moments.  The initial
-    partition is graded further (_batch_edges), and blocks of BATCH_BLOCK
-    points are refined level by level: every panel whose error is above its
-    share of its point's target is split.
-
-    A point is ok only if its critical points have a small residual, none is
-    degenerate or at a piece end, one is a maximum, its tail bound is finite,
-    every moment meets its target within max_panels panels and the
-    denominator is positive.  Its ratios are NaN otherwise; callers evaluate
-    such points on the scalar path."""
-    if not t > 0:
-        raise ValueError("t must be positive")
+    Returns (ratios, ok), ratios of shape (len(gs), xs.size); see
+    BatchKernel.__call__."""
     xs = np.asarray(xs, dtype=float).ravel()
-    weights = compile_weights(list(gs) + [None], data, t)
-    ph = _Phases(data, t, weights)
-    reach = (float(np.max(np.abs(xs))) if xs.size else 0.0) + t * data.sup_abs + 1.0
-    pieces = monotone_pieces(data, t, reach)
-    origin_scale = _origin_scale(weights)
-    ratios = np.full((len(gs), xs.size), np.nan)
-    ok = np.zeros(xs.size, dtype=bool)
-    for lo in range(0, xs.size, BATCH_BLOCK):
-        blk = slice(lo, lo + BATCH_BLOCK)
-        ratios[:, blk], ok[blk] = _batch_block(ph, len(gs), xs[blk], pieces, origin_scale,
-                                               rel_tol, max_panels)
-    return ratios, ok
+    x_reach = float(np.max(np.abs(xs))) if xs.size else 0.0
+    return BatchKernel(gs, data, t, x_reach)(xs, rel_tol, max_panels)
+
+
+class BatchKernel:
+    """The setup of the batch quotients of the physical phase for one
+    (weights, data, t), built once and called on each batch of x.
+
+    It holds what does not depend on x: the compiled weights, the origin
+    scale of their x-independent factors (_origin_scale) and the table of
+    the monotone pieces of G_t (monotone_pieces) on |y| <= x_reach +
+    t sup|f0| + 1, which holds every critical point of every |x| <= x_reach.
+    A call with a larger |x| tabulates the pieces again out to it; a wider
+    table only adds pieces beyond the old reach, so no ratio depends on
+    which reach the table has."""
+
+    def __init__(self, gs, data: InitialData, t, x_reach=0.0):
+        if not t > 0:
+            raise ValueError("t must be positive")
+        self.n_weights = len(gs)
+        weights = compile_weights(list(gs) + [None], data, t)
+        self._ph = _Phases(data, t, weights)
+        self._origin_scale = _origin_scale(weights)
+        self._tabulate(x_reach)
+
+    def _tabulate(self, x_reach):
+        ph = self._ph
+        self.x_reach = x_reach
+        self._pieces = monotone_pieces(ph.data, ph.t, x_reach + ph.t * ph.data.sup_abs + 1.0)
+
+    def __call__(self, xs, rel_tol=1e-9, max_panels=4000):
+        """(ratios, ok) at every x of xs; ratios of shape (n_weights, xs.size).
+
+        Every piece of G_t is inverted for all x at once: rising pieces give
+        the maxima, falling ones the minima.  The truncation, the G10/G21
+        rules and each weight's target rel_tol * max(|I|, 1e-3 L1) are those
+        of integrate_moments.  The initial partition is graded further
+        (_batch_edges), and blocks of BATCH_BLOCK points are refined level
+        by level: every panel whose error is above its share of its point's
+        target is split.
+
+        A point is ok only if its critical points have a small residual,
+        none is degenerate or at a piece end, one is a maximum, its tail
+        bound is finite, every moment meets its target within max_panels
+        panels and the denominator is positive.  Its ratios are NaN
+        otherwise; callers evaluate such points on the scalar path."""
+        xs = np.asarray(xs, dtype=float).ravel()
+        x_max = float(np.max(np.abs(xs))) if xs.size else 0.0
+        if x_max > self.x_reach:
+            self._tabulate(x_max)
+        ratios = np.full((self.n_weights, xs.size), np.nan)
+        ok = np.zeros(xs.size, dtype=bool)
+        for lo in range(0, xs.size, BATCH_BLOCK):
+            blk = slice(lo, lo + BATCH_BLOCK)
+            ratios[:, blk], ok[blk] = _batch_block(self._ph, self.n_weights, xs[blk],
+                                                   self._pieces, self._origin_scale,
+                                                   rel_tol, max_panels)
+        return ratios, ok
 
 
 def _origin_scale(weights):
-    """Length scale sup|g| / sup|g'| of the weights over 1e-3 <= |y| <= 1e8,
-    or 0.0 for constant weights.
+    """Length scale sup|g| / sup|g'| of the x-independent factors g of the
+    weights over 1e-3 <= |y| <= 1e8, or 0.0 for constant ones.
 
     The data families vary near y = 0 (the kink of PowerC0, the bump of
     Gaussian data) and decay as powers of |y| away from it; a panel much
@@ -801,8 +869,8 @@ class _Phases:
         return np.where(d2 < 0.0, np.minimum(self.char_width, 1.0 / np.sqrt(np.abs(d2))),
                         self.char_width)
 
-    def weight_mag(self, y):
-        return np.max(np.abs(self.weights(y)), axis=0)
+    def weight_mag(self, y, x):
+        return np.max(np.abs(self.weights(y, x)), axis=0)
 
 
 def _batch_block(ph, n_gs, xs, pieces, origin_scale, rel_tol, max_panels):
@@ -892,7 +960,7 @@ def _batch_truncation(ph, x, log_scale, max_pt, max_y):
     for k in range(200):
         cand = y0[todo] + direction[todo] * w[todo] * 2.0 ** k
         hit = (ph.total(cand, x2[todo]) - ls2[todo]
-               <= -(DROP + 5.0 + np.log1p(ph.weight_mag(cand))))
+               <= -(DROP + 5.0 + np.log1p(ph.weight_mag(cand, x2[todo]))))
         edge[todo[hit]] = cand[hit]
         todo = todo[~hit]
         if not todo.size:
@@ -905,7 +973,7 @@ def _batch_truncation(ph, x, log_scale, max_pt, max_y):
     b = np.maximum(edge[m:], x + thr)
 
     def tail_log(a, b):
-        gmax = np.maximum(np.maximum(ph.weight_mag(a), ph.weight_mag(b)), 1e-300)
+        gmax = np.maximum(np.maximum(ph.weight_mag(a, x), ph.weight_mag(b, x)), 1e-300)
         return (np.maximum(_log_gauss_tails(quad, b - x), _log_gauss_tails(quad, x - a))
                 + np.log(8.0 * gmax) - log_scale)
 
@@ -966,7 +1034,7 @@ def _batch_refine(ph, x, log_scale, pid, pa, pb, rel_tol, max_panels):
             xn = np.repeat(x[pid[s]], _NODES.size)
             ln = np.repeat(log_scale[pid[s]], _NODES.size)
             parts.append(_panel_eval(
-                lambda yy: ph.weights(yy) * np.exp(ph.total(yy, xn) - ln), pa[s], pb[s]))
+                lambda yy: ph.weights(yy, xn) * np.exp(ph.total(yy, xn) - ln), pa[s], pb[s]))
         return (np.concatenate([q[0] for q in parts], axis=1),
                 np.concatenate([q[1] for q in parts], axis=1))
 

@@ -1,7 +1,8 @@
 """The batch quotient kernel (quadrature.ratio_moments_batch) against the
-scalar path: randomized oracles for eval_batch, heat_eval_batch and
-derivative_fields_batch, their fallbacks, and the sup-norm scans that run
-on them."""
+scalar path: randomized oracles for eval_batch, heat_eval_batch,
+derivative_fields_batch and heat_derivative_batch, their fallbacks, the
+reuse of one kernel setup (quadrature.BatchKernel) and the sup-norm scans
+that run on them."""
 import functools
 import math
 
@@ -10,12 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
+from numpy.polynomial.hermite import hermval
 from scipy.optimize import minimize_scalar
 
 from hopfcole import burgers, heat, quadrature
 from hopfcole.initial_data import FamilySpec, make_family
-from hopfcole.quadrature import (NotConvergedError, PhysicalPhase, locate_critical_points,
-                                 monotone_pieces, ratio_moments_batch)
+from hopfcole.quadrature import (BatchKernel, HermiteWeight, NotConvergedError, PhysicalPhase,
+                                 locate_critical_points, monotone_pieces, ratio_moments_batch)
 
 RTOL = 1e-9  # default rel_tol of eval, eval_batch, heat_eval and heat_eval_batch
 ZERO = make_family(FamilySpec("Zero"))
@@ -158,6 +160,14 @@ def test_starved_panel_budget_falls_back(monkeypatch, power_c1_half):
         burgers.eval_batch(power_c1_half, xs, t)
 
 
+def pointwise(fn):
+    """A scan_max score from a function of one float: the array of x is
+    scored point by point."""
+    def score(xs):
+        return np.asarray([fn(v) for v in xs], dtype=float)
+    return score
+
+
 def reference_scan_max(fn, lo, hi, n_coarse, n_refine=3):
     """scan_max with its coarse grid scored point by point on fn."""
     grid = np.linspace(lo, hi, n_coarse)
@@ -192,7 +202,7 @@ def test_lockstep_brent_takes_scipys_steps(c, hi, n):
     def fn(x):
         return math.sin(c[0] * x + c[1]) + c[2] * math.cos(c[3] * x * x) + 0.1 * c[4] * x
 
-    assert burgers.scan_max(burgers.pointwise(fn), -3.0, hi, n) == \
+    assert burgers.scan_max(pointwise(fn), -3.0, hi, n) == \
         reference_scan_max(fn, -3.0, hi, n)
 
 
@@ -205,14 +215,14 @@ def test_lockstep_refinement_equals_scipy_scan(power_c0, t):
     def f(x):
         return abs(burgers.eval(power_c0, x, t))
 
-    assert burgers.scan_max(burgers.pointwise(f), -10.0 * m, 10.0 * m, 65) == \
+    assert burgers.scan_max(pointwise(f), -10.0 * m, 10.0 * m, 65) == \
         reference_scan_max(f, -10.0 * m, 10.0 * m, 65)
     m = math.sqrt(t)
 
     def h(x):
         return abs(heat.heat_eval(power_c0, x, t))
 
-    assert burgers.scan_max(burgers.pointwise(h), -10.0 * m, 10.0 * m, 65) == \
+    assert burgers.scan_max(pointwise(h), -10.0 * m, 10.0 * m, 65) == \
         reference_scan_max(h, -10.0 * m, 10.0 * m, 65)
 
 
@@ -270,26 +280,28 @@ def field_scales(r, a):
                      + f * (a[6] + 2.0 * np.abs(r[3]) * a[3]))}
 
 
-def quadpack_moments(data, x, t):
-    """The quotients of burgers._FIELD_WEIGHTS by QUADPACK (scipy's quad,
-    rel 1e-13 per piece) between the breaks of oracle_breaks and at
-    +-2^k, k < 7.  Not tanh-sinh: it assumes an analytic integrand and
-    stalls on the tabulated primitive of Gaussian data (5e-9 off at
-    t = 3.7e6, x = -55340, with breaks at 1, 2, 4 and 8)."""
-    phase = PhysicalPhase(data, x, t)
+def quadpack_moments(data, x, t, gs=None, heat_eq=False):
+    """The quotients of the weights gs (default burgers._FIELD_WEIGHTS) under
+    the phase of data (the Gaussian phase of the heat equation with
+    heat_eq) by QUADPACK (scipy's quad, rel 1e-13 per piece) between the
+    breaks of oracle_breaks and at +-2^k, k < 7.  Not tanh-sinh: it assumes
+    an analytic integrand and stalls on the tabulated primitive of Gaussian
+    data (5e-9 off at t = 3.7e6, x = -55340, with breaks at 1, 2, 4 and 8)."""
+    gs = burgers._FIELD_WEIGHTS if gs is None else gs
+    phase = PhysicalPhase(ZERO if heat_eq else data, x, t)
     top, breaks = oracle_breaks(phase)
     breaks = [-math.inf] + sorted(set(breaks) | {s * 2.0 ** k for k in range(7)
                                                  for s in (-1.0, 1.0)}) + [math.inf]
-    w = quadrature.compile_weights(burgers._FIELD_WEIGHTS + [None], data, t)
+    w = quadrature.compile_weights(list(gs) + [None], phase.data, t)
 
     def moment(i):
         def g(y):
-            return float(w(np.asarray([y]))[i, 0]) * math.exp(float(phase.total(y)) - top)
+            return float(w(np.asarray([y]), x)[i, 0]) * math.exp(float(phase.total(y)) - top)
         return math.fsum(integrate.quad(g, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
                          for a, b in zip(breaks[:-1], breaks[1:]))
 
-    den = moment(len(burgers._FIELD_WEIGHTS))
-    return [moment(i) / den for i in range(len(burgers._FIELD_WEIGHTS))]
+    den = moment(len(gs))
+    return [moment(i) / den for i in range(len(gs))]
 
 
 def settled_fields(data, x, t, rel_tol):
@@ -348,3 +360,175 @@ def test_derivative_fields_batch_falls_back_per_point(power_c0):
     got = burgers.derivative_fields_batch(power_c0, xs, t)
     want = burgers.derivative_fields(power_c0, float(xs[0]), t)
     assert {name: got[name][0] for name in FIELDS} == want
+
+
+# ---------------------------------------------------------------------------
+# heat derivatives
+
+
+HEAT_ORDERS = [(0, 1), (0, 2), (1, 0)]  # (n, k) with m = 2n + k in {1, 2}
+
+
+def heat_derivative_and_size(data, x, t, m, exact=False):
+    """(d, size, roundoff) at (x, t).
+
+    d is the m-th x derivative of the heat solution, (-2 sqrt t)^-m r for
+    the quotient r of the weight H_m(s) f0(y), s = (x - y) / (2 sqrt t).
+    size = (|r| + 1e-3 L1) / (2 sqrt t)^m, with L1 the quotient of its
+    modulus, is what heat_derivative meets rel_tol against (the
+    quadrature's target is rel_tol max(|I|, 1e-3 L1) per moment).
+    roundoff = 1e-15 |x| / (2 sqrt t) L1 / (2 sqrt t)^m bounds the error of
+    any quadrature in y at |x| >> sqrt(t): a node y near x is off by
+    eps |x|, so s is off by eps |x| / (2 sqrt t), and H_m(s) cancels to a
+    small r there (PowerC0 alpha 1/4, m = 2, x = -3.5e7, t = 1e8: both
+    paths and QUADPACK are 5e-6 relative off the convolution of f0'' by
+    mpmath at 40 digits).
+
+    The weight is written out here with numpy's hermval.  The quotients are
+    taken on the scalar path to rel_tol 1e-6, which is plenty for a budget,
+    or with exact by QUADPACK (quadpack_moments): the scalar path misses the
+    bump of Gaussian data at large t."""
+    coeffs = [0.0] * m + [1.0]
+
+    def signed(y):
+        return hermval((x - y) / (2.0 * math.sqrt(t)), coeffs) * data.value(y)
+
+    gs = [signed, lambda y: np.abs(signed(y))]
+    if exact:
+        r, l1 = quadpack_moments(data, x, t, gs, heat_eq=True)
+    else:
+        r, l1 = quadrature.ratio_moments(gs, PhysicalPhase(ZERO, x, t), 1e-6)
+    scale = (2.0 * math.sqrt(t)) ** -m
+    return ((-1.0) ** m * scale * r, scale * (abs(r) + 1e-3 * l1),
+            1e-15 * abs(x) / (2.0 * math.sqrt(t)) * scale * l1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=batch_cases(), order=st.sampled_from(HEAT_ORDERS),
+       rel_tol=st.sampled_from([1e-8, 1e-10]), pick=st.integers(0, 12))
+def test_heat_derivative_batch_matches_heat_derivative(case, order, rel_tol, pick):
+    """heat_derivative_batch against heat_derivative at every x, within both
+    paths' budgets 4 rel_tol size + 2 roundoff (heat_derivative_and_size).
+    Where they are further apart, QUADPACK settles it: the batch value is
+    within 2 rel_tol size + 2 roundoff of it, and the scalar value is not.
+    Where the scalar path raises NotConvergedError, the batch either meets
+    its budget or raises that same error from its fallback."""
+    data, t, xs = case
+    n, k = order
+    m = 2 * n + k
+    want = []
+    for x in xs:
+        try:
+            want.append(heat.heat_derivative(data, float(x), t, n, k, rel_tol))
+        except NotConvergedError as exc:
+            want.append(exc)
+    try:
+        got = heat.heat_derivative_batch(data, xs, t, n, k, rel_tol)
+    except NotConvergedError as exc:
+        assert str(exc) in [str(w) for w in want if isinstance(w, NotConvergedError)]
+        return
+    sizes = [heat_derivative_and_size(data, float(x), t, m)[1:] for x in xs]
+    for i, w in enumerate(want):
+        size, roundoff = sizes[i]
+        if (not isinstance(w, NotConvergedError)
+                and abs(got[i] - w) <= 4.0 * rel_tol * size + 2.0 * roundoff):
+            continue
+        truth, size, roundoff = heat_derivative_and_size(data, float(xs[i]), t, m, exact=True)
+        budget = 2.0 * rel_tol * size + 2.0 * roundoff
+        assert abs(got[i] - truth) <= budget, (data.spec, t, xs[i], order, got[i], w, truth)
+        assert isinstance(w, NotConvergedError) or abs(w - truth) > budget
+    # a point's value does not depend on the other points of its call, up
+    # to round-off of the numerator on its L1 scale, at most 1e3 times the size
+    i = pick % xs.size
+    alone = heat.heat_derivative_batch(data, xs[i:i + 1], t, n, k, rel_tol)[0]
+    assert abs(alone - got[i]) <= 1e-11 * sizes[i][0]
+
+
+def test_heat_derivative_at_a_ddecay_argmax():
+    # a ddecay_heat scan argmax at t = 1.131e8, where heat_derivative at
+    # rel_tol 1e-8 was once 1.4e-8 off; both paths now agree with QUADPACK
+    # (and its hermval weight) to 1.7e-16
+    data = make_family(FamilySpec("PowerC0", kappa=1.0, alpha=0.5))
+    x, t = -16915.32, 1.131e8
+    want = heat_derivative_and_size(data, x, t, 1, exact=True)[0]
+    assert heat.heat_derivative(data, x, t, 0, 1, 1e-8) == pytest.approx(want, rel=1e-12)
+    got = heat.heat_derivative_batch(data, np.asarray([x]), t, 0, 1, 1e-8)
+    assert got[0] == pytest.approx(want, rel=1e-12)
+
+
+def starved_kernel(budget):
+    """BatchKernel whose calls get budget panels a point."""
+    class Starved(BatchKernel):
+        def __call__(self, xs, rel_tol=1e-9, max_panels=4000):
+            return super().__call__(xs, rel_tol, budget)
+    return Starved
+
+
+def test_heat_derivative_batch_falls_back_per_point(monkeypatch, power_c1_half):
+    # with 18 panels a point the kernel meets its targets at x = -3 and 5,
+    # not at x = 0: that point is heat_derivative's
+    xs = np.asarray([-3.0, 0.0, 5.0])
+    t = 40.0
+    monkeypatch.setattr(heat, "BatchKernel", starved_kernel(18))
+    vals, ok = heat.BatchKernel([HermiteWeight(1, power_c1_half.value)], ZERO, t)(xs)
+    assert ok.tolist() == [True, False, True]
+    got = heat.heat_derivative_batch(power_c1_half, xs, t, 0, 1)
+    assert got[1] == heat.heat_derivative(power_c1_half, 0.0, t, 0, 1)
+    assert got[ok].tolist() == (-vals[0, ok] / (2.0 * math.sqrt(t))).tolist()
+
+
+def test_starved_heat_derivative_raises_the_scalar_error(monkeypatch, power_c1_half):
+    xs = np.asarray([-3.0, 0.0, 5.0])
+    t = 40.0
+    monkeypatch.setattr(heat, "BatchKernel", starved_kernel(12))
+    monkeypatch.setattr(heat, "ratio_moment", lambda g, phase, rel_tol: quadrature.ratio_moments(
+        [g], phase, rel_tol, max_panels=12)[0])
+    with pytest.raises(NotConvergedError, match=r"weight 0 .* at x=-3, t=40"):
+        heat.heat_derivative_batch(power_c1_half, xs, t, 1, 0)
+
+
+# ---------------------------------------------------------------------------
+# one kernel setup per scan
+
+
+def test_sup_norm_sets_up_its_kernel_once(monkeypatch, power_c0):
+    calls = {"monotone_pieces": 0, "_origin_scale": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(quadrature, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(quadrature, name, counted)
+    burgers.sup_norm(power_c0, 1e3, n_coarse=65)
+    assert calls == {"monotone_pieces": 1, "_origin_scale": 1}
+
+
+@pytest.mark.parametrize("t", [1e3, 1e6])
+def test_reused_kernel_equals_a_fresh_one(power_c0, t):
+    # the table of a window-wide setup has more pieces than that of one
+    # call; no ratio depends on it
+    m = t ** (1.0 / 1.5)
+    kernel = BatchKernel(burgers._FIELD_WEIGHTS, power_c0, t, 10.0 * m)
+    for xs in (np.linspace(-10.0 * m, 10.0 * m, 9), np.asarray([0.3 * m, 1.1 * m]),
+               np.asarray([t * power_c0.value(0.0)])):
+        got, ok = kernel(xs)
+        want, want_ok = ratio_moments_batch(burgers._FIELD_WEIGHTS, power_c0, xs, t)
+        assert ok.tolist() == want_ok.tolist()
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_kernel_tabulates_again_beyond_its_reach(monkeypatch, power_c1_third):
+    # a table for |x| <= 10 need not hold the pieces of G_t that the roots
+    # of x = 3e5 lie on: that call tabulates again, out to 3e5, and gives
+    # the values of a fresh kernel; a call within the new reach does not
+    t = 1e6
+    kernel = BatchKernel([burgers._F0], power_c1_third, t, 10.0)
+    xs = np.asarray([5.0, 3e5])
+    want, want_ok = ratio_moments_batch([burgers._F0], power_c1_third, xs, t)
+    tables = []
+    monkeypatch.setattr(quadrature, "monotone_pieces",
+                        lambda *args: tables.append(args) or monotone_pieces(*args))
+    got, ok = kernel(xs)
+    assert len(tables) == 1 and kernel.x_reach == 3e5
+    assert ok.tolist() == want_ok.tolist() and np.array_equal(got, want, equal_nan=True)
+    kernel(xs[:1])
+    assert len(tables) == 1

@@ -117,7 +117,7 @@ def test_primitive_cache_query_memory_is_bounded():
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20
     cache = d._cache
-    whole = np.where(y == 0.0, 0.0, cache._partial(y, cache._get_arrays()))
+    whole = np.where(y == 0.0, 0.0, cache._partial(y, cache._arrays))
     np.testing.assert_allclose(got, whole, rtol=1e-15, atol=0.0)
 
 
