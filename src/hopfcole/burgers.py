@@ -10,10 +10,11 @@ its points share the critical points of G_t(y) = y + t f0(y) and are
 integrated together, and each point the batch cannot vouch for is evaluated
 by eval or derivative_fields.  A sup-norm scan (scan_max) scores its coarse
 grid as one batch, then refines its brackets in lockstep, each step one
-batch of the next x of every live bracket.  The setup of the batches of one
-scan (the compiled weights, the table of the pieces of G_t and the origin
-scale: quadrature.BatchKernel) is built once per t for the scan window and
-called on each of them.
+batch of the next x of every live bracket.  The batches of one scan share
+one kernel setup (the compiled weights, the table of the pieces of G_t and
+the origin scale: quadrature.BatchKernel), held by the scan's scorer
+(_eval_scorer, derivative_fields_scorer); each *_batch function is one
+call of a fresh scorer.
 """
 from __future__ import annotations
 
@@ -30,7 +31,6 @@ from .quadrature import (
     derive_x,
     derive_t,
     ratio_moments,
-    ratio_moments_batch,
 )
 
 _U = MomentWeight.unit()
@@ -139,21 +139,26 @@ def eval_batch(data: InitialData, xs, t: float, rel_tol: float = 1e-9):
     G_t(y) = y + t f0(y), whose inverses are the critical points of every
     phase, and are refined together (quadrature.ratio_moments_batch); each
     point that misses one of the kernel's checks is evaluated by eval."""
-    xs = np.asarray(xs, dtype=float)
+    return _eval_scorer(data, t, rel_tol)(xs)
+
+
+def _eval_scorer(data, t, rel_tol):
+    """eval_batch at one t as a function of xs, on one kernel setup
+    (quadrature.BatchKernel) for all its calls."""
     if t < 0:
         raise ValueError("t must be nonnegative")
     if t == 0:
-        return data.value(xs)
-    return _eval_filled(ratio_moments_batch([_F0], data, xs, t, rel_tol), data, xs, t, rel_tol)
+        return lambda xs: data.value(np.asarray(xs, dtype=float))
+    kernel = BatchKernel([_F0], data, t)
 
+    def values(xs):
+        xs = np.asarray(xs, dtype=float)
+        vals, ok = kernel(xs, rel_tol)
+        out = vals[0]
+        out[~ok] = [eval(data, float(x), t, rel_tol) for x in xs[~ok]]
+        return out
 
-def _eval_filled(batch, data, xs, t, rel_tol):
-    """eval_batch from the kernel's (ratios, ok) at xs: each point the
-    kernel does not vouch for is evaluated by eval."""
-    vals, ok = batch
-    out = vals[0]
-    out[~ok] = [eval(data, float(x), t, rel_tol) for x in xs[~ok]]
-    return out
+    return values
 
 
 def derivative_fields_batch(data: InitialData, xs, t: float,
@@ -162,33 +167,24 @@ def derivative_fields_batch(data: InitialData, xs, t: float,
     weights on the batch kernel (quadrature.ratio_moments_batch); each point
     that misses one of the kernel's checks is evaluated by
     derivative_fields."""
-    xs = np.asarray(xs, dtype=float)
-    return _fields_filled(ratio_moments_batch(_FIELD_WEIGHTS, data, xs, t, rel_tol),
-                          data, xs, t, rel_tol)
+    return derivative_fields_scorer(data, t, rel_tol)(xs)
 
 
-def derivative_fields_scorer(data: InitialData, t: float, x_reach: float,
-                             rel_tol: float = 1e-10):
-    """derivative_fields_batch at one t > 0 as a function of xs, for the
-    calls of a scan: the kernel's setup (quadrature.BatchKernel) is built
-    once, with its table for |x| <= x_reach."""
-    kernel = BatchKernel(_FIELD_WEIGHTS, data, t, x_reach)
+def derivative_fields_scorer(data: InitialData, t: float, rel_tol: float = 1e-10):
+    """derivative_fields_batch at one t > 0 as a function of xs, on one
+    kernel setup (quadrature.BatchKernel) for all its calls."""
+    kernel = BatchKernel(_FIELD_WEIGHTS, data, t)
 
-    def fields(xs):
+    def fields_at(xs):
         xs = np.asarray(xs, dtype=float)
-        return _fields_filled(kernel(xs, rel_tol), data, xs, t, rel_tol)
+        r, ok = kernel(xs, rel_tol)
+        fields = _fields(r)
+        for i in np.nonzero(~ok)[0]:
+            for name, v in derivative_fields(data, float(xs[i]), t, rel_tol).items():
+                fields[name][i] = v
+        return fields
 
-    return fields
-
-
-def _fields_filled(batch, data, xs, t, rel_tol):
-    """derivative_fields_batch from the kernel's (ratios, ok) at xs."""
-    r, ok = batch
-    fields = _fields(r)
-    for i in np.nonzero(~ok)[0]:
-        for name, v in derivative_fields(data, float(xs[i]), t, rel_tol).items():
-            fields[name][i] = v
-    return fields
+    return fields_at
 
 
 # ---------------------------------------------------------------------------
@@ -325,17 +321,13 @@ def sup_norm(data: InitialData, t: float, Z: float = 10.0, n_coarse: int = 129,
 
     scale(t) is t^{1/(1+alpha)} for the power-tail families (the maximum
     lives at x of that order) and sqrt(t) otherwise.  Every call of the scan
-    is one eval_batch, on one kernel setup for the window."""
+    is an eval_batch on one kernel setup."""
     if n_coarse < 64:
         raise ValueError("n_coarse must be at least 64")
     if Z <= 0:
         raise ValueError("Z must be positive")
+    score = _eval_scorer(data, t, rel_tol)
     alpha = data.alpha
     m = t ** (1.0 / (1.0 + alpha)) if alpha is not None else math.sqrt(t)
-    kernel = BatchKernel([_F0], data, t, Z * m)
-
-    def score(xs):
-        return np.abs(_eval_filled(kernel(xs, rel_tol), data, xs, t, rel_tol))
-
-    v, ax = scan_max(score, -Z * m, Z * m, n_coarse)
+    v, ax = scan_max(lambda xs: np.abs(score(xs)), -Z * m, Z * m, n_coarse)
     return SupNormResult(value=v, argmax_x=ax, t=t, search_window=(Z, n_coarse))

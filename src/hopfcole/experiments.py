@@ -261,11 +261,11 @@ def _derivative_sup(data, t, n, k, cfg):
 
     Returns (sup, argmax, tie_fallback): tie_fallback is True when the
     finite-time tie point was not found and the layer scan is centred on the
-    limit jump case.discontinuity_z instead.  Both scans score on
-    burgers.derivative_fields_batch, on one kernel setup."""
+    limit jump case.discontinuity_z instead.  Both scans score on one
+    burgers.derivative_fields_scorer."""
     m, _amp = _scales(data, t)
     name = burgers.FIELD_OF_ORDER[(n, k)]
-    fields = burgers.derivative_fields_scorer(data, t, cfg.window_Z * m, rel_tol=1e-8)
+    fields = burgers.derivative_fields_scorer(data, t, rel_tol=1e-8)
 
     def fn(xs):
         return np.abs(fields(xs)[name])
@@ -306,8 +306,7 @@ def run_derivative_decay(cfg: ExperimentConfig):
                 tie_fallback_t.append(float(t))
         else:
             m = math.sqrt(t)
-            derivative = heat.heat_derivative_scorer(data, float(t), n, k,
-                                                     cfg.window_Z * m, rel_tol=1e-8)
+            derivative = heat.heat_derivative_scorer(data, float(t), n, k, rel_tol=1e-8)
             v, ax = burgers.scan_max(lambda xs: np.abs(derivative(xs)),
                                      -cfg.window_Z * m, cfg.window_Z * m, cfg.n_coarse)
         rows.append((float(t), v, ax))

@@ -15,7 +15,7 @@ from scipy.special import gamma
 
 from .initial_data import FamilySpec, InitialData, make_family, UnsupportedOrderError
 from .quadrature import (BatchKernel, HermiteWeight, NotConvergedError, PhysicalPhase,
-                         adaptive_quadrature, ratio_moment, ratio_moments_batch)
+                         adaptive_quadrature, ratio_moment)
 from .burgers import SupNormResult, scan_max
 
 _ZERO = make_family(FamilySpec("Zero"))
@@ -35,22 +35,26 @@ def heat_eval_batch(data: InitialData, xs, t: float, rel_tol: float = 1e-9):
     """Heat solution for a 1-d array of x at one t, on the batch kernel of
     burgers.eval_batch with the pure Gaussian phase; each point that misses
     one of the kernel's checks is evaluated by heat_eval."""
-    xs = np.asarray(xs, dtype=float)
+    return _heat_eval_scorer(data, t, rel_tol)(xs)
+
+
+def _heat_eval_scorer(data, t, rel_tol):
+    """heat_eval_batch at one t as a function of xs, on one kernel setup
+    (quadrature.BatchKernel) for all its calls."""
     if t < 0:
         raise ValueError("t must be nonnegative")
     if t == 0:
-        return data.value(xs)
-    return _heat_filled(ratio_moments_batch([data.value], _ZERO, xs, t, rel_tol),
-                        data, xs, t, rel_tol)
+        return lambda xs: data.value(np.asarray(xs, dtype=float))
+    kernel = BatchKernel([data.value], _ZERO, t)
 
+    def values(xs):
+        xs = np.asarray(xs, dtype=float)
+        vals, ok = kernel(xs, rel_tol)
+        out = vals[0]
+        out[~ok] = [heat_eval(data, float(x), t, rel_tol) for x in xs[~ok]]
+        return out
 
-def _heat_filled(batch, data, xs, t, rel_tol):
-    """heat_eval_batch from the kernel's (ratios, ok) at xs: each point the
-    kernel does not vouch for is evaluated by heat_eval."""
-    vals, ok = batch
-    out = vals[0]
-    out[~ok] = [heat_eval(data, float(x), t, rel_tol) for x in xs[~ok]]
-    return out
+    return values
 
 
 def _hermite_order(n, k):
@@ -82,18 +86,15 @@ def heat_derivative_batch(data: InitialData, xs, t: float, n: int, k: int,
     kernel (quadrature.BatchKernel, whose weights take each node's x); each
     point that misses one of the kernel's checks is evaluated by
     heat_derivative."""
-    xs = np.asarray(xs, dtype=float)
-    return heat_derivative_scorer(data, t, n, k, float(np.max(np.abs(xs), initial=0.0)),
-                                  rel_tol)(xs)
+    return heat_derivative_scorer(data, t, n, k, rel_tol)(xs)
 
 
-def heat_derivative_scorer(data: InitialData, t: float, n: int, k: int, x_reach: float,
+def heat_derivative_scorer(data: InitialData, t: float, n: int, k: int,
                            rel_tol: float = 1e-9):
-    """heat_derivative_batch at one t > 0 as a function of xs, for the calls
-    of a scan: the kernel's setup (quadrature.BatchKernel) is built once,
-    with its table for |x| <= x_reach."""
+    """heat_derivative_batch at one t > 0 as a function of xs, on one kernel
+    setup (quadrature.BatchKernel) for all its calls."""
     m = _hermite_order(n, k)
-    kernel = BatchKernel([HermiteWeight(m, data.value)], _ZERO, t, x_reach)
+    kernel = BatchKernel([HermiteWeight(m, data.value)], _ZERO, t)
     scale = (-1.0 / (2.0 * math.sqrt(t))) ** m
 
     def derivative(xs):
@@ -167,15 +168,10 @@ def heat_profile_center_exact(kappa: float, alpha: float) -> float:
 def heat_sup_norm(data: InitialData, t: float, Z: float = 10.0,
                   n_coarse: int = 129, rel_tol: float = 1e-9) -> SupNormResult:
     """sup over |x| <= Z sqrt(t) of |heat solution|; every call of the scan
-    (burgers.scan_max) is one heat_eval_batch, on one kernel setup for the
-    window."""
+    (burgers.scan_max) is a heat_eval_batch on one kernel setup."""
     if n_coarse < 64:
         raise ValueError("n_coarse must be at least 64")
+    score = _heat_eval_scorer(data, t, rel_tol)
     m = math.sqrt(t)
-    kernel = BatchKernel([data.value], _ZERO, t, Z * m)
-
-    def score(xs):
-        return np.abs(_heat_filled(kernel(xs, rel_tol), data, xs, t, rel_tol))
-
-    v, ax = scan_max(score, -Z * m, Z * m, n_coarse)
+    v, ax = scan_max(lambda xs: np.abs(score(xs)), -Z * m, Z * m, n_coarse)
     return SupNormResult(value=v, argmax_x=ax, t=t, search_window=(Z, n_coarse))

@@ -768,13 +768,11 @@ def ratio_moments_batch(gs, data: InitialData, xs, t, rel_tol=1e-9,
                         max_panels=4000):
     """[int g e^H / int e^H for g in gs] at every x of xs, for the physical
     phase H(y) = -(x-y)^2/(4t) - P(y)/2 of data at one t: one call of a
-    fresh BatchKernel, whose table reaches max |xs|.
+    fresh BatchKernel.
 
     Returns (ratios, ok), ratios of shape (len(gs), xs.size); see
     BatchKernel.__call__."""
-    xs = np.asarray(xs, dtype=float).ravel()
-    x_reach = float(np.max(np.abs(xs))) if xs.size else 0.0
-    return BatchKernel(gs, data, t, x_reach)(xs, rel_tol, max_panels)
+    return BatchKernel(gs, data, t)(xs, rel_tol, max_panels)
 
 
 class BatchKernel:
@@ -785,23 +783,19 @@ class BatchKernel:
     scale of their x-independent factors (_origin_scale) and the table of
     the monotone pieces of G_t (monotone_pieces) on |y| <= x_reach +
     t sup|f0| + 1, which holds every critical point of every |x| <= x_reach.
-    A call with a larger |x| tabulates the pieces again out to it; a wider
-    table only adds pieces beyond the old reach, so no ratio depends on
-    which reach the table has."""
+    The table is made by the first call, out to its largest |x| (a scan's
+    coarse grid spans its window), and made again by any call with a larger
+    |x|; a wider table only adds pieces beyond the old reach, so no ratio
+    depends on which reach the table has."""
 
-    def __init__(self, gs, data: InitialData, t, x_reach=0.0):
+    def __init__(self, gs, data: InitialData, t):
         if not t > 0:
             raise ValueError("t must be positive")
         self.n_weights = len(gs)
         weights = compile_weights(list(gs) + [None], data, t)
         self._ph = _Phases(data, t, weights)
         self._origin_scale = _origin_scale(weights)
-        self._tabulate(x_reach)
-
-    def _tabulate(self, x_reach):
-        ph = self._ph
-        self.x_reach = x_reach
-        self._pieces = monotone_pieces(ph.data, ph.t, x_reach + ph.t * ph.data.sup_abs + 1.0)
+        self.x_reach, self._pieces = -math.inf, None
 
     def __call__(self, xs, rel_tol=1e-9, max_panels=4000):
         """(ratios, ok) at every x of xs; ratios of shape (n_weights, xs.size).
@@ -820,9 +814,11 @@ class BatchKernel:
         panels and the denominator is positive.  Its ratios are NaN
         otherwise; callers evaluate such points on the scalar path."""
         xs = np.asarray(xs, dtype=float).ravel()
-        x_max = float(np.max(np.abs(xs))) if xs.size else 0.0
+        x_max = float(np.max(np.abs(xs), initial=-math.inf))
         if x_max > self.x_reach:
-            self._tabulate(x_max)
+            ph = self._ph
+            self.x_reach = x_max
+            self._pieces = monotone_pieces(ph.data, ph.t, x_max + ph.t * ph.data.sup_abs + 1.0)
         ratios = np.full((self.n_weights, xs.size), np.nan)
         ok = np.zeros(xs.size, dtype=bool)
         for lo in range(0, xs.size, BATCH_BLOCK):

@@ -143,14 +143,21 @@ def test_point_at_a_piece_end_falls_back(family):
         assert burgers.eval_batch(data, xs, t)[0] == burgers.eval(data, float(xs[0]), t)
 
 
+def starved_kernel(budget):
+    """BatchKernel whose calls get budget panels a point."""
+    class Starved(BatchKernel):
+        def __call__(self, xs, rel_tol=1e-9, max_panels=4000):
+            return super().__call__(xs, rel_tol, budget)
+    return Starved
+
+
 def test_starved_panel_budget_falls_back(monkeypatch, power_c1_half):
     xs = np.asarray([-3.0, 0.0, 5.0])
     t = 40.0
-    starved = functools.partial(quadrature.ratio_moments_batch, max_panels=12)
-    vals, ok = starved([burgers._F0], power_c1_half, xs, t)
+    vals, ok = starved_kernel(12)([burgers._F0], power_c1_half, t)(xs)
     assert not ok.any() and np.all(np.isnan(vals))
     # the kernel starved: eval_batch returns the scalar path's values
-    monkeypatch.setattr(burgers, "ratio_moments_batch", starved)
+    monkeypatch.setattr(burgers, "BatchKernel", starved_kernel(12))
     got = burgers.eval_batch(power_c1_half, xs, t)
     assert got.tolist() == [burgers.eval(power_c1_half, float(x), t) for x in xs]
     # both starved: the scalar path's error, naming the point
@@ -366,7 +373,8 @@ def test_derivative_fields_batch_falls_back_per_point(power_c0):
 # heat derivatives
 
 
-HEAT_ORDERS = [(0, 1), (0, 2), (1, 0)]  # (n, k) with m = 2n + k in {1, 2}
+# every (n, k) with n + k <= 3 that heat_derivative takes: m = 2n + k from 0 to 6
+HEAT_ORDERS = [(n, k) for n in range(4) for k in range(4 - n)]
 
 
 def heat_derivative_and_size(data, x, t, m, exact=False):
@@ -456,14 +464,6 @@ def test_heat_derivative_at_a_ddecay_argmax():
     assert got[0] == pytest.approx(want, rel=1e-12)
 
 
-def starved_kernel(budget):
-    """BatchKernel whose calls get budget panels a point."""
-    class Starved(BatchKernel):
-        def __call__(self, xs, rel_tol=1e-9, max_panels=4000):
-            return super().__call__(xs, rel_tol, budget)
-    return Starved
-
-
 def test_heat_derivative_batch_falls_back_per_point(monkeypatch, power_c1_half):
     # with 18 panels a point the kernel meets its targets at x = -3 and 5,
     # not at x = 0: that point is heat_derivative's
@@ -502,12 +502,20 @@ def test_sup_norm_sets_up_its_kernel_once(monkeypatch, power_c0):
     assert calls == {"monotone_pieces": 1, "_origin_scale": 1}
 
 
+def test_sup_norms_at_t_0_are_the_initial_value_at_0(power_c0, gaussian_data):
+    # the window |x| <= Z scale(0) is the point x = 0
+    for data in (power_c0, gaussian_data):
+        want = abs(float(data.value(0.0)))
+        assert burgers.sup_norm(data, 0.0).value == want
+        assert heat.heat_sup_norm(data, 0.0).value == want
+
+
 @pytest.mark.parametrize("t", [1e3, 1e6])
 def test_reused_kernel_equals_a_fresh_one(power_c0, t):
     # the table of a window-wide setup has more pieces than that of one
     # call; no ratio depends on it
     m = t ** (1.0 / 1.5)
-    kernel = BatchKernel(burgers._FIELD_WEIGHTS, power_c0, t, 10.0 * m)
+    kernel = BatchKernel(burgers._FIELD_WEIGHTS, power_c0, t)
     for xs in (np.linspace(-10.0 * m, 10.0 * m, 9), np.asarray([0.3 * m, 1.1 * m]),
                np.asarray([t * power_c0.value(0.0)])):
         got, ok = kernel(xs)
@@ -517,11 +525,14 @@ def test_reused_kernel_equals_a_fresh_one(power_c0, t):
 
 
 def test_kernel_tabulates_again_beyond_its_reach(monkeypatch, power_c1_third):
-    # a table for |x| <= 10 need not hold the pieces of G_t that the roots
-    # of x = 3e5 lie on: that call tabulates again, out to 3e5, and gives
-    # the values of a fresh kernel; a call within the new reach does not
+    # the table of a first call at |x| <= 10 need not hold the pieces of
+    # G_t that the roots of x = 3e5 lie on: that call tabulates again, out
+    # to 3e5, and gives the values of a fresh kernel; a call within the new
+    # reach does not
     t = 1e6
-    kernel = BatchKernel([burgers._F0], power_c1_third, t, 10.0)
+    kernel = BatchKernel([burgers._F0], power_c1_third, t)
+    kernel(np.asarray([-10.0, 5.0]))
+    assert kernel.x_reach == 10.0
     xs = np.asarray([5.0, 3e5])
     want, want_ok = ratio_moments_batch([burgers._F0], power_c1_third, xs, t)
     tables = []
