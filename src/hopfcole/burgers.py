@@ -5,16 +5,16 @@ H(y) = -(x-y)^2/(4t) - (1/2) int_0^y f0.  Space and time derivatives are
 exact quotient-rule expansions over the weight algebra, so the PDE residual
 d_t f - d_x^2 f + f d_x f is a strong end-to-end self test.
 
+Every value comes from the one quadrature path, quadrature.BatchKernel.
 An array of x at one t is one batch (eval_batch, derivative_fields_batch):
 its points share the critical points of G_t(y) = y + t f0(y) and are
-integrated together, and each point the batch cannot vouch for is evaluated
-by eval or derivative_fields.  A sup-norm scan (scan_max) scores its coarse
-grid as one batch, then refines its brackets in lockstep, each step one
-batch of the next x of every live bracket.  The batches of one scan share
-one kernel setup (the compiled weights, the table of the pieces of G_t and
-the origin scale: quadrature.BatchKernel), held by the scan's scorer
-(_eval_scorer, derivative_fields_scorer); each *_batch function is one
-call of a fresh scorer.
+integrated together, and a single point (eval, derivative_fields) is a
+batch of one.  A sup-norm scan (scan_max) scores its coarse grid as one
+batch, then refines its brackets in lockstep, each step one batch of the
+next x of every live bracket.  The batches of one scan share one kernel
+setup (the compiled weights, the table of the pieces of G_t and the origin
+scale), held by the scan's scorer (_eval_scorer, derivative_fields_scorer);
+each *_batch function and each single point is one call of a fresh scorer.
 """
 from __future__ import annotations
 
@@ -24,14 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .initial_data import InitialData, UnsupportedOrderError
-from .quadrature import (
-    BatchKernel,
-    MomentWeight,
-    PhysicalPhase,
-    derive_x,
-    derive_t,
-    ratio_moments,
-)
+from .quadrature import BatchKernel, MomentWeight, derive_x, derive_t
 
 _U = MomentWeight.unit()
 _F0 = MomentWeight.f0()
@@ -48,11 +41,7 @@ FIELD_OF_ORDER = {(0, 0): "f", (0, 1): "f_x", (1, 0): "f_t", (0, 2): "f_xx"}
 
 def eval(data: InitialData, x: float, t: float, rel_tol: float = 1e-9) -> float:
     """Solution value f(x, t); t = 0 returns f0(x) directly."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if t == 0:
-        return float(data.value(x))
-    return ratio_moments([_F0], PhysicalPhase(data, float(x), float(t)), rel_tol)[0]
+    return float(_eval_scorer(data, t, rel_tol)(np.asarray([x], dtype=float))[0])
 
 
 def derivative_fields(data: InitialData, x: float, t: float,
@@ -61,8 +50,8 @@ def derivative_fields(data: InitialData, x: float, t: float,
 
     Uses d(A_g/A_1) = (A_{Dg} - (A_g/A_1) A_{D1}) / A_1 recursively with the
     x/t derivation maps of the weight algebra."""
-    phase = PhysicalPhase(data, float(x), float(t))
-    return _fields(ratio_moments(_FIELD_WEIGHTS, phase, rel_tol))
+    fields = derivative_fields_scorer(data, t, rel_tol)(np.asarray([x], dtype=float))
+    return {name: float(v[0]) for name, v in fields.items()}
 
 
 def _fields(r):
@@ -75,48 +64,15 @@ def _fields(r):
     return {"f": f, "f_x": fx, "f_t": ft, "f_xx": fxx}
 
 
-def _richardson_1(fn, v, h):
-    def d(hh):
-        return (fn(v + hh) - fn(v - hh)) / (2.0 * hh)
-
-    return (4.0 * d(0.5 * h) - d(h)) / 3.0
-
-
-def _richardson_2(fn, v, h):
-    f0 = fn(v)
-
-    def s(hh):
-        return (fn(v + hh) - 2.0 * f0 + fn(v - hh)) / (hh * hh)
-
-    return (4.0 * s(0.5 * h) - s(h)) / 3.0
-
-
 def eval_derivative(data: InitialData, x: float, t: float, n: int, k: int,
                     rel_tol: float = 1e-10) -> float:
-    """d_t^n d_x^k f(x, t).
-
-    Orders 2n + k <= 2 are exact (weight algebra); 2n + k in {3, 4} fall
-    back to Richardson finite differences of the exact lower fields."""
+    """d_t^n d_x^k f(x, t) for 2n + k <= 2, exact through the weight
+    algebra (derivative_fields)."""
     if n < 0 or k < 0:
         raise ValueError("orders must be nonnegative")
-    order = 2 * n + k
-    if order > 4:
-        raise UnsupportedOrderError(f"2n + k = {order} > 4 not supported")
-    if order <= 2:
-        return derivative_fields(data, x, t, rel_tol)[FIELD_OF_ORDER[(n, k)]]
-    hx = 0.05 * max(1.0, math.sqrt(t))
-    ht = 0.02 * t
-    if (n, k) == (0, 3):
-        return _richardson_1(lambda v: derivative_fields(data, v, t, rel_tol)["f_xx"], x, hx)
-    if (n, k) == (0, 4):
-        return _richardson_2(lambda v: derivative_fields(data, v, t, rel_tol)["f_xx"], x, hx)
-    if (n, k) == (1, 1):
-        return _richardson_1(lambda v: derivative_fields(data, x, v, rel_tol)["f_x"], t, ht)
-    if (n, k) == (1, 2):
-        return _richardson_1(lambda v: derivative_fields(data, x, v, rel_tol)["f_xx"], t, ht)
-    if (n, k) == (2, 0):
-        return _richardson_1(lambda v: derivative_fields(data, x, v, rel_tol)["f_t"], t, ht)
-    raise UnsupportedOrderError(f"(n, k) = ({n}, {k}) not supported")
+    if 2 * n + k > 2:
+        raise UnsupportedOrderError(f"2n + k = {2 * n + k} > 2 not supported")
+    return derivative_fields(data, x, t, rel_tol)[FIELD_OF_ORDER[(n, k)]]
 
 
 def pde_residual(data: InitialData, x: float, t: float,
@@ -137,8 +93,7 @@ def eval_batch(data: InitialData, xs, t: float, rel_tol: float = 1e-9):
 
     The points share one table of the monotone pieces of
     G_t(y) = y + t f0(y), whose inverses are the critical points of every
-    phase, and are refined together (quadrature.ratio_moments_batch); each
-    point that misses one of the kernel's checks is evaluated by eval."""
+    phase, and are refined together (quadrature.BatchKernel)."""
     return _eval_scorer(data, t, rel_tol)(xs)
 
 
@@ -151,22 +106,13 @@ def _eval_scorer(data, t, rel_tol):
         return lambda xs: data.value(np.asarray(xs, dtype=float))
     kernel = BatchKernel([_F0], data, t)
 
-    def values(xs):
-        xs = np.asarray(xs, dtype=float)
-        vals, ok = kernel(xs, rel_tol)
-        out = vals[0]
-        out[~ok] = [eval(data, float(x), t, rel_tol) for x in xs[~ok]]
-        return out
-
-    return values
+    return lambda xs: kernel(xs, rel_tol)[0]
 
 
 def derivative_fields_batch(data: InitialData, xs, t: float,
                             rel_tol: float = 1e-10) -> dict:
     """derivative_fields for a 1-d array of x at one t > 0: the seven
-    weights on the batch kernel (quadrature.ratio_moments_batch); each point
-    that misses one of the kernel's checks is evaluated by
-    derivative_fields."""
+    weights on the batch kernel (quadrature.BatchKernel)."""
     return derivative_fields_scorer(data, t, rel_tol)(xs)
 
 
@@ -175,16 +121,7 @@ def derivative_fields_scorer(data: InitialData, t: float, rel_tol: float = 1e-10
     kernel setup (quadrature.BatchKernel) for all its calls."""
     kernel = BatchKernel(_FIELD_WEIGHTS, data, t)
 
-    def fields_at(xs):
-        xs = np.asarray(xs, dtype=float)
-        r, ok = kernel(xs, rel_tol)
-        fields = _fields(r)
-        for i in np.nonzero(~ok)[0]:
-            for name, v in derivative_fields(data, float(xs[i]), t, rel_tol).items():
-                fields[name][i] = v
-        return fields
-
-    return fields_at
+    return lambda xs: _fields(kernel(xs, rel_tol))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Heat-equation counterpart: Gaussian convolution of the same initial data.
 
-f(x,t) = (4 pi t)^{-1/2} int f0(y) exp(-(x-y)^2/4t) dy.  Shares the
-stabilized quadrature with the Burgers evaluator (the phase is the pure
-Gaussian one), and provides the continuous long-time profile
+f(x,t) = (4 pi t)^{-1/2} int f0(y) exp(-(x-y)^2/4t) dy.  Every value comes
+from the one quadrature path of the Burgers evaluator (quadrature.BatchKernel
+under the pure Gaussian phase of Zero data); a single point is a batch of
+one.  The module also provides the continuous long-time profile
 (kappa/sqrt(4 pi)) int |y|^-alpha exp(-(z-y)^2/4) dy for comparison with
 the discontinuous Burgers profile.
 """
@@ -14,8 +15,7 @@ import numpy as np
 from scipy.special import gamma
 
 from .initial_data import FamilySpec, InitialData, make_family, UnsupportedOrderError
-from .quadrature import (BatchKernel, HermiteWeight, NotConvergedError, PhysicalPhase,
-                         adaptive_quadrature, ratio_moment)
+from .quadrature import BatchKernel, HermiteWeight, NotConvergedError, adaptive_quadrature
 from .burgers import SupNormResult, scan_max
 
 _ZERO = make_family(FamilySpec("Zero"))
@@ -23,18 +23,12 @@ _ZERO = make_family(FamilySpec("Zero"))
 
 def heat_eval(data: InitialData, x: float, t: float, rel_tol: float = 1e-9) -> float:
     """Heat solution at (x, t); t = 0 returns f0(x)."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if t == 0:
-        return float(data.value(x))
-    phase = PhysicalPhase(_ZERO, float(x), float(t))
-    return ratio_moment(lambda y: data.value(y), phase, rel_tol)
+    return float(_heat_eval_scorer(data, t, rel_tol)(np.asarray([x], dtype=float))[0])
 
 
 def heat_eval_batch(data: InitialData, xs, t: float, rel_tol: float = 1e-9):
     """Heat solution for a 1-d array of x at one t, on the batch kernel of
-    burgers.eval_batch with the pure Gaussian phase; each point that misses
-    one of the kernel's checks is evaluated by heat_eval."""
+    burgers.eval_batch with the pure Gaussian phase."""
     return _heat_eval_scorer(data, t, rel_tol)(xs)
 
 
@@ -47,14 +41,7 @@ def _heat_eval_scorer(data, t, rel_tol):
         return lambda xs: data.value(np.asarray(xs, dtype=float))
     kernel = BatchKernel([data.value], _ZERO, t)
 
-    def values(xs):
-        xs = np.asarray(xs, dtype=float)
-        vals, ok = kernel(xs, rel_tol)
-        out = vals[0]
-        out[~ok] = [heat_eval(data, float(x), t, rel_tol) for x in xs[~ok]]
-        return out
-
-    return values
+    return lambda xs: kernel(xs, rel_tol)[0]
 
 
 def _hermite_order(n, k):
@@ -72,20 +59,13 @@ def heat_derivative(data: InitialData, x: float, t: float, n: int, k: int,
     """d_t^n d_x^k of the heat solution, n + k <= 3: (-2 sqrt t)^-m times
     the quotient of the weight H_m(s) f0(y) (quadrature.HermiteWeight), with
     m = 2n + k and s = (x - y) / (2 sqrt t)."""
-    m = _hermite_order(n, k)
-    if m == 0:
-        return heat_eval(data, x, t, rel_tol)
-    phase = PhysicalPhase(_ZERO, float(x), float(t))
-    r = ratio_moment(HermiteWeight(m, data.value), phase, rel_tol)
-    return (-1.0 / (2.0 * math.sqrt(t))) ** m * r
+    return float(heat_derivative_scorer(data, t, n, k, rel_tol)(np.asarray([x], dtype=float))[0])
 
 
 def heat_derivative_batch(data: InitialData, xs, t: float, n: int, k: int,
                           rel_tol: float = 1e-9):
     """heat_derivative for a 1-d array of x at one t > 0, on the batch
-    kernel (quadrature.BatchKernel, whose weights take each node's x); each
-    point that misses one of the kernel's checks is evaluated by
-    heat_derivative."""
+    kernel (quadrature.BatchKernel, whose weights take each node's x)."""
     return heat_derivative_scorer(data, t, n, k, rel_tol)(xs)
 
 
@@ -97,14 +77,7 @@ def heat_derivative_scorer(data: InitialData, t: float, n: int, k: int,
     kernel = BatchKernel([HermiteWeight(m, data.value)], _ZERO, t)
     scale = (-1.0 / (2.0 * math.sqrt(t))) ** m
 
-    def derivative(xs):
-        xs = np.asarray(xs, dtype=float)
-        r, ok = kernel(xs, rel_tol)
-        out = scale * r[0]
-        out[~ok] = [heat_derivative(data, float(x), t, n, k, rel_tol) for x in xs[~ok]]
-        return out
-
-    return derivative
+    return lambda xs: scale * kernel(xs, rel_tol)[0]
 
 
 def heat_limit_profile(z: float, kappa: float, alpha: float,

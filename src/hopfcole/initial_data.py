@@ -192,8 +192,8 @@ class InitialData:
     arrays.
     """
 
-    def __init__(self, spec, value_fn, d1_fn, d2_fn, primitive_fn=None,
-                 sup_abs=None, kink_at_origin=False, parent=None):
+    def __init__(self, spec, value_fn, d1_fn, d2_fn, primitive_fn=None, *,
+                 sup_abs, kink_at_origin=False, parent=None):
         self.spec = spec
         self._v = value_fn
         self._d1 = d1_fn
@@ -206,7 +206,7 @@ class InitialData:
         else:
             self._cache = _PrimitiveCache(value_fn)
             self._p = self._cache
-        self.sup_abs = float(sup_abs if sup_abs is not None else self._numeric_sup())
+        self.sup_abs = float(sup_abs)
         self._growth = None
 
     # -- basic evaluators ----------------------------------------------------
@@ -255,11 +255,6 @@ class InitialData:
     @property
     def primitive_error_bound(self):
         return self._cache.error_bound if self._cache is not None else 0.0
-
-    def _numeric_sup(self):
-        y = np.concatenate([[0.0], np.geomspace(1e-6, 1e7, 800)])
-        y = np.concatenate([-y[::-1], y])
-        return float(np.max(np.abs(self._v(y))))
 
     def primitive_growth(self):
         """(K, p) with |primitive(y)| <= K (1 + |y|)^p for all y.
@@ -477,13 +472,15 @@ def make_family(spec: FamilySpec) -> InitialData:
 
 
 def make_custom(value_fn: Callable, derivative_fn: Callable | None = None,
-                primitive_fn: Callable | None = None, sup_abs: float | None = None,
+                primitive_fn: Callable | None = None, *, sup_abs: float,
                 kappa: float = 1.0, alpha: float = 0.5) -> InitialData:
     """Custom data from vectorized callbacks (no expression parsing).
 
     derivative_fn(y, order) must cover orders 1 and 2; if omitted, central
     finite differences of value_fn are used.  The primitive falls back to
-    the cached quadrature when no callback is given.
+    the cached quadrature when no callback is given.  sup_abs = sup|f0| is
+    required: it brackets every critical point of every phase
+    (|G_t(y) - y| <= t sup|f0|), and no sampling of f0 can bound it.
     """
     spec = FamilySpec(family="Custom", kappa=kappa, alpha=alpha)
 

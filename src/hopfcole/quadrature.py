@@ -1,35 +1,38 @@
 """Stabilized evaluation of exponential integrals int g(y) exp(Phi(y)) dy.
 
-The phase Phi is the Hopf-Cole exponent in physical or rescaled variables;
-its maximum can reach magnitude ~1e4, so every integral is computed in
-max-subtracted form and stored as (log_scale, mantissa).  The work flow is
-the classical Laplace-point one: locate all zeros of Phi', integrate
-adaptively on peak-scaled panels between computable truncation points, and
-bound the remaining tails by the Gaussian domination of the phase.
+The phase Phi is the Hopf-Cole exponent in physical variables
+(PhysicalPhase); its maximum can reach magnitude ~1e4, so every integral is
+computed in max-subtracted form and stored as (log_scale, mantissa).  The
+work flow is the classical Laplace-point one: locate all zeros of Phi',
+integrate adaptively on peak-scaled panels between computable truncation
+points, and bound the remaining tails by the Gaussian domination of the
+phase.  RescaledPhase serves critical-point location only.
 
-One kernel does the panel work.  The weights of a call are compiled once
+There is one quadrature path.  The weights of a call are compiled once
 (compile_weights) into a function that evaluates f0, f0' and f0'' once per
 node array and every weight from them in one matrix product.  The compiled
 weights take each node's x too, for the one weight that depends on it: the
 Hermite factor H_m((x - y) / (2 sqrt t)) of the heat derivatives
 (HermiteWeight).  _panel_eval applies the non-nested 10- and 21-point
-Gauss-Legendre rules to an array of panels in one call, and _refine splits
-the panel with the largest error against its weight's target, evaluating
-the initial partition and both children of a split in one call each.
-adaptive_quadrature is the same refinement with one plain function as its
-only weight.
+Gauss-Legendre rules to an array of panels in one call.
 
 BatchKernel computes the quotients of the physical phase for many x at one
 t: the critical points of all of them come from one table of the monotone
 pieces of G_t(y) = y + t f0(y), and all panels of all points are refined
-level by level in one flat array, against the same targets.  What does not
-depend on x (the compiled weights, that table and the origin scale) is set
-up once per (weights, data, t), so a scan calls one setup on each of its
-batches; ratio_moments_batch is one call of a fresh one.
+level by level in one flat array (_batch_refine).  A point whose critical
+points the table cannot vouch for gets locate_critical_points on its own
+phase, and its roots join the same truncation, partition and refinement; a
+point that misses a quadrature check raises NotConvergedError.  What does
+not depend on x (the compiled weights, the table and the origin scale) is
+set up once per (weights, data, t), so a scan calls one setup on each of
+its batches, and a single point is a batch of one.  integrate_moments is
+the same truncation, partition and refinement for one phase with given
+critical points (or a window, for concentration ratios), and
+adaptive_quadrature is that refinement with one plain function as its only
+weight.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -260,9 +263,6 @@ class PhysicalPhase:
     def reduced_dphase(self, y):
         return self.dtotal(y)
 
-    def weight_arg(self, y):
-        return y
-
     @property
     def amplitude(self):
         return 1.0
@@ -270,10 +270,6 @@ class PhysicalPhase:
     @property
     def d2_ref(self):
         return 0.5 / self.t
-
-    @property
-    def char_width(self):
-        return math.sqrt(2.0 * self.t)
 
     def scan_grid(self):
         t, x = self.t, self.x
@@ -288,19 +284,6 @@ class PhysicalPhase:
         grid = np.concatenate(pieces)
         grid = grid[(grid >= lo) & (grid <= hi)]
         return np.unique(grid)
-
-    def gaussian_domination(self):
-        """(quad, center, threshold): Phi(y) <= -quad*(y-center)^2 for
-        |y - center| beyond threshold (and |y| beyond it), from the primitive
-        growth bound |P| <= K (1+|y|)^p."""
-        k_growth, p = self.data.primitive_growth()
-        quad = 1.0 / (8.0 * self.t)
-        if k_growth == 0.0:
-            thr = 1.0
-        else:
-            thr = (32.0 * self.t * k_growth) ** (1.0 / (2.0 - p)) * 2.0
-        thr = max(thr, 2.0 * abs(self.x) + 1.0, 1.0)
-        return quad, self.x, thr
 
 
 @dataclass(frozen=True)
@@ -358,21 +341,9 @@ class RescaledPhase:
         y = np.asarray(y, dtype=float)
         return self._amp * 0.5 * (-1.0 - self.t * self.data.derivative(self._m * y, 1))
 
-    def weight_arg(self, y):
-        return self._m * np.asarray(y, dtype=float)
-
-    @property
-    def x(self):
-        """The physical point m z, which a weight that depends on x sees."""
-        return self._m * self.z
-
     @property
     def d2_ref(self):
         return 0.5 * self._amp
-
-    @property
-    def char_width(self):
-        return 1.0
 
     def scan_grid(self):
         m, t, z = self._m, self.t, self.z
@@ -392,17 +363,6 @@ class RescaledPhase:
         grid = np.concatenate(pieces)
         grid = grid[(grid >= -reach) & (grid <= reach)]
         return np.unique(grid)
-
-    def gaussian_domination(self):
-        k_growth, p = self.data.primitive_growth()
-        m = self._m
-        quad = self._amp / 8.0
-        if k_growth == 0.0:
-            thr = 1.0
-        else:
-            thr = (16.0 * self.t * k_growth * 2.0 ** p * m ** (p - 2.0)) ** (1.0 / (2.0 - p)) * 2.0
-        thr = max(thr, 2.0 * abs(self.z) + 1.0, 1.0, 1.0 / m)
-        return quad, self.z, thr
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +445,7 @@ def locate_critical_points(phase) -> list:
 
 
 # ---------------------------------------------------------------------------
-# adaptive panel machinery
+# stabilized integrals
 
 
 @dataclass(frozen=True)
@@ -500,18 +460,6 @@ class StabilizedIntegral:
     target: float = math.inf  # abs_error budget of the refinement
 
 
-def _log_gauss_tail(quad, dist):
-    """log of int_{dist}^inf exp(-quad * s^2) ds (one tail)."""
-    if quad <= 0:
-        return math.inf
-    xi = dist * math.sqrt(quad)
-    if xi < 25.0:
-        val = 0.5 * math.sqrt(math.pi / quad) * erfc(xi)
-        return math.log(val) if val > 0 else -math.inf
-    # asymptotic erfc
-    return -xi * xi - math.log(xi * math.sqrt(math.pi)) - 0.5 * math.log(quad) + math.log(0.5) + 0.5 * math.log(math.pi)
-
-
 def _panel_eval(integrand, a, b):
     """(I10, I21), each of shape (n_weights, n_panels), for the panels
     [a[j], b[j]]; integrand maps a node array y to (n_weights, y.size)."""
@@ -523,169 +471,20 @@ def _panel_eval(integrand, a, b):
     return i10, i21
 
 
-def _refine(integrand, edges, rel_tol, max_panels):
-    """Global adaptive refinement over the initial edge partition.
-
-    Each weight has its own target rel_tol * max(|total|, 1e-3 L1), and the
-    panel split next is the one with the largest error measured against
-    those targets: absolute errors of weights whose magnitudes differ by
-    many orders (a heat numerator far out in the tail against its
-    denominator) are not comparable.  The initial partition is evaluated in
-    one call, and so are both children of a split.  Returns (totals,
-    errors, targets, converged), each with one entry per weight."""
-    panels = {}
-    heap = []
-    counter = 0
-    total = err = l1 = 0.0
-
-    def targets():
-        return np.maximum(rel_tol * np.abs(total), 1e-3 * rel_tol * l1 + 1e-300)
-
-    def evaluate(a, b):
-        nonlocal counter, total, err, l1
-        i10, i21 = _panel_eval(integrand, a, b)
-        e = np.abs(i21 - i10)
-        total = total + np.sum(i21, axis=1)
-        err = err + np.sum(e, axis=1)
-        l1 = l1 + np.sum(np.abs(i21), axis=1)
-        keys = np.max(e / targets()[:, None], axis=0)
-        for j in range(a.size):
-            panels[counter] = (a[j], b[j], i21[:, j], e[:, j])
-            heapq.heappush(heap, (-float(keys[j]), counter))
-            counter += 1
-
-    edges = np.asarray(edges, dtype=float)
-    keep = edges[1:] > edges[:-1]
-    evaluate(edges[:-1][keep], edges[1:][keep])
-
-    while counter < max_panels and heap and not np.all(err <= targets()):
-        _, pid = heapq.heappop(heap)
-        a, b, i21, e = panels.pop(pid)
-        total = total - i21
-        err = err - e
-        l1 = l1 - np.abs(i21)
-        m = 0.5 * (a + b)
-        evaluate(np.asarray([a, m]), np.asarray([m, b]))
-
-    tgt = targets()
-    return total, err, tgt, err <= tgt
-
-
-def _truncation(phase, cps, log_scale, weights):
-    """[a, b] with the phase dropped DROP e-folds below its max at both ends
-    and beyond the Gaussian-domination threshold; returns the log of the
-    tail bound as well."""
-    maxima = [c for c in cps if c.kind != KIND_MIN]
-    anchor = maxima if maxima else cps
-    y_lo = min(c.y for c in anchor)
-    y_hi = max(c.y for c in anchor)
-
-    def width_at(y):
-        d2 = float(phase.d2total(y))
-        if d2 < 0:
-            return min(phase.char_width, 1.0 / math.sqrt(-d2))
-        return phase.char_width
-
-    def weight_mag(y):
-        return float(np.max(np.abs(weights(phase.weight_arg(np.asarray([y])), phase.x))))
-
-    def expand(y0, direction):
-        w = max(width_at(y0), 1e-12 * (1.0 + abs(y0)))
-        for k in range(200):
-            cand = y0 + direction * w * (2.0 ** k)
-            drop = float(phase.total(cand)) - log_scale
-            if drop <= -(DROP + 5.0 + math.log1p(weight_mag(cand))):
-                return cand
-        return y0 + direction * w * (2.0 ** 60)
-
-    a = expand(y_lo, -1.0)
-    b = expand(y_hi, +1.0)
-
-    quad, center, thr = phase.gaussian_domination()
-    a = min(a, center - thr)
-    b = max(b, center + thr)
-
-    def tail_log(a_, b_):
-        gmax = max(weight_mag(a_), weight_mag(b_), 1e-300)
-        one_sided = max(
-            _log_gauss_tail(quad, b_ - center),
-            _log_gauss_tail(quad, center - a_),
-        )
-        return one_sided + math.log(8.0 * gmax) - log_scale
-
-    log_tail = tail_log(a, b)
-    # when the phase maximum is deeply negative the unnormalized Gaussian
-    # domination needs a wider window before its tail drops below the peak
-    for _ in range(16):
-        if log_tail <= -0.5 * DROP:
-            break
-        a = center - 2.0 * (center - a)
-        b = center + 2.0 * (b - center)
-        log_tail = tail_log(a, b)
-    return a, b, log_tail
-
-
-def _initial_edges(cps, a, b, phase):
-    """The ends a and b, y = 0 (the kink of PowerC0 and the bump of Gaussian
-    data sit there), the critical points, and edges at 1, 3 and 8 peak
-    widths around each maximum."""
-    edges = {a, b}
-    if a < 0.0 < b:
-        edges.add(0.0)
-    maxima = [c for c in cps if c.kind != KIND_MIN]
-    for c in cps:
-        if a < c.y < b:
-            edges.add(c.y)
-    for c in maxima:
-        d2 = float(phase.d2total(c.y))
-        w = 1.0 / math.sqrt(-d2) if d2 < 0 else phase.char_width
-        w = min(w, phase.char_width)
-        for s in (1.0, 3.0, 8.0):
-            for q in (c.y - s * w, c.y + s * w):
-                if a < q < b:
-                    edges.add(q)
-    return np.asarray(sorted(edges))
-
-
 def integrate_moments(gs, phase, rel_tol=1e-8, cps=None, interval=None,
                       max_panels=4000):
-    """Stabilized integrals of several weights over one shared partition.
+    """Stabilized integrals of several weights under one PhysicalPhase, on
+    the truncation, partition and refinement of BatchKernel, from the
+    critical points cps (by locate_critical_points when not given).
 
     With interval=(a, b) the integration is restricted to that window (its
     own max subtraction, no tail bound) -- used for concentration ratios.
     """
-    if cps is None:
-        cps = locate_critical_points(phase)
-    weights = compile_weights(gs, phase.data, phase.t)
-
-    if interval is not None:
-        a, b = float(interval[0]), float(interval[1])
-        cands = [c.y for c in cps if a < c.y < b] + [a, b]
-        log_scale = float(np.max(phase.total(np.asarray(cands))))
-        log_tail = -math.inf
-        inner = [c for c in cps if a < c.y < b]
-        edges = _initial_edges(inner, a, b, phase) if inner else np.linspace(a, b, 9)
-    else:
-        log_scale = max(float(np.max(phase.total(np.asarray([c.y])))) for c in cps)
-        a, b, log_tail = _truncation(phase, cps, log_scale, weights)
-        edges = _initial_edges(cps, a, b, phase)
-
-    def integrand(y):
-        return weights(phase.weight_arg(y), phase.x) * np.exp(phase.total(y) - log_scale)
-
-    totals, errs, tgts, converged = _refine(integrand, edges, rel_tol, max_panels)
-    tail = math.exp(log_tail) if log_tail < 700 else math.inf
-    out = []
-    for i in range(len(gs)):
-        out.append(StabilizedIntegral(
-            log_scale=log_scale,
-            mantissa=float(totals[i]),
-            abs_error=float(errs[i] + tail),
-            truncation=(a, b),
-            converged=bool(converged[i]) and math.isfinite(tail),
-            target=float(tgts[i]),
-        ))
-    return out
+    total, err, tgt, conv, log_scale, a, b = _phase_integrals(
+        gs, phase, rel_tol, cps, interval, max_panels)
+    return [StabilizedIntegral(float(log_scale[0]), float(total[i, 0]), float(err[i, 0]),
+                               (float(a[0]), float(b[0])), bool(conv[i, 0]), float(tgt[i, 0]))
+            for i in range(len(gs))]
 
 
 def integrate_moment(g, phase, rel_tol=1e-8, cps=None, interval=None,
@@ -695,28 +494,49 @@ def integrate_moment(g, phase, rel_tol=1e-8, cps=None, interval=None,
 
 
 def ratio_moments(gs, phase, rel_tol=1e-9, cps=None, max_panels=4000):
-    """[int g e^Phi / int e^Phi for g in gs], one shared critical-point
-    analysis and panel partition; the log scales cancel exactly."""
-    res = integrate_moments(list(gs) + [None], phase, rel_tol, cps,
-                            max_panels=max_panels)
-    den = res[-1]
-    failed = [i for i, r in enumerate(res) if not r.converged]
-    if failed or den.mantissa == 0.0:
-        where = (f"x={phase.x:.6g}" if isinstance(phase, PhysicalPhase)
-                 else f"z={phase.z:.6g}") + f", t={phase.t:.6g}"
-        if not failed:
-            raise NotConvergedError(f"denominator integral vanished at {where}")
-        i = failed[0]
-        name = "denominator" if i == len(res) - 1 else f"weight {i}"
-        raise NotConvergedError(
-            f"{name} integral did not converge at {where}: error "
-            f"{res[i].abs_error:.3g} against target {res[i].target:.3g}")
-    return [r.mantissa / den.mantissa for r in res[:-1]]
+    """[int g e^Phi / int e^Phi for g in gs] under one PhysicalPhase, one
+    critical-point analysis and panel partition (integrate_moments); the
+    log scales cancel exactly.  A missed target raises NotConvergedError
+    (_quotients)."""
+    res = _phase_integrals(list(gs) + [None], phase, rel_tol, cps, None, max_panels)
+    return list(_quotients(phase.t, np.asarray([phase.x]), *res[:4])[:, 0])
 
 
 def ratio_moment(g, phase, rel_tol=1e-9, cps=None) -> float:
     """int g e^Phi / int e^Phi (the general solution-type quotient)."""
     return ratio_moments([g], phase, rel_tol, cps)[0]
+
+
+def _phase_integrals(gs, phase, rel_tol, cps, interval, max_panels):
+    """_integrate for the one point of a PhysicalPhase."""
+    if not isinstance(phase, PhysicalPhase):
+        raise TypeError("integrals are taken under the physical phase only")
+    if cps is None:
+        cps = locate_critical_points(phase)
+    weights = compile_weights(gs, phase.data, phase.t)
+    return _integrate(_Phases(phase.data, phase.t, weights), np.asarray([float(phase.x)]),
+                      np.zeros(len(cps), dtype=int), np.asarray([c.y for c in cps]),
+                      np.asarray([c.kind != KIND_MIN for c in cps]), _origin_scale(weights),
+                      rel_tol, max_panels, interval)
+
+
+def _quotients(t, x, total, err, tgt, conv):
+    """total[:-1] / total[-1] at every point x, the last row being the
+    denominator.  The first point where a weight missed its target, or the
+    denominator is not positive, raises NotConvergedError naming the
+    weight, x, t and the error against its target."""
+    bad = ~np.all(conv, axis=0) | ~(total[-1] > 0.0)
+    if bad.any():
+        j = int(np.argmax(bad))
+        where = f"x={x[j]:.6g}, t={t:.6g}"
+        if conv[:, j].all():
+            raise NotConvergedError(f"denominator integral vanished at {where}")
+        i = int(np.argmax(~conv[:, j]))
+        name = "denominator" if i == total.shape[0] - 1 else f"weight {i}"
+        raise NotConvergedError(
+            f"{name} integral did not converge at {where}: error "
+            f"{err[i, j]:.3g} against target {tgt[i, j]:.3g}")
+    return total[:-1] / total[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -725,6 +545,8 @@ def ratio_moment(g, phase, rel_tol=1e-9, cps=None) -> float:
 
 BATCH_BLOCK = 256  # points refined together; bounds the kernel's memory
 _EVAL_PANELS = 512  # panels per integrand call: bounds the temporaries of a level
+_ORIGIN_YS = np.geomspace(1e-3, 1e8, 1101)
+_ORIGIN_YS = np.concatenate([-_ORIGIN_YS[::-1], [0.0], _ORIGIN_YS])  # the grid of _origin_scale
 
 
 def monotone_pieces(data: InitialData, t, reach):
@@ -750,7 +572,8 @@ def monotone_pieces(data: InitialData, t, reach):
 
 
 def _log_gauss_tails(quad, dist):
-    """_log_gauss_tail for an array of distances."""
+    """log of int_dist^inf exp(-quad s^2) ds (one tail) for an array of
+    distances."""
     xi = dist * math.sqrt(quad)
     with np.errstate(divide="ignore"):
         near = np.log(0.5 * math.sqrt(math.pi / quad) * erfc(np.minimum(xi, 25.0)))
@@ -762,17 +585,6 @@ def _log_gauss_tails(quad, dist):
 def _sums(pid, v, n):
     """Per-point sums of the rows of v over the panels of each point."""
     return np.stack([np.bincount(pid, weights=row, minlength=n) for row in v])
-
-
-def ratio_moments_batch(gs, data: InitialData, xs, t, rel_tol=1e-9,
-                        max_panels=4000):
-    """[int g e^H / int e^H for g in gs] at every x of xs, for the physical
-    phase H(y) = -(x-y)^2/(4t) - P(y)/2 of data at one t: one call of a
-    fresh BatchKernel.
-
-    Returns (ratios, ok), ratios of shape (len(gs), xs.size); see
-    BatchKernel.__call__."""
-    return BatchKernel(gs, data, t)(xs, rel_tol, max_panels)
 
 
 class BatchKernel:
@@ -798,50 +610,46 @@ class BatchKernel:
         self.x_reach, self._pieces = -math.inf, None
 
     def __call__(self, xs, rel_tol=1e-9, max_panels=4000):
-        """(ratios, ok) at every x of xs; ratios of shape (n_weights, xs.size).
+        """The quotients at every x of xs, of shape (n_weights, xs.size).
 
         Every piece of G_t is inverted for all x at once: rising pieces give
-        the maxima, falling ones the minima.  The truncation, the G10/G21
-        rules and each weight's target rel_tol * max(|I|, 1e-3 L1) are those
-        of integrate_moments.  The initial partition is graded further
-        (_batch_edges), and blocks of BATCH_BLOCK points are refined level
-        by level: every panel whose error is above its share of its point's
-        target is split.
+        the maxima, falling ones the minima (_batch_critical_points).  The
+        ends drop the phase DROP e-folds below its maximum
+        (_batch_truncation), the initial partition is graded around each
+        maximum and around y = 0 (_batch_edges), and blocks of BATCH_BLOCK
+        points are refined level by level against each weight's target
+        rel_tol * max(|I|, 1e-3 L1) (_batch_refine).
 
-        A point is ok only if its critical points have a small residual,
-        none is degenerate or at a piece end, one is a maximum, its tail
-        bound is finite, every moment meets its target within max_panels
-        panels and the denominator is positive.  Its ratios are NaN
-        otherwise; callers evaluate such points on the scalar path."""
+        A point that misses a target within max_panels panels, whose tail
+        bound is not finite or whose denominator is not positive raises
+        NotConvergedError (_quotients)."""
         xs = np.asarray(xs, dtype=float).ravel()
         x_max = float(np.max(np.abs(xs), initial=-math.inf))
         if x_max > self.x_reach:
             ph = self._ph
             self.x_reach = x_max
             self._pieces = monotone_pieces(ph.data, ph.t, x_max + ph.t * ph.data.sup_abs + 1.0)
-        ratios = np.full((self.n_weights, xs.size), np.nan)
-        ok = np.zeros(xs.size, dtype=bool)
+        ratios = np.empty((self.n_weights, xs.size))
         for lo in range(0, xs.size, BATCH_BLOCK):
-            blk = slice(lo, lo + BATCH_BLOCK)
-            ratios[:, blk], ok[blk] = _batch_block(self._ph, self.n_weights, xs[blk],
-                                                   self._pieces, self._origin_scale,
-                                                   rel_tol, max_panels)
-        return ratios, ok
+            x = xs[lo:lo + BATCH_BLOCK]
+            rows = _batch_critical_points(self._ph, x, *self._pieces)
+            res = _integrate(self._ph, x, *rows, self._origin_scale, rel_tol, max_panels)
+            ratios[:, lo:lo + BATCH_BLOCK] = _quotients(self._ph.t, x, *res[:4])
+        return ratios
 
 
 def _origin_scale(weights):
     """Length scale sup|g| / sup|g'| of the x-independent factors g of the
-    weights over 1e-3 <= |y| <= 1e8, or 0.0 for constant ones.
+    weights over 1e-3 <= |y| <= 1e8, or 0.0 if all are constant.
 
     The data families vary near y = 0 (the kink of PowerC0, the bump of
     Gaussian data) and decay as powers of |y| away from it; a panel much
     wider than its distance to y = 0 is blind to that, and its G10 and G21
     values agree on a wrong integral."""
-    ys = np.geomspace(1e-3, 1e8, 1101)
-    ys = np.concatenate([-ys[::-1], [0.0], ys])
-    g = weights(ys)[:-1]
-    slope = float(np.max(np.abs(np.diff(g, axis=1)) / np.diff(ys)))
-    return float(np.max(np.abs(g))) / slope if slope > 0.0 else 0.0
+    g = weights(_ORIGIN_YS)
+    slope = np.max(np.abs(np.diff(g, axis=1)) / np.diff(_ORIGIN_YS), axis=1)
+    vary = slope > 0.0
+    return float(np.max(np.abs(g[vary])) / np.max(slope)) if vary.any() else 0.0
 
 
 class _Phases:
@@ -869,35 +677,15 @@ class _Phases:
         return np.max(np.abs(self.weights(y, x)), axis=0)
 
 
-def _batch_block(ph, n_gs, xs, pieces, origin_scale, rel_tol, max_panels):
-    """(ratios, ok) of one block of points; see ratio_moments_batch."""
-    ratios = np.full((n_gs, xs.size), np.nan)
-    live, pt, y, is_max = _batch_critical_points(ph, xs, *pieces)
-    ok = np.zeros(xs.size, dtype=bool)
-    if not live.any():
-        return ratios, ok
-    x = xs[live]
-    log_scale = np.full(x.size, -np.inf)
-    np.maximum.at(log_scale, pt, ph.total(y, x[pt]))
-    a, b, log_tail = _batch_truncation(ph, x, log_scale, pt[is_max], y[is_max])
-    pid, pa, pb = _batch_edges(ph, a, b, pt, y, is_max, origin_scale)
-    total, conv = _batch_refine(ph, x, log_scale, pid, pa, pb, rel_tol, max_panels)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = total[:-1] / total[-1]
-    good = conv & (total[-1] > 0.0) & (log_tail < 700.0) & np.all(np.isfinite(vals), axis=0)
-    ok[np.nonzero(live)[0][good]] = True
-    ratios[:, ok] = vals[:, good]
-    return ratios, ok
-
-
 def _batch_critical_points(ph, xs, bounds, rising):
     """Roots of G_t(y) = x on every piece whose range holds x, by
     safeguarded Newton (a step leaving the bracket is a bisection).
 
-    Returns (live, pt, y, is_max): the points with a maximum and no root
-    that is degenerate, at a piece end or off by more than 1e-6 of its peak
-    width, and for each of their roots its point (indexed among the live
-    points), its y and whether it is a maximum."""
+    Returns (pt, y, is_max): for each root its point, its y and whether it
+    is a maximum.  A point whose roots miss a check (one is degenerate, at a
+    piece end or off by more than 1e-6 of its peak width, or none is a
+    maximum) gets the roots of locate_critical_points on its own phase
+    instead, a degenerate one counting as a maximum."""
     t, data, n = ph.t, ph.data, xs.size
     ends = np.concatenate([[-np.inf], bounds, [np.inf]])
     pt = np.repeat(np.arange(n), rising.size)
@@ -927,21 +715,63 @@ def _batch_critical_points(ph, xs, bounds, rising):
             break
     d1 = ph.slope(y)
     res = np.abs(y + t * data.value(y) - x)
-    # the scalar path calls a point degenerate at |H''| <= 1e-6 / (2t)
+    # locate_critical_points calls a point degenerate at |H''| <= 1e-6 / (2t)
     bad = ((np.abs(d1) <= 1e-6) | (sgn * d1 <= 0.0)
            | ~(res <= 1e-6 * np.sqrt(2.0 * t * np.abs(d1))))
     gb = bounds + t * data.value(bounds)
     at_end = np.any(np.abs(xs[:, None] - gb[None, :])
                     <= 1e-12 * (np.abs(xs)[:, None] + np.abs(gb)[None, :] + 1.0), axis=1)
     is_max = sgn > 0.0
-    live = (~at_end & (np.bincount(pt[bad], minlength=n) == 0)
-            & (np.bincount(pt[is_max], minlength=n) > 0))
-    keep = live[pt]
-    return live, (np.cumsum(live) - 1)[pt[keep]], y[keep], is_max[keep]
+    miss = (at_end | (np.bincount(pt[bad], minlength=n) > 0)
+            | (np.bincount(pt[is_max], minlength=n) == 0))
+    keep = ~miss[pt]
+    rows = [(pt[keep], y[keep], is_max[keep])]
+    for i in np.nonzero(miss)[0]:
+        cps = locate_critical_points(PhysicalPhase(data, float(xs[i]), t))
+        rows.append((np.full(len(cps), i), np.asarray([c.y for c in cps]),
+                     np.asarray([c.kind != KIND_MIN for c in cps])))
+    return tuple(np.concatenate(col) for col in zip(*rows))
+
+
+def _integrate(ph, x, pt, y, is_max, origin_scale, rel_tol, max_panels, interval=None):
+    """The integrals of the weights of ph at every point x, from the roots
+    (pt, y, is_max) of their phases.
+
+    Over the whole line the log scale is the largest phase at a root, and
+    the ends and tail bound are _batch_truncation's; over a window
+    interval=(a, b) they are the window's ends, the log scale is the
+    largest phase at those ends and at the roots inside, and there is no
+    tail.  Returns (total, error, target, converged), each of shape
+    (n_weights, x.size), then log_scale, a and b; the error includes the
+    tail bound, and a weight has converged if it met its target and the
+    tail bound is finite."""
+    m = x.size
+    if interval is None:
+        log_scale = np.full(m, -np.inf)
+        np.maximum.at(log_scale, pt, ph.total(y, x[pt]))
+        a, b, log_tail = _batch_truncation(ph, x, log_scale, pt[is_max], y[is_max])
+    else:
+        a, b = np.full(m, float(interval[0])), np.full(m, float(interval[1]))
+        inner = (y > a[pt]) & (y < b[pt])
+        pt, y, is_max = pt[inner], y[inner], is_max[inner]
+        log_scale = np.maximum(ph.total(a, x), ph.total(b, x))
+        np.maximum.at(log_scale, pt, ph.total(y, x[pt]))
+        log_tail = np.full(m, -np.inf)
+    pid, pa, pb = _batch_edges(ph, a, b, pt, y, is_max, origin_scale)
+    total, err, tgt = _batch_refine(
+        lambda yy, p: ph.weights(yy, x[p]) * np.exp(ph.total(yy, x[p]) - log_scale[p]),
+        pid, pa, pb, m, rel_tol, max_panels)
+    tail = np.where(log_tail < 700.0, np.exp(np.minimum(log_tail, 700.0)), np.inf)
+    return total, err + tail, tgt, (err <= tgt) & np.isfinite(tail), log_scale, a, b
 
 
 def _batch_truncation(ph, x, log_scale, max_pt, max_y):
-    """_truncation for every point: (a, b, log of the tail bound)."""
+    """(a, b, log of the tail bound) for every point: from the outermost
+    maxima, steps of 1, 2, 4, ... peak widths out to where the phase is
+    DROP + 5 e-folds (and the log of the weights' size) below log_scale, and
+    beyond the Gaussian domination threshold of the primitive's growth
+    bound; the window doubles until the bound of the Gaussian tails beyond
+    it is DROP / 2 e-folds below."""
     m = x.size
     y_lo = np.full(m, np.inf)
     y_hi = np.full(m, -np.inf)
@@ -987,8 +817,9 @@ def _batch_truncation(ph, x, log_scale, max_pt, max_y):
 def _batch_edges(ph, a, b, pt, y, is_max, origin_scale):
     """Initial panels (point, left, right): the truncation ends, the
     critical points, and edges graded geometrically around each maximum
-    (1, 3 and 8 peak widths as in _initial_edges, then 4 times wider at
-    each step) and around y = 0 (the same steps of origin_scale).
+    (1, 3 and 8 peak widths, then 4 times wider at each step) and around
+    y = 0 (the same steps of origin_scale; y = 0 alone if that is 0: the
+    kink of PowerC0 data is in the phase whatever the weights).
 
     Where the phase flattens away from a narrow peak, or the data decay as
     a power of |y|, one panel out to the truncation end puts every node past
@@ -997,7 +828,7 @@ def _batch_edges(ph, a, b, pt, y, is_max, origin_scale):
     m = a.size
     steps = np.concatenate([[1.0, 3.0, 8.0], 8.0 * 4.0 ** np.arange(1, 13)])
     steps = np.concatenate([-steps[::-1], [0.0], steps])
-    centers = np.concatenate([y[is_max], np.zeros(m if origin_scale > 0.0 else 0)])
+    centers = np.concatenate([y[is_max], np.zeros(m)])
     widths = np.concatenate([np.minimum(ph.width(y[is_max]), ph.char_width),
                              np.full(centers.size - is_max.sum(), origin_scale)])
     ept = np.concatenate([np.arange(m), np.arange(m), pt,
@@ -1015,22 +846,21 @@ def _batch_edges(ph, a, b, pt, y, is_max, origin_scale):
     return ept[:-1][same], ey[:-1][same], ey[1:][same]
 
 
-def _batch_refine(ph, x, log_scale, pid, pa, pb, rel_tol, max_panels):
-    """Level-by-level refinement of the flat (point, panel) arrays: every
-    panel of an unconverged point whose error is above its share of the
-    point's target is split, all of them in one integrand call.  Returns
-    the per-point totals (n_weights, points) and whether every weight met
-    rel_tol * max(|I|, 1e-3 L1) within max_panels panels."""
-    m = x.size
+def _batch_refine(integrand, pid, pa, pb, m, rel_tol, max_panels):
+    """Level-by-level refinement of the flat (point, panel) arrays of m
+    points; integrand(y, p) maps nodes y of panels of the points p to
+    (n_weights, y.size).  Every panel of an unconverged point whose error is
+    above its share of the point's target is split, all of them in one
+    integrand call.  Returns the per-point totals, errors and targets
+    rel_tol * max(|I|, 1e-3 L1), each of shape (n_weights, m); a point stops
+    when every weight meets its target or it has max_panels panels."""
 
     def evaluate(pid, pa, pb):
         parts = []
         for j in range(0, pid.size, _EVAL_PANELS):
             s = slice(j, j + _EVAL_PANELS)
-            xn = np.repeat(x[pid[s]], _NODES.size)
-            ln = np.repeat(log_scale[pid[s]], _NODES.size)
-            parts.append(_panel_eval(
-                lambda yy: ph.weights(yy, xn) * np.exp(ph.total(yy, xn) - ln), pa[s], pb[s]))
+            p = np.repeat(pid[s], _NODES.size)
+            parts.append(_panel_eval(lambda yy: integrand(yy, p), pa[s], pb[s]))
         return (np.concatenate([q[0] for q in parts], axis=1),
                 np.concatenate([q[1] for q in parts], axis=1))
 
@@ -1043,15 +873,16 @@ def _batch_refine(ph, x, log_scale, pid, pa, pb, rel_tol, max_panels):
         e = np.abs(i21 - i10)
         with np.errstate(divide="ignore", invalid="ignore"):
             e = e * np.fmin(10.0, np.fmax(1.0, 10.0 * e / np.abs(i21)))
-        total = _sums(pid, i21, m)
-        tgt = np.maximum(rel_tol * np.abs(total),
-                         1e-3 * rel_tol * _sums(pid, np.abs(i21), m) + 1e-300)
-        conv = np.all(_sums(pid, e, m) <= tgt, axis=0)
+        k = i21.shape[0]
+        sums = _sums(pid, np.concatenate([i21, np.abs(i21), e]), m)
+        total, l1, err = sums[:k], sums[k:2 * k], sums[2 * k:]
+        tgt = np.maximum(rel_tol * np.abs(total), 1e-3 * rel_tol * l1 + 1e-300)
+        conv = np.all(err <= tgt, axis=0)
         share = tgt / np.bincount(pid, minlength=m)
         split = ((~conv & (created < max_panels))[pid]
                  & np.any(e > share[:, pid], axis=0))
         if not split.any():
-            return total, conv
+            return total, err, tgt
         s_pid, s_a, s_b = pid[split], pa[split], pb[split]
         mid = 0.5 * (s_a + s_b)
         c_pid = np.concatenate([s_pid, s_pid])
@@ -1067,11 +898,14 @@ def _batch_refine(ph, x, log_scale, pid, pa, pb, rel_tol, max_panels):
 
 
 def adaptive_quadrature(fn, edges, rel_tol=1e-9, max_panels=2000):
-    """Global-adaptive Gauss-Legendre of one plain function over a fixed edge
-    list, on the panel kernel of the moment integrals.
+    """Adaptive Gauss-Legendre of one plain function over a fixed edge list,
+    on the level-by-level refinement of the moment integrals.
 
     Returns (value, abs_error, converged)."""
-    total, err, _tgt, ok = _refine(
-        lambda y: np.asarray(fn(y), dtype=float).reshape(1, -1),
-        edges, rel_tol, max_panels)
-    return float(total[0]), float(err[0]), bool(ok[0])
+    edges = np.asarray(edges, dtype=float)
+    keep = edges[1:] > edges[:-1]
+    pa, pb = edges[:-1][keep], edges[1:][keep]
+    total, err, tgt = _batch_refine(
+        lambda y, _p: np.asarray(fn(y), dtype=float).reshape(1, -1),
+        np.zeros(pa.size, dtype=int), pa, pb, 1, rel_tol, max_panels)
+    return float(total[0, 0]), float(err[0, 0]), bool(err[0, 0] <= tgt[0, 0])

@@ -1,9 +1,9 @@
-"""The batch quotient kernel (quadrature.ratio_moments_batch) against the
-scalar path: randomized oracles for eval_batch, heat_eval_batch,
-derivative_fields_batch and heat_derivative_batch, their fallbacks, the
-reuse of one kernel setup (quadrature.BatchKernel) and the sup-norm scans
-that run on them."""
-import functools
+"""The one quadrature path (quadrature.BatchKernel): randomized oracles
+that hold batches of many points against batches of one for eval_batch,
+heat_eval_batch, derivative_fields_batch and heat_derivative_batch, settled
+by QUADPACK and the closed forms; the kernel's last resort at the ends of
+the monotone pieces of G_t; starved panel budgets; the reuse of one kernel
+setup; and the sup-norm scans that run on it."""
 import math
 
 import mpmath
@@ -16,8 +16,8 @@ from scipy.optimize import minimize_scalar
 
 from hopfcole import burgers, heat, quadrature
 from hopfcole.initial_data import FamilySpec, make_family
-from hopfcole.quadrature import (BatchKernel, HermiteWeight, NotConvergedError, PhysicalPhase,
-                                 locate_critical_points, monotone_pieces, ratio_moments_batch)
+from hopfcole.quadrature import (BatchKernel, NotConvergedError, PhysicalPhase,
+                                 locate_critical_points, monotone_pieces)
 
 RTOL = 1e-9  # default rel_tol of eval, eval_batch, heat_eval and heat_eval_batch
 ZERO = make_family(FamilySpec("Zero"))
@@ -46,12 +46,6 @@ def batch_cases(draw):
     return make_family(spec), t, xs
 
 
-def _budget(data, want):
-    """Both paths meet rel_tol * max(|I|, 1e-3 L1) on numerator and
-    denominator; a relative bound alone fails at the zeros of odd data."""
-    return 4.0 * RTOL * (np.abs(want) + 1e-3 * data.sup_abs)
-
-
 def oracle_breaks(phase):
     """(top, breaks): the maximum of the phase, and breaks at its critical
     points, at y = 0 and at the unit scale of the data."""
@@ -62,85 +56,133 @@ def oracle_breaks(phase):
     return max(float(phase.total(c)) for c in cps), sorted(breaks)
 
 
-def tanh_sinh_quotient(data, x, t, heat_eq):
-    """int f0 e^H / int e^H by mpmath's tanh-sinh rule between the breaks of
-    oracle_breaks."""
-    phase = PhysicalPhase(ZERO if heat_eq else data, x, t)
-    top, breaks = oracle_breaks(phase)
-    breaks = [-mpmath.inf] + breaks + [mpmath.inf]
-
-    def e(y):
-        return mpmath.exp(float(phase.total(float(y))) - top)
-
-    num = mpmath.quad(lambda y: float(data.value(float(y))) * e(y), breaks)
-    return float(num / mpmath.quad(e, breaks))
-
-
-def check_against_scalar(batch, scalar, data, t, xs, pick, heat_eq):
-    """batch(data, xs, t) against scalar(data, x, t) at every x.
-
-    Values agree within both paths' budgets.  Where they are further apart,
-    the scalar value must be the wrong one, by tanh-sinh: the scalar
-    partition is not graded around its edge at y = 0, so at large t it
-    misses most of the bump of Gaussian data (heat_eval at x = 5000,
-    t = 1e6 returns half the closed form); and one panel spans 8 peak
-    widths to the truncation end, which misses the slow tail beyond a
-    narrow peak (Asymmetric data, 7e-5 at t = 1e6).
-    Where the scalar path raises NotConvergedError, the batch either meets
-    its budget or raises that same error from its fallback."""
-    want = []
+def single_points(single, data, xs, t):
+    """single(data, x, t) at every x, or the NotConvergedError it raised."""
+    out = []
     for x in xs:
         try:
-            want.append(scalar(data, float(x), t))
+            out.append(single(data, float(x), t))
         except NotConvergedError as exc:
-            want.append(exc)
+            out.append(exc)
+    return out
+
+
+def same_failure(exc, singles):
+    """A batch raises the error of the first of its points that raises on
+    its own."""
+    first = next((w for w in singles if isinstance(w, NotConvergedError)), None)
+    assert first is not None and str(exc) == str(first), (exc, singles)
+
+
+def closed_form(data, x, t, heat_eq):
+    """The solution where it has a closed form (Constant data, the heat
+    equation of Gaussian data), else None."""
+    spec = data.spec
+    if spec.family == "Constant":
+        return spec.extra["level"]
+    if heat_eq and spec.family == "Gaussian":
+        a, sigma = spec.extra["amplitude"], spec.extra["sigma"]
+        return a * math.sqrt(sigma / (sigma + t)) * math.exp(-x * x / (4.0 * (sigma + t)))
+    return None
+
+
+def value_size(data, x, t, heat_eq):
+    """|r| + 1e-3 l1 for the quotient r of f0 and the quotient l1 of |f0|:
+    the kernel's targets rel_tol max(|I|, 1e-3 L1) on the numerator and
+    rel_tol |I| on the denominator put the quotient within 2 rel_tol of
+    this size.  Quotients on the kernel to rel_tol 1e-6, plenty for a
+    budget."""
+    g = burgers._F0 if not heat_eq else data.value
+    phase_data = ZERO if heat_eq else data
+    w = quadrature.compile_weights([g], phase_data, t)
+    r, l1 = BatchKernel([g, lambda y: np.abs(w(y)[0])], phase_data, t)(
+        np.asarray([x]), 1e-6)[:, 0]
+    return abs(r) + 1e-3 * l1
+
+
+def check_against_single(batch, single, data, t, xs, heat_eq):
+    """batch(data, xs, t) against single(data, x, t) at every x.
+
+    Values agree within both calls' budgets, 4 RTOL times value_size.  Where
+    they are further apart, the closed form or QUADPACK (quadpack_moments)
+    settles it: the batch value is within 2 RTOL of its size and the single
+    one is not.  Where there is a closed form, every batch value is within
+    2 RTOL of its size of it.  A batch that raises NotConvergedError raises
+    that of the first point that raises on its own."""
+    singles = single_points(single, data, xs, t)
     try:
         got = batch(data, xs, t)
     except NotConvergedError as exc:
-        assert str(exc) in [str(w) for w in want if isinstance(w, NotConvergedError)]
+        same_failure(exc, singles)
         return
-    for i, w in enumerate(want):
-        if not isinstance(w, NotConvergedError) and abs(got[i] - w) <= _budget(data, w):
+    for i, w in enumerate(singles):
+        x = float(xs[i])
+        size = value_size(data, x, t, heat_eq)
+        truth = closed_form(data, x, t, heat_eq)
+        if truth is not None:
+            assert abs(got[i] - truth) <= 2.0 * RTOL * size, (data.spec, t, x, got[i], truth)
+        if not isinstance(w, NotConvergedError) and abs(got[i] - w) <= 4.0 * RTOL * size:
             continue
-        truth = tanh_sinh_quotient(data, float(xs[i]), t, heat_eq)
-        budget = 2.0 * RTOL * (abs(truth) + 1e-3 * data.sup_abs)
-        assert abs(got[i] - truth) <= budget, (data.spec, t, xs[i], got[i], w, truth)
+        if truth is None:
+            g = data.value if heat_eq else burgers._F0
+            truth = quadpack_moments(data, x, t, [g], heat_eq)[0]
+        budget = 2.0 * RTOL * size
+        assert abs(got[i] - truth) <= budget, (data.spec, t, x, got[i], w, truth)
         assert isinstance(w, NotConvergedError) or abs(w - truth) > budget
-    # a point's value does not depend on the other points of its call, up
-    # to round-off of the numerator, whose L1 scale is sup|f0| times the
-    # denominator: at the zeros of odd data the values are that round-off
-    i = pick % xs.size
-    alone = batch(data, xs[i:i + 1], t)[0]
-    assert abs(alone - got[i]) <= 1e-14 * (abs(got[i]) + data.sup_abs)
 
 
 @settings(max_examples=40, deadline=None)
-@given(case=batch_cases(), pick=st.integers(0, 12))
-def test_eval_batch_matches_eval(case, pick):
+@given(case=batch_cases())
+def test_eval_batch_matches_eval(case):
     data, t, xs = case
-    check_against_scalar(burgers.eval_batch, burgers.eval, data, t, xs, pick, heat_eq=False)
+    check_against_single(burgers.eval_batch, burgers.eval, data, t, xs, heat_eq=False)
 
 
 @settings(max_examples=40, deadline=None)
-@given(case=batch_cases(), pick=st.integers(0, 12))
-def test_heat_eval_batch_matches_heat_eval(case, pick):
+@given(case=batch_cases())
+def test_heat_eval_batch_matches_heat_eval(case):
     data, t, xs = case
-    check_against_scalar(heat.heat_eval_batch, heat.heat_eval, data, t, xs, pick, heat_eq=True)
+    check_against_single(heat.heat_eval_batch, heat.heat_eval, data, t, xs, heat_eq=True)
+
+
+def test_mended_single_points():
+    # the heap refinement this path replaced returned 9.68e-7 for the first
+    # (no edge at the bump of the Gaussian) and 0.0140261570736 for the
+    # second (one panel over the tail beyond the narrow peak)
+    gauss = make_family(FamilySpec("Gaussian", extra={"amplitude": 1.0, "sigma": 1.0}))
+    want = closed_form(gauss, 5000.0, 1e6, heat_eq=True)
+    assert want == pytest.approx(1.930465236359e-6, rel=1e-12)
+    assert heat.heat_eval(gauss, 5000.0, 1e6) == pytest.approx(want, rel=1e-9)
+    asym = make_family(FamilySpec("Asymmetric", kappa=1.63, alpha=0.50, beta=0.925))
+    assert burgers.eval(asym, 73839.6, 5.29e6) == pytest.approx(0.0140184594840589, abs=1e-9)
+
+
+def counted_locate(monkeypatch):
+    """Count the calls of the kernel's last resort, locate_critical_points."""
+    calls = []
+    monkeypatch.setattr(quadrature, "locate_critical_points",
+                        lambda phase: calls.append(phase.x) or locate_critical_points(phase))
+    return calls
 
 
 @pytest.mark.parametrize("family", ["PowerC0", "PowerC1"])
-def test_point_at_a_piece_end_falls_back(family):
+def test_point_at_a_piece_end_falls_back(monkeypatch, family):
     # x = G_t(p) at an end p of a monotone piece of G_t: a degenerate
-    # critical point (PowerC1) or one at the kink of f0 (PowerC0)
+    # critical point (PowerC1) or one at the kink of f0 (PowerC0) gets
+    # locate_critical_points, and its value is QUADPACK's
     data = make_family(FamilySpec(family, kappa=1.0, alpha=0.5))
     t = 1e3
     bounds, rising = monotone_pieces(data, t, 1e4)
     assert rising.tolist() == [True, False, True]
+    calls = counted_locate(monkeypatch)
     for p in bounds:
         xs = np.asarray([p + t * data.value(p), 0.0])
-        vals, ok = ratio_moments_batch([burgers._F0], data, xs, t)
-        assert ok.tolist() == [False, True] and np.isnan(vals[0, 0])
-        assert burgers.eval_batch(data, xs, t)[0] == burgers.eval(data, float(xs[0]), t)
+        del calls[:]
+        got = burgers.eval_batch(data, xs, t)
+        assert calls == [xs[0]]
+        want = quadpack_moments(data, float(xs[0]), t, [burgers._F0])[0]
+        assert got[0] == pytest.approx(want, rel=2.0 * RTOL)
+        assert got[0] == pytest.approx(burgers.eval(data, float(xs[0]), t), rel=1e-14)
 
 
 def starved_kernel(budget):
@@ -151,20 +193,18 @@ def starved_kernel(budget):
     return Starved
 
 
-def test_starved_panel_budget_falls_back(monkeypatch, power_c1_half):
+def test_starved_panel_budget_raises(monkeypatch, power_c1_half):
+    # a point that misses its target within the budget raises, naming the
+    # weight, x and t; the kernel has no second path to hide it
     xs = np.asarray([-3.0, 0.0, 5.0])
     t = 40.0
-    vals, ok = starved_kernel(12)([burgers._F0], power_c1_half, t)(xs)
-    assert not ok.any() and np.all(np.isnan(vals))
-    # the kernel starved: eval_batch returns the scalar path's values
+    with pytest.raises(NotConvergedError, match=r"^weight 0 .* at x=-3, t=40: error "):
+        starved_kernel(12)([burgers._F0], power_c1_half, t)(xs)
     monkeypatch.setattr(burgers, "BatchKernel", starved_kernel(12))
-    got = burgers.eval_batch(power_c1_half, xs, t)
-    assert got.tolist() == [burgers.eval(power_c1_half, float(x), t) for x in xs]
-    # both starved: the scalar path's error, naming the point
-    monkeypatch.setattr(burgers, "ratio_moments",
-                        functools.partial(quadrature.ratio_moments, max_panels=12))
-    with pytest.raises(NotConvergedError, match=r"weight 0 .* at x=-3, t=40"):
+    with pytest.raises(NotConvergedError, match=r"^weight 0 .* at x=-3, t=40: error "):
         burgers.eval_batch(power_c1_half, xs, t)
+    with pytest.raises(NotConvergedError, match=r"^weight 0 .* at x=5, t=40: error "):
+        burgers.eval(power_c1_half, 5.0, t)
 
 
 def pointwise(fn):
@@ -235,13 +275,21 @@ def test_lockstep_refinement_equals_scipy_scan(power_c0, t):
 
 @pytest.mark.parametrize("n_coarse", [65, 129])
 def test_sup_norm_matches_mpmath_at_its_argmax(power_c0, n_coarse):
-    # the value the scan ranked is the batch kernel's; the scalar scan it
-    # replaces read 0.21124695603 at n_coarse 65, 2.6e-7 high from the
-    # kink of f0 at y = 0
+    # the value the scan ranked is the batch kernel's; a scan on the old
+    # heap refinement read 0.21124695603 at n_coarse 65, 2.6e-7 high from
+    # the kink of f0 at y = 0.  PowerC0 has a closed-form primitive, so
+    # mpmath's tanh-sinh rule between the breaks of oracle_breaks holds here
     t = 1e3
     got = burgers.sup_norm(power_c0, t, n_coarse=n_coarse)
-    want = tanh_sinh_quotient(power_c0, got.argmax_x, t, heat_eq=False)
-    assert got.value == pytest.approx(want, rel=1e-9)
+    phase = PhysicalPhase(power_c0, got.argmax_x, t)
+    top, breaks = oracle_breaks(phase)
+    breaks = [-mpmath.inf] + breaks + [mpmath.inf]
+
+    def e(y):
+        return mpmath.exp(float(phase.total(float(y))) - top)
+
+    num = mpmath.quad(lambda y: float(power_c0.value(float(y))) * e(y), breaks)
+    assert got.value == pytest.approx(float(num / mpmath.quad(e, breaks)), rel=1e-9)
 
 
 @pytest.mark.parametrize("t", [1e3, 1180.0, 1e6])
@@ -268,9 +316,7 @@ def moment_sizes(data, xs, t):
     n = len(burgers._FIELD_WEIGHTS)
     w = quadrature.compile_weights(burgers._FIELD_WEIGHTS, data, t)
     gs = burgers._FIELD_WEIGHTS + [lambda y, i=i: np.abs(w(y)[i]) for i in range(n)]
-    q, ok = ratio_moments_batch(gs, data, xs, t, 1e-6)
-    for i in np.nonzero(~ok)[0]:
-        q[:, i] = quadrature.ratio_moments(gs, PhysicalPhase(data, float(xs[i]), t), 1e-6)
+    q = BatchKernel(gs, data, t)(xs, 1e-6)
     return q[:n], np.abs(q[:n]) + 1e-3 * q[n:]
 
 
@@ -293,7 +339,7 @@ def quadpack_moments(data, x, t, gs=None, heat_eq=False):
     heat_eq) by QUADPACK (scipy's quad, rel 1e-13 per piece) between the
     breaks of oracle_breaks and at +-2^k, k < 7.  Not tanh-sinh: it assumes
     an analytic integrand and stalls on the tabulated primitive of Gaussian
-    data (5e-9 off at t = 3.7e6, x = -55340, with breaks at 1, 2, 4 and 8)."""
+    data (6e-4 off at t = 3.73e6, x = -55339.67)."""
     gs = burgers._FIELD_WEIGHTS if gs is None else gs
     phase = PhysicalPhase(ZERO if heat_eq else data, x, t)
     top, breaks = oracle_breaks(phase)
@@ -332,19 +378,21 @@ def settled_fields(data, x, t, rel_tol):
                25491280.014810264, np.linspace(-1584040.81614137, 1584040.81614137, 9)),
          rel_tol=1e-8)
 def test_derivative_fields_batch_matches_derivative_fields(case, rel_tol):
-    """derivative_fields_batch against derivative_fields at every x, each
-    field within 10 rel_tol of its error size (field_scales of
-    moment_sizes).  Where they are further apart
-    the scalar value is settled at rel_tol 1e-12: the scalar path meets
-    rel_tol per moment, and the cancellation in f_x, f_t and f_xx amplifies
-    that.  Where the settled value is off too, QUADPACK settles it: the
-    scalar partition misses the tail beyond a narrow peak, and the mass of
-    Gaussian data at large t."""
+    """derivative_fields_batch against derivative_fields (a batch of one)
+    at every x, each field within 10 rel_tol of its error size
+    (field_scales of moment_sizes).  Where they are further apart the
+    single point is settled at rel_tol 1e-12: each moment meets rel_tol,
+    and the cancellation in f_x, f_t and f_xx amplifies that.  Where the
+    settled value is off too, QUADPACK settles it.  A batch that raises
+    NotConvergedError raises that of the first point that raises on its
+    own."""
     data, t, xs = case
     try:
         got = burgers.derivative_fields_batch(data, xs, t, rel_tol)
-    except NotConvergedError:
-        return  # its scalar fallback raised, as test_eval_batch_matches_eval settles
+    except NotConvergedError as exc:
+        same_failure(exc, single_points(
+            lambda d, x, tt: burgers.derivative_fields(d, x, tt, rel_tol), data, xs, t))
+        return
     scales = field_scales(*moment_sizes(data, xs, t))
     for i, x in enumerate(xs):
         budget = {name: 10.0 * rel_tol * scales[name][i] for name in FIELDS}
@@ -357,16 +405,18 @@ def test_derivative_fields_batch_matches_derivative_fields(case, rel_tol):
                                   want))
 
 
-def test_derivative_fields_batch_falls_back_per_point(power_c0):
-    # x = G_t(p) at the kink p = 0 of PowerC0 is a piece end: that point is
-    # derivative_fields', the other is the kernel's
+def test_derivative_fields_batch_falls_back_per_point(monkeypatch, power_c0):
+    # x = G_t(p) at the kink p = 0 of PowerC0 is a piece end: that point
+    # alone gets locate_critical_points, and its fields are QUADPACK's
     t = 1e3
     xs = np.asarray([t * power_c0.value(0.0), 5.0])
-    _vals, ok = ratio_moments_batch(burgers._FIELD_WEIGHTS, power_c0, xs, t)
-    assert ok.tolist() == [False, True]
+    calls = counted_locate(monkeypatch)
     got = burgers.derivative_fields_batch(power_c0, xs, t)
-    want = burgers.derivative_fields(power_c0, float(xs[0]), t)
-    assert {name: got[name][0] for name in FIELDS} == want
+    assert calls == [xs[0]]
+    want = burgers._fields(quadpack_moments(power_c0, float(xs[0]), t))
+    scales = field_scales(*moment_sizes(power_c0, xs[:1], t))
+    for name in FIELDS:
+        assert abs(got[name][0] - want[name]) <= 10.0 * 1e-10 * scales[name][0]
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +443,8 @@ def heat_derivative_and_size(data, x, t, m, exact=False):
     mpmath at 40 digits).
 
     The weight is written out here with numpy's hermval.  The quotients are
-    taken on the scalar path to rel_tol 1e-6, which is plenty for a budget,
-    or with exact by QUADPACK (quadpack_moments): the scalar path misses the
-    bump of Gaussian data at large t."""
+    taken on the kernel (ratio_moments) to rel_tol 1e-6, which is plenty for
+    a budget, or with exact by QUADPACK (quadpack_moments)."""
     coeffs = [0.0] * m + [1.0]
 
     def signed(y):
@@ -413,27 +462,23 @@ def heat_derivative_and_size(data, x, t, m, exact=False):
 
 @settings(max_examples=30, deadline=None)
 @given(case=batch_cases(), order=st.sampled_from(HEAT_ORDERS),
-       rel_tol=st.sampled_from([1e-8, 1e-10]), pick=st.integers(0, 12))
-def test_heat_derivative_batch_matches_heat_derivative(case, order, rel_tol, pick):
-    """heat_derivative_batch against heat_derivative at every x, within both
-    paths' budgets 4 rel_tol size + 2 roundoff (heat_derivative_and_size).
-    Where they are further apart, QUADPACK settles it: the batch value is
-    within 2 rel_tol size + 2 roundoff of it, and the scalar value is not.
-    Where the scalar path raises NotConvergedError, the batch either meets
-    its budget or raises that same error from its fallback."""
+       rel_tol=st.sampled_from([1e-8, 1e-10]))
+def test_heat_derivative_batch_matches_heat_derivative(case, order, rel_tol):
+    """heat_derivative_batch against heat_derivative (a batch of one) at
+    every x, within both calls' budgets 4 rel_tol size + 2 roundoff
+    (heat_derivative_and_size).  Where they are further apart, QUADPACK
+    settles it: the batch value is within 2 rel_tol size + 2 roundoff of
+    it, and the single one is not.  A batch that raises NotConvergedError
+    raises that of the first point that raises on its own."""
     data, t, xs = case
     n, k = order
     m = 2 * n + k
-    want = []
-    for x in xs:
-        try:
-            want.append(heat.heat_derivative(data, float(x), t, n, k, rel_tol))
-        except NotConvergedError as exc:
-            want.append(exc)
+    want = single_points(lambda d, x, tt: heat.heat_derivative(d, x, tt, n, k, rel_tol),
+                         data, xs, t)
     try:
         got = heat.heat_derivative_batch(data, xs, t, n, k, rel_tol)
     except NotConvergedError as exc:
-        assert str(exc) in [str(w) for w in want if isinstance(w, NotConvergedError)]
+        same_failure(exc, want)
         return
     sizes = [heat_derivative_and_size(data, float(x), t, m)[1:] for x in xs]
     for i, w in enumerate(want):
@@ -445,11 +490,6 @@ def test_heat_derivative_batch_matches_heat_derivative(case, order, rel_tol, pic
         budget = 2.0 * rel_tol * size + 2.0 * roundoff
         assert abs(got[i] - truth) <= budget, (data.spec, t, xs[i], order, got[i], w, truth)
         assert isinstance(w, NotConvergedError) or abs(w - truth) > budget
-    # a point's value does not depend on the other points of its call, up
-    # to round-off of the numerator on its L1 scale, at most 1e3 times the size
-    i = pick % xs.size
-    alone = heat.heat_derivative_batch(data, xs[i:i + 1], t, n, k, rel_tol)[0]
-    assert abs(alone - got[i]) <= 1e-11 * sizes[i][0]
 
 
 def test_heat_derivative_at_a_ddecay_argmax():
@@ -464,26 +504,17 @@ def test_heat_derivative_at_a_ddecay_argmax():
     assert got[0] == pytest.approx(want, rel=1e-12)
 
 
-def test_heat_derivative_batch_falls_back_per_point(monkeypatch, power_c1_half):
+def test_starved_heat_derivative_raises(monkeypatch, power_c1_half):
     # with 18 panels a point the kernel meets its targets at x = -3 and 5,
-    # not at x = 0: that point is heat_derivative's
+    # not at x = 0: the batch raises, naming that point
     xs = np.asarray([-3.0, 0.0, 5.0])
     t = 40.0
     monkeypatch.setattr(heat, "BatchKernel", starved_kernel(18))
-    vals, ok = heat.BatchKernel([HermiteWeight(1, power_c1_half.value)], ZERO, t)(xs)
-    assert ok.tolist() == [True, False, True]
-    got = heat.heat_derivative_batch(power_c1_half, xs, t, 0, 1)
-    assert got[1] == heat.heat_derivative(power_c1_half, 0.0, t, 0, 1)
-    assert got[ok].tolist() == (-vals[0, ok] / (2.0 * math.sqrt(t))).tolist()
-
-
-def test_starved_heat_derivative_raises_the_scalar_error(monkeypatch, power_c1_half):
-    xs = np.asarray([-3.0, 0.0, 5.0])
-    t = 40.0
+    assert np.all(np.isfinite(heat.heat_derivative_batch(power_c1_half, xs[[0, 2]], t, 0, 1)))
+    with pytest.raises(NotConvergedError, match=r"^weight 0 .* at x=0, t=40: error "):
+        heat.heat_derivative_batch(power_c1_half, xs, t, 0, 1)
     monkeypatch.setattr(heat, "BatchKernel", starved_kernel(12))
-    monkeypatch.setattr(heat, "ratio_moment", lambda g, phase, rel_tol: quadrature.ratio_moments(
-        [g], phase, rel_tol, max_panels=12)[0])
-    with pytest.raises(NotConvergedError, match=r"weight 0 .* at x=-3, t=40"):
+    with pytest.raises(NotConvergedError, match=r"^weight 0 .* at x=-3, t=40: error "):
         heat.heat_derivative_batch(power_c1_half, xs, t, 1, 0)
 
 
@@ -518,10 +549,8 @@ def test_reused_kernel_equals_a_fresh_one(power_c0, t):
     kernel = BatchKernel(burgers._FIELD_WEIGHTS, power_c0, t)
     for xs in (np.linspace(-10.0 * m, 10.0 * m, 9), np.asarray([0.3 * m, 1.1 * m]),
                np.asarray([t * power_c0.value(0.0)])):
-        got, ok = kernel(xs)
-        want, want_ok = ratio_moments_batch(burgers._FIELD_WEIGHTS, power_c0, xs, t)
-        assert ok.tolist() == want_ok.tolist()
-        assert np.array_equal(got, want, equal_nan=True)
+        want = BatchKernel(burgers._FIELD_WEIGHTS, power_c0, t)(xs)
+        assert np.array_equal(kernel(xs), want)
 
 
 def test_kernel_tabulates_again_beyond_its_reach(monkeypatch, power_c1_third):
@@ -534,12 +563,12 @@ def test_kernel_tabulates_again_beyond_its_reach(monkeypatch, power_c1_third):
     kernel(np.asarray([-10.0, 5.0]))
     assert kernel.x_reach == 10.0
     xs = np.asarray([5.0, 3e5])
-    want, want_ok = ratio_moments_batch([burgers._F0], power_c1_third, xs, t)
+    want = BatchKernel([burgers._F0], power_c1_third, t)(xs)
     tables = []
     monkeypatch.setattr(quadrature, "monotone_pieces",
                         lambda *args: tables.append(args) or monotone_pieces(*args))
-    got, ok = kernel(xs)
+    got = kernel(xs)
     assert len(tables) == 1 and kernel.x_reach == 3e5
-    assert ok.tolist() == want_ok.tolist() and np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(got, want)
     kernel(xs[:1])
     assert len(tables) == 1

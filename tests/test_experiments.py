@@ -259,14 +259,17 @@ def test_profile_runner_reports_spurious_maxima_flag(tmp_path):
 
 
 def _cheap_ddecay(monkeypatch, tmp_path, tie_error):
-    """ddecay on PowerC0 with a constant derivative and a tie-point search
-    that raises tie_error: only the fallback handling is exercised."""
+    """ddecay on PowerC0 with constant derivative fields and a tie-point
+    search that raises tie_error: only the fallback handling is exercised."""
     from hopfcole import burgers, experiments
 
     def tie(data, t):
         raise tie_error
 
-    monkeypatch.setattr(burgers, "eval_derivative", lambda *a, **k: 1.0)
+    def fields(data, t, rel_tol):
+        return lambda xs: {name: np.ones(np.size(xs)) for name in burgers.FIELD_OF_ORDER.values()}
+
+    monkeypatch.setattr(burgers, "derivative_fields_scorer", fields)
     monkeypatch.setattr(experiments, "phase_tie_point", tie)
     cfg = ExperimentConfig(experiment="ddecay",
                            family=FamilySpec("PowerC0", kappa=1.0, alpha=0.5),

@@ -222,6 +222,13 @@ def test_custom_data():
         make_family(FamilySpec("Custom"))
 
 
+def test_custom_data_requires_its_sup():
+    # sup|f0| brackets every critical point; sampling f0 cannot bound it
+    # (here the sup 2.0 sits at y = 2e7)
+    with pytest.raises(TypeError):
+        make_custom(lambda y: 0.1 * np.exp(-y * y) + 2.0 * np.exp(-((y - 2e7) / 1e6) ** 2))
+
+
 def test_primitive_cache_concurrent_extension():
     d = make_family(FamilySpec("PowerC1", kappa=1.0, alpha=0.5))
     d.primitive(1.0)  # seed a small cache

@@ -243,19 +243,10 @@ def test_linearity(power_c1_half):
     assert lhs == pytest.approx(rhs, abs=2.0 * (r[0].abs_error + r[1].abs_error + r[2].abs_error))
 
 
-def test_change_of_variable_consistency(power_c1_third):
-    # physical and rescaled quotients agree (weights take physical
-    # coordinates in either mode)
-    rng = np.random.default_rng(42)
-    alpha = 1.0 / 3.0
-    for _ in range(20):
-        t = 10.0 ** rng.uniform(1, 6)
-        x = rng.uniform(-3, 3) * t ** (1.0 / (1.0 + alpha))
-        rp = ratio_moment(MomentWeight.f0(), PhysicalPhase(power_c1_third, x, t))
-        m = t ** (1.0 / (1.0 + alpha))
-        rr = ratio_moment(MomentWeight.f0(),
-                          RescaledPhase(power_c1_third, x / m, t))
-        assert rp == pytest.approx(rr, rel=1e-8)
+def test_integrals_take_the_physical_phase_only(power_c1_third):
+    # the rescaled phase serves critical-point location only
+    with pytest.raises(TypeError):
+        integrate_moments([None], RescaledPhase(power_c1_third, 1.0, 1e3))
 
 
 def test_brute_force_oracle_power_c1(power_c1_half):

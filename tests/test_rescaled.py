@@ -231,6 +231,13 @@ def test_concentration_reflects_positive_data(power_c0):
     assert a.ratio == pytest.approx(b.ratio, rel=1e-9)
 
 
+def test_concentration_far_below_the_peak(power_c0):
+    # the strip lies about 98 e-folds below the peak of the phase, beyond
+    # any full-line truncation: the window has its own max subtraction
+    r = concentration_ratio(negate_reflect(power_c0), 0.0, 1e7, -0.1, 0.1)
+    assert r.log_ratio == pytest.approx(-98.1780342861395, rel=1e-9)  # QUADPACK
+
+
 def test_concentration_validation(zero_data):
     with pytest.raises(ValueError):
         concentration_ratio(zero_data, 0.0, 1.0, 0.1, 0.2)
