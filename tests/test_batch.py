@@ -86,24 +86,23 @@ def closed_form(data, x, t, heat_eq):
     return None
 
 
-def value_size(data, x, t, heat_eq):
-    """|r| + 1e-3 l1 for the quotient r of f0 and the quotient l1 of |f0|:
-    the kernel's targets rel_tol max(|I|, 1e-3 L1) on the numerator and
-    rel_tol |I| on the denominator put the quotient within 2 rel_tol of
-    this size.  Quotients on the kernel to rel_tol 1e-6, plenty for a
-    budget."""
+def value_sizes(data, xs, t, heat_eq):
+    """|r| + 1e-3 l1 at every x, for the quotient r of f0 and the quotient
+    l1 of |f0|: the kernel's targets rel_tol max(|I|, 1e-3 L1) on the
+    numerator and rel_tol |I| on the denominator put the quotient within
+    2 rel_tol of this size.  Quotients on the kernel to rel_tol 1e-6,
+    plenty for a budget."""
     g = burgers._F0 if not heat_eq else data.value
     phase_data = ZERO if heat_eq else data
     w = quadrature.compile_weights([g], phase_data, t)
-    r, l1 = BatchKernel([g, lambda y: np.abs(w(y)[0])], phase_data, t)(
-        np.asarray([x]), 1e-6)[:, 0]
-    return abs(r) + 1e-3 * l1
+    r, l1 = BatchKernel([g, lambda y: np.abs(w(y)[0])], phase_data, t)(xs, 1e-6)
+    return np.abs(r) + 1e-3 * l1
 
 
 def check_against_single(batch, single, data, t, xs, heat_eq):
     """batch(data, xs, t) against single(data, x, t) at every x.
 
-    Values agree within both calls' budgets, 4 RTOL times value_size.  Where
+    Values agree within both calls' budgets, 4 RTOL times value_sizes.  Where
     they are further apart, the closed form or QUADPACK (quadpack_moments)
     settles it: the batch value is within 2 RTOL of its size and the single
     one is not.  Where there is a closed form, every batch value is within
@@ -115,9 +114,9 @@ def check_against_single(batch, single, data, t, xs, heat_eq):
     except NotConvergedError as exc:
         same_failure(exc, singles)
         return
+    sizes = value_sizes(data, xs, t, heat_eq)
     for i, w in enumerate(singles):
-        x = float(xs[i])
-        size = value_size(data, x, t, heat_eq)
+        x, size = float(xs[i]), sizes[i]
         truth = closed_form(data, x, t, heat_eq)
         if truth is not None:
             assert abs(got[i] - truth) <= 2.0 * RTOL * size, (data.spec, t, x, got[i], truth)
