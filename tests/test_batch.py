@@ -503,9 +503,25 @@ def test_heat_derivative_at_a_ddecay_argmax():
     assert got[0] == pytest.approx(want, rel=1e-12)
 
 
-def test_starved_heat_derivative_raises(monkeypatch, power_c1_half):
+def test_heat_derivative_batch_falls_back_per_point(monkeypatch, power_c1_half):
+    # G_t(y) = y of the heat phase has one rising piece; split it at y = 0
+    # and x = 0 lies at a piece end: that point alone gets
+    # locate_critical_points, and every value is that of the unsplit kernel
+    xs = np.asarray([-3.0, 0.0, 5.0])
+    t = 40.0
+    want = heat.heat_derivative_batch(power_c1_half, xs, t, 0, 1)
+    monkeypatch.setattr(quadrature, "monotone_pieces",
+                        lambda data, t, reach: (np.asarray([0.0]), np.asarray([True, True])))
+    calls = counted_locate(monkeypatch)
+    got = heat.heat_derivative_batch(power_c1_half, xs, t, 0, 1)
+    assert calls == [0.0]
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_starved_heat_derivative_raises_the_scalar_error(monkeypatch, power_c1_half):
     # with 18 panels a point the kernel meets its targets at x = -3 and 5,
-    # not at x = 0: the batch raises, naming that point
+    # not at x = 0: the batch raises, naming that point; with 12 it raises
+    # at x = -3 the error of heat_derivative there, a batch of one
     xs = np.asarray([-3.0, 0.0, 5.0])
     t = 40.0
     monkeypatch.setattr(heat, "BatchKernel", starved_kernel(18))
@@ -513,8 +529,11 @@ def test_starved_heat_derivative_raises(monkeypatch, power_c1_half):
     with pytest.raises(NotConvergedError, match=r"^weight 0 .* at x=0, t=40: error "):
         heat.heat_derivative_batch(power_c1_half, xs, t, 0, 1)
     monkeypatch.setattr(heat, "BatchKernel", starved_kernel(12))
-    with pytest.raises(NotConvergedError, match=r"^weight 0 .* at x=-3, t=40: error "):
+    with pytest.raises(NotConvergedError, match=r"^weight 0 .* at x=-3, t=40: error ") as single:
+        heat.heat_derivative(power_c1_half, -3.0, t, 1, 0)
+    with pytest.raises(NotConvergedError, match=r"^weight 0 .* at x=-3, t=40: error ") as batch:
         heat.heat_derivative_batch(power_c1_half, xs, t, 1, 0)
+    assert str(batch.value) == str(single.value)
 
 
 # ---------------------------------------------------------------------------
