@@ -72,8 +72,11 @@ def heat_derivative_batch(data: InitialData, xs, t: float, n: int, k: int,
 def heat_derivative_scorer(data: InitialData, t: float, n: int, k: int,
                            rel_tol: float = 1e-9):
     """heat_derivative_batch at one t > 0 as a function of xs, on one kernel
-    setup (quadrature.BatchKernel) for all its calls."""
+    setup (quadrature.BatchKernel) for all its calls; order 0 is the heat
+    solution itself (H_0 = 1), f0 at t = 0."""
     m = _hermite_order(n, k)
+    if m == 0:
+        return _heat_eval_scorer(data, t, rel_tol)
     kernel = BatchKernel([HermiteWeight(m, data.value)], _ZERO, t)
     scale = (-1.0 / (2.0 * math.sqrt(t))) ** m
 

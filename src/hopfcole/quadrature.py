@@ -702,6 +702,9 @@ def _batch_critical_points(ph, xs, bounds, rising):
     has = (lo <= hi) & (h(lo, x, sgn) <= 0.0) & (h(hi, x, sgn) >= 0.0)
     pt, x, sgn, lo, hi = pt[has], x[has], sgn[has], lo[has], hi[has]
     y = 0.5 * (lo + hi)
+    # each root stops at its own last step, so it does not depend on the
+    # other points of the batch: a single point is a batch of one
+    live = np.ones(y.size, dtype=bool)
     for _ in range(100):
         g = h(y, x, sgn)
         lo = np.where(g <= 0.0, y, lo)
@@ -709,9 +712,10 @@ def _batch_critical_points(ph, xs, bounds, rising):
         with np.errstate(divide="ignore", invalid="ignore"):
             step = y - g / (sgn * ph.slope(y))
         nxt = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
-        done = np.all(np.abs(nxt - y) <= 1e-15 * np.abs(nxt) + 1e-300)
-        y = nxt
-        if done:
+        moved = np.abs(nxt - y) > 1e-15 * np.abs(nxt) + 1e-300
+        y = np.where(live, nxt, y)
+        live &= moved
+        if not live.any():
             break
     d1 = ph.slope(y)
     res = np.abs(y + t * data.value(y) - x)

@@ -74,6 +74,15 @@ def test_derivative_vs_finite_difference(power_c1_half):
     assert dt == pytest.approx(fdt, rel=1e-4, abs=1e-9)
 
 
+def test_derivative_of_order_0_is_heat_eval(power_c1_half, gaussian_data):
+    # order 0 is the heat solution itself, f0 at t = 0
+    for data in (power_c1_half, gaussian_data):
+        assert heat.heat_derivative(data, 0.7, 0.0, 0, 0) == float(data.value(0.7))
+        assert heat.heat_derivative(data, 0.7, 20.0, 0, 0) == heat.heat_eval(data, 0.7, 20.0)
+    with pytest.raises(ValueError):
+        heat.heat_derivative(power_c1_half, 0.7, 0.0, 0, 1)
+
+
 def test_derivative_order_cap(power_c1_half):
     with pytest.raises(UnsupportedOrderError):
         heat.heat_derivative(power_c1_half, 0.0, 1.0, 2, 2)
