@@ -536,11 +536,9 @@ def run_heat_profile(cfg: ExperimentConfig):
 def run_fd_compare(cfg: ExperimentConfig):
     t0 = time.time()
     data = make_family(cfg.family)
-    d1 = finite_difference.compare_to_hopf_cole(
+    d1, d2 = finite_difference.compare_halved_dx(
         data, cfg.fd_t, cfg.fd_L, cfg.fd_nodes, scheme=cfg.fd_scheme)
-    n2 = 2 * (cfg.fd_nodes - 1) + 1
-    d2 = finite_difference.compare_to_hopf_cole(
-        data, cfg.fd_t, cfg.fd_L, n2, scheme=cfg.fd_scheme)
+    n2 = 2 * cfg.fd_nodes - 1
     dx1 = 2.0 * cfg.fd_L / (cfg.fd_nodes - 1)
     rows = [
         (cfg.fd_L, cfg.fd_nodes, dx1, cfg.fd_scheme, d1),

@@ -153,6 +153,26 @@ def compare_to_hopf_cole(data: InitialData, t: float, L: float, n: int,
     return float(np.max(np.abs(fld.values[mask] - exact)))
 
 
+def compare_halved_dx(data: InitialData, t: float, L: float, n: int,
+                      scheme: str = SCHEME_CRANK_NICOLSON) -> tuple[float, float]:
+    """compare_to_hopf_cole on n and 2n - 1 nodes, with one Hopf-Cole reference.
+
+    The (2n - 1)-node grid halves the step 2L/(n - 1) exactly, so every node
+    of the n-node grid is a node of the fine one, bit for bit; and a point's
+    Hopf-Cole value does not depend on its batch, so the reference on the
+    fine interior serves both grids.  Returns the (coarse, fine)
+    discrepancies, each equal to compare_to_hopf_cole's.
+    """
+    coarse = integrate(data, L, n, t, scheme=scheme)
+    fine = integrate(data, L, 2 * n - 1, t, scheme=scheme)
+    mask = np.abs(fine.x) <= 0.5 * L
+    exact = np.full(fine.n, np.nan)
+    exact[mask] = burgers.eval_batch(data, fine.x[mask], t)
+    cmask = mask[::2]  # coarse.x == fine.x[::2]
+    return (float(np.max(np.abs(coarse.values[cmask] - exact[::2][cmask]))),
+            float(np.max(np.abs(fine.values[mask] - exact[mask]))))
+
+
 def dump_csv(field_obj: GridField, path) -> None:
     """Write (x, value) rows for one snapshot."""
     with open(path, "w", newline="") as fh:

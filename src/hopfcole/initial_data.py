@@ -1,10 +1,12 @@
 """Initial-data families for the slow-decay Burgers/heat experiments.
 
 Each family provides the pointwise value f0(y), first and second
-derivatives, and the primitive P(y) = int_0^y f0(u) du.  The primitive is
-exact where a closed form exists and otherwise served from a cached
-adaptive quadrature (geometric blocks, extended on demand), because the
-phase of the exponential integrals evaluates it millions of times.
+derivatives, and the primitive P(y) = int_0^y f0(u) du.  The phase of the
+exponential integrals evaluates the primitive millions of times.  It is a
+closed form for PowerC0, PowerC1, SignFlipped, Asymmetric, Constant,
+Gaussian and Zero data; PowerLog and Custom data without a primitive
+callback are served from a cached adaptive quadrature (geometric blocks,
+extended on demand).
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import beta, betainc, erf
 
 FAMILIES = (
     "PowerC0",
@@ -292,6 +294,29 @@ class InitialData:
 # -- concrete families -------------------------------------------------------
 
 
+def _beta_half(e):
+    """B(1/2, (e+1)/2)/2, the constant of _power_c1_primitive's tail."""
+    return 0.5 * beta(0.5, 0.5 * (e + 1.0))
+
+
+def _power_c1_primitive(k, e, c, y):
+    """int_0^y k (1+u^2)^(-e/2) du for 0 < e < 1, with c = _beta_half(e).
+
+    e and c may be arrays like y.
+
+    With I_e(y) = int_0^y (1+u^2)^(-e/2) du, an integration by parts gives
+    (1-e) I_e(y) = y (1+y^2)^(-e/2) - e I_(e+2)(y), and u = tan(theta)
+    turns I_(e+2) into a regularized incomplete beta function with positive
+    parameters (DLMF 8.17): I_(e+2)(y) = sign(y) B(1/2, (e+1)/2)/2 *
+    betainc(1/2, (e+1)/2, y^2/(1+y^2)).  The bracket cancels by a factor
+    1/(1-e), so the relative error grows like eps/(1-e).  hypot keeps every
+    finite y free of overflow.
+    """
+    r = np.hypot(1.0, y)
+    tail = c * betainc(0.5, 0.5 * (e + 1.0), (y / r) ** 2)
+    return k * (y * r ** (-e) - e * np.copysign(tail, y)) / (1.0 - e)
+
+
 def _power_c0(spec):
     k, a = spec.kappa, spec.alpha
 
@@ -325,7 +350,12 @@ def _power_c1(spec):
         q = 1.0 + y * y
         return -a * k * q ** (-0.5 * (a + 4.0)) * (1.0 - (a + 1.0) * y * y)
 
-    return InitialData(spec, v, d1, d2, sup_abs=k)
+    c = _beta_half(a)
+
+    def p(y):
+        return _power_c1_primitive(k, a, c, y)
+
+    return InitialData(spec, v, d1, d2, p, sup_abs=k)
 
 
 def _power_log(spec):
@@ -396,7 +426,12 @@ def _asymmetric(spec):
         q = 1.0 + y * y
         return -e * k * q ** (-0.5 * (e + 4.0)) * (1.0 - (e + 1.0) * y * y)
 
-    return InitialData(spec, v, d1, d2, sup_abs=k)
+    ca, cb = _beta_half(a), _beta_half(b)
+
+    def p(y):
+        return _power_c1_primitive(k, _exp(y), np.where(y >= 0.0, ca, cb), y)
+
+    return InitialData(spec, v, d1, d2, p, sup_abs=k)
 
 
 def _constant(spec):
@@ -465,6 +500,8 @@ def make_family(spec: FamilySpec) -> InitialData:
     SignFlipped -> -kappa y (1+y^2)^(-(alpha+1)/2);
     Asymmetric -> PowerC1 tail with exponent alpha for y >= 0, beta for y < 0;
     Constant -> extra["level"]; Gaussian -> a exp(-y^2/(4 sigma)); Zero -> 0.
+    Every primitive is a closed form except PowerLog's, which the cached
+    quadrature serves.
     """
     if spec.family == "Custom":
         raise ValueError("Custom data takes callbacks; use make_custom()")

@@ -156,8 +156,7 @@ def test_criterion_07_fd_oracle_equivalence():
     data = make_family(FamilySpec("PowerC1", kappa=1.0, alpha=0.5))
     # the acceptance spacing is dx = 0.0125 (16001 nodes across a width-200
     # domain); the module's L argument is the half-width
-    d1 = finite_difference.compare_to_hopf_cole(data, 2.0, 100.0, 16001)
-    d2 = finite_difference.compare_to_hopf_cole(data, 2.0, 100.0, 32001)
+    d1, d2 = finite_difference.compare_halved_dx(data, 2.0, 100.0, 16001)
     ratio = d1 / d2
     ok = d1 <= 5e-4 and 1.4 <= ratio <= 2.6
     # the same comparison at dx = 0.025 is reported for completeness

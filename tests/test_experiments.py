@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hopfcole import burgers, finite_difference
 from hopfcole.cli import main
 from hopfcole.experiments import (
     ConfigError,
@@ -14,6 +15,7 @@ from hopfcole.experiments import (
     run_concentration,
     run_critical_z,
     run_decay,
+    run_fd_compare,
     run_field,
     run_heat_profile,
     run_properties,
@@ -196,6 +198,26 @@ def test_profile_runner_and_curve_csv(tmp_path):
 
 
 # -- CLI ---------------------------------------------------------------------
+
+
+def test_fd_compare_evaluates_one_reference(monkeypatch, tmp_path, power_c1_half):
+    calls = []
+    real = burgers.eval_batch
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[1]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(burgers, "eval_batch", counted)
+    cfg = ExperimentConfig(
+        experiment="fd_compare", family=FamilySpec("PowerC1", kappa=1.0, alpha=0.5),
+        fd_t=2.0, fd_L=25.0, fd_nodes=401, out_dir=str(tmp_path),
+    )
+    out = run_fd_compare(cfg)
+    assert calls == [401]  # the interior |x| <= L/2 of the 801-node grid
+    assert [row[1] for row in out["rows"]] == [401, 801]
+    assert out["rows"][0][4] == finite_difference.compare_to_hopf_cole(
+        power_c1_half, 2.0, 25.0, 401)
 
 
 def test_cli_field(tmp_path):

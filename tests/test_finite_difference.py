@@ -41,18 +41,16 @@ def test_pure_heat_second_order(gaussian_data):
 
 
 def test_upwind_first_order(power_c1_half):
-    ds = [fd.compare_to_hopf_cole(power_c1_half, 2.0, 50.0, n,
-                                  scheme=fd.SCHEME_EXPLICIT_UPWIND)
-          for n in (1001, 2001)]
+    ds = fd.compare_halved_dx(power_c1_half, 2.0, 50.0, 1001,
+                              scheme=fd.SCHEME_EXPLICIT_UPWIND)
     order = math.log2(ds[0] / ds[1])
     assert abs(order - 1.0) <= 0.2
 
 
 def test_crank_nicolson_also_first_order_in_dx(power_c1_half):
     # advective-limit stepping ties dt to dx, so the total error is O(dx)
-    ds = [fd.compare_to_hopf_cole(power_c1_half, 2.0, 50.0, n,
-                                  scheme=fd.SCHEME_CRANK_NICOLSON)
-          for n in (1001, 2001)]
+    ds = fd.compare_halved_dx(power_c1_half, 2.0, 50.0, 1001,
+                              scheme=fd.SCHEME_CRANK_NICOLSON)
     order = math.log2(ds[0] / ds[1])
     assert abs(order - 1.0) <= 0.3
 
@@ -60,6 +58,16 @@ def test_crank_nicolson_also_first_order_in_dx(power_c1_half):
 def test_compare_constant_tiny(constant_07):
     d = fd.compare_to_hopf_cole(constant_07, 1.0, 20.0, 401)
     assert d <= 1e-10
+
+
+def test_halved_dx_matches_two_comparisons(power_c1_half, constant_07):
+    # one Hopf-Cole reference serves both grids, bit for bit
+    for data, t, L, n in ((power_c1_half, 2.0, 25.0, 401),
+                          (power_c1_half, 2.0, 100.0, 1601),
+                          (constant_07, 1.0, 20.0, 401)):
+        got = fd.compare_halved_dx(data, t, L, n)
+        assert got == (fd.compare_to_hopf_cole(data, t, L, n),
+                       fd.compare_to_hopf_cole(data, t, L, 2 * n - 1))
 
 
 def test_cfl_rejection(power_c1_half):

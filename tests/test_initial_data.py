@@ -3,6 +3,7 @@ import math
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import erf, hyp2f1
@@ -94,9 +95,15 @@ def test_primitive_derivative_is_value(spec):
     assert np.all(np.abs(fd - v) <= np.maximum(1e-8, 1e-6 * np.abs(v)))
 
 
+def _cached_power_c1(kappa, alpha):
+    """PowerC1's values as Custom data, whose primitive the cache serves."""
+    value = make_family(FamilySpec("PowerC1", kappa=kappa, alpha=alpha)).value
+    return make_custom(value, sup_abs=kappa)
+
+
 def test_primitive_cache_against_hypergeometric():
     # closed form for the PowerC1 primitive via 2F1
-    d = make_family(FamilySpec("PowerC1", kappa=1.7, alpha=0.4))
+    d = _cached_power_c1(1.7, 0.4)
     for y in (-40.0, -2.0, 0.3, 5.0, 300.0):
         exact = 1.7 * y * hyp2f1(0.5, 0.2, 1.5, -y * y)
         assert d.primitive(y) == pytest.approx(exact, rel=1e-10)
@@ -106,7 +113,7 @@ def test_primitive_cache_against_hypergeometric():
 def test_primitive_cache_query_memory_is_bounded():
     # each query point takes a (32,) row of temporaries; a 2e5-point query
     # in one piece peaks near 160 MiB
-    d = make_family(FamilySpec("PowerC1", kappa=1.0, alpha=0.5))
+    d = _cached_power_c1(1.0, 0.5)
     y = np.linspace(-1e6, 1e6, 200_000)
     d.primitive(y)  # extend the cache outside the measurement
     tracemalloc.start()
@@ -119,6 +126,80 @@ def test_primitive_cache_query_memory_is_bounded():
     cache = d._cache
     whole = np.where(y == 0.0, 0.0, cache._partial(y, cache._arrays))
     np.testing.assert_allclose(got, whole, rtol=1e-15, atol=0.0)
+
+
+_ORACLE_ALPHAS = (0.1, 1 / 3, 0.5, 0.9, 0.99)
+_ORACLE_Y = np.geomspace(1e-8, 1e12, 21)  # both signs of each
+
+
+def _mp_value(spec):
+    """The family's value at 30 digits, as an mpmath function."""
+    k, a, b = (mpmath.mpf(v) if v is not None else None
+               for v in (spec.kappa, spec.alpha, spec.beta))
+    fam = spec.family
+    if fam == "PowerC0":
+        return lambda u: k * (1 + abs(u)) ** -a
+    if fam == "PowerC1":
+        return lambda u: k * (1 + u * u) ** (-a / 2)
+    if fam == "PowerLog":
+        return lambda u: (k * mpmath.sqrt(mpmath.e ** 2 + u * u) ** -a
+                          * mpmath.log(mpmath.sqrt(mpmath.e ** 2 + u * u)) ** -b)
+    if fam == "SignFlipped":
+        return lambda u: -k * u * (1 + u * u) ** (-(a + 1) / 2)
+    if fam == "Asymmetric":
+        return lambda u: k * (1 + u * u) ** (-(a if u >= 0 else b) / 2)
+    if fam == "Constant":
+        return lambda u: mpmath.mpf(spec.extra["level"])
+    amp, sigma = (mpmath.mpf(spec.extra[n]) for n in ("amplitude", "sigma"))
+    return lambda u: amp * mpmath.exp(-u * u / (4 * sigma))
+
+
+def _oracle_cases():
+    for a in _ORACLE_ALPHAS:
+        for fam in ("PowerC0", "PowerC1", "SignFlipped"):
+            yield FamilySpec(fam, kappa=1.3, alpha=a)
+        yield FamilySpec("PowerLog", kappa=1.3, alpha=a, beta=1.0)
+    # Asymmetric with each side's exponent from the alphas above
+    for a, b in zip(_ORACLE_ALPHAS, _ORACLE_ALPHAS[1:]):
+        yield FamilySpec("Asymmetric", kappa=1.3, alpha=a, beta=b)
+    yield FamilySpec("Constant", extra={"level": -0.7})
+    yield FamilySpec("Gaussian", extra={"amplitude": 1.5, "sigma": 2.0})
+
+
+@pytest.mark.parametrize("spec", list(_oracle_cases()),
+                         ids=lambda s: f"{s.family}-{s.alpha:.3g}-{s.beta}")
+def test_primitive_against_mpmath(spec):
+    """Relative error against a 30-digit integral of the family's value.
+
+    The bound is the incomplete-beta form's 4e-15/(1 - exponent) for PowerC1
+    and each side of Asymmetric, and the cache's rel_tol 1e-12 elsewhere.
+    The PowerC0 and SignFlipped closed forms subtract 1 from a power near 1,
+    so below |y| ~ 1e-4 they hold an absolute error eps kappa/(1 - alpha)
+    instead, which the phase of the exponential integrals does not see."""
+    d = make_family(spec)
+    f = _mp_value(spec)
+    closed_c1 = spec.family in ("PowerC1", "Asymmetric")
+    if closed_c1:
+        assert d._cache is None and d.primitive_error_bound == 0.0
+    floor = 0.0
+    if spec.family in ("PowerC0", "SignFlipped"):
+        floor = 2.0 * np.finfo(float).eps * spec.kappa / (1.0 - spec.alpha)
+    with mpmath.workdps(30):
+        for sign in (1.0, -1.0):
+            ys = sign * _ORACLE_Y
+            # cumulative 30-digit integral over one decade at a time
+            edges = [mpmath.mpf(0)] + [mpmath.mpf(float(y)) for y in ys]
+            exact = np.cumsum([mpmath.quad(f, [lo, hi], method="gauss-legendre")
+                               for lo, hi in zip(edges[:-1], edges[1:])])
+            exact = np.asarray([float(v) for v in exact])
+            if closed_c1:
+                e = spec.beta if sign < 0 and spec.beta is not None else spec.alpha
+                rel = 4e-15 / (1.0 - e)
+            else:
+                rel = 1e-12
+            err = np.abs(d.primitive(ys) - exact)
+            assert np.all(err <= rel * np.abs(exact) + floor), (
+                sign, float(np.max(err / np.abs(exact))), rel)
 
 
 def test_sign_flipped_primitive_closed_form():
@@ -230,7 +311,7 @@ def test_custom_data_requires_its_sup():
 
 
 def test_primitive_cache_concurrent_extension():
-    d = make_family(FamilySpec("PowerC1", kappa=1.0, alpha=0.5))
+    d = _cached_power_c1(1.0, 0.5)
     d.primitive(1.0)  # seed a small cache
 
     def worker(seed):
