@@ -29,7 +29,6 @@ from .quadrature import (
     MomentWeight,
     NotConvergedError,
     PhysicalPhase,
-    RescaledPhase,
     StabilizedIntegral,
     derive_t,
     derive_x,
@@ -62,6 +61,7 @@ from .rescaled import (
     critical_curve_finite,
     finite_branches,
     phase_tie_point,
+    rescaled_critical_points,
     rescaled_phase,
 )
 

@@ -21,14 +21,14 @@ import scipy
 from . import __version__ as _pkg_version
 from . import burgers, heat, finite_difference, profiles
 from .initial_data import FamilySpec, make_family
-from .quadrature import KIND_MIN, RescaledPhase, locate_critical_points
+from .quadrature import KIND_MIN
 from .profiles import (
     BRANCH_MINUS, BRANCH_PLUS, VARIANT_LIMIT_DERIVED, VARIANT_PRINTED,
     DiscontinuityError, TiePointError, invert_branch, profile_jump_location,
-    profile_value, log_corrected_scale,
+    profile_value,
 )
 from .rescaled import (TieWindowError, case_for_data, phase_tie_point, check_properties,
-                       concentration_ratio)
+                       concentration_ratio, default_space_scale, rescaled_critical_points)
 
 EXPERIMENTS = ("decay", "ddecay", "profile", "zc", "concentration",
                "properties", "heat_profile", "fd_compare", "field")
@@ -76,6 +76,10 @@ class ExperimentConfig:
             raise ConfigError("t_min must be positive")
         if self.t_max < self.t_min:
             raise ConfigError("t_max must be >= t_min")
+        if self.t_count is not None and self.t_count < 1:
+            raise ConfigError("t_count must be at least 1")
+        if self.z_count < 1:
+            raise ConfigError("z_count must be at least 1")
         if self.t_count is not None and self.experiment in _FIT_EXPERIMENTS \
                 and self.t_count < 4:
             raise ConfigError("fitting experiments need at least 4 time points")
@@ -209,14 +213,15 @@ def _json_default(obj):
 
 
 def _scales(data, t):
-    """(space scale, amplitude scale) of the long-time rescaling."""
+    """(space scale, amplitude scale) of the long-time rescaling; the space
+    scale is rescaled.default_space_scale."""
+    m = default_space_scale(data, t)
     if data.spec.family == "PowerLog":
-        mu = log_corrected_scale(data.spec.alpha, data.spec.beta, t)
-        return mu, t / mu
+        return m, t / m
     alpha = data.alpha
     if alpha is None:
-        return math.sqrt(t), math.sqrt(t)
-    return t ** (1.0 / (1.0 + alpha)), t ** (alpha / (1.0 + alpha))
+        return m, math.sqrt(t)
+    return m, t ** (alpha / (1.0 + alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +373,7 @@ def run_profile(cfg: ExperimentConfig):
         # spurious stationary points near the cusp are possible at finite t;
         # runs with more than 3 local maxima get flagged for inspection
         for zprobe in (zc - 0.5, zc + 0.5):
-            cps = locate_critical_points(
-                RescaledPhase(data, float(zprobe), float(t), space_scale=m))
+            cps = rescaled_critical_points(data, zprobe, float(t), space_scale=m)
             max_local_maxima = max(
                 max_local_maxima, sum(1 for c in cps if c.kind != KIND_MIN))
     results = {"jump_z": zc, "sup_errors": dict(zip(map(float, ts), sups)),

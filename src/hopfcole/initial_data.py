@@ -106,27 +106,18 @@ class FamilySpec:
         )
 
 
-_GL32 = np.polynomial.legendre.leggauss(32)
-_GL64 = np.polynomial.legendre.leggauss(64)
 _QUERY_CHUNK = 1024  # primitive-cache query points per vectorized batch
-
-
-def _gauss_legendre(fn, a, b, rule):
-    nodes, weights = rule
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return half * float(weights @ fn(mid + half * nodes))
 
 
 class _PrimitiveCache:
     """Cumulative int_0^y f over geometric blocks, extended lazily.
 
-    Block sums are adaptive 64-node Gauss-Legendre values; a query adds a
-    32-node partial panel from the nearest cached edge, so each call costs
-    one vectorized batch of f evaluations per _QUERY_CHUNK query points.
-    The state is one tuple (edges, cumulative sums at +edges, at -edges) of
-    arrays of equal length, replaced whole by an extension, so a reader
-    never sees the three of different lengths.
+    Block sums are adaptive_quadrature values to 1e-12; a query adds the G21
+    value of one partial panel from the nearest cached edge (_panel_eval), so
+    each call costs one vectorized batch of f evaluations per _QUERY_CHUNK
+    query points.  The state is one tuple (edges, cumulative sums at +edges,
+    at -edges) of arrays of equal length, replaced whole by an extension, so
+    a reader never sees the three of different lengths.
     """
 
     def __init__(self, fn, rel_tol=1e-12, first_edge=0.5):
@@ -138,15 +129,16 @@ class _PrimitiveCache:
         self._arrays = (np.asarray([0.0, first_edge]), np.asarray([0.0, pos]),
                         np.asarray([0.0, neg]))
 
-    def _block(self, a, b, depth=0):
-        v64 = _gauss_legendre(self._fn, a, b, _GL64)
-        v32 = _gauss_legendre(self._fn, a, b, _GL32)
-        err = abs(v64 - v32)
-        if err <= self._rel_tol * (abs(v64) + 1e-30) or depth >= 40:
-            self.error_bound = max(self.error_bound, err)
-            return v64
-        mid = 0.5 * (a + b)
-        return self._block(a, mid, depth + 1) + self._block(mid, b, depth + 1)
+    def _block(self, a, b):
+        """int_a^b f; a block that misses its target raises NotConvergedError."""
+        from .quadrature import NotConvergedError, adaptive_quadrature  # imports this module
+        lo, hi = min(a, b), max(a, b)
+        value, err, converged = adaptive_quadrature(self._fn, [lo, hi], rel_tol=self._rel_tol)
+        if not converged:
+            raise NotConvergedError(
+                f"primitive block [{lo:.6g}, {hi:.6g}] did not converge: error {err:.3g}")
+        self.error_bound = max(self.error_bound, err)
+        return value if b > a else -value
 
     def _extend_to(self, target):
         mags, cum_pos, cum_neg = (a.tolist() for a in self._arrays)
@@ -166,24 +158,18 @@ class _PrimitiveCache:
         arrays = self._arrays
         flat = y.ravel()
         out = np.empty(flat.shape)
-        # each query point costs a (32,) row of temporaries: chunk the query
+        # each query point costs a (31,) row of temporaries: chunk the query
         for lo in range(0, flat.size, _QUERY_CHUNK):
             out[lo:lo + _QUERY_CHUNK] = self._partial(flat[lo:lo + _QUERY_CHUNK], arrays)
         return out.reshape(y.shape)
 
     def _partial(self, y, arrays):
+        from .quadrature import _panel_eval
         mags, cum_pos, cum_neg = arrays
-        ay = np.abs(y)
-        idx = np.searchsorted(mags, ay, side="right") - 1
-        sign = np.where(y >= 0.0, 1.0, -1.0)
+        idx = np.searchsorted(mags, np.abs(y), side="right") - 1
         base = np.where(y >= 0.0, cum_pos[idx], cum_neg[idx])
-        start = sign * mags[idx]
-        nodes, weights = _GL32
-        mid = 0.5 * (start + y)
-        half = 0.5 * (y - start)
-        pts = mid[:, None] + half[:, None] * nodes[None, :]
-        vals = self._fn(pts.reshape(-1)).reshape(pts.shape)
-        return base + half * (vals @ weights)
+        start = np.where(y >= 0.0, 1.0, -1.0) * mags[idx]
+        return base + _panel_eval(self._fn, start, y)[1][0]
 
 
 class InitialData:

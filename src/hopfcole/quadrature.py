@@ -6,7 +6,8 @@ computed in max-subtracted form and stored as (log_scale, mantissa).  The
 work flow is the classical Laplace-point one: locate all zeros of Phi',
 integrate adaptively on peak-scaled panels between computable truncation
 points, and bound the remaining tails by the Gaussian domination of the
-phase.  RescaledPhase serves critical-point location only.
+phase.  The rescaled phase of the long-time analysis is this phase at
+x = m z in units of y = m y~ (rescaled.rescaled_critical_points).
 
 There is one quadrature path.  The weights of a call are compiled once
 (compile_weights) into a function that evaluates f0, f0' and f0'' once per
@@ -259,18 +260,6 @@ class PhysicalPhase:
     def d2total(self, y):
         return -0.5 / self.t - 0.5 * self.data.derivative(y, 1)
 
-    # residuals of critical points are measured on this function
-    def reduced_dphase(self, y):
-        return self.dtotal(y)
-
-    @property
-    def amplitude(self):
-        return 1.0
-
-    @property
-    def d2_ref(self):
-        return 0.5 / self.t
-
     def scan_grid(self):
         t, x = self.t, self.x
         reach = t * self.data.sup_abs + math.sqrt(8.0 * (DROP + 10.0) * t) + 10.0
@@ -283,85 +272,6 @@ class PhysicalPhase:
         pieces.append(np.linspace(-dense_half, dense_half, 201))
         grid = np.concatenate(pieces)
         grid = grid[(grid >= lo) & (grid <= hi)]
-        return np.unique(grid)
-
-
-@dataclass(frozen=True)
-class RescaledPhase:
-    """Total phase amp * Ht(y, z) with amp = m^2/t and
-
-        Ht(y, z) = -(z-y)^2/4 - (t / (2 m^2)) P(m y),
-
-    m the spatial scale (default t^{1/(1+alpha)}; pass mu(t) for the
-    log-corrected families)."""
-
-    data: InitialData
-    z: float
-    t: float
-    space_scale: float | None = None
-
-    def __post_init__(self):
-        if not self.t > 0:
-            raise ValueError("t must be positive")
-        alpha = self.data.alpha
-        if self.space_scale is not None:
-            m = float(self.space_scale)
-        elif alpha is not None:
-            m = self.t ** (1.0 / (1.0 + alpha))
-        else:
-            m = math.sqrt(self.t)
-        object.__setattr__(self, "_m", m)
-        object.__setattr__(self, "_amp", m * m / self.t)
-
-    @property
-    def m(self):
-        return self._m
-
-    @property
-    def amplitude(self):
-        return self._amp
-
-    def reduced(self, y):
-        y = np.asarray(y, dtype=float)
-        m = self._m
-        return -((self.z - y) ** 2) / 4.0 - (self.t / (2.0 * m * m)) * self.data.primitive(m * y)
-
-    def total(self, y):
-        return self._amp * self.reduced(y)
-
-    def reduced_dphase(self, y):
-        y = np.asarray(y, dtype=float)
-        m = self._m
-        return 0.5 * (self.z - y - (self.t / m) * self.data.value(m * y))
-
-    def dtotal(self, y):
-        return self._amp * self.reduced_dphase(y)
-
-    def d2total(self, y):
-        y = np.asarray(y, dtype=float)
-        return self._amp * 0.5 * (-1.0 - self.t * self.data.derivative(self._m * y, 1))
-
-    @property
-    def d2_ref(self):
-        return 0.5 * self._amp
-
-    def scan_grid(self):
-        m, t, z = self._m, self.t, self.z
-        drift = (t / m) * self.data.sup_abs
-        reach = abs(z) + drift + math.sqrt(8.0 * (DROP + 10.0) / self._amp) + 2.0
-        r_min = 1e-3 / m
-        logs = np.geomspace(r_min, reach, 360)
-        pieces = [logs, -logs, z + np.geomspace(r_min, reach, 120),
-                  z - np.geomspace(r_min, reach, 120), np.array([0.0, z])]
-        pieces.append(np.linspace(-reach, reach, 301))
-        alpha = self.data.alpha
-        if alpha is not None:
-            dense_half = min(t ** (-1.0 / (1.0 + alpha) + 0.1), reach)
-        else:
-            dense_half = min(max(1.0 / m, 1e-3), reach)
-        pieces.append(np.linspace(-dense_half, dense_half, 201))
-        grid = np.concatenate(pieces)
-        grid = grid[(grid >= -reach) & (grid <= reach)]
         return np.unique(grid)
 
 
@@ -379,19 +289,22 @@ class CriticalPoint:
 
 
 def locate_critical_points(phase) -> list:
-    """All sign changes of the phase derivative on a composite scan grid,
-    polished by Brent and classified by the second derivative.
+    """All sign changes of H' of a PhysicalPhase on its composite scan grid,
+    polished by Brent and Newton and classified by H'' (degenerate where
+    |H''| <= 1e-6 / (2t), that is |1 + t f0'| <= 1e-6).
 
-    The list is sorted by y and the global maximum is flagged.  A local
-    maximum can be missed only if its peak lies far below the found global
-    maximum (the scan grid is built to cover every phase scale)."""
+    The list is sorted by y and the global maximum is flagged; a residual is
+    |H'| at the point.  A local maximum can be missed only if its peak lies
+    far below the found global maximum (the scan grid is built to cover
+    every phase scale).  The critical points of the rescaled phase are these
+    in units of the space scale (rescaled.rescaled_critical_points)."""
     grid = phase.scan_grid()
-    d = np.asarray(phase.reduced_dphase(grid))
+    d = np.asarray(phase.dtotal(grid))
     roots = []
     kinds_hint = []
     sign = np.sign(d)
     idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    fn = lambda y: float(phase.reduced_dphase(y))
+    fn = lambda y: float(phase.dtotal(y))
     for i in idx:
         a, b = float(grid[i]), float(grid[i + 1])
         r = brentq(fn, a, b, xtol=1e-13 * (1.0 + abs(a) + abs(b)), rtol=1e-15)
@@ -414,16 +327,14 @@ def locate_critical_points(phase) -> list:
         hints.append(kinds_hint[j])
 
     ys = np.asarray(uniq)
-    # Newton polish on the reduced derivative
+    # Newton polish
     for _ in range(2):
-        d1 = np.asarray(phase.reduced_dphase(ys))
-        d2 = np.asarray(phase.d2total(ys)) / (
-            phase.amplitude if isinstance(phase, RescaledPhase) else 1.0
-        )
+        d1 = np.asarray(phase.dtotal(ys))
+        d2 = np.asarray(phase.d2total(ys))
         step = np.where(np.abs(d2) > 0, d1 / np.where(d2 == 0, 1.0, d2), 0.0)
         step = np.clip(step, -1e-2 * (1.0 + np.abs(ys)), 1e-2 * (1.0 + np.abs(ys)))
         ys = ys - step
-    res = np.abs(np.asarray(phase.reduced_dphase(ys)))
+    res = np.abs(np.asarray(phase.dtotal(ys)))
     tots = np.asarray(phase.total(ys))
     d2s = np.asarray(phase.d2total(ys))
     top = float(np.max(tots))
@@ -431,7 +342,7 @@ def locate_critical_points(phase) -> list:
 
     pts = []
     for j, y in enumerate(ys):
-        if abs(d2s[j]) <= 1e-6 * phase.d2_ref:
+        if abs(d2s[j]) <= 1e-6 * (0.5 / phase.t):
             kind = KIND_DEGENERATE
         elif d2s[j] < 0:
             kind = KIND_MAX

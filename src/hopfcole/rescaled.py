@@ -9,24 +9,22 @@ curve g_t(y) = y + (t/m) f0(m y).  As t grows, g_t converges to the limit
 curve of the profiles module away from y = 0, the three monotone branches
 converge to their limit branches, and the z at which the global maximum
 switches branch converges to the profile discontinuity.
+
+The reduced phase is the physical one in other units: at x = m z and
+y = m y~, H(m y~; m z) = (m^2 / t) Ht(y~, z).  So the rescaled critical
+points are the physical ones (quadrature.locate_critical_points) in units
+of m (rescaled_critical_points).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .initial_data import InitialData, negate_reflect
-from .quadrature import (
-    CriticalPoint,
-    KIND_MIN,
-    PhysicalPhase,
-    RescaledPhase,
-    integrate_moments,
-    locate_critical_points,
-)
+from .quadrature import PhysicalPhase, integrate_moments, locate_critical_points
 from . import profiles
 from .profiles import (
     BRANCH_MIDDLE,
@@ -102,6 +100,18 @@ def critical_curve_finite(data: InitialData, y, t: float,
     return float(out) if np.ndim(out) == 0 else out
 
 
+def rescaled_critical_points(data: InitialData, z: float, t: float,
+                             space_scale: float | None = None) -> list:
+    """The stationary points of Ht(., z): the critical points of the physical
+    phase at x = m z with each y divided by m and each residual, |H'|, made
+    |dHt/dy| = (t/m) |H'|.  The kinds and phase values carry over: the
+    total phase is the same function, and both units call a point
+    degenerate at |1 + t f0'| <= 1e-6."""
+    m = space_scale if space_scale is not None else default_space_scale(data, t)
+    cps = locate_critical_points(PhysicalPhase(data, m * float(z), float(t)))
+    return [replace(c, y=c.y / m, residual=c.residual * (t / m)) for c in cps]
+
+
 @dataclass
 class BranchSet:
     minus: BranchSolution | None = None
@@ -134,8 +144,7 @@ def finite_branches(data: InitialData, z: float, t: float,
     """
     case = case_for_data(data)
     m = space_scale if space_scale is not None else default_space_scale(data, t)
-    phase = RescaledPhase(data, float(z), float(t), space_scale=m)
-    cps = locate_critical_points(phase)
+    cps = rescaled_critical_points(data, z, t, space_scale=m)
     out = BranchSet()
     if case is None:
         out.extras = list(cps)
@@ -329,7 +338,7 @@ def check_properties(data: InitialData, t: float, tol: dict | None = None) -> Pr
     z_grid = np.linspace(-5.0, 5.0, 21)
     all_cps = {}
     for z in z_grid:
-        cps = locate_critical_points(RescaledPhase(data, float(z), t, space_scale=m))
+        cps = rescaled_critical_points(data, z, t, space_scale=m)
         all_cps[float(z)] = cps
         for cp in cps:
             if abs(cp.y) >= eps:
@@ -436,8 +445,7 @@ def check_properties(data: InitialData, t: float, tol: dict | None = None) -> Pr
         strays = []
         for z in zs:
             key = float(z)
-            cps = all_cps.get(key) or locate_critical_points(
-                RescaledPhase(data, key, t, space_scale=m))
+            cps = all_cps.get(key) or rescaled_critical_points(data, key, t, space_scale=m)
             for cp in cps:
                 if not membership(key, cp, branches_allowed, also_unit_ball):
                     strays.append((key, cp.y))

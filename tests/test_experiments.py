@@ -247,6 +247,16 @@ def test_cli_exit_code_config_error(tmp_path):
     assert main(["decay", "--out", str(tmp_path)]) == 2
 
 
+def test_cli_exit_code_counts_below_one(tmp_path):
+    assert main(["zc", "--family", "PowerC1", "--tcount", "0", "--tmin", "1e4",
+                 "--tmax", "1e5", "--out", str(tmp_path)]) == 2
+    assert main(["profile", "--family", "PowerC1", "--tcount", "0",
+                 "--out", str(tmp_path)]) == 2
+    assert main(["profile", "--family", "PowerC1", "--zcount", "0", "--tcount", "2",
+                 "--out", str(tmp_path)]) == 2
+    assert not any(tmp_path.iterdir())
+
+
 def test_cli_exit_code_check_failure(tmp_path):
     # a deliberately tiny sweep cannot match the asymptotic exponent, so
     # --check must exit 4

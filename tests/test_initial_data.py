@@ -111,7 +111,7 @@ def test_primitive_cache_against_hypergeometric():
 
 
 def test_primitive_cache_query_memory_is_bounded():
-    # each query point takes a (32,) row of temporaries; a 2e5-point query
+    # each query point takes a (31,) row of temporaries; a 2e5-point query
     # in one piece peaks near 160 MiB
     d = _cached_power_c1(1.0, 0.5)
     y = np.linspace(-1e6, 1e6, 200_000)

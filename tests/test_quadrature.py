@@ -13,7 +13,6 @@ from hopfcole.quadrature import (
     _panel_eval,
     compile_weights,
     PhysicalPhase,
-    RescaledPhase,
     derive_t,
     derive_x,
     integrate_moment,
@@ -23,6 +22,7 @@ from hopfcole.quadrature import (
     adaptive_quadrature,
 )
 from hopfcole.profiles import ProfileCase, CASE_SYMMETRIC, invert_branch
+from hopfcole.rescaled import rescaled_critical_points
 
 from conftest import brute_force_ratio
 
@@ -160,7 +160,7 @@ def test_panel_eval_batch_matches_single_panels(power_c1_half):
 
 
 def test_zero_data_rescaled_single_max(zero_data):
-    cps = locate_critical_points(RescaledPhase(zero_data, z=2.0, t=10.0))
+    cps = rescaled_critical_points(zero_data, z=2.0, t=10.0)
     assert len(cps) == 1
     assert cps[0].kind == KIND_MAX
     assert cps[0].y == pytest.approx(2.0, abs=1e-12)
@@ -177,7 +177,7 @@ def test_constant_data_physical_max(constant_07):
 def test_three_branches_near_limits(power_c1_third):
     # at large t the three stationary points sit on the limit branches
     case = ProfileCase(CASE_SYMMETRIC, 1.0, 1.0 / 3.0)
-    cps = locate_critical_points(RescaledPhase(power_c1_third, z=3.0, t=1e6))
+    cps = rescaled_critical_points(power_c1_third, z=3.0, t=1e6)
     maxima = [c for c in cps if c.kind == KIND_MAX]
     minima = [c for c in cps if c.kind == KIND_MIN]
     assert len(maxima) == 2 and len(minima) == 1
@@ -188,14 +188,12 @@ def test_three_branches_near_limits(power_c1_third):
 
 
 def test_residual_tolerances(power_c1_third):
-    for phase in (PhysicalPhase(power_c1_third, x=3.0, t=50.0),
-                  RescaledPhase(power_c1_third, z=3.0, t=1e6)):
-        for cp in locate_critical_points(phase):
-            if isinstance(phase, PhysicalPhase):
-                assert cp.residual <= 1e-10 * (1.0 + abs(cp.y) / phase.t)
-            else:
-                assert cp.residual <= 1e-10
-            assert cp.phase_value <= 0.0
+    for cp in locate_critical_points(PhysicalPhase(power_c1_third, x=3.0, t=50.0)):
+        assert cp.residual <= 1e-10 * (1.0 + abs(cp.y) / 50.0)
+        assert cp.phase_value <= 0.0
+    for cp in rescaled_critical_points(power_c1_third, z=3.0, t=1e6):
+        assert cp.residual <= 1e-10
+        assert cp.phase_value <= 0.0
 
 
 # -- stabilized integrals ----------------------------------------------------
@@ -244,9 +242,12 @@ def test_linearity(power_c1_half):
 
 
 def test_integrals_take_the_physical_phase_only(power_c1_third):
-    # the rescaled phase serves critical-point location only
+    # any other object with the same fields is refused
+    class OtherPhase:
+        data, x, t = power_c1_third, 1.0, 1e3
+
     with pytest.raises(TypeError):
-        integrate_moments([None], RescaledPhase(power_c1_third, 1.0, 1e3))
+        integrate_moments([None], OtherPhase())
 
 
 def test_brute_force_oracle_power_c1(power_c1_half):

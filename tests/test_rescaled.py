@@ -8,6 +8,7 @@ from scipy.special import erf
 from hopfcole import profiles
 from hopfcole.initial_data import FamilySpec, make_family, negate_reflect
 from hopfcole.profiles import BRANCH_MIDDLE, BRANCH_MINUS, BRANCH_PLUS, invert_branch
+from hopfcole.quadrature import KIND_DEGENERATE, KIND_MAX, PhysicalPhase
 from hopfcole.rescaled import (
     TieWindowError,
     case_for_data,
@@ -16,6 +17,7 @@ from hopfcole.rescaled import (
     critical_curve_finite,
     finite_branches,
     phase_tie_point,
+    rescaled_critical_points,
     rescaled_phase,
 )
 
@@ -50,16 +52,39 @@ def test_finite_curve(zero_data, constant_07, power_c1_third):
 
 
 def test_phase_identity_with_physical(power_c1_third):
-    # exact change of variables between the physical and rescaled phases
-    from hopfcole.quadrature import PhysicalPhase, RescaledPhase
+    # exact change of variables between the physical and rescaled phases:
+    # H(m y; m z) = (m^2 / t) Ht(y, z)
     t, z = 1e4, 1.7
     m = t ** 0.75
     ph = PhysicalPhase(power_c1_third, z * m, t)
-    rp = RescaledPhase(power_c1_third, z, t)
     ys = np.linspace(-2, 2, 11)
     lhs = ph.total(ys * m)
-    rhs = rp.amplitude * np.asarray([rescaled_phase(power_c1_third, float(y), z, t) for y in ys])
+    rhs = (m * m / t) * np.asarray([rescaled_phase(power_c1_third, float(y), z, t) for y in ys])
     assert np.allclose(lhs, rhs, rtol=1e-12)
+
+
+def test_rescaled_critical_points_randomized():
+    # every point solves z = g_t(y), and a non-degenerate one is a maximum
+    # exactly where the rescaled phase is concave
+    rng = np.random.default_rng(20261018)
+    families = ("PowerC1", "SignFlipped", "Asymmetric", "PowerC0", "PowerLog")
+    for i in range(300):
+        family = families[i % len(families)]
+        alpha = float(rng.uniform(0.2, 0.8))
+        beta = {"Asymmetric": float(rng.uniform(alpha, 1.0)),
+                "PowerLog": float(rng.uniform(0.5, 1.5))}.get(family)
+        spec = FamilySpec(family, kappa=float(rng.uniform(0.5, 2.0)), alpha=alpha, beta=beta)
+        data = make_family(spec)
+        t = 10.0 ** rng.uniform(2.0, 8.0)
+        z = float(rng.uniform(-6.0, 8.0))
+        cps = rescaled_critical_points(data, z, t)
+        assert sum(c.is_global_max for c in cps) == 1
+        for c in cps:
+            assert abs(z - critical_curve_finite(data, c.y, t)) <= 1e-12 * (1.0 + abs(z)), \
+                (spec, t, z, c)
+            if c.kind != KIND_DEGENERATE:
+                concave = rescaled_phase(data, c.y, z, t, dy_order=2) < 0.0
+                assert (c.kind == KIND_MAX) == concave, (spec, t, z, c)
 
 
 # -- finite branches ---------------------------------------------------------
