@@ -5,7 +5,7 @@ Modules:
     initial_data        concrete data families (value/derivatives/primitive)
     quadrature          stabilized exponential integrals and weight algebra
     burgers             the Burgers field, derivatives, PDE residual, sup norm
-    heat                heat-equation counterpart and its continuous profile
+    heat                heat-equation counterpart and its closed-form profile
     profiles            limit branches, jump locations, limit profiles
     rescaled            finite-time rescaled-phase analysis and diagnostics
     finite_difference   independent FD oracle for cross-validation
@@ -32,11 +32,8 @@ from .quadrature import (
     StabilizedIntegral,
     derive_t,
     derive_x,
-    integrate_moment,
     integrate_moments,
     locate_critical_points,
-    ratio_moment,
-    ratio_moments,
 )
 from .profiles import (
     BranchSolution,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .initial_data import InitialData, UnsupportedOrderError
+from .initial_data import InitialData
 from .quadrature import BatchKernel, MomentWeight, derive_x, derive_t
 
 _U = MomentWeight.unit()
@@ -62,17 +62,6 @@ def _fields(r):
     ft = r[2] - f * r[4]
     fxx = r[5] - r[1] * r[3] - fx * r[3] - f * (r[6] - r[3] ** 2)
     return {"f": f, "f_x": fx, "f_t": ft, "f_xx": fxx}
-
-
-def eval_derivative(data: InitialData, x: float, t: float, n: int, k: int,
-                    rel_tol: float = 1e-10) -> float:
-    """d_t^n d_x^k f(x, t) for 2n + k <= 2, exact through the weight
-    algebra (derivative_fields)."""
-    if n < 0 or k < 0:
-        raise ValueError("orders must be nonnegative")
-    if 2 * n + k > 2:
-        raise UnsupportedOrderError(f"2n + k = {2 * n + k} > 2 not supported")
-    return derivative_fields(data, x, t, rel_tol)[FIELD_OF_ORDER[(n, k)]]
 
 
 def pde_residual(data: InitialData, x: float, t: float,

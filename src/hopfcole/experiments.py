@@ -83,6 +83,8 @@ class ExperimentConfig:
         if self.t_count is not None and self.experiment in _FIT_EXPERIMENTS \
                 and self.t_count < 4:
             raise ConfigError("fitting experiments need at least 4 time points")
+        if self.experiment == "ddecay" and (self.n, self.k) not in burgers.FIELD_OF_ORDER:
+            raise ConfigError("ddecay needs orders n, k >= 0 with 2n + k <= 2")
 
     def t_grid(self):
         if self.t_count is not None:
@@ -298,8 +300,6 @@ def _derivative_sup(data, t, n, k, cfg):
 def run_derivative_decay(cfg: ExperimentConfig):
     t0 = time.time()
     n, k = cfg.n, cfg.k
-    if 2 * n + k > 2:
-        raise ValueError("exact derivative sweeps need 2n + k <= 2")
     data = make_family(cfg.family)
     ts = cfg.t_grid()
     rows = []

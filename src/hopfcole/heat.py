@@ -5,17 +5,18 @@ from the one quadrature path of the Burgers evaluator (quadrature.BatchKernel
 under the pure Gaussian phase of Zero data); a single point is a batch of
 one.  The module also provides the continuous long-time profile
 (kappa/sqrt(4 pi)) int |y|^-alpha exp(-(z-y)^2/4) dy for comparison with
-the discontinuous Burgers profile.
+the discontinuous Burgers profile, in closed form through Kummer's
+function.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
-from scipy.special import gamma
+from scipy.special import gamma, hyp1f1
 
 from .initial_data import FamilySpec, InitialData, make_family, UnsupportedOrderError
-from .quadrature import BatchKernel, HermiteWeight, NotConvergedError, adaptive_quadrature
+from .quadrature import BatchKernel, HermiteWeight
 from .burgers import SupNormResult, scan_max
 
 _ZERO = make_family(FamilySpec("Zero"))
@@ -83,57 +84,17 @@ def heat_derivative_scorer(data: InitialData, t: float, n: int, k: int,
     return lambda xs: scale * kernel(xs, rel_tol)[0]
 
 
-def heat_limit_profile(z: float, kappa: float, alpha: float,
-                       rel_tol: float = 1e-9) -> float:
-    """(kappa / sqrt(4 pi)) int |y|^-alpha exp(-(z-y)^2/4) dy.
-
-    The integrable singularity at y = 0 is flattened exactly by the
-    substitution u = |y|^{1-alpha} on the panels touching 0."""
+def heat_limit_profile(z: float, kappa: float, alpha: float) -> float:
+    """(kappa / sqrt(4 pi)) int |y|^-alpha exp(-(z-y)^2/4) dy in closed form:
+    the profile at z = 0 times Kummer's 1F1(alpha/2; 1/2; -z^2/4) (DLMF
+    13.2), which decays like |z|^-alpha."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    z = float(z)
-    reach = abs(z) + 14.0
-    q = 1.0 / (1.0 - alpha)
-
-    def outer(y):
-        return np.abs(y) ** (-alpha) * np.exp(-((z - y) ** 2) / 4.0)
-
-    def sing_pos(u):
-        y = u ** q
-        return np.exp(-((z - y) ** 2) / 4.0) * q
-
-    def sing_neg(u):
-        y = -(u ** q)
-        return np.exp(-((z - y) ** 2) / 4.0) * q
-
-    def edges_between(a, b):
-        pts = {a, b}
-        if a < z < b:
-            pts.update([max(a, z - 2.0), min(b, z + 2.0), z])
-        return sorted(pts)
-
-    where = f"heat limit profile at z={z:.6g}, alpha={alpha:.6g}"
-    total = 0.0
-    for piece, fn, edges in (
-        ("singular piece 0 < y < 1", sing_pos, np.linspace(0.0, 1.0, 5)),
-        ("singular piece -1 < y < 0", sing_neg, np.linspace(0.0, 1.0, 5)),
-        (f"outer piece 1 < y < {reach:.6g}", outer, edges_between(1.0, reach)),
-        (f"outer piece {-reach:.6g} < y < -1", outer, edges_between(-reach, -1.0)),
-    ):
-        v, e, ok = adaptive_quadrature(fn, np.asarray(edges, dtype=float), rel_tol)
-        if not ok:
-            raise NotConvergedError(
-                f"{where}: {piece} did not converge: error {e:.3g} at "
-                f"value {v:.6g}, rel_tol {rel_tol:.3g}")
-        total += v
-    # beyond the truncation |y|^-alpha <= reach^-alpha, leaving a pure
-    # Gaussian tail; it is far below the tolerance and only checked here
-    tail = reach ** (-alpha) * math.sqrt(math.pi) * math.erfc((reach - abs(z)) / 2.0)
-    if tail > rel_tol * max(total, 1e-300) + 1e-300:
-        raise NotConvergedError(
-            f"{where}: Gaussian tail beyond |y| = {reach:.6g} is {tail:.3g}, above "
-            f"rel_tol {rel_tol:.3g} times the integral {total:.6g}")
-    return kappa / math.sqrt(4.0 * math.pi) * total
+    w = -z * z / 4
+    # scipy's hyp1f1 returns inf or nan at |w| < 1e-170 for alpha < 0.1;
+    # below |w| = 1e-9 the series 1 + alpha w + O(w^2) is exact in doubles
+    kummer = 1.0 + alpha * w if w > -1e-9 else hyp1f1(alpha / 2, 0.5, w)
+    return float(heat_profile_center_exact(kappa, alpha) * kummer)
 
 
 def heat_profile_center_exact(kappa: float, alpha: float) -> float:

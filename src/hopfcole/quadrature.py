@@ -30,7 +30,8 @@ its batches, and a single point is a batch of one.  integrate_moments is
 the same truncation, partition and refinement for one phase with given
 critical points (or a window, for concentration ratios), and
 adaptive_quadrature is that refinement with one plain function as its only
-weight.
+weight, for the block sums of the primitive cache of quadrature-only data
+(initial_data).
 """
 from __future__ import annotations
 
@@ -384,51 +385,27 @@ def _panel_eval(integrand, a, b):
 
 def integrate_moments(gs, phase, rel_tol=1e-8, cps=None, interval=None,
                       max_panels=4000):
-    """Stabilized integrals of several weights under one PhysicalPhase, on
-    the truncation, partition and refinement of BatchKernel, from the
-    critical points cps (by locate_critical_points when not given).
+    """Stabilized integrals int g(y) exp(Phi(y)) dy as (log_scale, mantissa)
+    of several weights under one PhysicalPhase, on the truncation,
+    partition and refinement of BatchKernel, from the critical points cps
+    (by locate_critical_points when not given).
 
     With interval=(a, b) the integration is restricted to that window (its
     own max subtraction, no tail bound) -- used for concentration ratios.
     """
-    total, err, tgt, conv, log_scale, a, b = _phase_integrals(
-        gs, phase, rel_tol, cps, interval, max_panels)
-    return [StabilizedIntegral(float(log_scale[0]), float(total[i, 0]), float(err[i, 0]),
-                               (float(a[0]), float(b[0])), bool(conv[i, 0]), float(tgt[i, 0]))
-            for i in range(len(gs))]
-
-
-def integrate_moment(g, phase, rel_tol=1e-8, cps=None, interval=None,
-                     max_panels=4000) -> StabilizedIntegral:
-    """int g(y) exp(Phi(y)) dy as (log_scale, mantissa)."""
-    return integrate_moments([g], phase, rel_tol, cps, interval, max_panels)[0]
-
-
-def ratio_moments(gs, phase, rel_tol=1e-9, cps=None, max_panels=4000):
-    """[int g e^Phi / int e^Phi for g in gs] under one PhysicalPhase, one
-    critical-point analysis and panel partition (integrate_moments); the
-    log scales cancel exactly.  A missed target raises NotConvergedError
-    (_quotients)."""
-    res = _phase_integrals(list(gs) + [None], phase, rel_tol, cps, None, max_panels)
-    return list(_quotients(phase.t, np.asarray([phase.x]), *res[:4])[:, 0])
-
-
-def ratio_moment(g, phase, rel_tol=1e-9, cps=None) -> float:
-    """int g e^Phi / int e^Phi (the general solution-type quotient)."""
-    return ratio_moments([g], phase, rel_tol, cps)[0]
-
-
-def _phase_integrals(gs, phase, rel_tol, cps, interval, max_panels):
-    """_integrate for the one point of a PhysicalPhase."""
     if not isinstance(phase, PhysicalPhase):
         raise TypeError("integrals are taken under the physical phase only")
     if cps is None:
         cps = locate_critical_points(phase)
     weights = compile_weights(gs, phase.data, phase.t)
-    return _integrate(_Phases(phase.data, phase.t, weights), np.asarray([float(phase.x)]),
-                      np.zeros(len(cps), dtype=int), np.asarray([c.y for c in cps]),
-                      np.asarray([c.kind != KIND_MIN for c in cps]), _origin_scale(weights),
-                      rel_tol, max_panels, interval)
+    total, err, tgt, conv, log_scale, a, b = _integrate(
+        _Phases(phase.data, phase.t, weights), np.asarray([float(phase.x)]),
+        np.zeros(len(cps), dtype=int), np.asarray([c.y for c in cps]),
+        np.asarray([c.kind != KIND_MIN for c in cps]), _origin_scale(weights),
+        rel_tol, max_panels, interval)
+    return [StabilizedIntegral(float(log_scale[0]), float(total[i, 0]), float(err[i, 0]),
+                               (float(a[0]), float(b[0])), bool(conv[i, 0]), float(tgt[i, 0]))
+            for i in range(len(gs))]
 
 
 def _quotients(t, x, total, err, tgt, conv):

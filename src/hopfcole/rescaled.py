@@ -155,11 +155,15 @@ def finite_branches(data: InitialData, z: float, t: float,
     nu = margin if margin is not None else 0.05 * (y0 if y0 is not None
                                                    else case.kappa ** (1.0 / (1.0 + case.alpha)))
 
+    limits = {}  # branch -> its limit y at z, each inverted once
+
     def limit_y(branch):
-        try:
-            return invert_branch(case, branch, z).y
-        except ValueError:
-            return None
+        if branch not in limits:
+            try:
+                limits[branch] = invert_branch(case, branch, z).y
+            except ValueError:
+                limits[branch] = None
+        return limits[branch]
 
     def windows():
         wins = {}

@@ -402,6 +402,10 @@ def settled_fields(data, x, t):
                                       alpha=0.38614512533537343, beta=0.6857939927555262)),
                25491280.014810264, np.linspace(-1584040.81614137, 1584040.81614137, 9)),
          rel_tol=1e-8, pick=5)
+# f_xx of Constant data is 1.5e-323 against 0 here: the budget underflows
+@example(case=(make_family(FamilySpec("Constant", extra={"level": 1.9171692939822443e-106})),
+               1.0, np.linspace(-1.0, 1.0, 5)),
+         rel_tol=1e-8, pick=0)
 def test_derivative_fields_batch_matches_derivative_fields(case, rel_tol, pick):
     """derivative_fields_batch against derivative_fields (a batch of one)
     at every x, and both against the settled value at the point pick.
@@ -424,7 +428,7 @@ def test_derivative_fields_batch_matches_derivative_fields(case, rel_tol, pick):
             assert abs(got[name][i] - w[name]) <= 1e-11 * scales[name][i], \
                 (data.spec, t, xs[i], name, got[name][i], w[name])
     i = pick % xs.size
-    budget = {name: 10.0 * rel_tol * scales[name][i] for name in FIELDS}
+    budget = {name: 10.0 * rel_tol * scales[name][i] + 1e-300 for name in FIELDS}
     for want in settled_fields(data, float(xs[i]), t):
         if want is not None and all(abs(v - want[name]) <= budget[name]
                                     for name in FIELDS
@@ -473,15 +477,14 @@ def heat_derivative_and_size(data, x, t, m, exact=False):
     mpmath at 40 digits).
 
     The weight is written out here with numpy's hermval.  The quotients are
-    taken on the kernel (ratio_moments) to rel_tol 1e-6, which is plenty for
+    taken on the kernel (a batch of one) to rel_tol 1e-6, which is plenty for
     a budget, and with exact r is QUADPACK's (quadpack_moments)."""
     coeffs = [0.0] * m + [1.0]
 
     def signed(y):
         return hermval((x - y) / (2.0 * math.sqrt(t)), coeffs) * data.value(y)
 
-    r, l1 = quadrature.ratio_moments([signed, lambda y: np.abs(signed(y))],
-                                     PhysicalPhase(ZERO, x, t), 1e-6)
+    r, l1 = BatchKernel([signed, lambda y: np.abs(signed(y))], ZERO, t)([x], 1e-6)[:, 0]
     if exact:
         r = quadpack_moments(data, x, t, [signed], heat_eq=True)[0]
     scale = (2.0 * math.sqrt(t)) ** -m

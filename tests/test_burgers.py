@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hopfcole import burgers
-from hopfcole.initial_data import FamilySpec, UnsupportedOrderError, make_family, negate_reflect
+from hopfcole.initial_data import FamilySpec, make_family, negate_reflect
 
 
 def test_constant_is_stationary(constant_07):
@@ -51,7 +51,7 @@ def test_reflection_symmetry(power_c1_half):
 def test_derivative_vs_finite_difference(power_c1_half):
     # exact-mode d_x f against a central difference of eval, h = 1e-2
     x, t = 0.0, 1e3
-    fx = burgers.eval_derivative(power_c1_half, x, t, 0, 1)
+    fx = burgers.derivative_fields(power_c1_half, x, t)["f_x"]
     h = 1e-2
     fd = (burgers.eval(power_c1_half, x + h, t, rel_tol=1e-11)
           - burgers.eval(power_c1_half, x - h, t, rel_tol=1e-11)) / (2 * h)
@@ -60,7 +60,7 @@ def test_derivative_vs_finite_difference(power_c1_half):
 
 def test_time_derivative_vs_finite_difference(power_c1_third):
     x, t = 1.0, 100.0
-    ft = burgers.eval_derivative(power_c1_third, x, t, 1, 0)
+    ft = burgers.derivative_fields(power_c1_third, x, t)["f_t"]
     h = 1e-3 * t
     fd = (burgers.eval(power_c1_third, x, t + h, rel_tol=1e-11)
           - burgers.eval(power_c1_third, x, t - h, rel_tol=1e-11)) / (2 * h)
@@ -68,16 +68,9 @@ def test_time_derivative_vs_finite_difference(power_c1_third):
 
 
 def test_constant_derivatives_vanish(constant_07):
-    assert burgers.eval_derivative(constant_07, 1.0, 5.0, 0, 1) == pytest.approx(0.0, abs=1e-10)
-    assert burgers.eval_derivative(constant_07, 1.0, 5.0, 1, 0) == pytest.approx(0.0, abs=1e-10)
-
-
-def test_orders_above_two_raise(power_c1_half):
-    # only 2n + k <= 2 is exact through the weight algebra; higher orders
-    # are not taken
-    for n, k in ((0, 3), (1, 1), (2, 0), (2, 1)):
-        with pytest.raises(UnsupportedOrderError):
-            burgers.eval_derivative(power_c1_half, 0.5, 200.0, n, k)
+    fields = burgers.derivative_fields(constant_07, 1.0, 5.0)
+    assert fields["f_x"] == pytest.approx(0.0, abs=1e-10)
+    assert fields["f_t"] == pytest.approx(0.0, abs=1e-10)
 
 
 def test_pde_residual_constant_and_zero(constant_07, zero_data):

@@ -90,6 +90,24 @@ def test_config_validation():
                                     "bogus_field": 1})
 
 
+def test_orders_above_two_raise():
+    # only 2n + k <= 2 is exact through the weight algebra: other orders of
+    # a ddecay sweep are config errors, before any work is done
+    fam = FamilySpec("PowerC1", kappa=1.0, alpha=0.5)
+    for n, k in ((0, 3), (1, 1), (2, 0), (2, 1), (-1, 1), (0, -1)):
+        with pytest.raises(ConfigError, match=r"2n \+ k <= 2"):
+            ExperimentConfig(experiment="ddecay", family=fam, n=n, k=k)
+    for n, k in ((0, 0), (0, 1), (1, 0), (0, 2)):
+        ExperimentConfig(experiment="ddecay", family=fam, n=n, k=k)
+
+
+def test_cli_exit_code_unsupported_order(tmp_path):
+    for n, k in (("1", "1"), ("-1", "1")):
+        assert main(["ddecay", "--family", "PowerC1", "--n", n, "--k", k,
+                     "--out", str(tmp_path)]) == 2
+    assert not any(tmp_path.iterdir())
+
+
 def test_default_t_grid_caps_nine_per_decade():
     fam = FamilySpec("PowerC0", kappa=1.0, alpha=0.5)
     cfg = ExperimentConfig(experiment="field", family=fam, t_min=10.0, t_max=100.0)

@@ -1,7 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import gamma
 
 from hopfcole import heat
@@ -102,13 +104,39 @@ def test_profile_center_gamma_closed_form():
     assert heat.heat_profile_center_exact(1.0, 0.5) == pytest.approx(want, rel=1e-14)
 
 
-def test_profile_raises_when_a_piece_misses_its_tolerance():
-    # rel_tol = 1e-20 is below what the singular piece can reach in double
-    # precision; the profile must raise, not return the unconverged sum
-    from hopfcole.quadrature import NotConvergedError
-    with pytest.raises(NotConvergedError,
-                       match=r"z=0, alpha=0\.5: singular piece .* did not converge"):
-        heat.heat_limit_profile(0.0, 1.0, 0.5, rel_tol=1e-20)
+def profile_by_quadrature(z, kappa, alpha):
+    """(kappa / sqrt(4 pi)) int |y|^-alpha exp(-(z-y)^2/4) dy by mpmath at 30
+    digits.  On each half line y = +-u^q, q = 1/(1-alpha), takes the
+    singularity out (dy / |y|^alpha = q du), and the u line is split where
+    |y| is the Gaussian's centre and 10 and 40 away from it: plain tanh-sinh
+    on |y|^-alpha is off by up to 5e-4 at alpha near 0.9."""
+    with mpmath.workdps(30):
+        z, alpha = mpmath.mpf(z), mpmath.mpf(alpha)
+        q = 1 / (1 - alpha)
+        total = 0
+        for side in (1, -1):
+            centre = side * z
+            breaks = sorted(float(c) ** (1 - alpha) for c in
+                            (centre - 40, centre - 10, centre, centre + 10, centre + 40)
+                            if c > 0)
+            total += mpmath.quad(lambda u: q * mpmath.exp(-(z - side * u ** q) ** 2 / 4),
+                                 [0] + breaks + [mpmath.inf])
+        return float(kappa * total / mpmath.sqrt(4 * mpmath.pi))
+
+
+@settings(max_examples=40, deadline=None)
+@given(z=st.floats(-20.0, 20.0), kappa=st.floats(0.5, 2.0), alpha=st.floats(0.05, 0.95))
+@example(z=7.101575408946845e-129, kappa=1.0, alpha=0.0625)  # scipy's hyp1f1 gave inf
+def test_profile_matches_its_defining_integral(z, kappa, alpha):
+    got = heat.heat_limit_profile(z, kappa, alpha)
+    assert type(got) is float  # not np.float64, whose repr reaches the CSVs
+    assert got == pytest.approx(profile_by_quadrature(z, kappa, alpha), rel=1e-12)
+
+
+def test_profile_rejects_alpha_outside_the_unit_interval():
+    for alpha in (0.0, 1.0, -0.5, 1.5):
+        with pytest.raises(ValueError):
+            heat.heat_limit_profile(0.0, 1.0, alpha)
 
 
 def test_profile_far_field():
