@@ -167,9 +167,8 @@ def fit_power_law(samples) -> DecayFitResult:
 
 
 def _fmt(v):
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, (np.floating,)):
+    # np.float64 subclasses float, and its repr is "np.float64(...)"
+    if isinstance(v, (float, np.floating)):
         return repr(float(v))
     return str(v)
 

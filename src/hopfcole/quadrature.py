@@ -20,7 +20,10 @@ Gauss-Legendre rules to an array of panels in one call.
 BatchKernel computes the quotients of the physical phase for many x at one
 t: the critical points of all of them come from one table of the monotone
 pieces of G_t(y) = y + t f0(y), and all panels of all points are refined
-level by level in one flat array (_batch_refine).  A point whose critical
+level by level in one flat array (_batch_refine).  The table keeps G_t on
+the scan grid of the pieces, so each root is seeded in its grid cell by a
+searchsorted on stored values and Newton starts from the secant of that
+cell (a grid point where G_t is x is the root itself).  A point whose critical
 points the table cannot vouch for gets locate_critical_points on its own
 phase, and its roots join the same truncation, partition and refinement; a
 point that misses a quadrature check raises NotConvergedError.  What does
@@ -433,8 +436,18 @@ def _quotients(t, x, total, err, tgt, conv):
 
 BATCH_BLOCK = 256  # points refined together; bounds the kernel's memory
 _EVAL_PANELS = 512  # panels per integrand call: bounds the temporaries of a level
+_DOUBLINGS = 8  # truncation steps scored per call (_batch_truncation)
 _ORIGIN_YS = np.geomspace(1e-3, 1e8, 1101)
 _ORIGIN_YS = np.concatenate([-_ORIGIN_YS[::-1], [0.0], _ORIGIN_YS])  # the grid of _origin_scale
+
+
+def _log_grid(t, reach):
+    """(grid, r_min): 0 and +-r_min 10^(k/100), k >= 0, out to at least
+    reach, with r_min = 1e-6 min(1, 1/t).  A wider reach only adds points,
+    so nothing found on the grid depends on the reach."""
+    r_min = 1e-6 * min(1.0, 1.0 / t)
+    logs = r_min * 10.0 ** (np.arange(math.ceil(100.0 * math.log10(reach / r_min)) + 1) / 100.0)
+    return np.concatenate([-logs[::-1], [0.0], logs]), r_min
 
 
 def monotone_pieces(data: InitialData, t, reach):
@@ -442,14 +455,10 @@ def monotone_pieces(data: InitialData, t, reach):
 
     The stationary points of the physical phase at (x, t) solve x = G_t(y),
     and G_t does not depend on x.  Returns (bounds, rising): the sign
-    changes of G_t' = 1 + t f0' in increasing order, found on a scan grid
-    that is geometric towards 0 and polished by Brent, and for each of the
-    len(bounds) + 1 pieces between them whether G_t increases on it."""
-    r_min = 1e-6 * min(1.0, 1.0 / t)
-    # 100 points a decade from r_min: a wider reach only adds points, so the
-    # bounds do not depend on it
-    logs = r_min * 10.0 ** (np.arange(math.ceil(100.0 * math.log10(reach / r_min)) + 1) / 100.0)
-    grid = np.concatenate([-logs[::-1], [0.0], logs])
+    changes of G_t' = 1 + t f0' in increasing order, found on the scan grid
+    _log_grid (geometric towards 0) and polished by Brent, and for each of
+    the len(bounds) + 1 pieces between them whether G_t increases on it."""
+    grid, r_min = _log_grid(t, reach)
     up = 1.0 + t * np.asarray(data.derivative(grid, 1)) > 0.0
     bounds = [brentq(lambda y: 1.0 + t * data.derivative(y, 1),
                      float(grid[i]), float(grid[i + 1]),
@@ -457,6 +466,27 @@ def monotone_pieces(data: InitialData, t, reach):
               for i in np.nonzero(up[:-1] != up[1:])[0]]
     rising = (np.arange(len(bounds) + 1) % 2 == 0) == bool(up[0])
     return np.asarray(bounds, dtype=float), rising
+
+
+def _piece_table(data: InitialData, t, reach):
+    """The root table of BatchKernel on |y| <= reach: (nodes, rising,
+    g_bounds), from monotone_pieces and its scan grid.
+
+    For each monotone piece, nodes holds (y, sgn G_t(y)) at the ends of the
+    piece (its bounds, or the ends of the grid) and at the grid points
+    between them, with sgn = 1 on a rising piece and -1 on a falling one,
+    so that sgn G_t increases along the nodes.  G_t is computed as the
+    Newton iteration of _batch_critical_points computes it, y + t f0(y).
+    g_bounds is G_t at the bounds."""
+    bounds, rising = monotone_pieces(data, t, reach)
+    ys = np.sort(np.concatenate([_log_grid(t, reach)[0], bounds]))
+    gs = ys + t * data.value(ys)
+    ends = np.concatenate([[-np.inf], bounds, [np.inf]])
+    nodes = []
+    for j, up in enumerate(rising):
+        on = (ys >= ends[j]) & (ys <= ends[j + 1])
+        nodes.append((ys[on], gs[on] if up else -gs[on]))
+    return nodes, rising, bounds + t * data.value(bounds)
 
 
 def _log_gauss_tails(quad, dist):
@@ -481,12 +511,15 @@ class BatchKernel:
 
     It holds what does not depend on x: the compiled weights, the origin
     scale of their x-independent factors (_origin_scale) and the table of
-    the monotone pieces of G_t (monotone_pieces) on |y| <= x_reach +
+    the monotone pieces of G_t (_piece_table) on |y| <= x_reach +
     t sup|f0| + 1, which holds every critical point of every |x| <= x_reach.
-    The table is made by the first call, out to its largest |x| (a scan's
-    coarse grid spans its window), and made again by any call with a larger
-    |x|; a wider table only adds pieces beyond the old reach, so no ratio
-    depends on which reach the table has."""
+    The table keeps G_t on the scan grid of monotone_pieces (100 points a
+    decade) and at the piece bounds, so each root starts in its grid cell
+    with no new evaluation.  It is made by the first call, out to its
+    largest |x| (a scan's coarse grid spans its window), and made again by
+    any call with a larger |x|; a wider table only adds grid points and
+    pieces beyond the old reach, so no ratio depends on which reach the
+    table has."""
 
     def __init__(self, gs, data: InitialData, t):
         if not t > 0:
@@ -495,7 +528,7 @@ class BatchKernel:
         weights = compile_weights(list(gs) + [None], data, t)
         self._ph = _Phases(data, t, weights)
         self._origin_scale = _origin_scale(weights)
-        self.x_reach, self._pieces = -math.inf, None
+        self.x_reach, self._table = -math.inf, None
 
     def __call__(self, xs, rel_tol=1e-9, max_panels=4000):
         """The quotients at every x of xs, of shape (n_weights, xs.size).
@@ -516,11 +549,11 @@ class BatchKernel:
         if x_max > self.x_reach:
             ph = self._ph
             self.x_reach = x_max
-            self._pieces = monotone_pieces(ph.data, ph.t, x_max + ph.t * ph.data.sup_abs + 1.0)
+            self._table = _piece_table(ph.data, ph.t, x_max + ph.t * ph.data.sup_abs + 1.0)
         ratios = np.empty((self.n_weights, xs.size))
         for lo in range(0, xs.size, BATCH_BLOCK):
             x = xs[lo:lo + BATCH_BLOCK]
-            rows = _batch_critical_points(self._ph, x, *self._pieces)
+            rows = _batch_critical_points(self._ph, x, *self._table)
             res = _integrate(self._ph, x, *rows, self._origin_scale, rel_tol, max_panels)
             ratios[:, lo:lo + BATCH_BLOCK] = _quotients(self._ph.t, x, *res[:4])
         return ratios
@@ -565,9 +598,15 @@ class _Phases:
         return np.max(np.abs(self.weights(y, x)), axis=0)
 
 
-def _batch_critical_points(ph, xs, bounds, rising):
+def _batch_critical_points(ph, xs, nodes, rising, g_bounds):
     """Roots of G_t(y) = x on every piece whose range holds x, by
-    safeguarded Newton (a step leaving the bracket is a bisection).
+    safeguarded Newton from the root's grid cell in the table (_piece_table).
+
+    A searchsorted per piece finds, from the stored values alone, the two
+    adjacent nodes of the piece whose G_t bracket x: a node where G_t is x
+    is the root, and otherwise Newton starts from the secant of the cell.
+    A step that leaves the bracket is a bisection, and one that does not
+    move y is the root.
 
     Returns (pt, y, is_max): for each root its point, its y and whether it
     is a maximum.  A point whose roots miss a check (one is degenerate, at a
@@ -575,44 +614,51 @@ def _batch_critical_points(ph, xs, bounds, rising):
     maximum) gets the roots of locate_critical_points on its own phase
     instead, a degenerate one counting as a maximum."""
     t, data, n = ph.t, ph.data, xs.size
-    ends = np.concatenate([[-np.inf], bounds, [np.inf]])
-    pt = np.repeat(np.arange(n), rising.size)
-    pc = np.tile(np.arange(rising.size), n)
-    x = xs[pt]
-    sgn = np.where(rising[pc], 1.0, -1.0)
-    # |G_t(y) - y| <= t sup|f0|: every root lies in this bracket
-    lo = np.maximum(ends[pc], x - t * data.sup_abs - 1.0)
-    hi = np.minimum(ends[pc + 1], x + t * data.sup_abs + 1.0)
+    sgn = np.where(rising, 1.0, -1.0)
+    # (point, piece) rows: the cell [lo, hi] with h = sgn (G_t - x) at its
+    # ends, h(lo) < 0 <= h(hi), where the piece's range holds x
+    lo, hi, h_lo, h_hi = np.empty((4, n, rising.size))
+    has = np.empty((n, rising.size), dtype=bool)
+    for j, (ny, key) in enumerate(nodes):
+        v = sgn[j] * xs
+        i = np.searchsorted(key, v)
+        has[:, j] = (i > 0) & (i < key.size)
+        i = np.clip(i, 1, key.size - 1)
+        lo[:, j], hi[:, j] = ny[i - 1], ny[i]
+        h_lo[:, j], h_hi[:, j] = key[i - 1] - v, key[i] - v
+    has = has.ravel()
+    pt = np.repeat(np.arange(n), rising.size)[has]
+    x, sgn = xs[pt], np.tile(sgn, n)[has]
+    lo, hi, h_lo, h_hi = (a.ravel()[has] for a in (lo, hi, h_lo, h_hi))
 
     def h(y, x, sgn):  # increasing on its piece, zero at the root
         return sgn * (y + t * data.value(y) - x)
 
-    has = (lo <= hi) & (h(lo, x, sgn) <= 0.0) & (h(hi, x, sgn) >= 0.0)
-    pt, x, sgn, lo, hi = pt[has], x[has], sgn[has], lo[has], hi[has]
-    y = 0.5 * (lo + hi)
+    y = lo - h_lo * ((hi - lo) / (h_hi - h_lo))
+    y = np.where(h_hi == 0.0, hi, np.where((y > lo) & (y < hi), y, 0.5 * (lo + hi)))
     # each root stops at its own last step, so it does not depend on the
     # other points of the batch: a single point is a batch of one
-    live = np.ones(y.size, dtype=bool)
+    live = h_hi != 0.0
     for _ in range(100):
+        if not live.any():
+            break
         g = h(y, x, sgn)
         lo = np.where(g <= 0.0, y, lo)
         hi = np.where(g >= 0.0, y, hi)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = y - g / (sgn * ph.slope(y))
-        nxt = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
+        # a step that lands on y itself is below its resolution: y is the root
+        nxt = np.where(((step > lo) & (step < hi)) | (step == y), step, 0.5 * (lo + hi))
         moved = np.abs(nxt - y) > 1e-15 * np.abs(nxt) + 1e-300
         y = np.where(live, nxt, y)
         live &= moved
-        if not live.any():
-            break
     d1 = ph.slope(y)
     res = np.abs(y + t * data.value(y) - x)
     # locate_critical_points calls a point degenerate at |H''| <= 1e-6 / (2t)
     bad = ((np.abs(d1) <= 1e-6) | (sgn * d1 <= 0.0)
            | ~(res <= 1e-6 * np.sqrt(2.0 * t * np.abs(d1))))
-    gb = bounds + t * data.value(bounds)
-    at_end = np.any(np.abs(xs[:, None] - gb[None, :])
-                    <= 1e-12 * (np.abs(xs)[:, None] + np.abs(gb)[None, :] + 1.0), axis=1)
+    at_end = np.any(np.abs(xs[:, None] - g_bounds[None, :])
+                    <= 1e-12 * (np.abs(xs)[:, None] + np.abs(g_bounds)[None, :] + 1.0), axis=1)
     is_max = sgn > 0.0
     miss = (at_end | (np.bincount(pt[bad], minlength=n) > 0)
             | (np.bincount(pt[is_max], minlength=n) == 0))
@@ -663,7 +709,11 @@ def _batch_truncation(ph, x, log_scale, max_pt, max_y):
     DROP + 5 e-folds (and the log of the weights' size) below log_scale, and
     beyond the Gaussian domination threshold of the primitive's growth
     bound; the window doubles until the bound of the Gaussian tails beyond
-    it is DROP / 2 e-folds below."""
+    it is DROP / 2 e-folds below.
+
+    The steps are scored _DOUBLINGS at a time, 2^k for k0 <= k < k0 +
+    _DOUBLINGS in one call, and each end is the first that hits: the ends
+    of one step at a time, with fewer calls."""
     m = x.size
     y_lo = np.full(m, np.inf)
     y_hi = np.full(m, -np.inf)
@@ -675,12 +725,16 @@ def _batch_truncation(ph, x, log_scale, max_pt, max_y):
     w = np.maximum(ph.width(y0), 1e-12 * (1.0 + np.abs(y0)))
     edge = y0 + direction * w * 2.0 ** 60
     todo = np.arange(2 * m)
-    for k in range(200):
-        cand = y0[todo] + direction[todo] * w[todo] * 2.0 ** k
-        hit = (ph.total(cand, x2[todo]) - ls2[todo]
-               <= -(DROP + 5.0 + np.log1p(ph.weight_mag(cand, x2[todo]))))
-        edge[todo[hit]] = cand[hit]
-        todo = todo[~hit]
+    for k0 in range(0, 200, _DOUBLINGS):
+        cand = (y0[todo, None] + (direction[todo] * w[todo])[:, None]
+                * 2.0 ** np.arange(k0, k0 + _DOUBLINGS))
+        xc = np.repeat(x2[todo], _DOUBLINGS)
+        hit = (ph.total(cand.ravel(), xc) - np.repeat(ls2[todo], _DOUBLINGS)
+               <= -(DROP + 5.0 + np.log1p(ph.weight_mag(cand.ravel(), xc))))
+        hit = hit.reshape(cand.shape)
+        done = hit.any(axis=1)
+        edge[todo[done]] = cand[done, np.argmax(hit[done], axis=1)]
+        todo = todo[~done]
         if not todo.size:
             break
     k_growth, p = ph.data.primitive_growth()
@@ -690,9 +744,10 @@ def _batch_truncation(ph, x, log_scale, max_pt, max_y):
     a = np.minimum(edge[:m], x - thr)
     b = np.maximum(edge[m:], x + thr)
 
-    def tail_log(a, b):
-        gmax = np.maximum(np.maximum(ph.weight_mag(a, x), ph.weight_mag(b, x)), 1e-300)
-        return (np.maximum(_log_gauss_tails(quad, b - x), _log_gauss_tails(quad, x - a))
+    def tail_log(a, b):  # both ends in one call each
+        gmax = np.maximum(ph.weight_mag(np.concatenate([a, b]), x2).reshape(2, m).max(axis=0),
+                          1e-300)
+        return (_log_gauss_tails(quad, np.concatenate([b - x, x - a])).reshape(2, m).max(axis=0)
                 + np.log(8.0 * gmax) - log_scale)
 
     log_tail = tail_log(a, b)

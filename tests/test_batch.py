@@ -620,3 +620,185 @@ def test_kernel_tabulates_again_beyond_its_reach(monkeypatch, power_c1_third):
     assert np.array_equal(got, want)
     kernel(xs[:1])
     assert len(tables) == 1
+
+
+# ---------------------------------------------------------------------------
+# the fixed work of one kernel call: roots from their grid cells, and the
+# truncation's doublings in blocks
+
+
+def counted_slopes(mp):
+    """Count the evaluations of G_t' (_Phases.slope) that
+    _batch_critical_points makes, and its calls."""
+    counts = {"calls": 0, "slopes": 0, "inside": False}
+    slope, critical = quadrature._Phases.slope, quadrature._batch_critical_points
+
+    def counted_slope(self, y):
+        counts["slopes"] += counts["inside"]
+        return slope(self, y)
+
+    def counted_critical(*args):
+        counts["calls"] += 1
+        counts["inside"] = True
+        try:
+            return critical(*args)
+        finally:
+            counts["inside"] = False
+
+    mp.setattr(quadrature._Phases, "slope", counted_slope)
+    mp.setattr(quadrature, "_batch_critical_points", counted_critical)
+    return counts
+
+
+def kernel_roots(mp, data, t, x):
+    """(counts, (pt, y, is_max)): the roots of _batch_critical_points at
+    the one point x, on the table of a kernel made for it, and the slope
+    evaluations of that call (counted_slopes)."""
+    kernel = BatchKernel([burgers._F0], data, t)
+    kernel(np.asarray([x]))
+    counts = counted_slopes(mp)
+    return counts, quadrature._batch_critical_points(kernel._ph, np.asarray([x]), *kernel._table)
+
+
+def test_newton_stops_at_a_step_that_does_not_move(monkeypatch):
+    # a Newton step below the resolution of y lands on y, an end of the
+    # bracket; it was taken as leaving the bracket and the iteration
+    # bisected from the far end: 43 slope evaluations here (decay_sweep,
+    # seed 1), of which 34 halvings after the root had converged
+    data = make_family(FamilySpec("PowerC0", kappa=1.0108152693872443, alpha=0.5))
+    t, x = 1176.59836401071, -34.828559709806996
+    counts, (_pt, y, is_max) = kernel_roots(monkeypatch, data, t, x)
+    assert counts["slopes"] <= 6
+    assert is_max.tolist() == [True]
+    assert abs(y[0] + t * data.value(y[0]) - x) <= 1e-12 * abs(x)
+
+
+def test_a_grid_point_where_g_is_x_is_the_root(monkeypatch):
+    # G_t(y) = y for the heat phase: x = 0 is the grid point y = 0, found
+    # with the one slope evaluation of the checks and no Newton step; from
+    # a cell with y = 0 at its end, Newton lands on that end and the
+    # safeguard bisects towards it 100 times
+    counts, (pt, y, is_max) = kernel_roots(monkeypatch, ZERO, 1e6, 0.0)
+    assert counts["slopes"] == 1
+    assert pt.tolist() == [0] and y.tolist() == [0.0] and is_max.tolist() == [True]
+
+
+def test_kernel_calls_do_little_fixed_work(power_c0):
+    # the counts of one sup_norm scan (31 kernel calls): each root starts
+    # in its grid cell (17.7 slope evaluations a call before, 4.3 now),
+    # and a truncation that does not widen scores its doublings in one
+    # weight_mag call and its tail bound in one more (7 calls before).  A
+    # widening makes one _log_gauss_tails call and one weight_mag call more
+    truncations = []
+    truncation, weight_mag = quadrature._batch_truncation, quadrature._Phases.weight_mag
+    tails = quadrature._log_gauss_tails
+    calls = {"weight_mag": 0, "tails": 0}
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    def counted_truncation(*args):
+        calls.update(weight_mag=0, tails=0)
+        out = truncation(*args)
+        truncations.append(dict(calls))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        counts = counted_slopes(mp)
+        mp.setattr(quadrature._Phases, "weight_mag", counted("weight_mag", weight_mag))
+        mp.setattr(quadrature, "_log_gauss_tails", counted("tails", tails))
+        mp.setattr(quadrature, "_batch_truncation", counted_truncation)
+        burgers.sup_norm(power_c0, 1e6)
+    assert counts["calls"] == 31
+    assert counts["slopes"] / counts["calls"] <= 5.0
+    assert len(truncations) == 31
+    assert all(c["weight_mag"] == 1 + c["tails"] for c in truncations)
+    assert [c["weight_mag"] for c in truncations if c["tails"] == 1] == [2] * 31
+
+
+def truncation_one_step(ph, x, log_scale, max_pt, max_y):
+    """_batch_truncation with one doubling a call and one call a tail
+    bound end: the reference of its blocks."""
+    drop = quadrature.DROP
+    m = x.size
+    y_lo = np.full(m, np.inf)
+    y_hi = np.full(m, -np.inf)
+    np.minimum.at(y_lo, max_pt, max_y)
+    np.maximum.at(y_hi, max_pt, max_y)
+    y0 = np.concatenate([y_lo, y_hi])
+    direction = np.repeat([-1.0, 1.0], m)
+    x2, ls2 = np.tile(x, 2), np.tile(log_scale, 2)
+    w = np.maximum(ph.width(y0), 1e-12 * (1.0 + np.abs(y0)))
+    edge = y0 + direction * w * 2.0 ** 60
+    todo = np.arange(2 * m)
+    for k in range(200):
+        cand = y0[todo] + direction[todo] * w[todo] * 2.0 ** k
+        hit = (ph.total(cand, x2[todo]) - ls2[todo]
+               <= -(drop + 5.0 + np.log1p(ph.weight_mag(cand, x2[todo]))))
+        edge[todo[hit]] = cand[hit]
+        todo = todo[~hit]
+        if not todo.size:
+            break
+    k_growth, p = ph.data.primitive_growth()
+    quad = 1.0 / (8.0 * ph.t)
+    thr = 1.0 if k_growth == 0.0 else (32.0 * ph.t * k_growth) ** (1.0 / (2.0 - p)) * 2.0
+    thr = np.maximum(np.maximum(thr, 2.0 * np.abs(x) + 1.0), 1.0)
+    a = np.minimum(edge[:m], x - thr)
+    b = np.maximum(edge[m:], x + thr)
+
+    def tail_log(a, b):
+        gmax = np.maximum(np.maximum(ph.weight_mag(a, x), ph.weight_mag(b, x)), 1e-300)
+        return (np.maximum(quadrature._log_gauss_tails(quad, b - x),
+                           quadrature._log_gauss_tails(quad, x - a))
+                + np.log(8.0 * gmax) - log_scale)
+
+    log_tail = tail_log(a, b)
+    for _ in range(16):
+        wide = log_tail > -0.5 * drop
+        if not wide.any():
+            break
+        a = np.where(wide, x - 2.0 * (x - a), a)
+        b = np.where(wide, x + 2.0 * (b - x), b)
+        log_tail = np.where(wide, tail_log(a, b), log_tail)
+    return a, b, log_tail
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=batch_cases(), weights=st.sampled_from(["f0", "fields", "hermite"]),
+       order=st.integers(0, 2), lower=st.sampled_from([0.0, 30.0, 1e3, 1e5]))
+# with the log scale 1e5 e-folds low, both examples score a second block
+# of doublings and widen their tail bound once
+@example(case=(make_family(FamilySpec("PowerC0", kappa=1.0, alpha=0.5)), 1e4,
+               np.linspace(-900.0, 900.0, 5)), weights="fields", order=0, lower=1e5)
+@example(case=(make_family(FamilySpec("Gaussian", extra={"amplitude": 1.0, "sigma": 1.0})),
+               40.0, np.linspace(-60.0, 60.0, 5)), weights="hermite", order=2, lower=1e5)
+def test_truncation_blocks_equal_one_doubling_at_a_time(case, weights, order, lower):
+    # every truncation of a kernel call, at its own log scale and at one
+    # `lower` e-folds below it (the phase then drops past it further out),
+    # gives the ends and tail bound of the one-step reference bit for bit
+    data, t, xs = case
+    gs = {"f0": [burgers._F0], "fields": burgers._FIELD_WEIGHTS,
+          "hermite": [quadrature.HermiteWeight(order, data.value)]}[weights]
+    phase_data = ZERO if weights == "hermite" else data
+    truncation = quadrature._batch_truncation
+    seen = []
+
+    def checked(ph, x, log_scale, max_pt, max_y):
+        for ls in (log_scale, log_scale - lower):
+            got = truncation(ph, x, ls, max_pt, max_y)
+            want = truncation_one_step(ph, x, ls, max_pt, max_y)
+            for u, v in zip(got, want):
+                assert np.array_equal(u, v, equal_nan=True), (data.spec, t, x, ls)
+        seen.append(x.size)
+        return truncation(ph, x, log_scale, max_pt, max_y)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature, "_batch_truncation", checked)
+        try:
+            BatchKernel(gs, phase_data, t)(xs)
+        except NotConvergedError:
+            pass
+    assert sum(seen) == xs.size

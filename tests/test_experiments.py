@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from pathlib import Path
@@ -10,6 +11,8 @@ from hopfcole.cli import main
 from hopfcole.experiments import (
     ConfigError,
     ExperimentConfig,
+    _emit,
+    _fmt,
     fit_power_law,
     run,
     run_concentration,
@@ -138,6 +141,19 @@ def test_csv_rfc4180_line_endings(tmp_path):
     out = run_field(cfg)
     raw = Path(out["csv"]).read_bytes()
     assert b"\r\n" in raw
+
+
+def test_numpy_floats_are_written_as_floats(tmp_path):
+    assert _fmt(np.float64(0.52)) == "0.52"
+    assert _fmt(np.float32(0.5)) == "0.5"
+    assert _fmt(0.52) == "0.52" and _fmt(3) == "3"
+    cfg = ExperimentConfig(experiment="field", family=FamilySpec("Zero"),
+                           out_dir=str(tmp_path))
+    row = (np.float64(1e6), np.float64(-0.1), np.float64(0.5228026818571667))
+    out = _emit(cfg, "floats", ["t", "x", "value"], [row], {}, [], 0.0)
+    with open(out["csv"], newline="") as fh:
+        read = list(csv.reader(fh))
+    assert [float(v) for v in read[1]] == list(row)
 
 
 def test_json_sidecar_contents(tmp_path):
