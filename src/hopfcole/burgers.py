@@ -6,15 +6,15 @@ exact quotient-rule expansions over the weight algebra, so the PDE residual
 d_t f - d_x^2 f + f d_x f is a strong end-to-end self test.
 
 Every value comes from the one quadrature path, quadrature.BatchKernel.
-An array of x at one t is one batch (eval_batch, derivative_fields_batch):
-its points share the critical points of G_t(y) = y + t f0(y) and are
-integrated together, and a single point (eval, derivative_fields) is a
-batch of one.  A sup-norm scan (scan_max) scores its coarse grid as one
-batch, then refines its brackets in lockstep, each step one batch of the
-next x of every live bracket.  The batches of one scan share one kernel
-setup (the compiled weights, the table of the pieces of G_t and the origin
-scale), held by the scan's scorer (_eval_scorer, derivative_fields_scorer);
-each *_batch function and each single point is one call of a fresh scorer.
+An array of x at one t is one batch (eval_batch): its points share the
+critical points of G_t(y) = y + t f0(y) and are integrated together, and a
+single point (eval, derivative_fields) is a batch of one.  A sup-norm scan
+(scan_max) scores its coarse grid as one batch, then refines its brackets
+in lockstep, each step one batch of the next x of every live bracket.
+The batches of one scan share one kernel setup (the compiled weights, the
+table of the pieces of G_t and the origin scale), held by the scan's scorer
+(_eval_scorer, derivative_fields_scorer); eval_batch and each single point
+are one call of a fresh scorer.
 """
 from __future__ import annotations
 
@@ -98,16 +98,10 @@ def _eval_scorer(data, t, rel_tol):
     return lambda xs: kernel(xs, rel_tol)[0]
 
 
-def derivative_fields_batch(data: InitialData, xs, t: float,
-                            rel_tol: float = 1e-10) -> dict:
-    """derivative_fields for a 1-d array of x at one t > 0: the seven
-    weights on the batch kernel (quadrature.BatchKernel)."""
-    return derivative_fields_scorer(data, t, rel_tol)(xs)
-
-
 def derivative_fields_scorer(data: InitialData, t: float, rel_tol: float = 1e-10):
-    """derivative_fields_batch at one t > 0 as a function of xs, on one
-    kernel setup (quadrature.BatchKernel) for all its calls."""
+    """derivative_fields for a 1-d array of x at one t > 0 as a function of
+    xs: the seven weights on one kernel setup (quadrature.BatchKernel) for
+    all its calls."""
     kernel = BatchKernel(_FIELD_WEIGHTS, data, t)
 
     return lambda xs: _fields(kernel(xs, rel_tol))
@@ -197,9 +191,9 @@ def _bounded_brent(a, b, xatol, maxfun=500):
     return xf, fx
 
 
-def scan_max(fn, lo: float, hi: float, n_coarse: int, n_refine: int = 3):
+def scan_max(fn, lo: float, hi: float, n_coarse: int):
     """Max of fn on [lo, hi]: a coarse grid, then bounded Brent refinement
-    of the brackets around the n_refine best separated grid points.
+    of the brackets around the 3 best separated grid points.
 
     fn maps an array of x to an array of scores; the scores of sup_norm,
     heat_sup_norm and the ddecay scans are batches on one kernel setup per
@@ -215,7 +209,7 @@ def scan_max(fn, lo: float, hi: float, n_coarse: int, n_refine: int = 3):
     for i in order:
         if all(abs(i - j) > 1 for j in picked):
             picked.append(int(i))
-        if len(picked) == n_refine:
+        if len(picked) == 3:
             break
     best = int(np.argmax(vals))
     best_v, best_x = float(vals[best]), float(grid[best])

@@ -83,6 +83,12 @@ class ExperimentConfig:
         if self.t_count is not None and self.experiment in _FIT_EXPERIMENTS \
                 and self.t_count < 4:
             raise ConfigError("fitting experiments need at least 4 time points")
+        # sup_norm and heat_sup_norm scan at least 64 coarse points
+        n_min = 64 if self.experiment == "decay" else 1
+        if self.n_coarse < n_min:
+            raise ConfigError(f"n_coarse must be at least {n_min} for {self.experiment}")
+        if not self.window_Z > 0:
+            raise ConfigError("window_Z must be positive")
         if self.experiment == "ddecay" and (self.n, self.k) not in burgers.FIELD_OF_ORDER:
             raise ConfigError("ddecay needs orders n, k >= 0 with 2n + k <= 2")
 
@@ -372,7 +378,7 @@ def run_profile(cfg: ExperimentConfig):
         # spurious stationary points near the cusp are possible at finite t;
         # runs with more than 3 local maxima get flagged for inspection
         for zprobe in (zc - 0.5, zc + 0.5):
-            cps = rescaled_critical_points(data, zprobe, float(t), space_scale=m)
+            cps = rescaled_critical_points(data, zprobe, float(t))
             max_local_maxima = max(
                 max_local_maxima, sum(1 for c in cps if c.kind != KIND_MIN))
     results = {"jump_z": zc, "sup_errors": dict(zip(map(float, ts), sups)),

@@ -8,7 +8,6 @@ unconditionally.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -171,12 +170,3 @@ def compare_halved_dx(data: InitialData, t: float, L: float, n: int,
     cmask = mask[::2]  # coarse.x == fine.x[::2]
     return (float(np.max(np.abs(coarse.values[cmask] - exact[::2][cmask]))),
             float(np.max(np.abs(fine.values[mask] - exact[mask]))))
-
-
-def dump_csv(field_obj: GridField, path) -> None:
-    """Write (x, value) rows for one snapshot."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "value"])
-        for xv, fv in zip(field_obj.x, field_obj.values):
-            w.writerow([repr(float(xv)), repr(float(fv))])

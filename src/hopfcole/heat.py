@@ -63,18 +63,12 @@ def heat_derivative(data: InitialData, x: float, t: float, n: int, k: int,
     return float(heat_derivative_scorer(data, t, n, k, rel_tol)(np.asarray([x], dtype=float))[0])
 
 
-def heat_derivative_batch(data: InitialData, xs, t: float, n: int, k: int,
-                          rel_tol: float = 1e-9):
-    """heat_derivative for a 1-d array of x at one t > 0, on the batch
-    kernel (quadrature.BatchKernel, whose weights take each node's x)."""
-    return heat_derivative_scorer(data, t, n, k, rel_tol)(xs)
-
-
 def heat_derivative_scorer(data: InitialData, t: float, n: int, k: int,
                            rel_tol: float = 1e-9):
-    """heat_derivative_batch at one t > 0 as a function of xs, on one kernel
-    setup (quadrature.BatchKernel) for all its calls; order 0 is the heat
-    solution itself (H_0 = 1), f0 at t = 0."""
+    """heat_derivative for a 1-d array of x at one t > 0 as a function of
+    xs, on one kernel setup (quadrature.BatchKernel, whose weights take each
+    node's x) for all its calls; order 0 is the heat solution itself
+    (H_0 = 1), f0 at t = 0."""
     m = _hermite_order(n, k)
     if m == 0:
         return _heat_eval_scorer(data, t, rel_tol)

@@ -110,7 +110,8 @@ _QUERY_CHUNK = 1024  # primitive-cache query points per vectorized batch
 
 
 class _PrimitiveCache:
-    """Cumulative int_0^y f over geometric blocks, extended lazily.
+    """Cumulative int_0^y f over the blocks with edges 0, +-0.5, +-1, +-2, ...,
+    extended lazily.
 
     Block sums are adaptive_quadrature values to 1e-12; a query adds the G21
     value of one partial panel from the nearest cached edge (_panel_eval), so
@@ -120,20 +121,19 @@ class _PrimitiveCache:
     a reader never sees the three of different lengths.
     """
 
-    def __init__(self, fn, rel_tol=1e-12, first_edge=0.5):
+    def __init__(self, fn):
         self._fn = fn
-        self._rel_tol = rel_tol
         self.error_bound = 0.0
-        pos = self._block(0.0, first_edge)
-        neg = self._block(0.0, -first_edge)
-        self._arrays = (np.asarray([0.0, first_edge]), np.asarray([0.0, pos]),
+        pos = self._block(0.0, 0.5)
+        neg = self._block(0.0, -0.5)
+        self._arrays = (np.asarray([0.0, 0.5]), np.asarray([0.0, pos]),
                         np.asarray([0.0, neg]))
 
     def _block(self, a, b):
         """int_a^b f; a block that misses its target raises NotConvergedError."""
         from .quadrature import NotConvergedError, adaptive_quadrature  # imports this module
         lo, hi = min(a, b), max(a, b)
-        value, err, converged = adaptive_quadrature(self._fn, [lo, hi], rel_tol=self._rel_tol)
+        value, err, converged = adaptive_quadrature(self._fn, [lo, hi], rel_tol=1e-12)
         if not converged:
             raise NotConvergedError(
                 f"primitive block [{lo:.6g}, {hi:.6g}] did not converge: error {err:.3g}")
@@ -181,12 +181,11 @@ class InitialData:
     """
 
     def __init__(self, spec, value_fn, d1_fn, d2_fn, primitive_fn=None, *,
-                 sup_abs, kink_at_origin=False, parent=None):
+                 sup_abs, parent=None):
         self.spec = spec
         self._v = value_fn
         self._d1 = d1_fn
         self._d2 = d2_fn
-        self.kink_at_origin = kink_at_origin
         self._parent = parent
         if primitive_fn is not None:
             self._p = primitive_fn
@@ -211,8 +210,7 @@ class InitialData:
     def derivative(self, y, order=1):
         """order-th y derivative of f0; order 0 returns the value itself.
 
-        At a kink (PowerC0 at y = 0, flagged by kink_at_origin) the
-        right-hand limit is returned.
+        At a kink (PowerC0 at y = 0) the right-hand limit is returned.
         """
         if order == 0:
             return self.value(y)
@@ -320,7 +318,7 @@ def _power_c0(spec):
         s = np.where(y >= 0.0, 1.0, -1.0)
         return k * s * ((1.0 + np.abs(y)) ** (1.0 - a) - 1.0) / (1.0 - a)
 
-    return InitialData(spec, v, d1, d2, p, sup_abs=k, kink_at_origin=True)
+    return InitialData(spec, v, d1, d2, p, sup_abs=k)
 
 
 def _power_c1(spec):
@@ -570,5 +568,4 @@ def negate_reflect(data: InitialData) -> InitialData:
         # int_0^y -f0(-u) du = int_0^{-y} f0(u) du
         return data.primitive(-np.asarray(y, dtype=float))
 
-    return InitialData(spec, v, d1, d2, p, sup_abs=data.sup_abs,
-                       kink_at_origin=data.kink_at_origin, parent=data)
+    return InitialData(spec, v, d1, d2, p, sup_abs=data.sup_abs, parent=data)

@@ -67,14 +67,12 @@ def cusp(kappa: float, alpha: float):
 
 class ProfileCase:
     """One asymptotic class: case tag, tail parameters, and the cached limit
-    objects (cusp, profile discontinuity location and how it was computed).
-    The discontinuity is solved lazily: the finite-time tie search and the
-    branch inversions never read it.
+    objects (cusp and profile discontinuity location).  The discontinuity
+    is solved lazily: the finite-time tie search and the branch inversions
+    never read it.
     """
 
-    def __init__(self, case: str, kappa: float, alpha: float, beta: float | None = None,
-                 discontinuity_z: float | None = None,
-                 discontinuity_source: str | None = None):
+    def __init__(self, case: str, kappa: float, alpha: float, beta: float | None = None):
         if case not in CASES:
             raise ValueError(f"unknown profile case {case!r}")
         if not 0.0 < alpha < 1.0:
@@ -95,22 +93,16 @@ class ProfileCase:
             self.g_y0 = None
         else:
             self.y0, self.g_y0 = cusp(kappa, alpha)
-        if discontinuity_z is not None:
-            self.discontinuity_z = float(discontinuity_z)
-            self.discontinuity_source = discontinuity_source or "supplied"
-        else:
-            self.discontinuity_source = VARIANT_LIMIT_DERIVED
 
     @functools.cached_property
     def discontinuity_z(self) -> float:
-        """The profile jump; unless supplied, the limit-derived tie, solved
-        on first read (a TiePointError surfaces there)."""
+        """The profile jump, the limit-derived tie, solved on first read (a
+        TiePointError surfaces there)."""
         return profile_jump_location(self, VARIANT_LIMIT_DERIVED)
 
     def __repr__(self):
         return (f"ProfileCase({self.case}, kappa={self.kappa}, alpha={self.alpha}, "
-                f"beta={self.beta}, jump={self.discontinuity_z:.6g} "
-                f"[{self.discontinuity_source}])")
+                f"beta={self.beta}, jump={self.discontinuity_z:.6g})")
 
 
 def critical_curve_limit(case: ProfileCase, y):
@@ -140,10 +132,20 @@ def _curve_slope(case: ProfileCase, y):
     return np.where(y > 0, 1.0 + d_tail, 1.0)
 
 
+def _halve(bad, d: float, scale: float, branch: str) -> float:
+    """Halve d while bad(d); a d below scale / 2^60 raises ValueError."""
+    while bad(d):
+        d *= 0.5
+        if abs(d) * _BRACKET_CAP < scale:
+            raise ValueError(f"bracket collapse on {branch} branch")
+    return d
+
+
 def _branch_interval(case: ProfileCase, branch: str, z: float):
     """A sign-changing bracket for g(y) = z on the monotone piece."""
     k, a = case.kappa, case.alpha
     kroot = k ** (1.0 / (1.0 + a))
+    y0, g_y0 = case.y0, case.g_y0
 
     def g(y):
         return critical_curve_limit(case, y)
@@ -152,62 +154,34 @@ def _branch_interval(case: ProfileCase, branch: str, z: float):
     # there y ~ +-(k/|z|)^{1/alpha}
     near0 = 0.5 * min(kroot, (k / (abs(z) + 1.0)) ** (1.0 / a))
 
+    if branch == BRANCH_MINUS:
+        if case.case == CASE_ASYMMETRIC:
+            if z >= 0:
+                raise ValueError(
+                    f"minus branch of the Asymmetric case needs z < 0, got z = {z}"
+                )
+            return None  # identity branch; handled without root finding
+        if case.case == CASE_SIGN_FLIPPED:
+            hi = -near0
+        else:
+            hi = -min(near0, y0 / 2.0) if z > 0 else -y0 / 2.0
+        return -(abs(z) + kroot + 1.0), _halve(lambda y: g(y) < z, hi, 1.0, branch)
+
     if case.case == CASE_SIGN_FLIPPED:
         if branch == BRANCH_MIDDLE:
             raise ValueError("SignFlipped has no middle branch")
-        if branch == BRANCH_MINUS:
-            lo = -(abs(z) + kroot + 1.0)
-            hi = -near0
-            while g(hi) < z:
-                hi *= 0.5
-                if abs(hi) * _BRACKET_CAP < 1.0:
-                    raise ValueError("bracket collapse on minus branch")
-            return lo, hi
         # plus branch: y > 0, g = y - k y^-a increasing onto all of R
-        hi = max(1.0, z + k + 1.0)
-        lo = near0
-        while g(lo) > z:
-            lo *= 0.5
-            if lo * _BRACKET_CAP < 1.0:
-                raise ValueError("bracket collapse on plus branch")
-        return lo, hi
+        return _halve(lambda y: g(y) > z, near0, 1.0, branch), max(1.0, z + k + 1.0)
 
-    if case.case == CASE_ASYMMETRIC and branch == BRANCH_MINUS:
-        if z >= 0:
-            raise ValueError(
-                f"minus branch of the Asymmetric case needs z < 0, got z = {z}"
-            )
-        return None  # identity branch; handled without root finding
-
-    y0, g_y0 = case.y0, case.g_y0
-    if branch == BRANCH_MINUS:
-        lo = -(abs(z) + kroot + 1.0)
-        hi = -min(near0, y0 / 2.0) if z > 0 else -y0 / 2.0
-        while g(hi) < z:
-            hi *= 0.5
-            if abs(hi) * _BRACKET_CAP < 1.0:
-                raise ValueError("bracket collapse on minus branch")
-        return lo, hi
     if z <= g_y0:
         raise ValueError(
             f"{branch} branch domain starts at g(y0) = {g_y0:.12g}, got z = {z}"
         )
     if branch == BRANCH_PLUS:
-        hi = z + 1.0
-        dy = 0.5 * y0
-        while g(y0 + dy) > z:
-            dy *= 0.5
-            if dy * _BRACKET_CAP < y0:
-                raise ValueError("bracket collapse on plus branch")
-        return y0 + dy, hi
+        return y0 + _halve(lambda dy: g(y0 + dy) > z, 0.5 * y0, y0, branch), z + 1.0
     if branch == BRANCH_MIDDLE:
         lo = min(y0 / 2.0, (k / (abs(z) + g_y0 + 1.0)) ** (1.0 / a))
-        dy = 0.25 * y0
-        while g(y0 - dy) > z:
-            dy *= 0.5
-            if dy * _BRACKET_CAP < y0:
-                raise ValueError("bracket collapse on middle branch")
-        return lo, y0 - dy
+        return lo, y0 - _halve(lambda dy: g(y0 - dy) > z, 0.25 * y0, y0, branch)
     raise ValueError(f"unknown branch {branch!r}")
 
 
@@ -252,7 +226,7 @@ def invert_branch(case: ProfileCase, branch: str, z: float) -> BranchSolution:
 def branch_phase_limit(kappa: float, alpha: float, y: float,
                        variant: str = VARIANT_PRINTED) -> float:
     """Long-time limit of the rescaled phase along a branch point y, for the
-    symmetric positive tail.
+    tail kappa |y|^-alpha on the wing of y (kappa < 0 on a negative wing).
 
     Two variants are kept side by side deliberately:
     - "printed": -kappa^2/(4 |y|^{2 alpha}) - kappa (1-alpha)/2 |y|^{1-alpha}
@@ -282,13 +256,7 @@ def _wing_sign(case: ProfileCase, y: float) -> float:
 
 def _branch_phase_case(case: ProfileCase, y: float, variant: str) -> float:
     """Case-aware limiting phase value along a branch (wing-signed tails)."""
-    k, a = case.kappa, case.alpha
-    if variant == VARIANT_PRINTED:
-        return branch_phase_limit(k, a, y, VARIANT_PRINTED)
-    s = _wing_sign(case, y)
-    ay = abs(y)
-    lead = -k * k / (4.0 * ay ** (2.0 * a))
-    return lead - math.copysign(1.0, y) * s * k * ay ** (1.0 - a) / (2.0 * (1.0 - a))
+    return branch_phase_limit(_wing_sign(case, y) * case.kappa, case.alpha, y, variant)
 
 
 class TiePointError(RuntimeError):
@@ -296,9 +264,9 @@ class TiePointError(RuntimeError):
     this signals an inconsistent phase-limit variant."""
 
 
-def _first_sign_change(delta, anchor, step0, growth_cap=1e3):
-    """Scan z = anchor + step0 * 2^k for a sign change of delta and polish
-    the first one found by Brent."""
+def _first_sign_change(delta, anchor, step0):
+    """Scan z = anchor + step0 * 2^k, up to 1e3 past the anchor, for a sign
+    change of delta and polish the first one found by Brent."""
     z_prev = anchor + step0
     f_prev = delta(z_prev)
     if f_prev == 0.0:
@@ -311,7 +279,7 @@ def _first_sign_change(delta, anchor, step0, growth_cap=1e3):
         if f * f_prev < 0:
             return float(brentq(delta, z_prev, z, xtol=1e-12, rtol=1e-15))
         z_prev, f_prev = z, f
-        if z - anchor > growth_cap:
+        if z - anchor > 1e3:
             break
     raise TiePointError(
         "no tie point on the admissible window; the phase-limit variant "
@@ -323,40 +291,28 @@ def profile_jump_location(case: ProfileCase, variant: str = VARIANT_LIMIT_DERIVE
     """z at which the dominant phase maximum switches branches (the profile
     discontinuity).  Solves the equal-phase-value tie by bracketed root
     finding with geometric bracket growth."""
-    if case.case in (CASE_SYMMETRIC, CASE_LOG_CORRECTED):
-        def delta(z):
-            yp = invert_branch(case, BRANCH_PLUS, z).y
-            ym = invert_branch(case, BRANCH_MINUS, z).y
-            return _branch_phase_case(case, yp, variant) - _branch_phase_case(case, ym, variant)
+    if case.case == CASE_SIGN_FLIPPED and variant == VARIANT_PRINTED:
+        raise ValueError(
+            "no printed tie equation exists for the SignFlipped case; "
+            "use the limit_derived variant or the finite-time tie"
+        )
 
-        return _first_sign_change(delta, case.g_y0, 1e-6 * (1.0 + case.g_y0))
-
-    if case.case == CASE_SIGN_FLIPPED:
-        if variant == VARIANT_PRINTED:
-            raise ValueError(
-                "no printed tie equation exists for the SignFlipped case; "
-                "use the limit_derived variant or the finite-time tie"
-            )
-
-        def delta(z):
-            yp = invert_branch(case, BRANCH_PLUS, z).y
-            ym = invert_branch(case, BRANCH_MINUS, z).y
-            return _branch_phase_case(case, yp, variant) - _branch_phase_case(case, ym, variant)
-
-        hi = 1.0
-        while delta(hi) * delta(-hi) > 0:
-            hi *= 2.0
-            if hi > 1e9:
-                raise TiePointError("no tie point found for SignFlipped")
-        return float(brentq(delta, -hi, hi, xtol=1e-12, rtol=1e-15))
-
-    # Asymmetric: the left maximum value tends to -z^2/4, tie it against the
-    # plus-branch phase value
     def delta(z):
         yp = invert_branch(case, BRANCH_PLUS, z).y
-        return _branch_phase_case(case, yp, variant) + z * z / 4.0
+        if case.case == CASE_ASYMMETRIC:
+            # the left maximum value tends to -z^2/4
+            return _branch_phase_case(case, yp, variant) + z * z / 4.0
+        ym = invert_branch(case, BRANCH_MINUS, z).y
+        return _branch_phase_case(case, yp, variant) - _branch_phase_case(case, ym, variant)
 
-    return _first_sign_change(delta, case.g_y0, 1e-6 * (1.0 + case.g_y0))
+    if case.case != CASE_SIGN_FLIPPED:
+        return _first_sign_change(delta, case.g_y0, 1e-6 * (1.0 + case.g_y0))
+    hi = 1.0
+    while delta(hi) * delta(-hi) > 0:
+        hi *= 2.0
+        if hi > 1e9:
+            raise TiePointError("no tie point found for SignFlipped")
+    return float(brentq(delta, -hi, hi, xtol=1e-12, rtol=1e-15))
 
 
 def log_corrected_scale(alpha: float, beta: float, t: float) -> float:
@@ -395,35 +351,18 @@ def profile_value(case: ProfileCase, z: float) -> float:
     At a discontinuity a DiscontinuityError carries both one-sided limits.
     """
     z = float(z)
-    k, a = case.kappa, case.alpha
     zc = case.discontinuity_z
 
-    if case.case in (CASE_SYMMETRIC, CASE_LOG_CORRECTED):
-        if z == zc:
-            left = k * abs(invert_branch(case, BRANCH_MINUS, z).y) ** (-a)
-            right = k * abs(invert_branch(case, BRANCH_PLUS, z).y) ** (-a)
-            raise DiscontinuityError(z, left, right)
-        branch = BRANCH_PLUS if z > zc else BRANCH_MINUS
-        return k * abs(invert_branch(case, branch, z).y) ** (-a)
+    def wing(branch):
+        y = invert_branch(case, branch, z).y
+        return _wing_sign(case, y) * case.kappa * abs(y) ** (-case.alpha)
 
-    if case.case == CASE_SIGN_FLIPPED:
+    if case.case == CASE_ASYMMETRIC and z <= zc:
+        if z == 0.0:
+            raise DiscontinuityError(0.0, 0.0, 0.0)
         if z == zc:
-            left = k * abs(invert_branch(case, BRANCH_MINUS, z).y) ** (-a)
-            right = -k * abs(invert_branch(case, BRANCH_PLUS, z).y) ** (-a)
-            raise DiscontinuityError(z, left, right)
-        if z < zc:
-            return k * abs(invert_branch(case, BRANCH_MINUS, z).y) ** (-a)
-        return -k * abs(invert_branch(case, BRANCH_PLUS, z).y) ** (-a)
-
-    # Asymmetric
-    if z == 0.0:
-        raise DiscontinuityError(0.0, 0.0, 0.0)
+            raise DiscontinuityError(z, zc, wing(BRANCH_PLUS))
+        return z if z > 0.0 else 0.0
     if z == zc:
-        raise DiscontinuityError(
-            z, zc, k * abs(invert_branch(case, BRANCH_PLUS, z).y) ** (-a)
-        )
-    if z < 0.0:
-        return 0.0
-    if z < zc:
-        return z
-    return k * abs(invert_branch(case, BRANCH_PLUS, z).y) ** (-a)
+        raise DiscontinuityError(z, wing(BRANCH_MINUS), wing(BRANCH_PLUS))
+    return wing(BRANCH_PLUS if z > zc else BRANCH_MINUS)

@@ -69,15 +69,15 @@ def default_space_scale(data: InitialData, t: float) -> float:
     return math.sqrt(t)
 
 
-def rescaled_phase(data: InitialData, y, z: float, t: float, dy_order: int = 0,
-                   space_scale: float | None = None):
-    """Ht(y, z) and its first two y derivatives (exact formulas).
+def rescaled_phase(data: InitialData, y, z: float, t: float, dy_order: int = 0):
+    """Ht(y, z) and its first two y derivatives (exact formulas), with
+    m = default_space_scale(data, t).
 
     dy_order 0: -(z-y)^2/4 - (t/(2 m^2)) int_0^{m y} f0
     dy_order 1: (z - y - (t/m) f0(m y)) / 2
     dy_order 2: (-1 - t f0'(m y)) / 2
     """
-    m = space_scale if space_scale is not None else default_space_scale(data, t)
+    m = default_space_scale(data, t)
     y = np.asarray(y, dtype=float)
     if dy_order == 0:
         out = -((z - y) ** 2) / 4.0 - (t / (2.0 * m * m)) * data.primitive(m * y)
@@ -90,24 +90,22 @@ def rescaled_phase(data: InitialData, y, z: float, t: float, dy_order: int = 0,
     return float(out) if np.ndim(out) == 0 else out
 
 
-def critical_curve_finite(data: InitialData, y, t: float,
-                          space_scale: float | None = None):
+def critical_curve_finite(data: InitialData, y, t: float):
     """g_t(y) = y + (t/m) f0(m y); its zeros of z - g_t are the stationary
     points of the rescaled phase."""
-    m = space_scale if space_scale is not None else default_space_scale(data, t)
+    m = default_space_scale(data, t)
     y = np.asarray(y, dtype=float)
     out = y + (t / m) * data.value(m * y)
     return float(out) if np.ndim(out) == 0 else out
 
 
-def rescaled_critical_points(data: InitialData, z: float, t: float,
-                             space_scale: float | None = None) -> list:
+def rescaled_critical_points(data: InitialData, z: float, t: float) -> list:
     """The stationary points of Ht(., z): the critical points of the physical
     phase at x = m z with each y divided by m and each residual, |H'|, made
     |dHt/dy| = (t/m) |H'|.  The kinds and phase values carry over: the
     total phase is the same function, and both units call a point
     degenerate at |1 + t f0'| <= 1e-6."""
-    m = space_scale if space_scale is not None else default_space_scale(data, t)
+    m = default_space_scale(data, t)
     cps = locate_critical_points(PhysicalPhase(data, m * float(z), float(t)))
     return [replace(c, y=c.y / m, residual=c.residual * (t / m)) for c in cps]
 
@@ -131,9 +129,7 @@ def _near_origin_halfwidth(data: InitialData, t: float) -> float:
     return t ** (-1.0 / (1.0 + alpha) + 0.1)
 
 
-def finite_branches(data: InitialData, z: float, t: float,
-                    margin: float | None = None,
-                    space_scale: float | None = None) -> BranchSet:
+def finite_branches(data: InitialData, z: float, t: float) -> BranchSet:
     """Stationary points of the rescaled phase sorted into the monotone
     branch windows; everything else (near y = 0 or near the cusp) lands in
     extras.
@@ -143,8 +139,7 @@ def finite_branches(data: InitialData, z: float, t: float,
     limit branches, so at moderate t a branch can legitimately be absent.
     """
     case = case_for_data(data)
-    m = space_scale if space_scale is not None else default_space_scale(data, t)
-    cps = rescaled_critical_points(data, z, t, space_scale=m)
+    cps = rescaled_critical_points(data, z, t)
     out = BranchSet()
     if case is None:
         out.extras = list(cps)
@@ -152,8 +147,7 @@ def finite_branches(data: InitialData, z: float, t: float,
 
     strip = _near_origin_halfwidth(data, t)
     y0 = case.y0
-    nu = margin if margin is not None else 0.05 * (y0 if y0 is not None
-                                                   else case.kappa ** (1.0 / (1.0 + case.alpha)))
+    nu = 0.05 * (y0 if y0 is not None else case.kappa ** (1.0 / (1.0 + case.alpha)))
 
     limits = {}  # branch -> its limit y at z, each inverted once
 
@@ -203,7 +197,7 @@ def finite_branches(data: InitialData, z: float, t: float,
             else:
                 leftovers.append(cp)
 
-    gt = lambda y: critical_curve_finite(data, y, t, space_scale=m)
+    gt = lambda y: critical_curve_finite(data, y, t)
     for name, cp in assigned.items():
         lo, hi, sgn = wins[name]
         probes = np.linspace(max(lo, cp.y - 1.0), min(hi, cp.y + 1.0), 9)
@@ -218,27 +212,24 @@ def finite_branches(data: InitialData, z: float, t: float,
     return out
 
 
-def phase_tie_point(data: InitialData, t: float, window: tuple | None = None,
-                    space_scale: float | None = None) -> float:
+def phase_tie_point(data: InitialData, t: float) -> float:
     """The z at which the two competing phase maxima have equal height at
     finite t (the finite-time location of the profile jump).
 
-    Bisection on the difference of the branch phase values, which is
-    strictly monotone in z; the window is widened once before giving up."""
+    The difference of the branch phase values, which is strictly monotone
+    in z, is scanned on one fixed z grid (symmetric about 0 for SignFlipped,
+    geometric right of the cusp otherwise), and Brent's method polishes the
+    first sign change; without one it raises TieWindowError."""
     case = case_for_data(data)
     if case is None:
         raise ValueError("data family has no asymptotic profile case")
-    m = space_scale if space_scale is not None else default_space_scale(data, t)
 
     def diff(z):
-        bs = finite_branches(data, z, t, space_scale=m)
-        plus = bs.plus
-        left = bs.get(BRANCH_MINUS)
-        if plus is None or left is None:
+        bs = finite_branches(data, z, t)
+        if bs.plus is None or bs.minus is None:
             return None
-        hp = rescaled_phase(data, plus.y, z, t, space_scale=m)
-        hm = rescaled_phase(data, left.y, z, t, space_scale=m)
-        return hp - hm
+        return (rescaled_phase(data, bs.plus.y, z, t)
+                - rescaled_phase(data, bs.minus.y, z, t))
 
     def diff_strict(z):
         v = diff(z)
@@ -248,9 +239,7 @@ def phase_tie_point(data: InitialData, t: float, window: tuple | None = None,
             )
         return v
 
-    if window is not None:
-        zs = np.linspace(window[0], window[1], 17)
-    elif case.case == CASE_SIGN_FLIPPED:
+    if case.case == CASE_SIGN_FLIPPED:
         zs = np.linspace(-8.0, 8.0, 33)
     else:
         zs = case.g_y0 + np.concatenate([[0.02], np.geomspace(0.05, 12.0, 24)])
@@ -334,7 +323,7 @@ def check_properties(data: InitialData, t: float, tol: dict | None = None) -> Pr
     g_y0 = case.g_y0 if case.g_y0 is not None else 0.0
     strip = _near_origin_halfwidth(data, t)
     glim = lambda y: profiles.critical_curve_limit(case, y)
-    gt = lambda y: critical_curve_finite(data, y, t, space_scale=m)
+    gt = lambda y: critical_curve_finite(data, y, t)
 
     # 1: located critical points sit near the limit curve (reported only)
     w_max = 0.0
@@ -342,7 +331,7 @@ def check_properties(data: InitialData, t: float, tol: dict | None = None) -> Pr
     z_grid = np.linspace(-5.0, 5.0, 21)
     all_cps = {}
     for z in z_grid:
-        cps = rescaled_critical_points(data, z, t, space_scale=m)
+        cps = rescaled_critical_points(data, z, t)
         all_cps[float(z)] = cps
         for cp in cps:
             if abs(cp.y) >= eps:
@@ -369,7 +358,7 @@ def check_properties(data: InitialData, t: float, tol: dict | None = None) -> Pr
             zg = zg[zg < 0]
         errs = []
         for z in zg:
-            bs = finite_branches(data, float(z), t, space_scale=m)
+            bs = finite_branches(data, float(z), t)
             sol = bs.get(branch)
             if sol is None:
                 continue
@@ -392,7 +381,7 @@ def check_properties(data: InitialData, t: float, tol: dict | None = None) -> Pr
     tpow = (t / m) * data.sup_abs
     ys = np.linspace(-strip, strip, 31)
     for z in np.linspace(-5.0, 5.0, 11):
-        dh = np.abs(rescaled_phase(data, ys, float(z), t, dy_order=1, space_scale=m))
+        dh = np.abs(rescaled_phase(data, ys, float(z), t, dy_order=1))
         bound = 1.0 + abs(float(z)) + tpow
         bound_margin = min(bound_margin, float(bound - np.max(dh)))
     props["property_3"] = {
@@ -405,7 +394,7 @@ def check_properties(data: InitialData, t: float, tol: dict | None = None) -> Pr
                             np.linspace(eps, 1.0 / eps, 25)])
     conv = 0.0
     for z in np.linspace(-1.0 / eps, 1.0 / eps, 11):
-        dh = rescaled_phase(data, box_y, float(z), t, dy_order=1, space_scale=m)
+        dh = rescaled_phase(data, box_y, float(z), t, dy_order=1)
         conv = max(conv, float(np.max(np.abs(dh - 0.5 * (float(z) - glim(box_y))))))
     props["property_4"] = {
         "pass": conv <= tols["deriv_conv"],
@@ -417,7 +406,7 @@ def check_properties(data: InitialData, t: float, tol: dict | None = None) -> Pr
     rng = np.random.default_rng(20240817)
     ptsy = rng.uniform(-3.0, 3.0, 200)
     ptsz = rng.uniform(-5.0, 5.0, 200)
-    dh = np.asarray([rescaled_phase(data, yy, float(zz), t, dy_order=1, space_scale=m)
+    dh = np.asarray([rescaled_phase(data, yy, float(zz), t, dy_order=1)
                      for yy, zz in zip(ptsy, ptsz)])
     side = ptsz - gt(ptsy)
     mism = int(np.sum(np.sign(dh) * np.sign(side) < 0))
@@ -449,7 +438,7 @@ def check_properties(data: InitialData, t: float, tol: dict | None = None) -> Pr
         strays = []
         for z in zs:
             key = float(z)
-            cps = all_cps.get(key) or rescaled_critical_points(data, key, t, space_scale=m)
+            cps = all_cps.get(key) or rescaled_critical_points(data, key, t)
             for cp in cps:
                 if not membership(key, cp, branches_allowed, also_unit_ball):
                     strays.append((key, cp.y))
@@ -475,7 +464,7 @@ def check_properties(data: InitialData, t: float, tol: dict | None = None) -> Pr
     delta = tols["delta"]
     ybox = np.concatenate([np.linspace(-1.0 / delta, -delta, 40),
                            np.linspace(y0 + delta, 1.0 / delta, 40)])
-    d2 = rescaled_phase(data, ybox, 0.0, t, dy_order=2, space_scale=m)
+    d2 = rescaled_phase(data, ybox, 0.0, t, dy_order=2)
     c1 = float(np.min(-d2))
     c2 = float(np.max(-d2))
     props["property_9"] = {

@@ -1,7 +1,7 @@
 """The one quadrature path (quadrature.BatchKernel): randomized oracles
 that hold every point of a batch to its batch of one up to round-off for
-eval_batch, heat_eval_batch, derivative_fields_batch and
-heat_derivative_batch, and both to QUADPACK and the closed forms; a point
+eval_batch, heat_eval_batch, derivative_fields_scorer and
+heat_derivative_scorer, and both to QUADPACK and the closed forms; a point
 that does not depend on its batch; the kernel's last resort at the ends of
 the monotone pieces of G_t; starved panel budgets; the reuse of one kernel
 setup; and the sup-norm scans that run on it."""
@@ -407,7 +407,7 @@ def settled_fields(data, x, t):
                1.0, np.linspace(-1.0, 1.0, 5)),
          rel_tol=1e-8, pick=0)
 def test_derivative_fields_batch_matches_derivative_fields(case, rel_tol, pick):
-    """derivative_fields_batch against derivative_fields (a batch of one)
+    """derivative_fields_scorer against derivative_fields (a batch of one)
     at every x, and both against the settled value at the point pick.
 
     Each single field is the batch's up to round-off, 1e-11 of its error
@@ -418,7 +418,7 @@ def test_derivative_fields_batch_matches_derivative_fields(case, rel_tol, pick):
     batch_and_singles."""
     data, t, xs = case
     got, singles = batch_and_singles(
-        lambda d, x, tt: burgers.derivative_fields_batch(d, x, tt, rel_tol),
+        lambda d, x, tt: burgers.derivative_fields_scorer(d, tt, rel_tol)(x),
         lambda d, x, tt: burgers.derivative_fields(d, x, tt, rel_tol), data, xs, t)
     if got is None:
         return
@@ -445,7 +445,7 @@ def test_derivative_fields_batch_falls_back_per_point(monkeypatch, power_c0):
     t = 1e3
     xs = np.asarray([t * power_c0.value(0.0), 5.0])
     calls = counted_locate(monkeypatch)
-    got = burgers.derivative_fields_batch(power_c0, xs, t)
+    got = burgers.derivative_fields_scorer(power_c0, t)(xs)
     assert calls == [xs[0]]
     want = burgers._fields(quadpack_moments(power_c0, float(xs[0]), t))
     scales = field_scales(*moment_sizes(power_c0, xs[:1], t))
@@ -496,7 +496,7 @@ def heat_derivative_and_size(data, x, t, m, exact=False):
 @given(case=batch_cases(), order=st.sampled_from(HEAT_ORDERS),
        rel_tol=st.sampled_from([1e-8, 1e-10]), pick=st.integers(0, 12))
 def test_heat_derivative_batch_matches_heat_derivative(case, order, rel_tol, pick):
-    """heat_derivative_batch against heat_derivative (a batch of one) at
+    """heat_derivative_scorer against heat_derivative (a batch of one) at
     every x, and both against QUADPACK at the point pick.
 
     Each single value is the batch's up to round-off, 1e-11 of its size
@@ -507,7 +507,7 @@ def test_heat_derivative_batch_matches_heat_derivative(case, order, rel_tol, pic
     n, k = order
     m = 2 * n + k
     got, want = batch_and_singles(
-        lambda d, x, tt: heat.heat_derivative_batch(d, x, tt, n, k, rel_tol),
+        lambda d, x, tt: heat.heat_derivative_scorer(d, tt, n, k, rel_tol)(x),
         lambda d, x, tt: heat.heat_derivative(d, x, tt, n, k, rel_tol), data, xs, t)
     if got is None:
         return
@@ -529,7 +529,7 @@ def test_heat_derivative_at_a_ddecay_argmax():
     x, t = -16915.32, 1.131e8
     want = heat_derivative_and_size(data, x, t, 1, exact=True)[0]
     assert heat.heat_derivative(data, x, t, 0, 1, 1e-8) == pytest.approx(want, rel=1e-12)
-    got = heat.heat_derivative_batch(data, np.asarray([x]), t, 0, 1, 1e-8)
+    got = heat.heat_derivative_scorer(data, t, 0, 1, 1e-8)(np.asarray([x]))
     assert got[0] == pytest.approx(want, rel=1e-12)
 
 
@@ -539,11 +539,11 @@ def test_heat_derivative_batch_falls_back_per_point(monkeypatch, power_c1_half):
     # locate_critical_points, and every value is that of the unsplit kernel
     xs = np.asarray([-3.0, 0.0, 5.0])
     t = 40.0
-    want = heat.heat_derivative_batch(power_c1_half, xs, t, 0, 1)
+    want = heat.heat_derivative_scorer(power_c1_half, t, 0, 1)(xs)
     monkeypatch.setattr(quadrature, "monotone_pieces",
                         lambda data, t, reach: (np.asarray([0.0]), np.asarray([True, True])))
     calls = counted_locate(monkeypatch)
-    got = heat.heat_derivative_batch(power_c1_half, xs, t, 0, 1)
+    got = heat.heat_derivative_scorer(power_c1_half, t, 0, 1)(xs)
     assert calls == [0.0]
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -555,14 +555,14 @@ def test_starved_heat_derivative_raises_the_scalar_error(monkeypatch, power_c1_h
     xs = np.asarray([-3.0, 0.0, 5.0])
     t = 40.0
     monkeypatch.setattr(heat, "BatchKernel", starved_kernel(18))
-    assert np.all(np.isfinite(heat.heat_derivative_batch(power_c1_half, xs[[0, 2]], t, 0, 1)))
+    assert np.all(np.isfinite(heat.heat_derivative_scorer(power_c1_half, t, 0, 1)(xs[[0, 2]])))
     with pytest.raises(NotConvergedError, match=r"^weight 0 .* at x=0, t=40: error "):
-        heat.heat_derivative_batch(power_c1_half, xs, t, 0, 1)
+        heat.heat_derivative_scorer(power_c1_half, t, 0, 1)(xs)
     monkeypatch.setattr(heat, "BatchKernel", starved_kernel(12))
     with pytest.raises(NotConvergedError, match=r"^weight 0 .* at x=-3, t=40: error ") as single:
         heat.heat_derivative(power_c1_half, -3.0, t, 1, 0)
     with pytest.raises(NotConvergedError, match=r"^weight 0 .* at x=-3, t=40: error ") as batch:
-        heat.heat_derivative_batch(power_c1_half, xs, t, 1, 0)
+        heat.heat_derivative_scorer(power_c1_half, t, 1, 0)(xs)
     assert str(batch.value) == str(single.value)
 
 

@@ -291,6 +291,20 @@ def test_cli_exit_code_counts_below_one(tmp_path):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command, scan", [
+    ("decay", {"n_coarse": 9}),
+    ("decay", {"window_Z": -1}),
+    ("ddecay", {"n_coarse": 0}),
+], ids=["decay-n_coarse", "decay-window_Z", "ddecay-n_coarse"])
+def test_cli_exit_code_bad_scan_settings(tmp_path, command, scan):
+    # sup_norm needs 64 coarse points, every scan at least one and Z > 0
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(
+        {"family": {"family": "PowerC0", "kappa": 1.0, "alpha": 0.5}, **scan}))
+    assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_exit_code_check_failure(tmp_path):
     # a deliberately tiny sweep cannot match the asymptotic exponent, so
     # --check must exit 4

@@ -91,12 +91,3 @@ def test_scheme_validation(power_c1_half):
 def test_discrete_max_principle(power_c1_half):
     out = fd.integrate(power_c1_half, 30.0, 301, 5.0)
     assert np.max(np.abs(out.values)) <= power_c1_half.sup_abs + 1e-8
-
-
-def test_dump_csv(tmp_path, constant_07):
-    out = fd.integrate(constant_07, 5.0, 11, 0.01)
-    path = tmp_path / "snap.csv"
-    fd.dump_csv(out, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x,value"
-    assert len(lines) == 12

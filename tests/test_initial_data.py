@@ -327,11 +327,6 @@ def test_primitive_cache_concurrent_extension():
     assert d.primitive(y) == pytest.approx(exact, rel=1e-10)
 
 
-def test_kink_flag():
-    assert make_family(FamilySpec("PowerC0", kappa=1.0, alpha=0.5)).kink_at_origin
-    assert not make_family(FamilySpec("PowerC1", kappa=1.0, alpha=0.5)).kink_at_origin
-
-
 def test_derivative_tail_bounds_hypothesis_constants():
     # |f0^(i)| <= lambda_i / (1 + |y|)^(alpha + i): the hypothesis constants
     # are verified empirically for the C1 representatives, not stored

@@ -201,9 +201,6 @@ def test_lazy_jump_equals_the_eager_solve(case, want):
     assert "discontinuity_z" not in vars(case)
     assert case.discontinuity_z == want
     assert case.discontinuity_z == profile_jump_location(case, VARIANT_LIMIT_DERIVED)
-    assert case.discontinuity_source == VARIANT_LIMIT_DERIVED
-    supplied = ProfileCase(case.case, case.kappa, case.alpha, case.beta, discontinuity_z=1.5)
-    assert (supplied.discontinuity_z, supplied.discontinuity_source) == (1.5, "supplied")
 
 
 def test_jump_delta_residual(sym_third):
@@ -228,6 +225,25 @@ def test_jump_gap(alpha):
         profile_value(case, case.discontinuity_z)
     gap = abs(err.value.left - err.value.right)
     assert gap >= 1e-3
+
+
+@pytest.mark.parametrize("case", [
+    ProfileCase(CASE_SYMMETRIC, 1.0, 1 / 3),
+    ProfileCase(CASE_LOG_CORRECTED, 1.0, 1 / 3, 1.0),
+    ProfileCase(CASE_SIGN_FLIPPED, 1.0, 0.5),
+    ProfileCase(CASE_ASYMMETRIC, 1.0, 1 / 3, 2 / 3),
+], ids=lambda case: case.case)
+def test_discontinuity_error_carries_the_one_sided_limits(case):
+    # at each jump (and at z = 0 for Asymmetric) left and right are the
+    # profile one float to either side
+    jumps = [case.discontinuity_z] + ([0.0] if case.case == CASE_ASYMMETRIC else [])
+    for zc in jumps:
+        with pytest.raises(DiscontinuityError) as err:
+            profile_value(case, zc)
+        assert err.value.z == zc
+        for got, side in ((err.value.left, -np.inf), (err.value.right, np.inf)):
+            want = profile_value(case, np.nextafter(zc, side))
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-300), (zc, side)
 
 
 def test_sign_flipped_jump_at_zero():
