@@ -83,6 +83,9 @@ class ExperimentConfig:
         if self.t_count is not None and self.experiment in _FIT_EXPERIMENTS \
                 and self.t_count < 4:
             raise ConfigError("fitting experiments need at least 4 time points")
+        if self.experiment in _FIT_EXPERIMENTS and self.t_max == self.t_min:
+            # t_grid is then the one point t_min
+            raise ConfigError("fitting experiments need t_max > t_min")
         # sup_norm and heat_sup_norm scan at least 64 coarse points
         n_min = 64 if self.experiment == "decay" else 1
         if self.n_coarse < n_min:

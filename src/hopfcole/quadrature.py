@@ -11,7 +11,10 @@ x = m z in units of y = m y~ (rescaled.rescaled_critical_points).
 
 There is one quadrature path.  The weights of a call are compiled once
 (compile_weights) into a function that evaluates f0, f0' and f0'' once per
-node array and every weight from them in one matrix product.  The compiled
+node array and every weight from them in one matrix product.  Its monomials
+f0^a (f0')^b (f0'')^c are products of one power table of those rows, each
+power one multiplication from the one below and a factor with exponent 1
+the data row itself, written into one preallocated array.  The compiled
 weights take each node's x too, for the one weight that depends on it: the
 Hermite factor H_m((x - y) / (2 sqrt t)) of the heat derivatives
 (HermiteWeight).  _panel_eval applies the non-nested 10- and 21-point
@@ -178,11 +181,15 @@ def compile_weights(gs, data: InitialData, t):
     Each MomentWeight term (a, b, c, p) is a monomial f0^a (f0')^b (f0'')^c
     with its coefficient times t^-p in a coefficient matrix; f0 and its
     derivatives are evaluated once per node array, up to the highest order
-    any weight needs, and the moment rows are one matrix product.  None
-    (unit weight), scalars and plain callables y -> g(y) fill their own
-    rows, and so does a HermiteWeight, from s = (x - y) / (2 sqrt t) with
-    each node's own x (a scalar or an array like y).  With x None that row
-    is its x-independent factor g(y) alone."""
+    any weight needs, and the moment rows are one matrix product.  The
+    monomials are products of one power table: each power f_k^e is one
+    multiplication from f_k^(e-1), a factor with exponent 1 is the data row
+    itself (so the monomial f0 is data.value(y) bit for bit), and every
+    monomial is written into one array of shape (n_monomials, y.size).
+    None (unit weight), scalars and plain callables y -> g(y) fill their
+    own rows, and so does a HermiteWeight, from s = (x - y) / (2 sqrt t)
+    with each node's own x (a scalar or an array like y).  With x None that
+    row is its x-independent factor g(y) alone."""
     monomials = {}  # (a, b, c) -> column of the coefficient matrix
     coef = []
     fixed = []
@@ -200,8 +207,11 @@ def compile_weights(gs, data: InitialData, t):
             fixed.append((i, float(g)))
         else:
             fixed.append((i, g))
-    exps = np.asarray(list(monomials), dtype=int).reshape(-1, 3)
-    order = max((2 if c else 1 if b else 0 for (_a, b, c) in monomials), default=0)
+    # the factors (k, e), e > 0, of each monomial, and the highest power of
+    # each f_k that one needs
+    factors = [[(k, e) for k, e in enumerate(abc) if e] for abc in monomials]
+    top = [max((abc[k] for abc in monomials), default=0) for k in range(3)]
+    order = max((k for k in range(3) if top[k]), default=0)
     cmat = np.zeros((len(gs), len(monomials)))
     for i, col, v in coef:
         cmat[i, col] += v
@@ -209,13 +219,20 @@ def compile_weights(gs, data: InitialData, t):
 
     def weights(y, x=None):
         y = np.asarray(y, dtype=float)
-        out = np.zeros((len(gs), y.size))
         if monomials:
-            fs = np.empty((order + 1, y.size))
-            fs[0] = data.value(y)
-            for k in range(1, order + 1):
-                fs[k] = data.derivative(y, k)
-            out = cmat @ np.prod(fs[None, :, :] ** exps[:, :order + 1, None], axis=1)
+            power = {}  # (k, e) -> f_k^e
+            for k in range(order + 1):
+                power[k, 1] = data.value(y) if k == 0 else data.derivative(y, k)
+                for e in range(2, top[k] + 1):
+                    power[k, e] = power[k, e - 1] * power[k, 1]
+            rows = np.empty((len(monomials), y.size))
+            for row, fac in zip(rows, factors):
+                row[:] = power[fac[0]] if fac else 1.0
+                for f in fac[1:]:
+                    row *= power[f]
+            out = cmat @ rows
+        else:
+            out = np.zeros((len(gs), y.size))  # a MomentWeight with no terms is 0
         for i, g in fixed:
             out[i] = g(y) if callable(g) else g
         for i, g, coeffs in hermite:
@@ -401,11 +418,12 @@ def integrate_moments(gs, phase, rel_tol=1e-8, cps=None, interval=None,
     if cps is None:
         cps = locate_critical_points(phase)
     weights = compile_weights(gs, phase.data, phase.t)
+    ph = _Phases(phase.data, phase.t, weights)
+    y = np.asarray([c.y for c in cps])
     total, err, tgt, conv, log_scale, a, b = _integrate(
-        _Phases(phase.data, phase.t, weights), np.asarray([float(phase.x)]),
-        np.zeros(len(cps), dtype=int), np.asarray([c.y for c in cps]),
-        np.asarray([c.kind != KIND_MIN for c in cps]), _origin_scale(weights),
-        rel_tol, max_panels, interval)
+        ph, np.asarray([float(phase.x)]), np.zeros(len(cps), dtype=int), y,
+        np.asarray([c.kind != KIND_MIN for c in cps]), ph.slope(y),
+        _origin_scale(weights), rel_tol, max_panels, interval)
     return [StabilizedIntegral(float(log_scale[0]), float(total[i, 0]), float(err[i, 0]),
                                (float(a[0]), float(b[0])), bool(conv[i, 0]), float(tgt[i, 0]))
             for i in range(len(gs))]
@@ -501,8 +519,12 @@ def _log_gauss_tails(quad, dist):
 
 
 def _sums(pid, v, n):
-    """Per-point sums of the rows of v over the panels of each point."""
-    return np.stack([np.bincount(pid, weights=row, minlength=n) for row in v])
+    """Per-point sums of the rows of v over the panels of each point, in one
+    bincount over (row, point) bins: each bin adds its weights in panel
+    order, as a bincount of its row alone does."""
+    k = v.shape[0]
+    idx = (np.arange(k)[:, None] * n + pid).ravel()
+    return np.bincount(idx, weights=v.ravel(), minlength=k * n).reshape(k, n)
 
 
 class BatchKernel:
@@ -588,9 +610,10 @@ class _Phases:
         """G_t'(y) = 1 + t f0'(y) = -2t H''(y)."""
         return 1.0 + self.t * self.data.derivative(y, 1)
 
-    def width(self, y):
-        """min(char_width, 1/sqrt(-H'')) where H'' < 0, else char_width."""
-        d2 = -0.5 * self.slope(y) / self.t
+    def width(self, d1):
+        """min(char_width, 1/sqrt(-H'')) where H'' < 0, else char_width, from
+        the slope d1 = G_t' at the point."""
+        d2 = -0.5 * d1 / self.t
         return np.where(d2 < 0.0, np.minimum(self.char_width, 1.0 / np.sqrt(np.abs(d2))),
                         self.char_width)
 
@@ -608,11 +631,12 @@ def _batch_critical_points(ph, xs, nodes, rising, g_bounds):
     A step that leaves the bracket is a bisection, and one that does not
     move y is the root.
 
-    Returns (pt, y, is_max): for each root its point, its y and whether it
-    is a maximum.  A point whose roots miss a check (one is degenerate, at a
-    piece end or off by more than 1e-6 of its peak width, or none is a
-    maximum) gets the roots of locate_critical_points on its own phase
-    instead, a degenerate one counting as a maximum."""
+    Returns (pt, y, is_max, d1): for each root its point, its y, whether it
+    is a maximum and G_t' there.  A point whose roots miss a check (one is
+    degenerate, at a piece end or off by more than 1e-6 of its peak width,
+    or none is a maximum) gets the roots of locate_critical_points on its
+    own phase instead, a degenerate one counting as a maximum; G_t' at those
+    roots is one more evaluation for all such points."""
     t, data, n = ph.t, ph.data, xs.size
     sgn = np.where(rising, 1.0, -1.0)
     # (point, piece) rows: the cell [lo, hi] with h = sgn (G_t - x) at its
@@ -663,17 +687,22 @@ def _batch_critical_points(ph, xs, nodes, rising, g_bounds):
     miss = (at_end | (np.bincount(pt[bad], minlength=n) > 0)
             | (np.bincount(pt[is_max], minlength=n) == 0))
     keep = ~miss[pt]
-    rows = [(pt[keep], y[keep], is_max[keep])]
+    if not miss.any():
+        return pt, y, is_max, d1
+    rows = []
     for i in np.nonzero(miss)[0]:
         cps = locate_critical_points(PhysicalPhase(data, float(xs[i]), t))
         rows.append((np.full(len(cps), i), np.asarray([c.y for c in cps]),
                      np.asarray([c.kind != KIND_MIN for c in cps])))
-    return tuple(np.concatenate(col) for col in zip(*rows))
+    f_pt, f_y, f_max = (np.concatenate(col) for col in zip(*rows))
+    return (np.concatenate([pt[keep], f_pt]), np.concatenate([y[keep], f_y]),
+            np.concatenate([is_max[keep], f_max]), np.concatenate([d1[keep], ph.slope(f_y)]))
 
 
-def _integrate(ph, x, pt, y, is_max, origin_scale, rel_tol, max_panels, interval=None):
+def _integrate(ph, x, pt, y, is_max, d1, origin_scale, rel_tol, max_panels,
+               interval=None):
     """The integrals of the weights of ph at every point x, from the roots
-    (pt, y, is_max) of their phases.
+    (pt, y, is_max, d1) of their phases, d1 being G_t' at each root.
 
     Over the whole line the log scale is the largest phase at a root, and
     the ends and tail bound are _batch_truncation's; over a window
@@ -687,15 +716,16 @@ def _integrate(ph, x, pt, y, is_max, origin_scale, rel_tol, max_panels, interval
     if interval is None:
         log_scale = np.full(m, -np.inf)
         np.maximum.at(log_scale, pt, ph.total(y, x[pt]))
-        a, b, log_tail = _batch_truncation(ph, x, log_scale, pt[is_max], y[is_max])
+        a, b, log_tail = _batch_truncation(ph, x, log_scale, pt[is_max], y[is_max],
+                                           d1[is_max])
     else:
         a, b = np.full(m, float(interval[0])), np.full(m, float(interval[1]))
         inner = (y > a[pt]) & (y < b[pt])
-        pt, y, is_max = pt[inner], y[inner], is_max[inner]
+        pt, y, is_max, d1 = pt[inner], y[inner], is_max[inner], d1[inner]
         log_scale = np.maximum(ph.total(a, x), ph.total(b, x))
         np.maximum.at(log_scale, pt, ph.total(y, x[pt]))
         log_tail = np.full(m, -np.inf)
-    pid, pa, pb = _batch_edges(ph, a, b, pt, y, is_max, origin_scale)
+    pid, pa, pb = _batch_edges(ph, a, b, pt, y, is_max, d1, origin_scale)
     total, err, tgt = _batch_refine(
         lambda yy, p: ph.weights(yy, x[p]) * np.exp(ph.total(yy, x[p]) - log_scale[p]),
         pid, pa, pb, m, rel_tol, max_panels)
@@ -703,13 +733,14 @@ def _integrate(ph, x, pt, y, is_max, origin_scale, rel_tol, max_panels, interval
     return total, err + tail, tgt, (err <= tgt) & np.isfinite(tail), log_scale, a, b
 
 
-def _batch_truncation(ph, x, log_scale, max_pt, max_y):
+def _batch_truncation(ph, x, log_scale, max_pt, max_y, max_d1):
     """(a, b, log of the tail bound) for every point: from the outermost
-    maxima, steps of 1, 2, 4, ... peak widths out to where the phase is
-    DROP + 5 e-folds (and the log of the weights' size) below log_scale, and
-    beyond the Gaussian domination threshold of the primitive's growth
-    bound; the window doubles until the bound of the Gaussian tails beyond
-    it is DROP / 2 e-folds below.
+    maxima (max_pt, max_y, with G_t' = max_d1 there), steps of 1, 2, 4,
+    ... peak widths out to where the phase is DROP + 5 e-folds (and the log
+    of the weights' size) below log_scale, and beyond the Gaussian
+    domination threshold of the primitive's growth bound; the window
+    doubles until the bound of the Gaussian tails beyond it is DROP / 2
+    e-folds below.
 
     The steps are scored _DOUBLINGS at a time, 2^k for k0 <= k < k0 +
     _DOUBLINGS in one call, and each end is the first that hits: the ends
@@ -720,9 +751,13 @@ def _batch_truncation(ph, x, log_scale, max_pt, max_y):
     np.minimum.at(y_lo, max_pt, max_y)
     np.maximum.at(y_hi, max_pt, max_y)
     y0 = np.concatenate([y_lo, y_hi])
+    d0 = np.full(2 * m, np.nan)  # G_t' at y0, a function of y alone
+    for end, y_end in ((0, y_lo), (m, y_hi)):
+        at = max_y == y_end[max_pt]
+        d0[end + max_pt[at]] = max_d1[at]
     direction = np.repeat([-1.0, 1.0], m)
     x2, ls2 = np.tile(x, 2), np.tile(log_scale, 2)
-    w = np.maximum(ph.width(y0), 1e-12 * (1.0 + np.abs(y0)))
+    w = np.maximum(ph.width(d0), 1e-12 * (1.0 + np.abs(y0)))
     edge = y0 + direction * w * 2.0 ** 60
     todo = np.arange(2 * m)
     for k0 in range(0, 200, _DOUBLINGS):
@@ -761,12 +796,13 @@ def _batch_truncation(ph, x, log_scale, max_pt, max_y):
     return a, b, log_tail
 
 
-def _batch_edges(ph, a, b, pt, y, is_max, origin_scale):
+def _batch_edges(ph, a, b, pt, y, is_max, d1, origin_scale):
     """Initial panels (point, left, right): the truncation ends, the
     critical points, and edges graded geometrically around each maximum
-    (1, 3 and 8 peak widths, then 4 times wider at each step) and around
-    y = 0 (the same steps of origin_scale; y = 0 alone if that is 0: the
-    kink of PowerC0 data is in the phase whatever the weights).
+    (1, 3 and 8 peak widths, from G_t' = d1 there, then 4 times wider at
+    each step) and around y = 0 (the same steps of origin_scale; y = 0
+    alone if that is 0: the kink of PowerC0 data is in the phase whatever
+    the weights).
 
     Where the phase flattens away from a narrow peak, or the data decay as
     a power of |y|, one panel out to the truncation end puts every node past
@@ -776,7 +812,7 @@ def _batch_edges(ph, a, b, pt, y, is_max, origin_scale):
     steps = np.concatenate([[1.0, 3.0, 8.0], 8.0 * 4.0 ** np.arange(1, 13)])
     steps = np.concatenate([-steps[::-1], [0.0], steps])
     centers = np.concatenate([y[is_max], np.zeros(m)])
-    widths = np.concatenate([np.minimum(ph.width(y[is_max]), ph.char_width),
+    widths = np.concatenate([np.minimum(ph.width(d1[is_max]), ph.char_width),
                              np.full(centers.size - is_max.sum(), origin_scale)])
     ept = np.concatenate([np.arange(m), np.arange(m), pt,
                           np.repeat(pt[is_max], steps.size),

@@ -629,12 +629,14 @@ def test_kernel_tabulates_again_beyond_its_reach(monkeypatch, power_c1_third):
 
 def counted_slopes(mp):
     """Count the evaluations of G_t' (_Phases.slope) that
-    _batch_critical_points makes, and its calls."""
-    counts = {"calls": 0, "slopes": 0, "inside": False}
+    _batch_critical_points makes ("slopes") and those made anywhere else
+    ("outside"), and its calls."""
+    counts = {"calls": 0, "slopes": 0, "outside": 0, "inside": False}
     slope, critical = quadrature._Phases.slope, quadrature._batch_critical_points
 
     def counted_slope(self, y):
         counts["slopes"] += counts["inside"]
+        counts["outside"] += not counts["inside"]
         return slope(self, y)
 
     def counted_critical(*args):
@@ -651,7 +653,7 @@ def counted_slopes(mp):
 
 
 def kernel_roots(mp, data, t, x):
-    """(counts, (pt, y, is_max)): the roots of _batch_critical_points at
+    """(counts, (pt, y, is_max, d1)): the roots of _batch_critical_points at
     the one point x, on the table of a kernel made for it, and the slope
     evaluations of that call (counted_slopes)."""
     kernel = BatchKernel([burgers._F0], data, t)
@@ -667,7 +669,7 @@ def test_newton_stops_at_a_step_that_does_not_move(monkeypatch):
     # seed 1), of which 34 halvings after the root had converged
     data = make_family(FamilySpec("PowerC0", kappa=1.0108152693872443, alpha=0.5))
     t, x = 1176.59836401071, -34.828559709806996
-    counts, (_pt, y, is_max) = kernel_roots(monkeypatch, data, t, x)
+    counts, (_pt, y, is_max, _d1) = kernel_roots(monkeypatch, data, t, x)
     assert counts["slopes"] <= 6
     assert is_max.tolist() == [True]
     assert abs(y[0] + t * data.value(y[0]) - x) <= 1e-12 * abs(x)
@@ -678,7 +680,7 @@ def test_a_grid_point_where_g_is_x_is_the_root(monkeypatch):
     # with the one slope evaluation of the checks and no Newton step; from
     # a cell with y = 0 at its end, Newton lands on that end and the
     # safeguard bisects towards it 100 times
-    counts, (pt, y, is_max) = kernel_roots(monkeypatch, ZERO, 1e6, 0.0)
+    counts, (pt, y, is_max, _d1) = kernel_roots(monkeypatch, ZERO, 1e6, 0.0)
     assert counts["slopes"] == 1
     assert pt.tolist() == [0] and y.tolist() == [0.0] and is_max.tolist() == [True]
 
@@ -686,9 +688,11 @@ def test_a_grid_point_where_g_is_x_is_the_root(monkeypatch):
 def test_kernel_calls_do_little_fixed_work(power_c0):
     # the counts of one sup_norm scan (31 kernel calls): each root starts
     # in its grid cell (17.7 slope evaluations a call before, 4.3 now),
-    # and a truncation that does not widen scores its doublings in one
-    # weight_mag call and its tail bound in one more (7 calls before).  A
-    # widening makes one _log_gauss_tails call and one weight_mag call more
+    # and the truncation and the initial partition take G_t' at the maxima
+    # from the roots (2 evaluations a call more before).  A truncation that
+    # does not widen scores its doublings in one weight_mag call and its
+    # tail bound in one more (7 calls before).  A widening makes one
+    # _log_gauss_tails call and one weight_mag call more
     truncations = []
     truncation, weight_mag = quadrature._batch_truncation, quadrature._Phases.weight_mag
     tails = quadrature._log_gauss_tails
@@ -714,14 +718,16 @@ def test_kernel_calls_do_little_fixed_work(power_c0):
         burgers.sup_norm(power_c0, 1e6)
     assert counts["calls"] == 31
     assert counts["slopes"] / counts["calls"] <= 5.0
+    assert counts["outside"] == 0
     assert len(truncations) == 31
     assert all(c["weight_mag"] == 1 + c["tails"] for c in truncations)
     assert [c["weight_mag"] for c in truncations if c["tails"] == 1] == [2] * 31
 
 
-def truncation_one_step(ph, x, log_scale, max_pt, max_y):
+def truncation_one_step(ph, x, log_scale, max_pt, max_y, _max_d1):
     """_batch_truncation with one doubling a call and one call a tail
-    bound end: the reference of its blocks."""
+    bound end, and G_t' evaluated at the outermost maxima rather than
+    taken from the roots: the reference of its blocks."""
     drop = quadrature.DROP
     m = x.size
     y_lo = np.full(m, np.inf)
@@ -731,7 +737,7 @@ def truncation_one_step(ph, x, log_scale, max_pt, max_y):
     y0 = np.concatenate([y_lo, y_hi])
     direction = np.repeat([-1.0, 1.0], m)
     x2, ls2 = np.tile(x, 2), np.tile(log_scale, 2)
-    w = np.maximum(ph.width(y0), 1e-12 * (1.0 + np.abs(y0)))
+    w = np.maximum(ph.width(ph.slope(y0)), 1e-12 * (1.0 + np.abs(y0)))
     edge = y0 + direction * w * 2.0 ** 60
     todo = np.arange(2 * m)
     for k in range(200):
@@ -786,14 +792,14 @@ def test_truncation_blocks_equal_one_doubling_at_a_time(case, weights, order, lo
     truncation = quadrature._batch_truncation
     seen = []
 
-    def checked(ph, x, log_scale, max_pt, max_y):
+    def checked(ph, x, log_scale, *maxima):
         for ls in (log_scale, log_scale - lower):
-            got = truncation(ph, x, ls, max_pt, max_y)
-            want = truncation_one_step(ph, x, ls, max_pt, max_y)
+            got = truncation(ph, x, ls, *maxima)
+            want = truncation_one_step(ph, x, ls, *maxima)
             for u, v in zip(got, want):
                 assert np.array_equal(u, v, equal_nan=True), (data.spec, t, x, ls)
         seen.append(x.size)
-        return truncation(ph, x, log_scale, max_pt, max_y)
+        return truncation(ph, x, log_scale, *maxima)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quadrature, "_batch_truncation", checked)
@@ -802,3 +808,17 @@ def test_truncation_blocks_equal_one_doubling_at_a_time(case, weights, order, lo
         except NotConvergedError:
             pass
     assert sum(seen) == xs.size
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(1, 24), m=st.integers(1, 8), n_panels=st.integers(0, 64),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_sums_equal_one_bincount_a_row(k, m, n_panels, seed):
+    # one bincount over (row, point) bins adds each bin's weights in panel
+    # order, as a bincount of each row alone does: the same sums bit for bit
+    rng = np.random.default_rng(seed)
+    pid = rng.integers(0, m, n_panels)
+    v = (rng.standard_normal((k, n_panels))
+         * 10.0 ** rng.integers(-200, 201, (k, n_panels)).astype(float))
+    want = np.stack([np.bincount(pid, weights=row, minlength=m) for row in v])
+    assert np.array_equal(quadrature._sums(pid, v, m), want)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hopfcole import burgers, finite_difference
+from hopfcole import burgers, finite_difference, quadrature
 from hopfcole.cli import main
 from hopfcole.experiments import (
     ConfigError,
@@ -302,6 +302,23 @@ def test_cli_exit_code_bad_scan_settings(tmp_path, command, scan):
     cfg_path.write_text(json.dumps(
         {"family": {"family": "PowerC0", "kappa": 1.0, "alpha": 0.5}, **scan}))
     assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["decay", "ddecay"])
+def test_cli_exit_code_one_point_fit(tmp_path, monkeypatch, command):
+    # t_max == t_min is a grid of one point, which no power law fits: the
+    # config is refused before any kernel call (it used to run the scan
+    # and then fail in fit_power_law with a traceback)
+    calls = []
+    monkeypatch.setattr(quadrature.BatchKernel, "__call__",
+                        lambda *args, **kw: calls.append(args))
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(
+        {"family": {"family": "PowerC0", "kappa": 1.0, "alpha": 0.5},
+         "t_min": 1000, "t_max": 1000, "t_count": 4}))
+    assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert calls == []
     assert not (tmp_path / "out").exists()
 
 

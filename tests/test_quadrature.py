@@ -136,6 +136,42 @@ def test_compiled_weights_match_term_by_term(g, family, ys, log_t):
     assert np.array_equal(got[3], data.value(y))
 
 
+def spread_nodes(n, seed=3):
+    """n nodes of both signs with |y| from 1e-3 to 1e8, the reach of the
+    kernel's panels at t up to 1e8."""
+    rng = np.random.default_rng(seed)
+    return rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3.0, 8.0, n)
+
+
+@pytest.mark.parametrize("family", sorted(_KERNEL_DATA))
+@pytest.mark.parametrize("t", [1e6, 1e7, 1e8])
+def test_compiled_field_weights_on_large_node_arrays(family, t):
+    # the field weights hold the monomials f0^3 and f0 f0' as well as f0,
+    # f0', f0'' and 1; 20,000 nodes is above numpy's 8,192-element buffer,
+    # where elementwise loops run in chunks
+    data = _KERNEL_DATA[family]
+    monomials = {k[:3] for g in burgers._FIELD_WEIGHTS for k in g.terms}
+    assert {(3, 0, 0), (1, 1, 0), (0, 0, 0)} <= monomials
+    y = spread_nodes(20000)
+    got = compile_weights(burgers._FIELD_WEIGHTS + [None], data, t)(y)
+    assert got.shape == (8, y.size)
+    for g, row in zip(burgers._FIELD_WEIGHTS, got):
+        want, scale = reference_evaluate(g, data, y, t)
+        assert np.all(np.abs(row - want) <= 1e-13 * scale + 1e-300), g
+    assert np.all(got[-1] == 1.0)
+
+
+@pytest.mark.parametrize("family", sorted(_KERNEL_DATA))
+@pytest.mark.parametrize("n", [1, 248, 20000])
+def test_compiled_f0_row_is_the_data_row(family, n):
+    # a factor with exponent 1 is the data row itself: the one monomial of
+    # the sup-norm and field weights is data.value bit for bit
+    data = _KERNEL_DATA[family]
+    y = spread_nodes(n)
+    got = compile_weights([MomentWeight.f0(), None], data, 1e6)(y)
+    assert np.array_equal(got[0], data.value(y))
+
+
 def test_panel_eval_batch_matches_single_panels(power_c1_half):
     # k panels in one call equal k one-panel calls, per weight and panel,
     # relative to the panel's L1
