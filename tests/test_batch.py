@@ -495,14 +495,20 @@ def heat_derivative_and_size(data, x, t, m, exact=False):
 @settings(max_examples=30, deadline=None)
 @given(case=batch_cases(), order=st.sampled_from(HEAT_ORDERS),
        rel_tol=st.sampled_from([1e-8, 1e-10]), pick=st.integers(0, 12))
+# d_xx of Constant data is -5e-324 against 0 here: 2 rel_tol size is
+# 2.2e-324, below the spacing of doubles at 0
+@example(case=(make_family(FamilySpec("Constant", extra={"level": 2.2250738585e-313})),
+               1.0, np.linspace(-1.0, 1.0, 5)),
+         order=(0, 2), rel_tol=1e-8, pick=0)
 def test_heat_derivative_batch_matches_heat_derivative(case, order, rel_tol, pick):
     """heat_derivative_scorer against heat_derivative (a batch of one) at
     every x, and both against QUADPACK at the point pick.
 
     Each single value is the batch's up to round-off, 1e-11 of its size
     (heat_derivative_and_size).  At the point pick both are within
-    2 rel_tol size + 2 roundoff of QUADPACK.  Failures as in
-    batch_and_singles."""
+    2 rel_tol size + 2 roundoff of QUADPACK, plus the spacing of doubles
+    at the QUADPACK value: a value of subnormal data cannot be nearer to
+    it than that.  Failures as in batch_and_singles."""
     data, t, xs = case
     n, k = order
     m = 2 * n + k
@@ -517,7 +523,7 @@ def test_heat_derivative_batch_matches_heat_derivative(case, order, rel_tol, pic
     i = pick % xs.size
     truth, size, roundoff = heat_derivative_and_size(data, float(xs[i]), t, m, exact=True)
     for v in (got[i], want[i]):
-        assert abs(v - truth) <= 2.0 * rel_tol * size + 2.0 * roundoff, \
+        assert abs(v - truth) <= 2.0 * rel_tol * size + 2.0 * roundoff + abs(np.spacing(truth)), \
             (data.spec, t, xs[i], order, v, truth)
 
 
