@@ -635,8 +635,8 @@ def _batch_critical_points(ph, xs, nodes, rising, g_bounds):
     is a maximum and G_t' there.  A point whose roots miss a check (one is
     degenerate, at a piece end or off by more than 1e-6 of its peak width,
     or none is a maximum) gets the roots of locate_critical_points on its
-    own phase instead, a degenerate one counting as a maximum; G_t' at those
-    roots is one more evaluation for all such points."""
+    own phase instead, a degenerate one counting as a maximum, with G_t' at
+    its roots."""
     t, data, n = ph.t, ph.data, xs.size
     sgn = np.where(rising, 1.0, -1.0)
     # (point, piece) rows: the cell [lo, hi] with h = sgn (G_t - x) at its
@@ -687,16 +687,13 @@ def _batch_critical_points(ph, xs, nodes, rising, g_bounds):
     miss = (at_end | (np.bincount(pt[bad], minlength=n) > 0)
             | (np.bincount(pt[is_max], minlength=n) == 0))
     keep = ~miss[pt]
-    if not miss.any():
-        return pt, y, is_max, d1
-    rows = []
+    rows = [(pt[keep], y[keep], is_max[keep], d1[keep])]
     for i in np.nonzero(miss)[0]:
         cps = locate_critical_points(PhysicalPhase(data, float(xs[i]), t))
-        rows.append((np.full(len(cps), i), np.asarray([c.y for c in cps]),
-                     np.asarray([c.kind != KIND_MIN for c in cps])))
-    f_pt, f_y, f_max = (np.concatenate(col) for col in zip(*rows))
-    return (np.concatenate([pt[keep], f_pt]), np.concatenate([y[keep], f_y]),
-            np.concatenate([is_max[keep], f_max]), np.concatenate([d1[keep], ph.slope(f_y)]))
+        ys = np.asarray([c.y for c in cps])
+        rows.append((np.full(len(cps), i), ys, np.asarray([c.kind != KIND_MIN for c in cps]),
+                     ph.slope(ys)))
+    return tuple(np.concatenate(col) for col in zip(*rows))
 
 
 def _integrate(ph, x, pt, y, is_max, d1, origin_scale, rel_tol, max_panels,
@@ -716,8 +713,7 @@ def _integrate(ph, x, pt, y, is_max, d1, origin_scale, rel_tol, max_panels,
     if interval is None:
         log_scale = np.full(m, -np.inf)
         np.maximum.at(log_scale, pt, ph.total(y, x[pt]))
-        a, b, log_tail = _batch_truncation(ph, x, log_scale, pt[is_max], y[is_max],
-                                           d1[is_max])
+        a, b, log_tail = _batch_truncation(ph, x, log_scale, pt[is_max], y[is_max])
     else:
         a, b = np.full(m, float(interval[0])), np.full(m, float(interval[1]))
         inner = (y > a[pt]) & (y < b[pt])
@@ -733,14 +729,13 @@ def _integrate(ph, x, pt, y, is_max, d1, origin_scale, rel_tol, max_panels,
     return total, err + tail, tgt, (err <= tgt) & np.isfinite(tail), log_scale, a, b
 
 
-def _batch_truncation(ph, x, log_scale, max_pt, max_y, max_d1):
+def _batch_truncation(ph, x, log_scale, max_pt, max_y):
     """(a, b, log of the tail bound) for every point: from the outermost
-    maxima (max_pt, max_y, with G_t' = max_d1 there), steps of 1, 2, 4,
-    ... peak widths out to where the phase is DROP + 5 e-folds (and the log
-    of the weights' size) below log_scale, and beyond the Gaussian
-    domination threshold of the primitive's growth bound; the window
-    doubles until the bound of the Gaussian tails beyond it is DROP / 2
-    e-folds below.
+    maxima, steps of 1, 2, 4, ... peak widths out to where the phase is
+    DROP + 5 e-folds (and the log of the weights' size) below log_scale, and
+    beyond the Gaussian domination threshold of the primitive's growth
+    bound; the window doubles until the bound of the Gaussian tails beyond
+    it is DROP / 2 e-folds below.
 
     The steps are scored _DOUBLINGS at a time, 2^k for k0 <= k < k0 +
     _DOUBLINGS in one call, and each end is the first that hits: the ends
@@ -751,13 +746,9 @@ def _batch_truncation(ph, x, log_scale, max_pt, max_y, max_d1):
     np.minimum.at(y_lo, max_pt, max_y)
     np.maximum.at(y_hi, max_pt, max_y)
     y0 = np.concatenate([y_lo, y_hi])
-    d0 = np.full(2 * m, np.nan)  # G_t' at y0, a function of y alone
-    for end, y_end in ((0, y_lo), (m, y_hi)):
-        at = max_y == y_end[max_pt]
-        d0[end + max_pt[at]] = max_d1[at]
     direction = np.repeat([-1.0, 1.0], m)
     x2, ls2 = np.tile(x, 2), np.tile(log_scale, 2)
-    w = np.maximum(ph.width(d0), 1e-12 * (1.0 + np.abs(y0)))
+    w = np.maximum(ph.width(ph.slope(y0)), 1e-12 * (1.0 + np.abs(y0)))
     edge = y0 + direction * w * 2.0 ** 60
     todo = np.arange(2 * m)
     for k0 in range(0, 200, _DOUBLINGS):

@@ -506,9 +506,10 @@ def test_heat_derivative_batch_matches_heat_derivative(case, order, rel_tol, pic
 
     Each single value is the batch's up to round-off, 1e-11 of its size
     (heat_derivative_and_size).  At the point pick both are within
-    2 rel_tol size + 2 roundoff of QUADPACK, plus the spacing of doubles
-    at the QUADPACK value: a value of subnormal data cannot be nearer to
-    it than that.  Failures as in batch_and_singles."""
+    2 rel_tol size + 2 roundoff of QUADPACK, or within one spacing of
+    doubles at the QUADPACK value where that is larger: a value of
+    subnormal data cannot be nearer to it.  Failures as in
+    batch_and_singles."""
     data, t, xs = case
     n, k = order
     m = 2 * n + k
@@ -523,7 +524,8 @@ def test_heat_derivative_batch_matches_heat_derivative(case, order, rel_tol, pic
     i = pick % xs.size
     truth, size, roundoff = heat_derivative_and_size(data, float(xs[i]), t, m, exact=True)
     for v in (got[i], want[i]):
-        assert abs(v - truth) <= 2.0 * rel_tol * size + 2.0 * roundoff + abs(np.spacing(truth)), \
+        assert abs(v - truth) <= max(2.0 * rel_tol * size + 2.0 * roundoff,
+                                      abs(np.spacing(truth))), \
             (data.spec, t, xs[i], order, v, truth)
 
 
@@ -694,11 +696,12 @@ def test_a_grid_point_where_g_is_x_is_the_root(monkeypatch):
 def test_kernel_calls_do_little_fixed_work(power_c0):
     # the counts of one sup_norm scan (31 kernel calls): each root starts
     # in its grid cell (17.7 slope evaluations a call before, 4.3 now),
-    # and the truncation and the initial partition take G_t' at the maxima
-    # from the roots (2 evaluations a call more before).  A truncation that
-    # does not widen scores its doublings in one weight_mag call and its
-    # tail bound in one more (7 calls before).  A widening makes one
-    # _log_gauss_tails call and one weight_mag call more
+    # and the initial partition takes G_t' at the maxima from the roots:
+    # the truncation's, at the outermost maxima, is the one evaluation a
+    # call outside them (2 before).  A truncation that does not widen
+    # scores its doublings in one weight_mag call and its tail bound in one
+    # more (7 calls before).  A widening makes one _log_gauss_tails call
+    # and one weight_mag call more
     truncations = []
     truncation, weight_mag = quadrature._batch_truncation, quadrature._Phases.weight_mag
     tails = quadrature._log_gauss_tails
@@ -724,16 +727,15 @@ def test_kernel_calls_do_little_fixed_work(power_c0):
         burgers.sup_norm(power_c0, 1e6)
     assert counts["calls"] == 31
     assert counts["slopes"] / counts["calls"] <= 5.0
-    assert counts["outside"] == 0
+    assert counts["outside"] == counts["calls"]
     assert len(truncations) == 31
     assert all(c["weight_mag"] == 1 + c["tails"] for c in truncations)
     assert [c["weight_mag"] for c in truncations if c["tails"] == 1] == [2] * 31
 
 
-def truncation_one_step(ph, x, log_scale, max_pt, max_y, _max_d1):
+def truncation_one_step(ph, x, log_scale, max_pt, max_y):
     """_batch_truncation with one doubling a call and one call a tail
-    bound end, and G_t' evaluated at the outermost maxima rather than
-    taken from the roots: the reference of its blocks."""
+    bound end: the reference of its blocks."""
     drop = quadrature.DROP
     m = x.size
     y_lo = np.full(m, np.inf)
@@ -798,14 +800,14 @@ def test_truncation_blocks_equal_one_doubling_at_a_time(case, weights, order, lo
     truncation = quadrature._batch_truncation
     seen = []
 
-    def checked(ph, x, log_scale, *maxima):
+    def checked(ph, x, log_scale, max_pt, max_y):
         for ls in (log_scale, log_scale - lower):
-            got = truncation(ph, x, ls, *maxima)
-            want = truncation_one_step(ph, x, ls, *maxima)
+            got = truncation(ph, x, ls, max_pt, max_y)
+            want = truncation_one_step(ph, x, ls, max_pt, max_y)
             for u, v in zip(got, want):
                 assert np.array_equal(u, v, equal_nan=True), (data.spec, t, x, ls)
         seen.append(x.size)
-        return truncation(ph, x, log_scale, *maxima)
+        return truncation(ph, x, log_scale, max_pt, max_y)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quadrature, "_batch_truncation", checked)
