@@ -94,6 +94,19 @@ class ExperimentConfig:
             raise ConfigError("window_Z must be positive")
         if self.experiment == "ddecay" and (self.n, self.k) not in burgers.FIELD_OF_ORDER:
             raise ConfigError("ddecay needs orders n, k >= 0 with 2n + k <= 2")
+        if self.experiment == "concentration" and not self.mu1 < 0.0 < self.mu2:
+            raise ConfigError("concentration needs mu1 < 0 < mu2")
+        if self.experiment == "fd_compare":
+            # the checks of finite_difference.integrate, named by field
+            if self.fd_scheme not in finite_difference.SCHEMES:
+                raise ConfigError(f"unknown fd_scheme {self.fd_scheme!r}")
+            if self.fd_nodes < 3:
+                raise ConfigError("fd_nodes must be at least 3")
+            if not self.fd_L > 0:
+                raise ConfigError("fd_L must be positive")
+            if not 0.0 <= self.fd_t <= 0.01 * self.fd_L ** 2:
+                raise ConfigError(
+                    f"fd_t must lie in [0, 0.01 fd_L^2] = [0, {0.01 * self.fd_L ** 2}]")
 
     def t_grid(self):
         if self.t_count is not None:
@@ -357,7 +370,7 @@ def run_profile(cfg: ExperimentConfig):
     data = make_family(cfg.family)
     case = case_for_data(data)
     if case is None:
-        raise ValueError(f"family {cfg.family.family} has no limit profile")
+        raise ConfigError(f"family {cfg.family.family} has no limit profile")
     zc = case.discontinuity_z
     ts = cfg.t_grid()
     zs_all = np.linspace(cfg.z_min, cfg.z_max, cfg.z_count)
@@ -436,7 +449,7 @@ def run_critical_z(cfg: ExperimentConfig):
     data = make_family(cfg.family)
     case = case_for_data(data)
     if case is None:
-        raise ValueError(f"family {cfg.family.family} has no limit profile")
+        raise ConfigError(f"family {cfg.family.family} has no limit profile")
     rows = []
     limit_val = profile_jump_location(case, VARIANT_LIMIT_DERIVED)
     rows.append(("limit_derived", "", limit_val))

@@ -9,6 +9,17 @@ points, and bound the remaining tails by the Gaussian domination of the
 phase.  The rescaled phase of the long-time analysis is this phase at
 x = m z in units of y = m y~ (rescaled.rescaled_critical_points).
 
+There is one critical-point locator.  The zeros of Phi' at (x, t) are the
+roots of x = G_t(y) = y + t f0(y), and G_t does not depend on x: a table
+of its monotone pieces (_piece_table) keeps G_t on a scan grid, and each
+root is seeded in its grid cell by a searchsorted on stored values and
+polished by safeguarded Newton (_batch_critical_points).  A point at a
+piece end, x = G_t(p) at a bound p of the pieces, has p itself as its one
+degenerate root there; a root that misses its checks raises
+InternalConsistencyError.  The last table is kept for its (data, t) and
+reach (_table), so locate_critical_points, which answers one x, and the
+kernels of one scan share it.
+
 There is one quadrature path.  The weights of a call are compiled once
 (compile_weights) into a function that evaluates f0, f0' and f0'' once per
 node array and every weight from them in one matrix product.  Its monomials
@@ -21,23 +32,17 @@ Hermite factor H_m((x - y) / (2 sqrt t)) of the heat derivatives
 Gauss-Legendre rules to an array of panels in one call.
 
 BatchKernel computes the quotients of the physical phase for many x at one
-t: the critical points of all of them come from one table of the monotone
-pieces of G_t(y) = y + t f0(y), and all panels of all points are refined
-level by level in one flat array (_batch_refine).  The table keeps G_t on
-the scan grid of the pieces, so each root is seeded in its grid cell by a
-searchsorted on stored values and Newton starts from the secant of that
-cell (a grid point where G_t is x is the root itself).  A point whose critical
-points the table cannot vouch for gets locate_critical_points on its own
-phase, and its roots join the same truncation, partition and refinement; a
-point that misses a quadrature check raises NotConvergedError.  What does
-not depend on x (the compiled weights, the table and the origin scale) is
-set up once per (weights, data, t), so a scan calls one setup on each of
-its batches, and a single point is a batch of one.  integrate_moments is
-the same truncation, partition and refinement for one phase with given
-critical points (or a window, for concentration ratios), and
-adaptive_quadrature is that refinement with one plain function as its only
-weight, for the block sums of the primitive cache of quadrature-only data
-(initial_data).
+t: the critical points of all of them come from the piece table in one
+call, and all panels of all points are refined level by level in one flat
+array (_batch_refine); a point that misses a quadrature check raises
+NotConvergedError.  What does not depend on x (the compiled weights and
+the origin scale) is set up once per (weights, data, t), so a scan calls
+one setup on each of its batches, and a single point is a batch of one.
+integrate_moments is the same truncation, partition and refinement for one
+phase with given critical points (or a window, for concentration ratios),
+and adaptive_quadrature is that refinement with one plain function as its
+only weight, for the block sums of the primitive cache of quadrature-only
+data (initial_data).
 """
 from __future__ import annotations
 
@@ -68,7 +73,7 @@ class NotConvergedError(RuntimeError):
 
 
 class InternalConsistencyError(RuntimeError):
-    """No critical point found for a phase that must have one."""
+    """Critical points that miss their checks, or none that is a maximum."""
 
 
 # ---------------------------------------------------------------------------
@@ -278,23 +283,6 @@ class PhysicalPhase:
         y = np.asarray(y, dtype=float)
         return (self.x - y) / (2.0 * self.t) - 0.5 * self.data.value(y)
 
-    def d2total(self, y):
-        return -0.5 / self.t - 0.5 * self.data.derivative(y, 1)
-
-    def scan_grid(self):
-        t, x = self.t, self.x
-        reach = t * self.data.sup_abs + math.sqrt(8.0 * (DROP + 10.0) * t) + 10.0
-        r_min = 1e-3 * min(1.0, math.sqrt(t))
-        logs = np.geomspace(r_min, reach, 240)
-        pieces = [x + logs, x - logs, logs, -logs, np.array([x, 0.0])]
-        lo, hi = x - reach, x + reach
-        pieces.append(np.linspace(lo, hi, 201))
-        dense_half = min(t ** 0.1, hi)
-        pieces.append(np.linspace(-dense_half, dense_half, 201))
-        grid = np.concatenate(pieces)
-        grid = grid[(grid >= lo) & (grid <= hi)]
-        return np.unique(grid)
-
 
 # ---------------------------------------------------------------------------
 # critical points
@@ -310,70 +298,30 @@ class CriticalPoint:
 
 
 def locate_critical_points(phase) -> list:
-    """All sign changes of H' of a PhysicalPhase on its composite scan grid,
-    polished by Brent and Newton and classified by H'' (degenerate where
-    |H''| <= 1e-6 / (2t), that is |1 + t f0'| <= 1e-6).
+    """The critical points of a PhysicalPhase, sorted by y: the roots of
+    x = G_t(y), G_t(y) = y + t f0(y), one query of the piece table of
+    (data, t) (_table, _batch_critical_points).
 
-    The list is sorted by y and the global maximum is flagged; a residual is
-    |H'| at the point.  A local maximum can be missed only if its peak lies
-    far below the found global maximum (the scan grid is built to cover
-    every phase scale).  The critical points of the rescaled phase are these
-    in units of the space scale (rescaled.rescaled_critical_points)."""
-    grid = phase.scan_grid()
-    d = np.asarray(phase.dtotal(grid))
-    roots = []
-    kinds_hint = []
-    sign = np.sign(d)
-    idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    fn = lambda y: float(phase.dtotal(y))
-    for i in idx:
-        a, b = float(grid[i]), float(grid[i + 1])
-        r = brentq(fn, a, b, xtol=1e-13 * (1.0 + abs(a) + abs(b)), rtol=1e-15)
-        roots.append(r)
-        kinds_hint.append(KIND_MAX if d[i] > 0 else KIND_MIN)
-    for i in np.nonzero(sign == 0)[0]:
-        roots.append(float(grid[i]))
-        kinds_hint.append(None)
-    if not roots:
-        raise InternalConsistencyError(
-            "no critical point found; the phase or data is inconsistent"
-        )
-
-    order = np.argsort(roots)
-    uniq, hints = [], []
-    for j in order:
-        if uniq and abs(roots[j] - uniq[-1]) <= 1e-12 * (1.0 + abs(roots[j])):
-            continue
-        uniq.append(roots[j])
-        hints.append(kinds_hint[j])
-
-    ys = np.asarray(uniq)
-    # Newton polish
-    for _ in range(2):
-        d1 = np.asarray(phase.dtotal(ys))
-        d2 = np.asarray(phase.d2total(ys))
-        step = np.where(np.abs(d2) > 0, d1 / np.where(d2 == 0, 1.0, d2), 0.0)
-        step = np.clip(step, -1e-2 * (1.0 + np.abs(ys)), 1e-2 * (1.0 + np.abs(ys)))
-        ys = ys - step
-    res = np.abs(np.asarray(phase.dtotal(ys)))
-    tots = np.asarray(phase.total(ys))
-    d2s = np.asarray(phase.d2total(ys))
-    top = float(np.max(tots))
-    imax = int(np.argmax(tots))
-
-    pts = []
-    for j, y in enumerate(ys):
-        if abs(d2s[j]) <= 1e-6 * (0.5 / phase.t):
-            kind = KIND_DEGENERATE
-        elif d2s[j] < 0:
-            kind = KIND_MAX
-        else:
-            kind = KIND_MIN
-        if hints[j] is not None and kind != KIND_DEGENERATE:
-            kind = hints[j]
-        pts.append(CriticalPoint(float(y), float(tots[j] - top), kind,
-                                 float(res[j]), j == imax))
-    return pts
+    A root on a rising piece of G_t is a maximum of the phase and one on a
+    falling piece a minimum.  A root at a piece end, or where
+    |G_t'| = |1 + t f0'| <= 1e-6 (|H''| <= 1e-6 / (2t)), is degenerate.
+    The global maximum is flagged, phase values are relative to it, and a
+    residual is |H'| at the point.  The critical points of the rescaled
+    phase are these in units of the space scale
+    (rescaled.rescaled_critical_points)."""
+    x, t = float(phase.x), phase.t
+    _pt, y, is_max, d1 = _batch_critical_points(
+        _Phases(phase.data, t, None), np.asarray([x]), *_table(phase.data, t, abs(x)))
+    order = np.argsort(y)
+    y, is_max, d1 = y[order], is_max[order], d1[order]
+    tots = phase.total(y)
+    res = np.abs(phase.dtotal(y))
+    top = int(np.argmax(tots))
+    return [CriticalPoint(float(y[j]), float(tots[j] - tots[top]),
+                          KIND_DEGENERATE if abs(d1[j]) <= 1e-6
+                          else KIND_MAX if is_max[j] else KIND_MIN,
+                          float(res[j]), j == top)
+            for j in range(y.size)]
 
 
 # ---------------------------------------------------------------------------
@@ -487,15 +435,15 @@ def monotone_pieces(data: InitialData, t, reach):
 
 
 def _piece_table(data: InitialData, t, reach):
-    """The root table of BatchKernel on |y| <= reach: (nodes, rising,
-    g_bounds), from monotone_pieces and its scan grid.
+    """The root table on |y| <= reach: (nodes, rising, bounds, g_bounds),
+    from monotone_pieces and its scan grid.
 
     For each monotone piece, nodes holds (y, sgn G_t(y)) at the ends of the
     piece (its bounds, or the ends of the grid) and at the grid points
     between them, with sgn = 1 on a rising piece and -1 on a falling one,
     so that sgn G_t increases along the nodes.  G_t is computed as the
     Newton iteration of _batch_critical_points computes it, y + t f0(y).
-    g_bounds is G_t at the bounds."""
+    bounds are those of monotone_pieces and g_bounds is G_t at them."""
     bounds, rising = monotone_pieces(data, t, reach)
     ys = np.sort(np.concatenate([_log_grid(t, reach)[0], bounds]))
     gs = ys + t * data.value(ys)
@@ -504,7 +452,32 @@ def _piece_table(data: InitialData, t, reach):
     for j, up in enumerate(rising):
         on = (ys >= ends[j]) & (ys <= ends[j + 1])
         nodes.append((ys[on], gs[on] if up else -gs[on]))
-    return nodes, rising, bounds + t * data.value(bounds)
+    return nodes, rising, bounds, bounds + t * data.value(bounds)
+
+
+_TABLE = (None, None, 0.0, None)  # the last piece table: (data, t, reach, table)
+
+
+def _table(data: InitialData, t, x_max):
+    """The piece table (_piece_table) of (data, t) that holds every root of
+    x = G_t(y) for |x| <= x_max.
+
+    Those roots lie in |y| <= x_max + t sup|f0|, so a table out to that
+    plus 1 holds them.  The last table is kept, keyed on the identity of
+    data and on t, and made again only for a call beyond its reach, then
+    out to twice the reach that call needs, so a scan whose |x| grows does
+    not tabulate at every step.  A wider table only adds grid points and
+    pieces beyond the old reach (_log_grid), so no root depends on which
+    table it came from.  The memo is one tuple, read and replaced whole:
+    threads that race on it at worst build an equal table twice."""
+    global _TABLE
+    need = x_max + t * data.sup_abs + 1.0
+    memo_data, memo_t, reach, table = _TABLE
+    if memo_data is not data or memo_t != t or need > reach:
+        reach = 2.0 * need
+        table = _piece_table(data, t, reach)
+        _TABLE = (data, t, reach, table)
+    return table
 
 
 def _log_gauss_tails(quad, dist):
@@ -531,17 +504,14 @@ class BatchKernel:
     """The setup of the batch quotients of the physical phase for one
     (weights, data, t), built once and called on each batch of x.
 
-    It holds what does not depend on x: the compiled weights, the origin
-    scale of their x-independent factors (_origin_scale) and the table of
-    the monotone pieces of G_t (_piece_table) on |y| <= x_reach +
-    t sup|f0| + 1, which holds every critical point of every |x| <= x_reach.
-    The table keeps G_t on the scan grid of monotone_pieces (100 points a
-    decade) and at the piece bounds, so each root starts in its grid cell
-    with no new evaluation.  It is made by the first call, out to its
-    largest |x| (a scan's coarse grid spans its window), and made again by
-    any call with a larger |x|; a wider table only adds grid points and
-    pieces beyond the old reach, so no ratio depends on which reach the
-    table has."""
+    It holds what does not depend on x: the compiled weights and the origin
+    scale of their x-independent factors (_origin_scale).  The critical
+    points come from the piece table of (data, t) (_table), the one that
+    locate_critical_points queries: it keeps G_t on the scan grid of
+    monotone_pieces (100 points a decade) and at the piece bounds, so each
+    root starts in its grid cell with no new evaluation, and a scan's
+    first call (its coarse grid spans the window) makes it for the whole
+    scan."""
 
     def __init__(self, gs, data: InitialData, t):
         if not t > 0:
@@ -550,7 +520,6 @@ class BatchKernel:
         weights = compile_weights(list(gs) + [None], data, t)
         self._ph = _Phases(data, t, weights)
         self._origin_scale = _origin_scale(weights)
-        self.x_reach, self._table = -math.inf, None
 
     def __call__(self, xs, rel_tol=1e-9, max_panels=4000):
         """The quotients at every x of xs, of shape (n_weights, xs.size).
@@ -567,15 +536,11 @@ class BatchKernel:
         bound is not finite or whose denominator is not positive raises
         NotConvergedError (_quotients)."""
         xs = np.asarray(xs, dtype=float).ravel()
-        x_max = float(np.max(np.abs(xs), initial=-math.inf))
-        if x_max > self.x_reach:
-            ph = self._ph
-            self.x_reach = x_max
-            self._table = _piece_table(ph.data, ph.t, x_max + ph.t * ph.data.sup_abs + 1.0)
+        table = _table(self._ph.data, self._ph.t, float(np.max(np.abs(xs), initial=0.0)))
         ratios = np.empty((self.n_weights, xs.size))
         for lo in range(0, xs.size, BATCH_BLOCK):
             x = xs[lo:lo + BATCH_BLOCK]
-            rows = _batch_critical_points(self._ph, x, *self._table)
+            rows = _batch_critical_points(self._ph, x, *table)
             res = _integrate(self._ph, x, *rows, self._origin_scale, rel_tol, max_panels)
             ratios[:, lo:lo + BATCH_BLOCK] = _quotients(self._ph.t, x, *res[:4])
         return ratios
@@ -614,14 +579,15 @@ class _Phases:
         """min(char_width, 1/sqrt(-H'')) where H'' < 0, else char_width, from
         the slope d1 = G_t' at the point."""
         d2 = -0.5 * d1 / self.t
-        return np.where(d2 < 0.0, np.minimum(self.char_width, 1.0 / np.sqrt(np.abs(d2))),
+        peak = d2 < 0.0
+        return np.where(peak, np.minimum(self.char_width, 1.0 / np.sqrt(np.where(peak, -d2, 1.0))),
                         self.char_width)
 
     def weight_mag(self, y, x):
         return np.max(np.abs(self.weights(y, x)), axis=0)
 
 
-def _batch_critical_points(ph, xs, nodes, rising, g_bounds):
+def _batch_critical_points(ph, xs, nodes, rising, bounds, g_bounds):
     """Roots of G_t(y) = x on every piece whose range holds x, by
     safeguarded Newton from the root's grid cell in the table (_piece_table).
 
@@ -631,12 +597,16 @@ def _batch_critical_points(ph, xs, nodes, rising, g_bounds):
     A step that leaves the bracket is a bisection, and one that does not
     move y is the root.
 
+    A point at a piece end, x = G_t(p) within 1e-12 (|x| + |G_t(p)| + 1)
+    at a bound p, has p itself for the roots of the two pieces that meet
+    there: one degenerate root, a maximum, with G_t' taken as 0 (it
+    changes sign at p).  A root where |G_t'| <= 1e-6 is degenerate and a
+    maximum too.  Every other root must have the sign of G_t' of its piece
+    and lie within 1e-6 of its peak width, and every point must have a
+    maximum; otherwise InternalConsistencyError names the point's x and t.
+
     Returns (pt, y, is_max, d1): for each root its point, its y, whether it
-    is a maximum and G_t' there.  A point whose roots miss a check (one is
-    degenerate, at a piece end or off by more than 1e-6 of its peak width,
-    or none is a maximum) gets the roots of locate_critical_points on its
-    own phase instead, a degenerate one counting as a maximum, with G_t' at
-    its roots."""
+    is a maximum and G_t' there (0 at a piece end)."""
     t, data, n = ph.t, ph.data, xs.size
     sgn = np.where(rising, 1.0, -1.0)
     # (point, piece) rows: the cell [lo, hi] with h = sgn (G_t - x) at its
@@ -647,12 +617,13 @@ def _batch_critical_points(ph, xs, nodes, rising, g_bounds):
         v = sgn[j] * xs
         i = np.searchsorted(key, v)
         has[:, j] = (i > 0) & (i < key.size)
-        i = np.clip(i, 1, key.size - 1)
+        i = np.minimum(np.maximum(i, 1), key.size - 1)
         lo[:, j], hi[:, j] = ny[i - 1], ny[i]
         h_lo[:, j], h_hi[:, j] = key[i - 1] - v, key[i] - v
     has = has.ravel()
     pt = np.repeat(np.arange(n), rising.size)[has]
-    x, sgn = xs[pt], np.tile(sgn, n)[has]
+    piece = np.tile(np.arange(rising.size), n)[has]
+    x, sgn = xs[pt], sgn[piece]
     lo, hi, h_lo, h_hi = (a.ravel()[has] for a in (lo, hi, h_lo, h_hi))
 
     def h(y, x, sgn):  # increasing on its piece, zero at the root
@@ -678,22 +649,28 @@ def _batch_critical_points(ph, xs, nodes, rising, g_bounds):
         live &= moved
     d1 = ph.slope(y)
     res = np.abs(y + t * data.value(y) - x)
-    # locate_critical_points calls a point degenerate at |H''| <= 1e-6 / (2t)
-    bad = ((np.abs(d1) <= 1e-6) | (sgn * d1 <= 0.0)
-           | ~(res <= 1e-6 * np.sqrt(2.0 * t * np.abs(d1))))
-    at_end = np.any(np.abs(xs[:, None] - g_bounds[None, :])
-                    <= 1e-12 * (np.abs(xs)[:, None] + np.abs(g_bounds)[None, :] + 1.0), axis=1)
-    is_max = sgn > 0.0
-    miss = (at_end | (np.bincount(pt[bad], minlength=n) > 0)
-            | (np.bincount(pt[is_max], minlength=n) == 0))
-    keep = ~miss[pt]
-    rows = [(pt[keep], y[keep], is_max[keep], d1[keep])]
-    for i in np.nonzero(miss)[0]:
-        cps = locate_critical_points(PhysicalPhase(data, float(xs[i]), t))
-        ys = np.asarray([c.y for c in cps])
-        rows.append((np.full(len(cps), i), ys, np.asarray([c.kind != KIND_MIN for c in cps]),
-                     ph.slope(ys)))
-    return tuple(np.concatenate(col) for col in zip(*rows))
+    flat = np.abs(d1) <= 1e-6
+    bad = ~flat & ((sgn * d1 <= 0.0) | ~(res <= 1e-6 * np.sqrt(2.0 * t * np.abs(d1))))
+    is_max = (sgn > 0.0) | flat
+    at_end = (np.abs(xs[:, None] - g_bounds[None, :])
+              <= 1e-12 * (np.abs(xs)[:, None] + np.abs(g_bounds)[None, :] + 1.0))
+    end_pt, end_b = np.nonzero(at_end)
+    if end_pt.size:
+        near = np.zeros((n, bounds.size + 2), dtype=bool)
+        near[:, 1:-1] = at_end  # the bounds of piece j: columns j and j + 1
+        keep = ~(near[pt, piece] | near[pt, piece + 1])
+        ends = end_pt.size
+        pt, y, is_max, d1, bad = (np.concatenate([a[keep], b]) for a, b in (
+            (pt, end_pt), (y, bounds[end_b]), (is_max, np.ones(ends, dtype=bool)),
+            (d1, np.zeros(ends)), (bad, np.zeros(ends, dtype=bool))))
+    miss = np.bincount(pt[bad], minlength=n) > 0
+    fail = miss | (np.bincount(pt[is_max], minlength=n) == 0)
+    if fail.any():
+        i = int(np.argmax(fail))
+        why = "a root misses its residual or slope check" if miss[i] else "no maximum"
+        raise InternalConsistencyError(
+            f"critical points at x={float(xs[i])!r}, t={float(t)!r}: {why}")
+    return pt, y, is_max, d1
 
 
 def _integrate(ph, x, pt, y, is_max, d1, origin_scale, rel_tol, max_panels,

@@ -12,8 +12,9 @@ switches branch converges to the profile discontinuity.
 
 The reduced phase is the physical one in other units: at x = m z and
 y = m y~, H(m y~; m z) = (m^2 / t) Ht(y~, z).  So the rescaled critical
-points are the physical ones (quadrature.locate_critical_points) in units
-of m (rescaled_critical_points).
+points are the physical ones in units of m (rescaled_critical_points):
+quadrature.locate_critical_points at x = m z, one query of the piece table
+of (data, t) that every z of one t shares.
 """
 from __future__ import annotations
 
@@ -104,7 +105,7 @@ def rescaled_critical_points(data: InitialData, z: float, t: float) -> list:
     phase at x = m z with each y divided by m and each residual, |H'|, made
     |dHt/dy| = (t/m) |H'|.  The kinds and phase values carry over: the
     total phase is the same function, and both units call a point
-    degenerate at |1 + t f0'| <= 1e-6."""
+    degenerate at a piece end of G_t or at |1 + t f0'| <= 1e-6."""
     m = default_space_scale(data, t)
     cps = locate_critical_points(PhysicalPhase(data, m * float(z), float(t)))
     return [replace(c, y=c.y / m, residual=c.residual * (t / m)) for c in cps]

@@ -2,11 +2,12 @@
 that hold every point of a batch to its batch of one up to round-off for
 eval_batch, heat_eval_batch, derivative_fields_scorer and
 heat_derivative_scorer, and both to QUADPACK and the closed forms; a point
-that does not depend on its batch; the kernel's last resort at the ends of
-the monotone pieces of G_t; starved panel budgets; the reuse of one kernel
-setup; and the sup-norm scans that run on it."""
+that does not depend on its batch; points at the ends of the monotone
+pieces of G_t; starved panel budgets; the reuse of one piece table; and the
+sup-norm scans that run on it."""
 import functools
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -115,7 +116,9 @@ def check_against_single(batch, single, data, t, xs, pick, heat_eq):
     scale is sup|f0| times the denominator (at the zeros of odd data the
     values are that round-off).  Both are within 2 RTOL of value_sizes of
     the closed form at every point that has one, and of QUADPACK
-    (quadpack_moments) at the point pick of the others.  Failures as in
+    (quadpack_moments) at the point pick of the others, or within one
+    spacing of doubles at the truth where that is larger: a value of
+    subnormal data cannot be nearer to it.  Failures as in
     batch_and_singles."""
     got, singles = batch_and_singles(batch, single, data, xs, t)
     if got is None:
@@ -130,11 +133,16 @@ def check_against_single(batch, single, data, t, xs, pick, heat_eq):
             truth = quadpack_moments(data, float(x), t, [g], heat_eq)[0]
         if truth is not None:
             for v in (got[i], singles[i]):
-                assert abs(v - truth) <= 2.0 * RTOL * sizes[i], (data.spec, t, x, v, truth)
+                assert abs(v - truth) <= max(2.0 * RTOL * sizes[i], abs(np.spacing(truth))), \
+                    (data.spec, t, x, v, truth)
 
 
 @settings(max_examples=40, deadline=None)
 @given(case=batch_cases(), pick=st.integers(0, 12))
+# f of Constant data is its level 5e-324; both paths return 0.0, and
+# 2 RTOL size underflows to 0, below the spacing of doubles there
+@example(case=(make_family(FamilySpec("Constant", extra={"level": 5e-324})),
+               1.0, np.linspace(-1.0, 1.0, 5)), pick=0)
 def test_eval_batch_matches_eval(case, pick):
     data, t, xs = case
     check_against_single(burgers.eval_batch, burgers.eval, data, t, xs, pick, heat_eq=False)
@@ -178,32 +186,45 @@ def test_a_point_does_not_depend_on_its_batch():
         [burgers.eval(data, float(x), t) for x in rest]
 
 
-def counted_locate(monkeypatch):
-    """Count the calls of the kernel's last resort, locate_critical_points."""
-    calls = []
-    monkeypatch.setattr(quadrature, "locate_critical_points",
-                        lambda phase: calls.append(phase.x) or locate_critical_points(phase))
-    return calls
+def assert_one_root_at(data, x, t, p):
+    """The critical points at (x, t) have exactly one root at p, and it is
+    degenerate; no warning is raised on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cps = locate_critical_points(PhysicalPhase(data, float(x), t))
+    at_p = [c for c in cps if abs(c.y - p) <= 1e-9 * (1.0 + abs(p))]
+    assert [(c.y, c.kind) for c in at_p] == [(p, quadrature.KIND_DEGENERATE)], cps
 
 
 @pytest.mark.parametrize("family", ["PowerC0", "PowerC1"])
-def test_point_at_a_piece_end_falls_back(monkeypatch, family):
-    # x = G_t(p) at an end p of a monotone piece of G_t: a degenerate
-    # critical point (PowerC1) or one at the kink of f0 (PowerC0) gets
-    # locate_critical_points, and its value is QUADPACK's
+def test_point_at_a_piece_end_is_one_degenerate_root(family):
+    # x = G_t(p) at an end p of a monotone piece of G_t: a fold of G_t
+    # (PowerC1) or the kink of f0 (PowerC0) is one degenerate root at p,
+    # and the value there is QUADPACK's
     data = make_family(FamilySpec(family, kappa=1.0, alpha=0.5))
     t = 1e3
     bounds, rising = monotone_pieces(data, t, 1e4)
     assert rising.tolist() == [True, False, True]
-    calls = counted_locate(monkeypatch)
     for p in bounds:
         xs = np.asarray([p + t * data.value(p), 0.0])
-        del calls[:]
-        got = burgers.eval_batch(data, xs, t)
-        assert calls == [xs[0]]
+        assert_one_root_at(data, xs[0], t, p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = burgers.eval_batch(data, xs, t)
         want = quadpack_moments(data, float(xs[0]), t, [burgers._F0])[0]
         assert got[0] == pytest.approx(want, rel=2.0 * RTOL)
         assert got[0] == pytest.approx(burgers.eval(data, float(xs[0]), t), rel=1e-14)
+
+
+def test_a_root_that_misses_its_checks_raises(monkeypatch):
+    # no root is replaced silently: one whose G_t' has the wrong sign for
+    # its piece raises, naming the point (in a batch, the first that fails)
+    monkeypatch.setattr(quadrature._Phases, "slope", lambda self, y: -np.ones_like(y))
+    with pytest.raises(quadrature.InternalConsistencyError,
+                       match=r"^critical points at x=2\.5, t=10\.0: a root misses "):
+        locate_critical_points(PhysicalPhase(ZERO, 2.5, 10.0))
+    with pytest.raises(quadrature.InternalConsistencyError, match=r"at x=-1\.0, t=10\.0"):
+        burgers.eval_batch(ZERO, np.asarray([-1.0, 2.5]), 10.0)
 
 
 def starved_kernel(budget):
@@ -439,14 +460,15 @@ def test_derivative_fields_batch_matches_derivative_fields(case, rel_tol, pick):
                               want))
 
 
-def test_derivative_fields_batch_falls_back_per_point(monkeypatch, power_c0):
-    # x = G_t(p) at the kink p = 0 of PowerC0 is a piece end: that point
-    # alone gets locate_critical_points, and its fields are QUADPACK's
+def test_derivative_fields_batch_at_a_piece_end(power_c0):
+    # x = G_t(p) at the kink p = 0 of PowerC0 is a piece end: one
+    # degenerate root at 0, and the fields there are QUADPACK's
     t = 1e3
     xs = np.asarray([t * power_c0.value(0.0), 5.0])
-    calls = counted_locate(monkeypatch)
-    got = burgers.derivative_fields_scorer(power_c0, t)(xs)
-    assert calls == [xs[0]]
+    assert_one_root_at(power_c0, xs[0], t, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = burgers.derivative_fields_scorer(power_c0, t)(xs)
     want = burgers._fields(quadpack_moments(power_c0, float(xs[0]), t))
     scales = field_scales(*moment_sizes(power_c0, xs[:1], t))
     for name in FIELDS:
@@ -541,18 +563,21 @@ def test_heat_derivative_at_a_ddecay_argmax():
     assert got[0] == pytest.approx(want, rel=1e-12)
 
 
-def test_heat_derivative_batch_falls_back_per_point(monkeypatch, power_c1_half):
+def test_heat_derivative_batch_at_a_piece_end(monkeypatch, power_c1_half):
     # G_t(y) = y of the heat phase has one rising piece; split it at y = 0
-    # and x = 0 lies at a piece end: that point alone gets
-    # locate_critical_points, and every value is that of the unsplit kernel
+    # and x = 0 lies at a piece end: one degenerate root at 0, and every
+    # value is that of the unsplit table
     xs = np.asarray([-3.0, 0.0, 5.0])
     t = 40.0
+    reset_table(monkeypatch)
     want = heat.heat_derivative_scorer(power_c1_half, t, 0, 1)(xs)
+    reset_table(monkeypatch)
     monkeypatch.setattr(quadrature, "monotone_pieces",
                         lambda data, t, reach: (np.asarray([0.0]), np.asarray([True, True])))
-    calls = counted_locate(monkeypatch)
-    got = heat.heat_derivative_scorer(power_c1_half, t, 0, 1)(xs)
-    assert calls == [0.0]
+    assert_one_root_at(ZERO, 0.0, t, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = heat.heat_derivative_scorer(power_c1_half, t, 0, 1)(xs)
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -578,7 +603,14 @@ def test_starved_heat_derivative_raises_the_scalar_error(monkeypatch, power_c1_h
 # one kernel setup per scan
 
 
+def reset_table(monkeypatch):
+    """Empty the memo of the last piece table (quadrature._table), so that
+    the next query of any (data, t) tabulates."""
+    monkeypatch.setattr(quadrature, "_TABLE", (None, None, 0.0, None))
+
+
 def test_sup_norm_sets_up_its_kernel_once(monkeypatch, power_c0):
+    reset_table(monkeypatch)
     calls = {"monotone_pieces": 0, "_origin_scale": 0}
     for name in calls:
         def counted(*args, _fn=getattr(quadrature, name), _name=name):
@@ -610,21 +642,24 @@ def test_reused_kernel_equals_a_fresh_one(power_c0, t):
 
 
 def test_kernel_tabulates_again_beyond_its_reach(monkeypatch, power_c1_third):
-    # the table of a first call at |x| <= 10 need not hold the pieces of
-    # G_t that the roots of x = 3e5 lie on: that call tabulates again, out
-    # to 3e5, and gives the values of a fresh kernel; a call within the new
-    # reach does not
+    # the table of a first call at |x| <= 10 reaches 2 (10 + t sup|f0| + 1)
+    # and need not hold the pieces of G_t that the roots of x = 5e6 lie
+    # on: that call tabulates again, out to twice what it needs, and gives
+    # the values of a table made for it alone; a call within the new reach
+    # does not tabulate
     t = 1e6
+    xs = np.asarray([5.0, 5e6])
+    reset_table(monkeypatch)
+    want = BatchKernel([burgers._F0], power_c1_third, t)(xs)
+    reset_table(monkeypatch)
     kernel = BatchKernel([burgers._F0], power_c1_third, t)
     kernel(np.asarray([-10.0, 5.0]))
-    assert kernel.x_reach == 10.0
-    xs = np.asarray([5.0, 3e5])
-    want = BatchKernel([burgers._F0], power_c1_third, t)(xs)
+    assert quadrature._TABLE[2] == 2.0 * (10.0 + t + 1.0)
     tables = []
     monkeypatch.setattr(quadrature, "monotone_pieces",
                         lambda *args: tables.append(args) or monotone_pieces(*args))
     got = kernel(xs)
-    assert len(tables) == 1 and kernel.x_reach == 3e5
+    assert len(tables) == 1 and quadrature._TABLE[2] == 2.0 * (5e6 + t + 1.0)
     assert np.array_equal(got, want)
     kernel(xs[:1])
     assert len(tables) == 1
@@ -662,12 +697,12 @@ def counted_slopes(mp):
 
 def kernel_roots(mp, data, t, x):
     """(counts, (pt, y, is_max, d1)): the roots of _batch_critical_points at
-    the one point x, on the table of a kernel made for it, and the slope
-    evaluations of that call (counted_slopes)."""
+    the one point x, on the piece table of (data, t) (quadrature._table),
+    and the slope evaluations of that call (counted_slopes)."""
     kernel = BatchKernel([burgers._F0], data, t)
-    kernel(np.asarray([x]))
+    table = quadrature._table(data, t, abs(x))
     counts = counted_slopes(mp)
-    return counts, quadrature._batch_critical_points(kernel._ph, np.asarray([x]), *kernel._table)
+    return counts, quadrature._batch_critical_points(kernel._ph, np.asarray([x]), *table)
 
 
 def test_newton_stops_at_a_step_that_does_not_move(monkeypatch):

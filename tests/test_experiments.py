@@ -322,6 +322,37 @@ def test_cli_exit_code_one_point_fit(tmp_path, monkeypatch, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, family, fields", [
+    ("concentration", {"family": "PowerC0", "kappa": 1.0, "alpha": 0.5},
+     {"mu1": 0.1, "mu2": 0.2}),
+    ("fd-compare", {"family": "PowerC1", "kappa": 1.0, "alpha": 0.5}, {"fd_nodes": 2}),
+    ("fd-compare", {"family": "PowerC1", "kappa": 1.0, "alpha": 0.5}, {"fd_L": -5}),
+    ("fd-compare", {"family": "PowerC1", "kappa": 1.0, "alpha": 0.5},
+     {"fd_L": 5, "fd_t": 2.0}),
+    ("zc", {"family": "Gaussian"}, {}),
+    ("profile", {"family": "Gaussian"}, {}),
+], ids=["concentration-mu", "fd-nodes", "fd-L", "fd-budget", "zc-gaussian",
+        "profile-gaussian"])
+def test_cli_exit_code_bad_config_before_any_work(tmp_path, monkeypatch, command,
+                                                   family, fields):
+    # each of these exited 1 with a ValueError traceback from the library
+    # (the strip of concentration_ratio, finite_difference.integrate, the
+    # missing limit profile of Gaussian data); now they are config errors,
+    # raised before any kernel call or FD step
+    calls = []
+    monkeypatch.setattr(quadrature.BatchKernel, "__call__",
+                        lambda *args, **kw: calls.append(args))
+    monkeypatch.setattr(quadrature, "_batch_critical_points",
+                        lambda *args, **kw: calls.append(args))
+    monkeypatch.setattr(finite_difference, "integrate",
+                        lambda *args, **kw: calls.append(args))
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"family": family, **fields}))
+    assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_exit_code_check_failure(tmp_path):
     # a deliberately tiny sweep cannot match the asymptotic exponent, so
     # --check must exit 4

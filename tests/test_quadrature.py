@@ -1,10 +1,14 @@
 import math
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import brentq
 
-from hopfcole import burgers
+from hopfcole import burgers, quadrature
 from hopfcole.initial_data import FamilySpec, UnsupportedOrderError, make_family
 from hopfcole.quadrature import (
     KIND_MAX,
@@ -20,11 +24,13 @@ from hopfcole.quadrature import (
     integrate_moments,
     locate_critical_points,
     adaptive_quadrature,
+    monotone_pieces,
 )
 from hopfcole.profiles import ProfileCase, CASE_SYMMETRIC, invert_branch
 from hopfcole.rescaled import rescaled_critical_points
 
 from conftest import brute_force_ratio
+from test_batch import RTOL, quadpack_moments
 
 
 # -- weight algebra ----------------------------------------------------------
@@ -234,6 +240,209 @@ def test_residual_tolerances(power_c1_third):
     for cp in rescaled_critical_points(power_c1_third, z=3.0, t=1e6):
         assert cp.residual <= 1e-10
         assert cp.phase_value <= 0.0
+
+
+@st.composite
+def locator_cases(draw):
+    """(data, x, t): random family, kappa and alpha, log-uniform t in
+    [1e-1, 1e8] and x up to 20 max(t^(1/(1+alpha)), sqrt t)."""
+    family = draw(st.sampled_from(["PowerC0", "PowerC1", "SignFlipped", "Asymmetric",
+                                   "PowerLog", "Gaussian", "Constant"]))
+    alpha = draw(st.floats(0.2, 0.8))
+    beta, extra = None, {}
+    if family == "Asymmetric":
+        beta = draw(st.floats(alpha + 0.05, 0.95))
+    elif family == "PowerLog":
+        beta = draw(st.floats(0.2, 2.0))
+    elif family == "Gaussian":
+        extra = {"amplitude": draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.1, 2.0)),
+                 "sigma": draw(st.floats(0.2, 5.0))}
+    elif family == "Constant":
+        extra = {"level": draw(st.floats(-2.0, 2.0))}
+    spec = FamilySpec(family, kappa=draw(st.floats(0.5, 2.0)), alpha=alpha,
+                      beta=beta, extra=extra)
+    t = 10.0 ** draw(st.floats(-1.0, 8.0))
+    x = draw(st.floats(-20.0, 20.0)) * max(t ** (1.0 / (1.0 + alpha)), math.sqrt(t))
+    return make_family(spec), x, t
+
+
+def bracketed_roots(data, x, t):
+    """(roots, brackets, conditioning) of x = G_t(y), G_t(y) = y + t f0(y),
+    by a dense scan of |y| <= |x| + t sup|f0| + 1 and brentq in each cell
+    where x - G_t changes sign.
+
+    The scan is geometric towards y = 0 and towards x, uniform across the
+    range, and holds the sign changes of G_t' (by brentq on G_t'), so that
+    G_t is monotone on every cell and a root at a fold has its own cell.
+    conditioning is, for each root, the error in y that the rounding of
+    G_t there allows, relative to 1 + |y|."""
+    reach = abs(x) + t * data.sup_abs + 1.0
+    logs = np.geomspace(1e-9 * min(1.0, 1.0 / t), reach, 3000)
+    grid = np.unique(np.concatenate([[0.0], logs, -logs, x + logs, x - logs,
+                                     np.linspace(-reach, reach, 3001)]))
+    grid = grid[np.abs(grid) <= reach]
+
+    def slope(y):
+        return 1.0 + t * float(data.derivative(y, 1))
+
+    up = 1.0 + t * data.derivative(grid, 1) > 0.0
+    folds = [brentq(slope, grid[i], grid[i + 1], xtol=1e-16 * (1.0 + abs(grid[i])), rtol=1e-15)
+             for i in np.nonzero(up[:-1] != up[1:])[0]]
+    grid = np.unique(np.concatenate([grid, folds]))
+    v = x - (grid + t * data.value(grid))
+    roots, brackets = [], []
+    for i in np.nonzero(v == 0.0)[0]:
+        roots.append(grid[i])
+        brackets.append((grid[i], grid[i]))
+    for i in np.nonzero(np.sign(v[:-1]) * np.sign(v[1:]) < 0.0)[0]:  # no underflow
+        a, b = grid[i], grid[i + 1]
+        roots.append(brentq(lambda y: x - (y + t * float(data.value(y))), a, b,
+                            xtol=1e-16 * (1.0 + abs(a)), rtol=1e-15))
+        brackets.append((a, b))
+    roots = np.asarray(roots)
+    rounding = 4.0 * np.finfo(float).eps * (np.abs(roots) + t * np.abs(data.value(roots))
+                                            + abs(x))
+    with np.errstate(divide="ignore"):
+        cond = rounding / np.abs(1.0 + t * data.derivative(roots, 1)) / (1.0 + np.abs(roots))
+    return roots, brackets, cond
+
+
+@settings(max_examples=80, deadline=None)
+@given(locator_cases())
+@example((make_family(FamilySpec("PowerC0", kappa=1.0, alpha=0.5)), 1000.0, 1e3))
+def test_locator_against_a_bracketing_scan(case):
+    # every root of a dense bracketing scan away from a fold is a critical
+    # point to 1e-12 (1 + |y|); every critical point lies in a bracket of
+    # the scan or at a piece end; one is the global maximum
+    data, x, t = case
+    roots, brackets, cond = bracketed_roots(data, x, t)
+    cps = locate_critical_points(PhysicalPhase(data, x, t))
+    ys = np.asarray([c.y for c in cps])
+    for r, c in zip(roots, cond):
+        if c <= 1e-14:  # a fold leaves the root ill-posed in y
+            assert np.min(np.abs(ys - r)) <= 1e-12 * (1.0 + abs(r)), (data.spec, x, t, r, ys)
+    bounds = quadrature._table(data, t, abs(x))[2]
+    for y in ys:
+        slack = 1e-12 * (1.0 + abs(y))
+        assert (np.any(y == bounds)
+                or any(a - slack <= y <= b + slack for a, b in brackets)), \
+            (data.spec, x, t, y, brackets)
+    assert sum(c.is_global_max for c in cps) == 1
+
+
+def test_the_table_finds_the_pair_born_at_a_fold(power_c1_half):
+    # just inside the range of G_t at a fold p (a local minimum of G_t) a
+    # maximum and a minimum of the phase are born near p; a scan grid of
+    # H' misses such a pair, the pieces of G_t hold one root each
+    t = 1e3
+    bounds, rising = monotone_pieces(power_c1_half, t, 1e4)
+    assert rising.tolist() == [True, False, True]
+    p = bounds[1]
+    g = p + t * float(power_c1_half.value(p))
+    cps = locate_critical_points(PhysicalPhase(power_c1_half, g + 1e-8 * abs(g), t))
+    near = [c for c in cps if abs(c.y - p) <= 1e-2 * p]
+    assert sorted(c.kind for c in near) == [KIND_MAX, KIND_MIN]
+
+
+DELTAS = [0.0, 1e-14, -1e-14, 1e-12, -1e-12, 1e-10, -1e-10, 1e-8, -1e-8, 1e-6, -1e-6]
+
+
+@pytest.mark.parametrize("delta", DELTAS)
+@pytest.mark.parametrize("family", ["PowerC1", "PowerC0"])
+def test_eval_near_a_piece_end(family, delta):
+    # x = G_t(p) (1 + delta) at every bound p of the pieces of G_t: the
+    # table's roots (one at p within 1e-12 of G_t(p), the pair born at a
+    # fold) give QUADPACK's value, and nothing warns or raises
+    data = make_family(FamilySpec(family, kappa=1.0, alpha=0.5))
+    t = 1e3
+    for p in monotone_pieces(data, t, 1e4)[0]:
+        x = (p + t * float(data.value(p))) * (1.0 + delta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = burgers.eval(data, x, t)
+        want = quadpack_moments(data, x, t, [burgers._F0])[0]
+        assert got == pytest.approx(want, rel=2.0 * RTOL), (p, x)
+
+
+# -- the memo of the piece table ---------------------------------------------
+
+
+def counted_tables(monkeypatch):
+    """Empty the memo of the last piece table and count the tables made
+    (monotone_pieces calls) from then on."""
+    monkeypatch.setattr(quadrature, "_TABLE", (None, None, 0.0, None))
+    made = []
+    monkeypatch.setattr(quadrature, "monotone_pieces",
+                        lambda *args: made.append(args) or monotone_pieces(*args))
+    return made
+
+
+def test_table_memo_hits_within_its_reach(monkeypatch, power_c1_third):
+    made = counted_tables(monkeypatch)
+    t = 1e4
+    first = locate_critical_points(PhysicalPhase(power_c1_third, 50.0, t))
+    for x in (-50.0, 3.0, 0.5 * t):  # t / 2 is within twice the first reach
+        locate_critical_points(PhysicalPhase(power_c1_third, x, t))
+    assert len(made) == 1
+    assert locate_critical_points(PhysicalPhase(power_c1_third, 50.0, t)) == first
+
+
+def test_table_memo_rebuilds_once_beyond_its_reach(monkeypatch, power_c1_third):
+    made = counted_tables(monkeypatch)
+    t = 1e4
+    locate_critical_points(PhysicalPhase(power_c1_third, 50.0, t))
+    far = locate_critical_points(PhysicalPhase(power_c1_third, 1e6, t))
+    locate_critical_points(PhysicalPhase(power_c1_third, -1e6, t))
+    assert len(made) == 2 and made[1][2] == 2.0 * (1e6 + t + 1.0)
+    # a table made for the far point alone finds the same points
+    monkeypatch.setattr(quadrature, "_TABLE", (None, None, 0.0, None))
+    assert locate_critical_points(PhysicalPhase(power_c1_third, 1e6, t)) == far
+
+
+def test_table_memo_rebuilds_for_another_t_or_data(monkeypatch, power_c1_third):
+    made = counted_tables(monkeypatch)
+    other = make_family(FamilySpec("PowerC1", kappa=1.0, alpha=1.0 / 3.0))
+    locate_critical_points(PhysicalPhase(power_c1_third, 5.0, 1e4))
+    locate_critical_points(PhysicalPhase(power_c1_third, 5.0, 2e4))
+    locate_critical_points(PhysicalPhase(other, 5.0, 2e4))
+    locate_critical_points(PhysicalPhase(other, 5.0, 2e4))
+    assert [(m[0], m[1]) for m in made] == [(power_c1_third, 1e4), (power_c1_third, 2e4),
+                                          (other, 2e4)]
+
+
+def test_table_memo_under_threads(monkeypatch):
+    # threads that share the one-entry memo, each on its own (data, t) and
+    # with a growing |x|, make tables for one another all the time; every
+    # answer is still that of a table made for its own call alone
+    cases = [(make_family(FamilySpec(family, kappa=1.0, alpha=1.0 / 3.0)), t)
+             for family in ("PowerC1", "SignFlipped") for t in (1e3, 1e5)]
+    zs = (0.5, 3.0, 40.0, 900.0)
+    want = {}
+    for i, (data, t) in enumerate(cases):
+        for z in zs:
+            monkeypatch.setattr(quadrature, "_TABLE", (None, None, 0.0, None))
+            want[i, z] = locate_critical_points(PhysicalPhase(data, z * t ** 0.75, t))
+    wrong = []
+
+    def work(i):
+        data, t = cases[i]
+        for _ in range(10):
+            for z in zs:
+                if locate_critical_points(PhysicalPhase(data, z * t ** 0.75, t)) != want[i, z]:
+                    wrong.append((i, z))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(cases))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert wrong == []
 
 
 # -- stabilized integrals ----------------------------------------------------
