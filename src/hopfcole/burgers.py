@@ -9,8 +9,11 @@ Every value comes from the one quadrature path, quadrature.BatchKernel.
 An array of x at one t is one batch (eval_batch): its points share the
 critical points of G_t(y) = y + t f0(y) and are integrated together, and a
 single point (eval, derivative_fields) is a batch of one.  A sup-norm scan
-(scan_max) scores its coarse grid as one batch, then refines its brackets
-in lockstep, each step one batch of the next x of every live bracket.
+(scan_max) scores its coarse grid as one batch.  A picked grid point that
+is a grid peak has its bracket refined; picks on the shoulder of a peak
+get sub-grids, all scored in one batch, and only a sub-grid peak above its
+bracket ends is refined.  The refinements run in lockstep, each step one
+batch of the next x of every live bracket.
 The batches of one scan share one kernel setup (the compiled weights, the
 table of the pieces of G_t and the origin scale), held by the scan's scorer
 (_eval_scorer, derivative_fields_scorer); eval_batch and each single point
@@ -193,15 +196,22 @@ def _bounded_brent(a, b, xatol, maxfun=500):
 
 def scan_max(fn, lo: float, hi: float, n_coarse: int):
     """Max of fn on [lo, hi]: a coarse grid, then bounded Brent refinement
-    of the brackets around the 3 best separated grid points.
+    where the 3 best separated grid points show a peak.
 
     fn maps an array of x to an array of scores; the scores of sup_norm,
     heat_sup_norm and the ddecay scans are batches on one kernel setup per
-    scan (quadrature.BatchKernel).  The grid is one call.  Each bracket runs
-    _bounded_brent on -fn with xatol = 1e-6 (b - a) + 1e-12, and the
-    brackets run in lockstep: each step is one call on the next x of every
-    live bracket.  Returns (value, x) of the best point scored, with the
-    values fn gave."""
+    scan (quadrature.BatchKernel).  The grid is one call.  A picked point
+    that is >= both its grid neighbours (a peak or a plateau) refines its
+    bracket, the cells on either side of it.  Any other pick is a shoulder:
+    a neighbour outscores it, and refining its bracket would crawl to that
+    neighbour.  Every shoulder bracket is cut into 8 equal cells and their
+    7 interior points are scored, all shoulders in one call; a bracket is
+    refined, on the two cells around its sub-grid maximum, only if that
+    maximum beats both bracket ends.  Each refinement runs _bounded_brent
+    on -fn with xatol = 1e-6 (b - a) + 1e-12 of its grid bracket [a, b],
+    and the refinements run in lockstep: each step is one call on the next
+    x of every live one.  Returns (value, x) of the best point scored, with
+    the values fn gave."""
     grid = np.linspace(lo, hi, n_coarse)
     vals = np.asarray(fn(grid), dtype=float)
     order = np.argsort(vals)[::-1]
@@ -213,12 +223,26 @@ def scan_max(fn, lo: float, hi: float, n_coarse: int):
             break
     best = int(np.argmax(vals))
     best_v, best_x = float(vals[best]), float(grid[best])
-    runs = []
+    runs, shoulders = [], []
     for i in picked:
-        a = grid[max(i - 1, 0)]
-        b = grid[min(i + 1, n_coarse - 1)]
-        if b > a:
-            runs.append(_bounded_brent(a, b, 1e-6 * (b - a) + 1e-12))
+        ia, ib = max(i - 1, 0), min(i + 1, n_coarse - 1)
+        a, b = grid[ia], grid[ib]
+        if b <= a:
+            continue
+        xatol = 1e-6 * (b - a) + 1e-12
+        if vals[i] >= vals[ia] and vals[i] >= vals[ib]:
+            runs.append(_bounded_brent(a, b, xatol))
+        else:
+            shoulders.append((np.linspace(a, b, 9), max(vals[ia], vals[ib]), xatol))
+    if shoulders:
+        subs = np.concatenate([pts[1:-1] for pts, _edge, _xatol in shoulders])
+        scores = np.asarray(fn(subs), dtype=float).reshape(len(shoulders), 7)
+        for (pts, edge, xatol), row in zip(shoulders, scores):
+            k = int(np.argmax(row))
+            if row[k] > best_v:
+                best_v, best_x = float(row[k]), float(pts[k + 1])
+            if row[k] > edge:
+                runs.append(_bounded_brent(pts[k], pts[k + 2], xatol))
     results = [None] * len(runs)
     pending = {j: next(run) for j, run in enumerate(runs)}  # bracket -> next x
     while pending:

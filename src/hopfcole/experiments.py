@@ -535,12 +535,21 @@ def run_properties(cfg: ExperimentConfig):
 def run_heat_profile(cfg: ExperimentConfig):
     t0 = time.time()
     data = make_family(cfg.family)
+    case = case_for_data(data)
+    # the heat limit profile is that of a kappa |y|^-alpha tail on both sides
+    if case is None or case.case != profiles.CASE_SYMMETRIC:
+        raise ConfigError(f"family {cfg.family.family} has no symmetric "
+                          "kappa |y|^-alpha tail, so no heat limit profile")
+    ts = cfg.t_grid()
+    if len(ts) < 2:
+        raise ConfigError("heat_profile needs at least 2 time points to see "
+                          "its error decrease")
     alpha, kappa = data.spec.alpha, data.spec.kappa
     zs = np.linspace(-4.0, 4.0, 33)
     prof = {float(z): heat.heat_limit_profile(float(z), kappa, alpha) for z in zs}
     rows = []
     sups = []
-    for t in cfg.t_grid():
+    for t in ts:
         errs = []
         vals = t ** (alpha / 2.0) * heat.heat_eval_batch(data, zs * math.sqrt(t), float(t))
         for z, v in zip(zs, vals):
@@ -549,7 +558,7 @@ def run_heat_profile(cfg: ExperimentConfig):
             errs.append(err)
             rows.append((float(t), float(z), v, prof[float(z)], err))
         sups.append(max(errs))
-    results = {"sup_errors": dict(zip(map(float, cfg.t_grid()), sups)),
+    results = {"sup_errors": dict(zip(map(float, ts), sups)),
                "profile_center": prof.get(0.0)}
     checks = [("sup_error_decreases",
                all(a > b for a, b in zip(sups[:-1], sups[1:])),

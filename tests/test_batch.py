@@ -258,7 +258,8 @@ def pointwise(fn):
 
 
 def reference_scan_max(fn, lo, hi, n_coarse, n_refine=3):
-    """scan_max with its coarse grid scored point by point on fn."""
+    """scan_max with its coarse grid and its shoulder sub-grids scored point
+    by point on fn, and each bracket refined by minimize_scalar."""
     grid = np.linspace(lo, hi, n_coarse)
     vals = np.asarray([fn(g) for g in grid])
     order = np.argsort(vals)[::-1]
@@ -270,13 +271,28 @@ def reference_scan_max(fn, lo, hi, n_coarse, n_refine=3):
             break
     best_v = float(np.max(vals))
     best_x = float(grid[int(np.argmax(vals))])
+    peaks, shoulders = [], []
     for i in picked:
-        a = grid[max(i - 1, 0)]
-        b = grid[min(i + 1, n_coarse - 1)]
+        ia, ib = max(i - 1, 0), min(i + 1, n_coarse - 1)
+        a, b = grid[ia], grid[ib]
         if b <= a:
             continue
+        xatol = 1e-6 * (b - a) + 1e-12
+        if vals[i] >= vals[ia] and vals[i] >= vals[ib]:
+            peaks.append((a, b, xatol))
+            continue
+        # a shoulder: 7 sub-grid points, and a bracket only around a
+        # sub-grid maximum above both bracket ends
+        pts = np.linspace(a, b, 9)
+        sub = [fn(v) for v in pts[1:-1]]
+        k = int(np.argmax(sub))
+        if sub[k] > best_v:
+            best_v, best_x = float(sub[k]), float(pts[k + 1])
+        if sub[k] > max(vals[ia], vals[ib]):
+            shoulders.append((pts[k], pts[k + 2], xatol))
+    for a, b, xatol in peaks + shoulders:
         res = minimize_scalar(lambda v: -fn(v), bounds=(a, b), method="bounded",
-                              options={"xatol": 1e-6 * (b - a) + 1e-12})
+                              options={"xatol": xatol})
         if -res.fun > best_v:
             best_v = float(-res.fun)
             best_x = float(res.x)
@@ -293,6 +309,46 @@ def test_lockstep_brent_takes_scipys_steps(c, hi, n):
 
     assert burgers.scan_max(pointwise(fn), -3.0, hi, n) == \
         reference_scan_max(fn, -3.0, hi, n)
+
+
+def test_scan_finds_a_narrow_bump_in_a_shoulder_cell():
+    # a broad peak at x = 1.8 and a bump of width 0.1 at x = 4.55 that no
+    # grid point sees: the pick at x = 4 is a shoulder (x = 3 outscores
+    # it), its sub-grid point 4.5 beats both bracket ends, and the bracket
+    # [4.25, 4.75] refines to the top of the bump
+    def fn(x):
+        return math.exp(-(x - 1.8) ** 2 / 8) + math.exp(-(x - 4.55) ** 2 / 0.02)
+
+    grid_top = max(fn(g) for g in np.linspace(0.0, 8.0, 9))
+    want = minimize_scalar(lambda v: -fn(v), bounds=(4.4, 4.7), method="bounded",
+                           options={"xatol": 1e-12})
+    v, x = burgers.scan_max(pointwise(fn), 0.0, 8.0, 9)
+    assert (v, x) == reference_scan_max(fn, 0.0, 8.0, 9)
+    assert -want.fun > grid_top + 0.3
+    assert v == pytest.approx(-want.fun, rel=1e-9)
+    assert x == pytest.approx(want.x, abs=1e-5)
+
+
+def test_monotone_shoulders_start_no_refinement():
+    # on increasing scores the last grid point is the top pick, a peak of
+    # the grid; the other picks are shoulders whose sub-grids rise to their
+    # right ends, so the one sub-grid call is all they cost, and every
+    # later call is a step of the top bracket
+    grid = np.linspace(0.0, 1.0, 11)
+    calls = []
+
+    def fn(xs):
+        calls.append(np.array(xs))
+        return np.exp(xs)
+
+    v, x = burgers.scan_max(fn, 0.0, 1.0, 11)
+    top = minimize_scalar(lambda u: -math.exp(u), bounds=(grid[9], grid[10]),
+                          method="bounded",
+                          options={"xatol": 1e-6 * (grid[10] - grid[9]) + 1e-12})
+    assert [c.size for c in calls[:2]] == [11, 14]
+    assert all(c.size == 1 and grid[9] <= c[0] <= grid[10] for c in calls[2:])
+    assert len(calls) == 2 + top.nfev
+    assert (v, x) == (math.exp(1.0), 1.0)
 
 
 @pytest.mark.parametrize("t", [1e3, 1e6])
@@ -729,7 +785,9 @@ def test_a_grid_point_where_g_is_x_is_the_root(monkeypatch):
 
 
 def test_kernel_calls_do_little_fixed_work(power_c0):
-    # the counts of one sup_norm scan (31 kernel calls): each root starts
+    # the counts of one sup_norm scan (15 kernel calls: the grid, the
+    # shoulder sub-grids and 13 lockstep steps; 31 when every pick was
+    # refined, the shoulders crawling 30 steps each): each root starts
     # in its grid cell (17.7 slope evaluations a call before, 4.3 now),
     # and the initial partition takes G_t' at the maxima from the roots:
     # the truncation's, at the outermost maxima, is the one evaluation a
@@ -760,12 +818,23 @@ def test_kernel_calls_do_little_fixed_work(power_c0):
         mp.setattr(quadrature, "_log_gauss_tails", counted("tails", tails))
         mp.setattr(quadrature, "_batch_truncation", counted_truncation)
         burgers.sup_norm(power_c0, 1e6)
-    assert counts["calls"] == 31
+    assert counts["calls"] == 15
     assert counts["slopes"] / counts["calls"] <= 5.0
     assert counts["outside"] == counts["calls"]
-    assert len(truncations) == 31
+    assert len(truncations) == 15
     assert all(c["weight_mag"] == 1 + c["tails"] for c in truncations)
-    assert [c["weight_mag"] for c in truncations if c["tails"] == 1] == [2] * 31
+    assert [c["weight_mag"] for c in truncations if c["tails"] == 1] == [2] * 15
+
+
+def test_heat_sup_norm_scan_makes_8_kernel_calls(power_c0):
+    # heat of PowerC0 peaks at x = 0, a grid point: its bracket takes 6
+    # lockstep steps, and the two shoulder picks beside it one sub-grid
+    # call, after the grid (31 calls when the shoulders were refined too)
+    with pytest.MonkeyPatch.context() as mp:
+        counts = counted_slopes(mp)
+        got = heat.heat_sup_norm(power_c0, 1e6)
+    assert counts["calls"] == 8
+    assert got.argmax_x == 0.0
 
 
 def truncation_one_step(ph, x, log_scale, max_pt, max_y):

@@ -331,14 +331,22 @@ def test_cli_exit_code_one_point_fit(tmp_path, monkeypatch, command):
      {"fd_L": 5, "fd_t": 2.0}),
     ("zc", {"family": "Gaussian"}, {}),
     ("profile", {"family": "Gaussian"}, {}),
+    ("heat-profile", {"family": "Gaussian"}, {"t_min": 100, "t_max": 1e4}),
+    ("heat-profile", {"family": "Asymmetric", "alpha": 1 / 3, "beta": 2 / 3},
+     {"t_min": 100, "t_max": 1e4}),
+    ("heat-profile", {"family": "PowerC0", "kappa": 1.0, "alpha": 0.5},
+     {"t_min": 100, "t_max": 100}),
 ], ids=["concentration-mu", "fd-nodes", "fd-L", "fd-budget", "zc-gaussian",
-        "profile-gaussian"])
+        "profile-gaussian", "heat-profile-gaussian", "heat-profile-asymmetric",
+        "heat-profile-one-t"])
 def test_cli_exit_code_bad_config_before_any_work(tmp_path, monkeypatch, command,
                                                    family, fields):
     # each of these exited 1 with a ValueError traceback from the library
     # (the strip of concentration_ratio, finite_difference.integrate, the
     # missing limit profile of Gaussian data); now they are config errors,
-    # raised before any kernel call or FD step
+    # raised before any kernel call or FD step.  heat-profile compares with
+    # the profile of a symmetric kappa |y|^-alpha tail and checks that its
+    # error decreases in t: on other data, or at one t, it printed [PASS]
     calls = []
     monkeypatch.setattr(quadrature.BatchKernel, "__call__",
                         lambda *args, **kw: calls.append(args))
