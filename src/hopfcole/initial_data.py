@@ -1,12 +1,13 @@
 """Initial-data families for the slow-decay Burgers/heat experiments.
 
 Each family provides the pointwise value f0(y), first and second
-derivatives, and the primitive P(y) = int_0^y f0(u) du.  The phase of the
-exponential integrals evaluates the primitive millions of times.  It is a
-closed form for PowerC0, PowerC1, SignFlipped, Asymmetric, Constant,
-Gaussian and Zero data; PowerLog and Custom data without a primitive
-callback are served from a cached adaptive quadrature (geometric blocks,
-extended on demand).
+derivatives, and the primitive P(y) = int_0^y f0(u) du.  The exponential
+integrals evaluate the primitive at the critical points of the phase and
+at the candidate ends of its truncation, not at their quadrature nodes,
+which integrate f0 itself.  It is a closed form for PowerC0, PowerC1,
+SignFlipped, Asymmetric, Constant, Gaussian and Zero data; PowerLog and
+Custom data without a primitive callback are served from a cached adaptive
+quadrature (geometric blocks, extended on demand).
 """
 from __future__ import annotations
 
@@ -294,7 +295,9 @@ def _power_c1_primitive(k, e, c, y):
     parameters (DLMF 8.17): I_(e+2)(y) = sign(y) B(1/2, (e+1)/2)/2 *
     betainc(1/2, (e+1)/2, y^2/(1+y^2)).  The bracket cancels by a factor
     1/(1-e), so the relative error grows like eps/(1-e).  hypot keeps every
-    finite y free of overflow.
+    finite y free of overflow.  The exponential integrals call it once per
+    critical point and truncation candidate, not once per quadrature node
+    (quadrature._integrate integrates f0 there).
     """
     r = np.hypot(1.0, y)
     tail = c * betainc(0.5, 0.5 * (e + 1.0), (y / r) ** 2)
@@ -315,8 +318,9 @@ def _power_c0(spec):
         return a * (a + 1.0) * k * (1.0 + np.abs(y)) ** (-a - 2.0)
 
     def p(y):
+        # expm1/log1p: no 1 is subtracted from a power near 1 at small |y|
         s = np.where(y >= 0.0, 1.0, -1.0)
-        return k * s * ((1.0 + np.abs(y)) ** (1.0 - a) - 1.0) / (1.0 - a)
+        return k * s * np.expm1((1.0 - a) * np.log1p(np.abs(y))) / (1.0 - a)
 
     return InitialData(spec, v, d1, d2, p, sup_abs=k)
 
@@ -386,7 +390,7 @@ def _sign_flipped(spec):
         return k * (a + 1.0) * y * (3.0 - a * y * y) * (1.0 + y * y) ** (-0.5 * (a + 5.0))
 
     def p(y):
-        return k * ((1.0 + y * y) ** (0.5 * (1.0 - a)) - 1.0) / (a - 1.0)
+        return k * np.expm1(0.5 * (1.0 - a) * np.log1p(y * y)) / (a - 1.0)
 
     sup = k * a ** (0.5 * a) * (a + 1.0) ** (-0.5 * (a + 1.0))
     return InitialData(spec, v, d1, d2, p, sup_abs=sup)

@@ -28,8 +28,18 @@ power one multiplication from the one below and a factor with exponent 1
 the data row itself, written into one preallocated array.  The compiled
 weights take each node's x too, for the one weight that depends on it: the
 Hermite factor H_m((x - y) / (2 sqrt t)) of the heat derivatives
-(HermiteWeight).  _panel_eval applies the non-nested 10- and 21-point
-Gauss-Legendre rules to an array of panels in one call.
+(HermiteWeight).  The non-nested 10- and 21-point Gauss-Legendre rules are
+applied to arrays of panels in one call (_rules).
+
+The phase is measured from its maximum.  From the root y0 where it is
+largest, H(y) - H(y0) = -(y - y0)(y + y0 - 2x)/(4t) - int_{y0}^y f0 / 2.
+Each panel carries its phase at its left end, from the integrals of f0
+over the panels summed from y0 in extended precision, and a node adds the
+phase from there, with int f0 from f0 at the panel's 31 nodes through one
+fixed spectral-integration matrix (_SPECTRAL).  So no node subtracts two
+numbers of the size of the phase, whatever t.  data.primitive runs only at
+the roots and the truncation candidates, and f0 at the nodes is evaluated
+once, for the phase and the weights (_integrate).
 
 BatchKernel computes the quotients of the physical phase for many x at one
 t: the critical points of all of them come from the piece table in one
@@ -66,6 +76,23 @@ KIND_DEGENERATE = "degenerate"
 _GL10 = np.polynomial.legendre.leggauss(10)
 _GL21 = np.polynomial.legendre.leggauss(21)
 _NODES = np.concatenate([_GL10[0], _GL21[0]])  # both rules, 31 nodes a panel
+
+
+def _spectral_rows():
+    """The (34, 31) spectral-integration matrix of the panel [-1, 1]
+    (Greengard, SIAM J. Numer. Anal. 28, 1991): f at the 31 nodes of _NODES
+    to the integral from -1 of the polynomial of degree 30 through them, at
+    those nodes and at the midpoint 0; then the G21 and the G10 rule over
+    the whole panel."""
+    leg = np.polynomial.legendre
+    targets = np.concatenate([_NODES, [0.0]])
+    integrals = leg.legval(targets, leg.legint(np.eye(31), lbnd=-1.0)).T
+    rows = np.linalg.solve(leg.legvander(_NODES, 30).T, integrals.T).T
+    return np.ascontiguousarray(np.vstack([rows, np.concatenate([np.zeros(10), _GL21[1]]),
+                                           np.concatenate([_GL10[1], np.zeros(21)])]))
+
+
+_SPECTRAL = _spectral_rows()
 
 
 class NotConvergedError(RuntimeError):
@@ -194,7 +221,9 @@ def compile_weights(gs, data: InitialData, t):
     None (unit weight), scalars and plain callables y -> g(y) fill their
     own rows, and so does a HermiteWeight, from s = (x - y) / (2 sqrt t)
     with each node's own x (a scalar or an array like y).  With x None that
-    row is its x-independent factor g(y) alone."""
+    row is its x-independent factor g(y) alone.  A caller that already holds
+    the data row data.value(y) passes it as f0, and it is not evaluated
+    again."""
     monomials = {}  # (a, b, c) -> column of the coefficient matrix
     coef = []
     fixed = []
@@ -222,12 +251,15 @@ def compile_weights(gs, data: InitialData, t):
         cmat[i, col] += v
     root_t2 = 2.0 * math.sqrt(t)
 
-    def weights(y, x=None):
+    def weights(y, x=None, f0=None):
         y = np.asarray(y, dtype=float)
         if monomials:
             power = {}  # (k, e) -> f_k^e
             for k in range(order + 1):
-                power[k, 1] = data.value(y) if k == 0 else data.derivative(y, k)
+                if k:
+                    power[k, 1] = data.derivative(y, k)
+                else:
+                    power[k, 1] = data.value(y) if f0 is None else f0
                 for e in range(2, top[k] + 1):
                     power[k, e] = power[k, e - 1] * power[k, 1]
             rows = np.empty((len(monomials), y.size))
@@ -340,15 +372,30 @@ class StabilizedIntegral:
     target: float = math.inf  # abs_error budget of the refinement
 
 
+def _panel_nodes(a, b):
+    """(nodes, half): the 31 nodes of each panel [a[j], b[j]], of shape
+    (n_panels, 31), and the half widths."""
+    half = 0.5 * (b - a)
+    return (0.5 * (a + b))[:, None] + half[:, None] * _NODES, half
+
+
+def _rules(gv, half):
+    """(I10, I21), each of shape (n_weights, n_panels), from the values gv
+    of shape (n_weights, n_panels, 31) at the nodes of the panels."""
+    return half * (gv[:, :, :10] @ _GL10[1]), half * (gv[:, :, 10:] @ _GL21[1])
+
+
 def _panel_eval(integrand, a, b):
     """(I10, I21), each of shape (n_weights, n_panels), for the panels
     [a[j], b[j]]; integrand maps a node array y to (n_weights, y.size)."""
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    ys = (mid[:, None] + half[:, None] * _NODES[None, :]).ravel()
-    gv = np.asarray(integrand(ys), dtype=float).reshape(-1, a.size, _NODES.size)
-    i10 = half * (gv[:, :, :10] @ _GL10[1])
-    i21 = half * (gv[:, :, 10:] @ _GL21[1])
-    return i10, i21
+    ys, half = _panel_nodes(a, b)
+    gv = np.asarray(integrand(ys.ravel()), dtype=float)
+    return _rules(gv.reshape(-1, a.size, _NODES.size), half)
+
+
+def _chunks(n):
+    """Slices of at most _EVAL_PANELS panels over n panels."""
+    return [slice(j, j + _EVAL_PANELS) for j in range(0, n, _EVAL_PANELS)]
 
 
 def integrate_moments(gs, phase, rel_tol=1e-8, cps=None, interval=None,
@@ -371,7 +418,7 @@ def integrate_moments(gs, phase, rel_tol=1e-8, cps=None, interval=None,
     total, err, tgt, conv, log_scale, a, b = _integrate(
         ph, np.asarray([float(phase.x)]), np.zeros(len(cps), dtype=int), y,
         np.asarray([c.kind != KIND_MIN for c in cps]), ph.slope(y),
-        _origin_scale(weights), rel_tol, max_panels, interval)
+        _origin_scale(weights, phase.data), rel_tol, max_panels, interval)
     return [StabilizedIntegral(float(log_scale[0]), float(total[i, 0]), float(err[i, 0]),
                                (float(a[0]), float(b[0])), bool(conv[i, 0]), float(tgt[i, 0]))
             for i in range(len(gs))]
@@ -519,7 +566,7 @@ class BatchKernel:
         self.n_weights = len(gs)
         weights = compile_weights(list(gs) + [None], data, t)
         self._ph = _Phases(data, t, weights)
-        self._origin_scale = _origin_scale(weights)
+        self._origin_scale = _origin_scale(weights, data)
 
     def __call__(self, xs, rel_tol=1e-9, max_panels=4000):
         """The quotients at every x of xs, of shape (n_weights, xs.size).
@@ -546,15 +593,18 @@ class BatchKernel:
         return ratios
 
 
-def _origin_scale(weights):
-    """Length scale sup|g| / sup|g'| of the x-independent factors g of the
-    weights over 1e-3 <= |y| <= 1e8, or 0.0 if all are constant.
+def _origin_scale(weights, data):
+    """Length scale sup|g| / sup|g'| of f0 of the phase and of the
+    x-independent factors g of the weights over 1e-3 <= |y| <= 1e8, or 0.0
+    if all are constant.
 
     The data families vary near y = 0 (the kink of PowerC0, the bump of
     Gaussian data) and decay as powers of |y| away from it; a panel much
     wider than its distance to y = 0 is blind to that, and its G10 and G21
-    values agree on a wrong integral."""
-    g = weights(_ORIGIN_YS)
+    values agree on a wrong integral.  f0 is graded whatever the weights
+    (a unit weight too), so that every panel resolves the f0 whose integral
+    it passes outward (_integrate)."""
+    g = np.vstack([weights(_ORIGIN_YS), data.value(_ORIGIN_YS)])
     slope = np.max(np.abs(np.diff(g, axis=1)) / np.diff(_ORIGIN_YS), axis=1)
     vary = slope > 0.0
     return float(np.max(np.abs(g[vary])) / np.max(slope)) if vary.any() else 0.0
@@ -682,28 +732,197 @@ def _integrate(ph, x, pt, y, is_max, d1, origin_scale, rel_tol, max_panels,
     the ends and tail bound are _batch_truncation's; over a window
     interval=(a, b) they are the window's ends, the log scale is the
     largest phase at those ends and at the roots inside, and there is no
-    tail.  Returns (total, error, target, converged), each of shape
+    tail.
+
+    The phase at the nodes is measured from the anchor y0 where the log
+    scale is attained (_anchors), with no closed-form primitive:
+    H(y) - H(y0) = -(y - y0)(y + y0 - 2x)/(4t) - int_{y0}^y f0 / 2.  Each
+    panel [a, b] carries h = H(a) - H(y0) in extended precision, and a node
+    y adds H(y) - H(a) = (a - y)(y + a - 2x)/(4t) - int_a^y f0 / 2, the
+    integral by spectral integration of f0 at the panel's nodes
+    (_SPECTRAL): no node subtracts numbers of the size of the offsets.  The
+    initial panels are split until each resolves f0 (_resolved), and their
+    h come from their G21 integrals of f0 summed from y0 (_offsets); a
+    split panel passes its h to its left half, and its h plus the phase
+    from a to its midpoint to its right half.  f0 at the nodes is
+    evaluated once, for the phase and the weights, and the phase factor
+    multiplies the weight rows in place.
+
+    Returns (total, error, target, converged), each of shape
     (n_weights, x.size), then log_scale, a and b; the error includes the
     tail bound, and a weight has converged if it met its target and the
     tail bound is finite."""
     m = x.size
     if interval is None:
-        log_scale = np.full(m, -np.inf)
-        np.maximum.at(log_scale, pt, ph.total(y, x[pt]))
+        log_scale, y0 = _anchors(ph, x, pt, y)
         a, b, log_tail = _batch_truncation(ph, x, log_scale, pt[is_max], y[is_max])
     else:
         a, b = np.full(m, float(interval[0])), np.full(m, float(interval[1]))
         inner = (y > a[pt]) & (y < b[pt])
         pt, y, is_max, d1 = pt[inner], y[inner], is_max[inner], d1[inner]
-        log_scale = np.maximum(ph.total(a, x), ph.total(b, x))
-        np.maximum.at(log_scale, pt, ph.total(y, x[pt]))
+        ends = np.arange(m)
+        log_scale, y0 = _anchors(ph, x, np.concatenate([ends, ends, pt]),
+                                 np.concatenate([a, b, y]))
         log_tail = np.full(m, -np.inf)
+    t = ph.t
+
+    def quad(a, d, p):  # the quadratic part of H(a + d) - H(a) at the points p
+        return d * (2.0 * (x[p] - a) - d) / (4.0 * t)
+
+    def rules(pid, pa, ys, half, f0, ints, h):
+        # the phase at the node a + half (1 + s) that the spectral rows
+        # integrate to: the node ys in double is off it by up to ulp(y), and
+        # f0 ulp(y) is far above the phase's rounding (1e-11 at y = 4e6)
+        phase = (h.astype(float)[:, None]
+                 + quad(pa[:, None], half[:, None] * (1.0 + _NODES), pid[:, None])
+                 - 0.5 * ints[:, :31])
+        gv = ph.weights(ys.ravel(), np.repeat(x[pid], _NODES.size), f0.ravel())
+        gv *= np.exp(phase.ravel())
+        return _rules(gv.reshape(gv.shape[0], -1, _NODES.size), half)
+
+    def right_half(pid, pa, pb, f0, ints, h):
+        # H(mid) - H(y0) at the double midpoint, which is off the middle
+        # node a + half of the spectral rows by half the rounding of a + b
+        s = pa + pb
+        bb = s - pa
+        mid = 0.5 * s
+        return h + (quad(pa, mid - pa, pid)
+                    - 0.5 * (ints[:, 31] - 0.5 * f0[:, 20] * ((pa - (s - bb)) + (pb - bb))))
+
+    def evaluate(pid, pa, pb, h):
+        # a level is both halves of each split panel, so every chunk holds an
+        # even number of panels, two at least (_f0_rows)
+        parts = []
+        for s in _chunks(pid.size):
+            ys, half = _panel_nodes(pa[s], pb[s])
+            f0, ints = _f0_rows(ph.data, ys, half)
+            parts.append((*rules(pid[s], pa[s], ys, half, f0, ints, h[s]),
+                          right_half(pid[s], pa[s], pb[s], f0, ints, h[s])))
+        return tuple(np.concatenate(q, axis=-1) for q in zip(*parts))
+
+    # the first level by groups of whole points: a point's offsets need the
+    # integrals of all its panels
     pid, pa, pb = _batch_edges(ph, a, b, pt, y, is_max, d1, origin_scale)
-    total, err, tgt = _batch_refine(
-        lambda yy, p: ph.weights(yy, x[p]) * np.exp(ph.total(yy, x[p]) - log_scale[p]),
-        pid, pa, pb, m, rel_tol, max_panels)
+    several = np.bincount(pt[is_max], minlength=m) > 1
+    level = []
+    for s in _point_groups(pid):
+        g_pid, g_pa, g_pb, ys, half, f0, ints = _resolved(ph.data, pid[s], pa[s], pb[s])
+        h = (quad(y0[g_pid], g_pa.astype(np.longdouble) - y0[g_pid], g_pid)
+             - 0.5 * _offsets(g_pid, g_pa, half, f0, ints, y0, several))
+        level.append((g_pid, g_pa, g_pb, h, *rules(g_pid, g_pa, ys, half, f0, ints, h),
+                      right_half(g_pid, g_pa, g_pb, f0, ints, h)))
+    pid, pa, pb, h, i10, i21, h_right = (level[0] if len(level) == 1 else
+                                        (np.concatenate(q, axis=-1) for q in zip(*level)))
+    total, err, tgt = _batch_refine(evaluate, (i10, i21, h_right), pid, pa, pb, h, m,
+                                    rel_tol, max_panels)
     tail = np.where(log_tail < 700.0, np.exp(np.minimum(log_tail, 700.0)), np.inf)
     return total, err + tail, tgt, (err <= tgt) & np.isfinite(tail), log_scale, a, b
+
+
+_F0_RESOLUTION = 1e-10  # G10 against G21 of f0 on a panel that resolves it
+_F0_SPLITS = 30  # halvings of a panel that does not
+
+
+def _f0_rows(data, ys, half):
+    """(f0, ints) at the nodes ys of panels of half widths half: f0 there,
+    of shape (n_panels, 31), and its integrals from each panel's left end
+    by the rows of _SPECTRAL, of shape (n_panels, 34).  A product of two
+    panels or more gives each panel's row the same bits in any batch, so no
+    panel depends on its batch; one panel alone is another BLAS call, and so
+    is _SPECTRAL in Fortran order, whose rows can differ in the last bit."""
+    f0 = data.value(ys.ravel()).reshape(ys.shape)
+    if not f0.any():  # the heat phase: f0 = 0, and so are its integrals
+        return f0, np.zeros((f0.shape[0], _SPECTRAL.shape[0]))
+    return f0, half[:, None] * (f0 @ _SPECTRAL.T)
+
+
+def _point_groups(pid):
+    """Slices of the sorted panels of whole points, each of at most
+    _EVAL_PANELS panels unless it is one point."""
+    if pid.size <= _EVAL_PANELS:
+        return [slice(0, pid.size)]
+    groups, lo, end = [], 0, 0
+    for nxt in np.append(np.flatnonzero(np.diff(pid)) + 1, pid.size).tolist():
+        if nxt - lo > _EVAL_PANELS and end > lo:
+            groups.append(slice(lo, end))
+            lo = end
+        end = nxt
+    return groups + [slice(lo, pid.size)]
+
+
+def _resolved(data, pid, pa, pb):
+    """The panels of whole points, halved until each resolves f0: until
+    its G10 and G21 integrals of f0 agree to _F0_RESOLUTION of the G21 one,
+    or it was halved _F0_SPLITS times.  The polynomial of degree 30 through
+    the 31 nodes then carries the integral of f0 to round-off: the G10
+    error of y^-1/2 on [8, 32] is 8e-11, and its spectral integrals there
+    are 4e-16 off.  Graded panels pass at once; the ones that split lie
+    where f0 varies on a scale below the origin scale, as PowerC1 does on
+    [0, 4.6] at alpha 1/2.
+
+    Returns (pid, pa, pb, ys, half, f0, ints) sorted by point and left
+    end, with the nodes of _panel_nodes and the rows of _f0_rows."""
+    done = []
+    for depth in range(_F0_SPLITS + 1):
+        ys, half = _panel_nodes(pa, pb)
+        f0, ints = _f0_rows(data, ys, half)
+        ok = ((np.abs(ints[:, -2] - ints[:, -1]) <= _F0_RESOLUTION * np.abs(ints[:, -2]))
+              | (depth == _F0_SPLITS))
+        if ok.all():
+            done.append((pid, pa, pb, ys, half, f0, ints))
+            break
+        done.append(tuple(v[ok] for v in (pid, pa, pb, ys, half, f0, ints)))
+        mid = 0.5 * (pa[~ok] + pb[~ok])
+        pid = np.concatenate([pid[~ok], pid[~ok]])
+        pa, pb = np.concatenate([pa[~ok], mid]), np.concatenate([mid, pb[~ok]])
+    if len(done) == 1:
+        return done[0]
+    rows = [np.concatenate(v) for v in zip(*done)]
+    order = np.lexsort((rows[1], rows[0]))
+    return tuple(v[order] for v in rows)
+
+
+def _anchors(ph, x, pt, y):
+    """(log_scale, y0): for every point the largest phase over its
+    candidates (pt, y), by the closed-form primitive, and the first
+    candidate where it is attained.  Only candidates (roots, window ends)
+    call data.primitive, never the quadrature nodes."""
+    h = ph.total(y, x[pt])
+    log_scale = np.full(x.size, -np.inf)
+    np.maximum.at(log_scale, pt, h)
+    top = np.flatnonzero(h == log_scale[pt])
+    first = np.full(x.size, y.size)
+    np.minimum.at(first, pt[top], top)
+    return log_scale, y[first]
+
+
+_W21 = _GL21[1].astype(np.longdouble)
+
+
+def _offsets(pid, pa, half, f0, ints, y0, several):
+    """int_{y0}^{pa} f0 for every panel of the sorted (point, left end)
+    arrays of the points, with f0 and its integrals (_f0_rows) at their
+    nodes: the G21 integrals of the panels summed over each point's panels
+    from its first one, less that sum at its anchor y0, an edge of its
+    panels.  A point's sums run over its own panels alone, one row of a
+    (point, panel) table each, so no point depends on its batch.
+
+    The sums, and the integrals of the points with several maxima
+    (several), are taken in extended precision (np.longdouble) and
+    returned so: between two maxima far apart the sums grow to about |P|,
+    and rounding them would lose the maxima's relative weight to eps |P|
+    (odd data at x = 0, where the two weights cancel)."""
+    if not f0.any():
+        return np.zeros(pid.size, dtype=np.longdouble)
+    full = ints[:, -2].astype(np.longdouble)
+    far = several[pid]
+    full[far] = half[far] * (f0[far, 10:].astype(np.longdouble) @ _W21)
+    col = np.arange(pid.size) - np.searchsorted(pid, pid)
+    table = np.zeros((several.size, int(col.max()) + 2), dtype=np.longdouble)
+    table[pid, col + 1] = full
+    np.cumsum(table, axis=1, out=table)
+    at_y0 = np.bincount(pid, weights=pa < y0[pid], minlength=several.size).astype(int)
+    return table[pid, col] - table[pid, at_y0[pid]]
 
 
 def _batch_truncation(ph, x, log_scale, max_pt, max_y):
@@ -797,25 +1016,19 @@ def _batch_edges(ph, a, b, pt, y, is_max, d1, origin_scale):
     return ept[:-1][same], ey[:-1][same], ey[1:][same]
 
 
-def _batch_refine(integrand, pid, pa, pb, m, rel_tol, max_panels):
+def _batch_refine(evaluate, first, pid, pa, pb, h, m, rel_tol, max_panels):
     """Level-by-level refinement of the flat (point, panel) arrays of m
-    points; integrand(y, p) maps nodes y of panels of the points p to
-    (n_weights, y.size).  Every panel of an unconverged point whose error is
-    above its share of the point's target is split, all of them in one
-    integrand call.  Returns the per-point totals, errors and targets
-    rel_tol * max(|I|, 1e-3 L1), each of shape (n_weights, m); a point stops
-    when every weight meets its target or it has max_panels panels."""
-
-    def evaluate(pid, pa, pb):
-        parts = []
-        for j in range(0, pid.size, _EVAL_PANELS):
-            s = slice(j, j + _EVAL_PANELS)
-            p = np.repeat(pid[s], _NODES.size)
-            parts.append(_panel_eval(lambda yy: integrand(yy, p), pa[s], pb[s]))
-        return (np.concatenate([q[0] for q in parts], axis=1),
-                np.concatenate([q[1] for q in parts], axis=1))
-
-    i10, i21 = evaluate(pid, pa, pb)
+    points, each panel carrying a value h (the phase at its left end, in
+    _integrate).  evaluate(pid, pa, pb, h) gives (i10, i21, h_right) for
+    panels of the points pid: the values of the two rules, each of shape
+    (n_weights, n_panels), and the h of each panel's right half (its left
+    half keeps h).  first is that of the given panels.  Every panel of an unconverged point whose error
+    is above its share of the point's target is split, all of them in one
+    evaluate call.  Returns the per-point totals, errors and targets
+    rel_tol * max(|I|, 1e-3 L1), each of shape (n_weights, m); a point
+    stops when every weight meets its target or it has max_panels
+    panels."""
+    i10, i21, h_right = first
     created = np.bincount(pid, minlength=m)
     while True:
         # rules that differ by a tenth of the panel's value do not bound its
@@ -838,11 +1051,14 @@ def _batch_refine(integrand, pid, pa, pb, m, rel_tol, max_panels):
         mid = 0.5 * (s_a + s_b)
         c_pid = np.concatenate([s_pid, s_pid])
         c_a, c_b = np.concatenate([s_a, mid]), np.concatenate([mid, s_b])
-        c10, c21 = evaluate(c_pid, c_a, c_b)
+        c_h = np.concatenate([h[split], h_right[split]])
+        c10, c21, c_right = evaluate(c_pid, c_a, c_b, c_h)
         kept = ~split
         pid = np.concatenate([pid[kept], c_pid])
         pa = np.concatenate([pa[kept], c_a])
         pb = np.concatenate([pb[kept], c_b])
+        h = np.concatenate([h[kept], c_h])
+        h_right = np.concatenate([h_right[kept], c_right])
         i10 = np.concatenate([i10[:, kept], c10], axis=1)
         i21 = np.concatenate([i21[:, kept], c21], axis=1)
         created += 2 * np.bincount(s_pid, minlength=m)
@@ -856,7 +1072,14 @@ def adaptive_quadrature(fn, edges, rel_tol=1e-9, max_panels=2000):
     edges = np.asarray(edges, dtype=float)
     keep = edges[1:] > edges[:-1]
     pa, pb = edges[:-1][keep], edges[1:][keep]
-    total, err, tgt = _batch_refine(
-        lambda y, _p: np.asarray(fn(y), dtype=float).reshape(1, -1),
-        np.zeros(pa.size, dtype=int), pa, pb, 1, rel_tol, max_panels)
+
+    def evaluate(_pid, pa, pb, h):
+        parts = [_panel_eval(lambda y: np.asarray(fn(y), dtype=float).reshape(1, -1),
+                             pa[s], pb[s]) for s in _chunks(pa.size)]
+        return (np.concatenate([q[0] for q in parts], axis=1),
+                np.concatenate([q[1] for q in parts], axis=1), h)
+
+    pid, h = np.zeros(pa.size, dtype=int), np.zeros(pa.size)
+    total, err, tgt = _batch_refine(evaluate, evaluate(pid, pa, pb, h),
+                                    pid, pa, pb, h, 1, rel_tol, max_panels)
     return float(total[0, 0]), float(err[0, 0]), bool(err[0, 0] <= tgt[0, 0])

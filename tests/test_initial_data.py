@@ -171,19 +171,17 @@ def _oracle_cases():
 def test_primitive_against_mpmath(spec):
     """Relative error against a 30-digit integral of the family's value.
 
-    The bound is the incomplete-beta form's 4e-15/(1 - exponent) for PowerC1
-    and each side of Asymmetric, and the cache's rel_tol 1e-12 elsewhere.
-    The PowerC0 and SignFlipped closed forms subtract 1 from a power near 1,
-    so below |y| ~ 1e-4 they hold an absolute error eps kappa/(1 - alpha)
-    instead, which the phase of the exponential integrals does not see."""
+    The bound is 4e-15/(1 - exponent) for the closed forms: the
+    incomplete-beta form of PowerC1 and each side of Asymmetric, and the
+    expm1/log1p forms of PowerC0 and SignFlipped, which are relative down to
+    y = 0 (they subtract no 1 from a power near 1).  It is the cache's
+    rel_tol 1e-12 elsewhere."""
     d = make_family(spec)
     f = _mp_value(spec)
     closed_c1 = spec.family in ("PowerC1", "Asymmetric")
     if closed_c1:
         assert d._cache is None and d.primitive_error_bound == 0.0
-    floor = 0.0
-    if spec.family in ("PowerC0", "SignFlipped"):
-        floor = 2.0 * np.finfo(float).eps * spec.kappa / (1.0 - spec.alpha)
+    closed = closed_c1 or spec.family in ("PowerC0", "SignFlipped")
     with mpmath.workdps(30):
         for sign in (1.0, -1.0):
             ys = sign * _ORACLE_Y
@@ -192,13 +190,13 @@ def test_primitive_against_mpmath(spec):
             exact = np.cumsum([mpmath.quad(f, [lo, hi], method="gauss-legendre")
                                for lo, hi in zip(edges[:-1], edges[1:])])
             exact = np.asarray([float(v) for v in exact])
-            if closed_c1:
+            if closed:
                 e = spec.beta if sign < 0 and spec.beta is not None else spec.alpha
                 rel = 4e-15 / (1.0 - e)
             else:
                 rel = 1e-12
             err = np.abs(d.primitive(ys) - exact)
-            assert np.all(err <= rel * np.abs(exact) + floor), (
+            assert np.all(err <= rel * np.abs(exact)), (
                 sign, float(np.max(err / np.abs(exact))), rel)
 
 

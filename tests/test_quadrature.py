@@ -178,6 +178,31 @@ def test_compiled_f0_row_is_the_data_row(family, n):
     assert np.array_equal(got[0], data.value(y))
 
 
+def test_spectral_rows_integrate_polynomials_of_degree_30():
+    # the rows of _SPECTRAL take a polynomial of degree <= 30 at the 31
+    # nodes of a panel to its integrals from -1 at those nodes and at 0;
+    # the last two rows are the G21 and G10 rules over the panel
+    targets = np.concatenate([quadrature._NODES, [0.0]])
+    for deg in range(31):
+        exact = (targets ** (deg + 1) - (-1.0) ** (deg + 1)) / (deg + 1)
+        got = quadrature._SPECTRAL @ quadrature._NODES ** deg
+        assert np.all(np.abs(got[:32] - exact) <= 2e-15), deg
+    assert np.array_equal(quadrature._SPECTRAL[32, 10:], quadrature._GL21[1])
+    assert np.array_equal(quadrature._SPECTRAL[33, :10], quadrature._GL10[1])
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 512])
+def test_f0_rows_do_not_depend_on_their_batch(power_c1_half, n):
+    # a panel's spectral integrals are the same bits in any product of two
+    # panels or more, so a point's phase does not depend on its batch
+    a = np.sort(np.random.default_rng(5).uniform(-1e4, 1e4, 600))
+    ys, half = quadrature._panel_nodes(a[:-1], a[1:])
+    _, whole = quadrature._f0_rows(power_c1_half, ys, half)
+    for lo in (0, 1, 7, 300):
+        _, part = quadrature._f0_rows(power_c1_half, ys[lo:lo + n], half[lo:lo + n])
+        assert np.array_equal(part, whole[lo:lo + n])
+
+
 def test_panel_eval_batch_matches_single_panels(power_c1_half):
     # k panels in one call equal k one-panel calls, per weight and panel,
     # relative to the panel's L1
