@@ -5,6 +5,9 @@
 #      a tie at all -- for these parameters it does not, which is reported);
 #   2. the limit re-derived from the finite-time phase at a stationary point;
 #   3. the finite-time tie z_c(t), which converges to route 2.
+# On PowerC1 data the plus branch ties against the minus branch; on
+# Asymmetric data it ties against the left maximum near y = 0, the root on
+# the first monotone piece of g_t, whose limit value is -z^2/4.
 #
 # Usage: python demos/demo_jump_location.py
 import numpy as np
@@ -15,11 +18,14 @@ from hopfcole.profiles import (
 )
 from hopfcole.rescaled import case_for_data, phase_tie_point
 
-for alpha in (1.0 / 3.0, 0.5):
-    data = make_family(FamilySpec("PowerC1", kappa=1.0, alpha=alpha))
+for spec in (FamilySpec("PowerC1", kappa=1.0, alpha=1.0 / 3.0),
+             FamilySpec("PowerC1", kappa=1.0, alpha=0.5),
+             FamilySpec("Asymmetric", kappa=1.0, alpha=1.0 / 3.0, beta=2.0 / 3.0)):
+    data = make_family(spec)
     case = case_for_data(data)
     z_limit = profile_jump_location(case, VARIANT_LIMIT_DERIVED)
-    print(f"alpha = {alpha:.4f}")
+    beta = "" if spec.beta is None else f", beta = {spec.beta:.4f}"
+    print(f"{spec.family}: alpha = {spec.alpha:.4f}{beta}")
     print(f"  limit-derived tie:      z_c = {z_limit:.6f}")
     try:
         z_printed = profile_jump_location(case, VARIANT_PRINTED)

@@ -23,7 +23,7 @@ from . import burgers, heat, finite_difference, profiles
 from .initial_data import FamilySpec, make_family
 from .quadrature import KIND_MIN
 from .profiles import (
-    BRANCH_MINUS, BRANCH_PLUS, VARIANT_LIMIT_DERIVED, VARIANT_PRINTED,
+    BRANCH_MINUS, BRANCH_PLUS, CASE_ASYMMETRIC, VARIANT_LIMIT_DERIVED, VARIANT_PRINTED,
     DiscontinuityError, TiePointError, invert_branch, profile_jump_location,
     profile_value,
 )
@@ -309,7 +309,10 @@ def _derivative_sup(data, t, n, k, cfg):
             zc_t = case.discontinuity_z
             fallback = True
         yp = invert_branch(case, BRANCH_PLUS, zc_t).y
-        ym = invert_branch(case, BRANCH_MINUS, zc_t).y
+        # Asymmetric data have no minus branch at z > 0: the competing
+        # maximum is the left one, which tends to y = 0
+        ym = (0.0 if case.case == CASE_ASYMMETRIC
+              else invert_branch(case, BRANCH_MINUS, zc_t).y)
         amp_phase = t ** ((1.0 - case.alpha) / (1.0 + case.alpha))
         dz = min(0.2, 8.0 / (amp_phase * 0.5 * (yp - ym)))
         v2, x2 = burgers.scan_max(fn, (zc_t - dz) * m, (zc_t + dz) * m, 41)

@@ -327,6 +327,8 @@ class CriticalPoint:
     kind: str
     residual: float
     is_global_max: bool = False
+    piece: int | None = None  # its monotone piece of G_t, from the left; None at a piece end
+    pieces: int = 1  # the number of monotone pieces of G_t
 
 
 def locate_critical_points(phase) -> list:
@@ -337,22 +339,31 @@ def locate_critical_points(phase) -> list:
     A root on a rising piece of G_t is a maximum of the phase and one on a
     falling piece a minimum.  A root at a piece end, or where
     |G_t'| = |1 + t f0'| <= 1e-6 (|H''| <= 1e-6 / (2t)), is degenerate.
-    The global maximum is flagged, phase values are relative to it, and a
+    Each root is labelled by the index of its piece, counted from the
+    left among all pieces of G_t, and a root at a piece end by None.  The
+    global maximum is flagged, phase values are relative to it, and a
     residual is |H'| at the point.  The critical points of the rescaled
     phase are these in units of the space scale
     (rescaled.rescaled_critical_points)."""
     x, t = float(phase.x), phase.t
+    table = _table(phase.data, t, abs(x))
     _pt, y, is_max, d1 = _batch_critical_points(
-        _Phases(phase.data, t, None), np.asarray([x]), *_table(phase.data, t, abs(x)))
+        _Phases(phase.data, t, None), np.asarray([x]), *table)
     order = np.argsort(y)
     y, is_max, d1 = y[order], is_max[order], d1[order]
     tots = phase.total(y)
     res = np.abs(phase.dtotal(y))
     top = int(np.argmax(tots))
+    # a root at a piece end is the bound itself; every other root lies
+    # strictly inside its piece
+    bounds = table[2]
+    piece = np.searchsorted(bounds, y, "left")
+    inside = piece == np.searchsorted(bounds, y, "right")
     return [CriticalPoint(float(y[j]), float(tots[j] - tots[top]),
                           KIND_DEGENERATE if abs(d1[j]) <= 1e-6
                           else KIND_MAX if is_max[j] else KIND_MIN,
-                          float(res[j]), j == top)
+                          float(res[j]), j == top,
+                          int(piece[j]) if inside[j] else None, bounds.size + 1)
             for j in range(y.size)]
 
 

@@ -14,7 +14,12 @@ The reduced phase is the physical one in other units: at x = m z and
 y = m y~, H(m y~; m z) = (m^2 / t) Ht(y~, z).  So the rescaled critical
 points are the physical ones in units of m (rescaled_critical_points):
 quadrature.locate_critical_points at x = m z, one query of the piece table
-of (data, t) that every z of one t shares.
+of (data, t) that every z of one t shares.  g_t is G_t(y) = y + t f0(y) in
+those units, so its monotone pieces are the table's, and the finite-time
+branches are the pieces the points lie on (finite_branches).  On
+Asymmetric data right of the cusp the first piece holds the left maximum
+near y = 0, whose limit value -z^2/4 the limit tie uses, so the
+finite-time tie (phase_tie_point) converges to the jump for every case.
 """
 from __future__ import annotations
 
@@ -25,7 +30,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .initial_data import InitialData, negate_reflect
-from .quadrature import PhysicalPhase, integrate_moments, locate_critical_points
+from .quadrature import KIND_MIN, PhysicalPhase, integrate_moments, locate_critical_points
 from . import profiles
 from .profiles import (
     BRANCH_MIDDLE,
@@ -131,91 +136,44 @@ def _near_origin_halfwidth(data: InitialData, t: float) -> float:
 
 
 def finite_branches(data: InitialData, z: float, t: float) -> BranchSet:
-    """Stationary points of the rescaled phase sorted into the monotone
-    branch windows; everything else (near y = 0 or near the cusp) lands in
-    extras.
+    """The stationary points of the rescaled phase by the monotone piece of
+    g_t they lie on (CriticalPoint.piece).
 
-    A branch is reported only when a critical point falls inside its window
-    and g_t is monotone there (sampled); the windows are anchored at the
-    limit branches, so at moderate t a branch can legitimately be absent.
+    The root on the first piece is the minus branch and the root on the
+    last piece the plus branch.  A minimum on a piece between them is the
+    middle branch of a case with a cusp (every case but SignFlipped).
+    Everything else lands in extras: a degenerate root at a piece end, the
+    one root of a monotone g_t (a table of one piece), and every root of
+    data with no asymptotic case.  So a branch is absent only where g_t
+    has no root on its piece at z.
     """
     case = case_for_data(data)
-    cps = rescaled_critical_points(data, z, t)
     out = BranchSet()
-    if case is None:
-        out.extras = list(cps)
-        return out
-
-    strip = _near_origin_halfwidth(data, t)
-    y0 = case.y0
-    nu = 0.05 * (y0 if y0 is not None else case.kappa ** (1.0 / (1.0 + case.alpha)))
-
-    limits = {}  # branch -> its limit y at z, each inverted once
-
-    def limit_y(branch):
-        if branch not in limits:
-            try:
-                limits[branch] = invert_branch(case, branch, z).y
-            except ValueError:
-                limits[branch] = None
-        return limits[branch]
-
-    def windows():
-        wins = {}
-        ym = limit_y(BRANCH_MINUS)
-        edge = -max(2.0 * strip, min(nu, abs(ym) / 2.0) if ym is not None else nu)
-        wins[BRANCH_MINUS] = (-math.inf, edge, +1)
-        if case.case == CASE_SIGN_FLIPPED:
-            yp = limit_y(BRANCH_PLUS)
-            edge = max(2.0 * strip, min(nu, yp / 2.0) if yp is not None else nu)
-            wins[BRANCH_PLUS] = (edge, math.inf, +1)
-            return wins
-        wins[BRANCH_PLUS] = (y0 + nu, math.inf, +1)
-        wins[BRANCH_MIDDLE] = (max(2.0 * strip, 1e-3 * y0), y0 - nu, -1)
-        return wins
-
-    wins = windows()
-    assigned = {}
-    leftovers = []
-    for cp in cps:
-        target = None
-        for name, (lo, hi, _sgn) in wins.items():
-            if lo <= cp.y <= hi:
-                target = name
-                break
-        if target is None:
-            leftovers.append(cp)
-            continue
-        # keep the candidate closest to the limit branch if several fall in
-        prev = assigned.get(target)
-        ref = limit_y(target)
-        if prev is None:
-            assigned[target] = cp
+    for cp in rescaled_critical_points(data, z, t):
+        name = None
+        if case is not None and cp.piece is not None and cp.pieces > 1:
+            if cp.piece == 0:
+                name = BRANCH_MINUS
+            elif cp.piece == cp.pieces - 1:
+                name = BRANCH_PLUS
+            elif (cp.kind == KIND_MIN and case.case != CASE_SIGN_FLIPPED
+                  and out.middle is None):
+                name = BRANCH_MIDDLE
+        if name is None:
+            out.extras.append(cp)
         else:
-            if ref is not None and abs(cp.y - ref) < abs(prev.y - ref):
-                leftovers.append(prev)
-                assigned[target] = cp
-            else:
-                leftovers.append(cp)
-
-    gt = lambda y: critical_curve_finite(data, y, t)
-    for name, cp in assigned.items():
-        lo, hi, sgn = wins[name]
-        probes = np.linspace(max(lo, cp.y - 1.0), min(hi, cp.y + 1.0), 9)
-        slopes = np.diff(gt(probes))
-        if np.all(sgn * slopes > 0):
-            sol = BranchSolution(y=cp.y, branch=name,
-                                 residual=abs(gt(cp.y) - z))
-            setattr(out, name, sol)
-        else:
-            leftovers.append(cp)
-    out.extras = sorted(leftovers, key=lambda c: c.y)
+            # the residual |dHt/dy| is |z - g_t(y)| / 2
+            setattr(out, name, BranchSolution(y=cp.y, branch=name,
+                                              residual=2.0 * cp.residual))
     return out
 
 
 def phase_tie_point(data: InitialData, t: float) -> float:
     """The z at which the two competing phase maxima have equal height at
-    finite t (the finite-time location of the profile jump).
+    finite t (the finite-time location of the profile jump): the plus
+    branch and the minus branch, the root on the first monotone piece of
+    g_t, which on Asymmetric data right of the cusp is the left maximum
+    near y = 0.
 
     The difference of the branch phase values, which is strictly monotone
     in z, is scanned on one fixed z grid (symmetric about 0 for SignFlipped,

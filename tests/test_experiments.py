@@ -423,6 +423,22 @@ def test_ddecay_records_tie_point_fallback(monkeypatch, tmp_path):
     assert meta["results"]["tie_fallback_t"] == pytest.approx(ts)
 
 
+def test_ddecay_on_asymmetric_data(tmp_path):
+    # the layer scan was sized from the limit minus branch at the tie,
+    # which Asymmetric data lack at z > 0, and raised ValueError; the
+    # competing maximum is the left one, near y = 0
+    from hopfcole import experiments
+    cfg = ExperimentConfig(experiment="ddecay",
+                           family=FamilySpec("Asymmetric", kappa=1.0, alpha=1.0 / 3.0,
+                                             beta=2.0 / 3.0),
+                           t_min=1e4, t_max=1e6, t_count=4, n=0, k=1,
+                           n_coarse=65, out_dir=str(tmp_path))
+    out = experiments.run_derivative_decay(cfg)
+    assert out["results"]["tie_fallback_t"] == []
+    assert [(name, bool(ok)) for name, ok, _detail in out["checks"]] == [
+        ("scaled_sup_bounded", True)]
+
+
 def test_ddecay_propagates_other_tie_point_errors(monkeypatch, tmp_path):
     from hopfcole.quadrature import NotConvergedError
     with pytest.raises(NotConvergedError, match="budget"):

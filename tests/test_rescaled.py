@@ -8,7 +8,7 @@ from scipy.special import erf
 from hopfcole import profiles
 from hopfcole.initial_data import FamilySpec, make_family, negate_reflect
 from hopfcole.profiles import BRANCH_MIDDLE, BRANCH_MINUS, BRANCH_PLUS, invert_branch
-from hopfcole.quadrature import KIND_DEGENERATE, KIND_MAX, PhysicalPhase
+from hopfcole.quadrature import KIND_DEGENERATE, KIND_MAX, KIND_MIN, PhysicalPhase
 from hopfcole.rescaled import (
     TieWindowError,
     case_for_data,
@@ -90,6 +90,45 @@ def test_rescaled_critical_points_randomized():
 # -- finite branches ---------------------------------------------------------
 
 
+ASYMMETRIC = FamilySpec("Asymmetric", kappa=1.0, alpha=1.0 / 3.0, beta=2.0 / 3.0)
+
+
+def test_finite_branches_are_the_pieces_randomized():
+    # the branches and extras partition the critical points; minus is the
+    # leftmost root and plus the rightmost, both maxima, and middle is a
+    # minimum of a case with a cusp; a monotone g_t has no branch
+    rng = np.random.default_rng(20261019)
+    families = ("PowerC1", "SignFlipped", "Asymmetric", "PowerC0", "PowerLog")
+    for i in range(200):
+        family = families[i % len(families)]
+        alpha = float(rng.uniform(0.2, 0.8))
+        beta = {"Asymmetric": float(rng.uniform(alpha, 1.0)),
+                "PowerLog": float(rng.uniform(0.5, 1.5))}.get(family)
+        spec = FamilySpec(family, kappa=float(rng.uniform(0.5, 2.0)), alpha=alpha, beta=beta)
+        data = make_family(spec)
+        t = 10.0 ** rng.uniform(3.0, 8.0)
+        z = float(rng.uniform(-6.0, 12.0))
+        cps = rescaled_critical_points(data, z, t)
+        bs = finite_branches(data, z, t)
+        named = [s for s in (bs.minus, bs.plus, bs.middle) if s is not None]
+        assert sorted([s.y for s in named] + [c.y for c in bs.extras]) == [c.y for c in cps]
+        kind = {c.y: c.kind for c in cps}
+        if bs.minus is not None:
+            assert kind[bs.minus.y] != KIND_MIN and bs.minus.y == cps[0].y, (spec, t, z)
+        if bs.plus is not None:
+            assert kind[bs.plus.y] != KIND_MIN and bs.plus.y == cps[-1].y, (spec, t, z)
+        if bs.middle is not None:
+            assert kind[bs.middle.y] == KIND_MIN, (spec, t, z)
+        if family == "SignFlipped":
+            assert bs.middle is None
+        if family == "PowerLog":
+            continue  # its space scale mu(t) needs t >= e^(1+alpha)
+        # at small t, G_t = y + t f0 is monotone: one piece, one root
+        bs = finite_branches(data, z, 1e-2)
+        assert bs.minus is None and bs.plus is None and bs.middle is None
+        assert len(bs.extras) == 1 and bs.extras[0].pieces == 1, (spec, z)
+
+
 def test_zero_data_goes_to_extras(zero_data):
     bs = finite_branches(zero_data, 2.0, 10.0)
     assert bs.minus is None and bs.plus is None and bs.middle is None
@@ -153,22 +192,38 @@ def test_tie_point_never_solves_the_limit_jump(monkeypatch, power_c1_third):
     assert len(calls) == 1
 
 
-def test_tie_difference_sign_structure(power_c1_third):
+@pytest.mark.parametrize("spec", [ASYMMETRIC, FamilySpec("PowerC1", kappa=1.0, alpha=1.0 / 3.0)],
+                         ids=lambda spec: spec.family)
+def test_tie_difference_sign_structure(spec):
     # the branch phase difference changes sign across the tie and is
-    # strictly monotone (increasing) on the window
+    # strictly monotone (increasing) on the window; on Asymmetric data the
+    # minus branch right of the cusp is the left maximum near y = 0
+    data = make_family(spec)
     t = 1e6
-    zc = phase_tie_point(power_c1_third, t)
-    case = case_for_data(power_c1_third)
+    zc = phase_tie_point(data, t)
+    case = case_for_data(data)
 
     def diff(z):
-        bs = finite_branches(power_c1_third, z, t)
-        return (rescaled_phase(power_c1_third, bs.plus.y, z, t)
-                - rescaled_phase(power_c1_third, bs.minus.y, z, t))
+        bs = finite_branches(data, z, t)
+        return (rescaled_phase(data, bs.plus.y, z, t)
+                - rescaled_phase(data, bs.minus.y, z, t))
 
     zs = np.linspace(case.g_y0 + 0.15, 6.0, 12)
     vals = [diff(float(z)) for z in zs]
     assert np.all(np.diff(vals) > 0)
     assert diff(zc - 0.1) < 0 < diff(zc + 0.1)
+
+
+def test_asymmetric_tie_converges_to_the_jump():
+    # the plus branch ties against the left maximum, which tends to y = 0;
+    # the gap to the limit jump z_c = 2 was 1.55e-2, 9.6e-3, 5.0e-3, 2.4e-3
+    # and 1.1e-3 at t = 1e4 ... 1e8, shrinking by a factor 1.6 to 2.2 a
+    # decade (0.21 to 0.34 in log10)
+    data = make_family(ASYMMETRIC)
+    zc = case_for_data(data).discontinuity_z
+    gaps = [abs(phase_tie_point(data, t) - zc) for t in (1e4, 1e5, 1e6, 1e7, 1e8)]
+    assert all(a > 1.5 * b for a, b in zip(gaps, gaps[1:])), gaps
+    assert gaps[2] <= 0.01  # t = 1e6
 
 
 def test_branch_phase_derivative_identity(power_c1_third):
