@@ -24,8 +24,7 @@ from .initial_data import FamilySpec, make_family
 from .quadrature import KIND_MIN
 from .profiles import (
     BRANCH_MINUS, BRANCH_PLUS, CASE_ASYMMETRIC, VARIANT_LIMIT_DERIVED, VARIANT_PRINTED,
-    DiscontinuityError, TiePointError, invert_branch, profile_jump_location,
-    profile_value,
+    TiePointError, invert_branch, profile_jump_location, profile_value,
 )
 from .rescaled import (TieWindowError, case_for_data, phase_tie_point, check_properties,
                        concentration_ratio, default_space_scale, rescaled_critical_points)
@@ -380,6 +379,7 @@ def run_profile(cfg: ExperimentConfig):
     zs = [float(z) for z in zs_all
           if abs(z - zc) > cfg.exclusion
           and not (case.case == profiles.CASE_ASYMMETRIC and z == 0.0)]
+    ps = [profile_value(case, z) for z in zs]  # p does not depend on t
     rows = []
     sups = []
     max_local_maxima = 0
@@ -387,9 +387,8 @@ def run_profile(cfg: ExperimentConfig):
         m, amp = _scales(data, float(t))
         errs = []
         vals = amp * burgers.eval_batch(data, np.asarray(zs) * m, float(t))
-        for z, v in zip(zs, vals):
+        for z, v, p in zip(zs, vals, ps):
             v = float(v)
-            p = profile_value(case, z)
             err = abs(v - p)
             errs.append(err)
             rows.append((float(t), z, v, p, err))
@@ -419,17 +418,13 @@ def run_profile(cfg: ExperimentConfig):
                        f"measured {slope:.3f} vs bound rate {theory:.3f} - 0.1"))
     out = _emit(cfg, "profile", ["t", "z", "rescaled_f", "p_of_z", "abs_err"],
                 rows, results, checks, time.time() - t0)
-    _emit_profile_curve(cfg, case, zs)
+    _emit_profile_curve(cfg, case, zs, ps)
     return out
 
 
-def _emit_profile_curve(cfg, case, zs):
+def _emit_profile_curve(cfg, case, zs, ps):
     rows = []
-    for z in zs:
-        try:
-            p = profile_value(case, z)
-        except DiscontinuityError:
-            continue
+    for z, p in zip(zs, ps):
         if case.case in (profiles.CASE_SYMMETRIC, profiles.CASE_LOG_CORRECTED,
                          profiles.CASE_SIGN_FLIPPED):
             label = BRANCH_PLUS if z > case.discontinuity_z else BRANCH_MINUS

@@ -5,7 +5,10 @@ critical curve y + (signed tail)/|y|^alpha.  This module provides g and its
 case variants, the cusp where g' = 0, the monotone inverse branches, the
 limiting phase value along a branch, the location of the profile jump
 (where the dominant branch switches), the log-corrected spatial scale
-mu(t), and the piecewise limit profile itself.
+mu(t), and the piecewise limit profile itself.  A branch is inverted by
+safeguarded Newton inside a bracket in closed form (invert_branch).  The
+SignFlipped and Asymmetric jumps are closed forms, and the Symmetric and
+LogCorrected ties are solved by Brent from the cusp.
 """
 from __future__ import annotations
 
@@ -28,8 +31,6 @@ BRANCH_MIDDLE = "middle"
 
 VARIANT_PRINTED = "printed"
 VARIANT_LIMIT_DERIVED = "limit_derived"
-
-_BRACKET_CAP = 2.0 ** 60
 
 
 class DiscontinuityError(ValueError):
@@ -105,54 +106,36 @@ class ProfileCase:
                 f"beta={self.beta}, jump={self.discontinuity_z:.6g})")
 
 
+def _curve_tail(case: ProfileCase, y):
+    """g(y) - y: the tail kappa |y|^-alpha with the sign of its wing."""
+    tail = case.kappa * np.abs(y) ** (-case.alpha)
+    if case.case == CASE_SIGN_FLIPPED:
+        return np.where(y > 0, -tail, tail)
+    if case.case == CASE_ASYMMETRIC:  # the slower beta tail scales away on y < 0
+        return np.where(y > 0, tail, 0.0)
+    return tail
+
+
 def critical_curve_limit(case: ProfileCase, y):
     """The limiting critical curve g(y): stationary points of the rescaled
     phase at z = g(y).  y = 0 is outside the domain."""
     y = np.asarray(y, dtype=float)
     if np.any(y == 0.0):
         raise ValueError("the critical curve is undefined at y = 0")
-    k, a = case.kappa, case.alpha
-    tail = k * np.abs(y) ** (-a)
-    if case.case in (CASE_SYMMETRIC, CASE_LOG_CORRECTED):
-        out = y + tail
-    elif case.case == CASE_SIGN_FLIPPED:
-        out = np.where(y > 0, y - tail, y + tail)
-    else:  # Asymmetric: the slower beta tail scales away on y < 0
-        out = np.where(y > 0, y + tail, y)
+    out = y + _curve_tail(case, y)
     return float(out) if out.ndim == 0 else out
 
 
 def _curve_slope(case: ProfileCase, y):
-    k, a = case.kappa, case.alpha
-    d_tail = -a * k * np.sign(y) * np.abs(y) ** (-a - 1.0)
-    if case.case in (CASE_SYMMETRIC, CASE_LOG_CORRECTED):
-        return 1.0 + d_tail
-    if case.case == CASE_SIGN_FLIPPED:
-        return np.where(y > 0, 1.0 - d_tail, 1.0 + d_tail)
-    return np.where(y > 0, 1.0 + d_tail, 1.0)
-
-
-def _halve(bad, d: float, scale: float, branch: str) -> float:
-    """Halve d while bad(d); a d below scale / 2^60 raises ValueError."""
-    while bad(d):
-        d *= 0.5
-        if abs(d) * _BRACKET_CAP < scale:
-            raise ValueError(f"bracket collapse on {branch} branch")
-    return d
+    return 1.0 - case.alpha * _curve_tail(case, y) / y  # tail' = -alpha tail / y
 
 
 def _branch_interval(case: ProfileCase, branch: str, z: float):
-    """A sign-changing bracket for g(y) = z on the monotone piece."""
+    """The closed-form bracket [lo, hi] of the root of g(y) = z on the
+    branch (invert_branch); None on the Asymmetric identity branch."""
     k, a = case.kappa, case.alpha
     kroot = k ** (1.0 / (1.0 + a))
-    y0, g_y0 = case.y0, case.g_y0
-
-    def g(y):
-        return critical_curve_limit(case, y)
-
-    # seed for the side of a branch that collapses toward 0 as |z| grows:
-    # there y ~ +-(k/|z|)^{1/alpha}
-    near0 = 0.5 * min(kroot, (k / (abs(z) + 1.0)) ** (1.0 / a))
+    near0 = min(0.5 * kroot, (k / (abs(z) + kroot)) ** (1.0 / a))
 
     if branch == BRANCH_MINUS:
         if case.case == CASE_ASYMMETRIC:
@@ -161,66 +144,83 @@ def _branch_interval(case: ProfileCase, branch: str, z: float):
                     f"minus branch of the Asymmetric case needs z < 0, got z = {z}"
                 )
             return None  # identity branch; handled without root finding
-        if case.case == CASE_SIGN_FLIPPED:
-            hi = -near0
-        else:
-            hi = -min(near0, y0 / 2.0) if z > 0 else -y0 / 2.0
-        return -(abs(z) + kroot + 1.0), _halve(lambda y: g(y) < z, hi, 1.0, branch)
+        return -(abs(z) + kroot + 1.0), -near0
 
     if case.case == CASE_SIGN_FLIPPED:
         if branch == BRANCH_MIDDLE:
             raise ValueError("SignFlipped has no middle branch")
-        # plus branch: y > 0, g = y - k y^-a increasing onto all of R
-        return _halve(lambda y: g(y) > z, near0, 1.0, branch), max(1.0, z + k + 1.0)
+        return near0, max(z, 0.0) + kroot + 1.0
 
-    if z <= g_y0:
+    if z <= case.g_y0:
         raise ValueError(
-            f"{branch} branch domain starts at g(y0) = {g_y0:.12g}, got z = {z}"
+            f"{branch} branch domain starts at g(y0) = {case.g_y0:.12g}, got z = {z}"
         )
     if branch == BRANCH_PLUS:
-        return y0 + _halve(lambda dy: g(y0 + dy) > z, 0.5 * y0, y0, branch), z + 1.0
+        return case.y0, z
     if branch == BRANCH_MIDDLE:
-        lo = min(y0 / 2.0, (k / (abs(z) + g_y0 + 1.0)) ** (1.0 / a))
-        return lo, y0 - _halve(lambda dy: g(y0 - dy) > z, 0.25 * y0, y0, branch)
+        return (k / (z + case.y0)) ** (1.0 / a), case.y0
     raise ValueError(f"unknown branch {branch!r}")
+
+
+def _split(lo: float, hi: float) -> float:
+    """The bisection point of a bracket of one sign: the geometric mean
+    while its ends differ by more than a factor of 4, else the midpoint."""
+    if abs(hi) > 4.0 * abs(lo) or abs(lo) > 4.0 * abs(hi):
+        return math.copysign(math.sqrt(abs(lo)) * math.sqrt(abs(hi)), lo)
+    return 0.5 * (lo + hi)
 
 
 def invert_branch(case: ProfileCase, branch: str, z: float) -> BranchSolution:
     """Solve z = g(y) on the requested monotone branch.
 
-    Bracketed Brent plus a Newton polish; the residual |g(y) - z| is driven
-    to ~1e-12 (1 + |z|)."""
+    The bracket needs no evaluation of g.  With kroot = kappa^{1/(1+alpha)},
+    the tail kappa |y|^-alpha is below kroot where |y| > kroot and at least
+    |z| + kroot where |y| <= near0 = min(kroot/2, (kappa/(|z| + kroot))^{1/alpha}):
+    - minus (g = y + tail increasing on y < 0), [-(|z| + kroot + 1), -near0]:
+      g(lo) < -|z| - 1 and g(hi) >= |z| + kroot/2;
+    - plus on the cusp cases (g increasing on y > y0), [y0, z]:
+      g(y0) < z by the domain check and g(z) = z + tail;
+    - middle (g decreasing on 0 < y < y0), [(kappa/(z + y0))^{1/alpha}, y0]:
+      g(lo) = lo + z + y0 and g(y0) < z (lo < y0 as z > g(y0));
+    - SignFlipped plus (g = y - tail increasing on y > 0),
+      [near0, max(z, 0) + kroot + 1]: g(lo) <= -|z| - kroot/2 and
+      g(hi) > max(z, 0) + 1.
+    Newton starts at the bisection point.  Each evaluation of the tail gives
+    the residual and the slope and moves one end of the bracket to y; a
+    step that leaves the bracket is a bisection (_split), and the loop
+    stops at a step that moves y by at most 1e-15 |y|.  The residual is
+    (y - z) + tail, which carries the rounding of the tail and not that of
+    g; above 1e-12 (1 + |z|) it raises ValueError naming the case, branch
+    and z."""
     z = float(z)
     interval = _branch_interval(case, branch, z)
     if interval is None:  # Asymmetric identity branch
         return BranchSolution(y=z, branch=branch, residual=0.0)
-    a, b = interval
-    fn = lambda y: critical_curve_limit(case, y) - z
-    fa, fb = fn(a), fn(b)
-    if fa == 0.0:
-        y = a
-    elif fb == 0.0:
-        y = b
-    else:
-        if fa * fb > 0:
-            raise ValueError(
-                f"no sign change for {branch} branch at z = {z} in [{a}, {b}]"
-            )
-        # xtol is effectively disabled so brentq iterates to relative
-        # precision even when the root is tiny compared to the bracket
-        y = brentq(fn, a, b, xtol=1e-300, rtol=1e-15, maxiter=300)
-    for _ in range(8):
-        r = fn(y)
-        if abs(r) <= 1e-15 * (1.0 + abs(z)):
+    lo, hi = interval
+    sgn = -1.0 if branch == BRANCH_MIDDLE else 1.0  # g - z has it at hi
+    y = _split(lo, hi)
+    for _ in range(100):
+        tail = float(_curve_tail(case, y))
+        r = (y - z) + tail
+        if sgn * r <= 0.0:
+            lo = y
+        if sgn * r >= 0.0:
+            hi = y
+        slope = 1.0 - case.alpha * tail / y  # _curve_slope from this tail
+        nxt = y - r / slope if slope != 0.0 else math.nan
+        if not (lo < nxt < hi or nxt == y):
+            nxt = _split(lo, hi)
+        done = abs(nxt - y) <= 1e-15 * abs(y)
+        y = nxt
+        if done:
             break
-        slope = float(_curve_slope(case, y))
-        if slope == 0.0:
-            break
-        cand = y - r / slope
-        if not a < cand < b:
-            break
-        y = cand
-    return BranchSolution(y=float(y), branch=branch, residual=abs(float(fn(y))))
+    res = abs(float((y - z) + _curve_tail(case, y)))
+    if not res <= 1e-12 * (1.0 + abs(z)):
+        raise ValueError(
+            f"{case.case} {branch} branch: residual {res:.3g} at z = {z} "
+            f"is above 1e-12 (1 + |z|)"
+        )
+    return BranchSolution(y=y, branch=branch, residual=res)
 
 
 def branch_phase_limit(kappa: float, alpha: float, y: float,
@@ -289,30 +289,34 @@ def _first_sign_change(delta, anchor, step0):
 
 def profile_jump_location(case: ProfileCase, variant: str = VARIANT_LIMIT_DERIVED) -> float:
     """z at which the dominant phase maximum switches branches (the profile
-    discontinuity).  Solves the equal-phase-value tie by bracketed root
-    finding with geometric bracket growth."""
-    if case.case == CASE_SIGN_FLIPPED and variant == VARIANT_PRINTED:
-        raise ValueError(
-            "no printed tie equation exists for the SignFlipped case; "
-            "use the limit_derived variant or the finite-time tie"
-        )
+    discontinuity), the root of delta(z) = phase(y_plus(z)) - phase(y_minus(z)).
+    Symmetric and LogCorrected: Brent after geometric bracket growth from the
+    cusp.  SignFlipped: 0, as g is odd and the branch phase even in y, so
+    delta is odd.  Asymmetric: the left maximum value tends to -z^2/4, and on
+    the plus branch phase(y) + g(y)^2/4 = y^2/4 - kappa alpha y^{1-alpha} /
+    (2 (1-alpha)) (printed: y^2/4 + kappa alpha y^{1-alpha} / 2 > 0, no root),
+    so z = g(y) at y^{1+alpha} = 2 kappa alpha / (1 - alpha)."""
+    if variant not in (VARIANT_PRINTED, VARIANT_LIMIT_DERIVED):
+        raise ValueError(f"unknown variant {variant!r}")
+    if case.case == CASE_SIGN_FLIPPED:
+        if variant == VARIANT_PRINTED:
+            raise ValueError(
+                "no printed tie equation exists for the SignFlipped case; "
+                "use the limit_derived variant or the finite-time tie"
+            )
+        return 0.0
+    if case.case == CASE_ASYMMETRIC:
+        if variant == VARIANT_PRINTED:
+            raise TiePointError("the printed Asymmetric tie has no root")
+        k, a = case.kappa, case.alpha
+        return critical_curve_limit(case, (2.0 * k * a / (1.0 - a)) ** (1.0 / (1.0 + a)))
 
     def delta(z):
         yp = invert_branch(case, BRANCH_PLUS, z).y
-        if case.case == CASE_ASYMMETRIC:
-            # the left maximum value tends to -z^2/4
-            return _branch_phase_case(case, yp, variant) + z * z / 4.0
         ym = invert_branch(case, BRANCH_MINUS, z).y
         return _branch_phase_case(case, yp, variant) - _branch_phase_case(case, ym, variant)
 
-    if case.case != CASE_SIGN_FLIPPED:
-        return _first_sign_change(delta, case.g_y0, 1e-6 * (1.0 + case.g_y0))
-    hi = 1.0
-    while delta(hi) * delta(-hi) > 0:
-        hi *= 2.0
-        if hi > 1e9:
-            raise TiePointError("no tie point found for SignFlipped")
-    return float(brentq(delta, -hi, hi, xtol=1e-12, rtol=1e-15))
+    return _first_sign_change(delta, case.g_y0, 1e-6 * (1.0 + case.g_y0))
 
 
 def log_corrected_scale(alpha: float, beta: float, t: float) -> float:

@@ -231,6 +231,31 @@ def test_profile_runner_and_curve_csv(tmp_path):
     assert any(",minus," in line for line in curve[1:])
 
 
+def test_profile_evaluates_p_once_per_z(monkeypatch, tmp_path):
+    # p does not depend on t: every t and profile_curve.csv share one value a z
+    from hopfcole import experiments
+    calls = []
+    real = experiments.profile_value
+
+    def counted(case, z):
+        calls.append(z)
+        return real(case, z)
+
+    monkeypatch.setattr(experiments, "profile_value", counted)
+    cfg = ExperimentConfig(
+        experiment="profile",
+        family=FamilySpec("PowerC1", kappa=1.0, alpha=1 / 3),
+        t_min=1e5, t_max=1e6, t_count=3, z_min=-3.0, z_max=3.0, z_count=13,
+        out_dir=str(tmp_path),
+    )
+    out = run(cfg)
+    zs = sorted({row[1] for row in out["rows"]})
+    assert len(out["rows"]) == 3 * len(zs)
+    assert sorted(calls) == zs
+    curve = Path(tmp_path, "profile_curve.csv").read_text().splitlines()
+    assert len(curve) == 1 + len(zs)
+
+
 # -- CLI ---------------------------------------------------------------------
 
 

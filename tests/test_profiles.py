@@ -1,7 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopfcole.profiles import (
     BRANCH_MIDDLE,
@@ -11,11 +13,13 @@ from hopfcole.profiles import (
     CASE_LOG_CORRECTED,
     CASE_SIGN_FLIPPED,
     CASE_SYMMETRIC,
+    CASES,
     DiscontinuityError,
     ProfileCase,
     TiePointError,
     VARIANT_LIMIT_DERIVED,
     VARIANT_PRINTED,
+    _branch_interval,
     branch_phase_limit,
     critical_curve_limit,
     cusp,
@@ -152,6 +156,72 @@ def test_asymmetric_identity_branch():
     assert s.y == -3.0 and s.residual == 0.0
 
 
+@st.composite
+def branch_problems(draw):
+    """A case, one of its root-finding branches and a z on its domain: z over
+    decades of either sign on the minus and SignFlipped plus branches, and
+    1e-9 to 1e4 above the cusp on the others."""
+    case_name = draw(st.sampled_from(CASES))
+    kappa = draw(st.floats(0.5, 2.0))
+    alpha = draw(st.floats(0.05, 0.95))
+    beta = {CASE_LOG_CORRECTED: draw(st.floats(0.1, 3.0)),
+            CASE_ASYMMETRIC: draw(st.floats(alpha, 1.0, exclude_min=True,
+                                            exclude_max=True))}.get(case_name)
+    case = ProfileCase(case_name, kappa, alpha, beta)
+    branches = {CASE_SIGN_FLIPPED: [BRANCH_MINUS, BRANCH_PLUS],
+                CASE_ASYMMETRIC: [BRANCH_PLUS, BRANCH_MIDDLE]}.get(
+                    case_name, [BRANCH_MINUS, BRANCH_PLUS, BRANCH_MIDDLE])
+    branch = draw(st.sampled_from(branches))
+    if case.y0 is None or branch == BRANCH_MINUS:
+        z = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-9.0, 4.0))
+    else:
+        z = case.g_y0 + 10.0 ** draw(st.floats(-9.0, 4.0))
+    return case, branch, z
+
+
+def _mp_curve(case, y):
+    """g(y) in mpmath arithmetic, at the float kappa and alpha of the case."""
+    tail = mpmath.mpf(case.kappa) * abs(y) ** (-mpmath.mpf(case.alpha))
+    if case.case == CASE_SIGN_FLIPPED and y > 0:
+        return y - tail
+    return y + tail
+
+
+@settings(max_examples=300, deadline=None)
+@given(branch_problems())
+def test_branch_inversion_matches_mpmath(problem):
+    # the closed-form bracket straddles the root in exact arithmetic, the
+    # Newton root has a small residual, lies on its branch and, away from
+    # the fold, is the 30-digit root to 1e-12 relative
+    case, branch, z = problem
+    lo, hi = _branch_interval(case, branch, z)
+    sol = invert_branch(case, branch, z)
+    assert abs(critical_curve_limit(case, sol.y) - z) <= 1e-12 * (1.0 + abs(z))
+    assert sol.residual <= 1e-12 * (1.0 + abs(z))
+    if branch == BRANCH_MINUS:
+        assert sol.y < 0.0
+    elif branch == BRANCH_MIDDLE:
+        assert 0.0 < sol.y < case.y0
+    else:
+        assert sol.y > (0.0 if case.y0 is None else case.y0)
+    with mpmath.workdps(30):
+        sgn = -1 if branch == BRANCH_MIDDLE else 1
+        f = lambda y: _mp_curve(case, mpmath.mpf(y)) - mpmath.mpf(z)
+        assert sgn * f(lo) < 0 < sgn * f(hi)
+        if case.y0 is None or branch == BRANCH_MINUS or z - case.g_y0 >= 1e-6:
+            ref = mpmath.findroot(f, (mpmath.mpf(sol.y), sol.y * (1.0 + 1e-9)))
+            assert lo <= ref <= hi
+            assert abs(sol.y - ref) <= 1e-12 * abs(ref)
+
+
+def test_branch_residual_failure_names_the_problem(monkeypatch, sym_third):
+    # a curve whose root left the bracket leaves a residual, which raises
+    from hopfcole import profiles
+    monkeypatch.setattr(profiles, "_curve_tail", lambda case, y: 10.0)
+    with pytest.raises(ValueError, match=r"SymmetricPositive plus branch: .* z = 3.0"):
+        invert_branch(sym_third, BRANCH_PLUS, 3.0)
+
+
 # -- limiting phase values and jump ------------------------------------------
 
 
@@ -194,7 +264,9 @@ def test_jump_location_positivity(sym_third):
     (ProfileCase(CASE_SYMMETRIC, 1.0, 1 / 3), 2.1008116596919555),
     (ProfileCase(CASE_LOG_CORRECTED, 1.0, 1 / 3, 1.0), 2.1008116596919555),
     (ProfileCase(CASE_SIGN_FLIPPED, 1.0, 0.5), 0.0),
-    (ProfileCase(CASE_ASYMMETRIC, 1.0, 1 / 3, 2 / 3), 1.9999999999999998),
+    # the closed-form tie; the bracketed solve gave 1.9999999999999998, 1.8e-16
+    # from the 40-digit root 1.99999999999999995837 against 4.2e-17
+    (ProfileCase(CASE_ASYMMETRIC, 1.0, 1 / 3, 2 / 3), 2.0),
 ])
 def test_lazy_jump_equals_the_eager_solve(case, want):
     # want: the jump the constructor solved eagerly before it became lazy
@@ -244,6 +316,47 @@ def test_discontinuity_error_carries_the_one_sided_limits(case):
         for got, side in ((err.value.left, -np.inf), (err.value.right, np.inf)):
             want = profile_value(case, np.nextafter(zc, side))
             assert got == pytest.approx(want, rel=1e-9, abs=1e-300), (zc, side)
+
+
+@pytest.mark.parametrize("kappa", [0.95, 1.0, 1.03, 1.047])
+@pytest.mark.parametrize("alpha", [0.2, 1 / 3, 0.5, 0.8])
+def test_sign_flipped_jump_is_exactly_zero(kappa, alpha):
+    # g is odd and the branch phase even in y, so the tie is odd in z
+    assert ProfileCase(CASE_SIGN_FLIPPED, kappa, alpha).discontinuity_z == 0.0
+
+
+def _mp_jump(case):
+    """The limit-derived tie of a cusp case at 40 digits: the branch roots
+    by mpmath's bracketing solver, the tie by its secant from the float
+    jump."""
+    k, a = mpmath.mpf(case.kappa), mpmath.mpf(case.alpha)
+
+    def root(z, lo, hi):
+        return mpmath.findroot(lambda y: _mp_curve(case, y) - z, (lo, hi),
+                               solver="anderson")
+
+    def phase(y):
+        return (-k * k / (4 * abs(y) ** (2 * a))
+                - mpmath.sign(y) * k * abs(y) ** (1 - a) / (2 * (1 - a)))
+
+    def delta(z):
+        yp = root(z, mpmath.mpf(case.y0), z)
+        if case.case == CASE_ASYMMETRIC:
+            return phase(yp) + z * z / 4
+        return phase(yp) - phase(root(z, -(abs(z) + 10), -mpmath.mpf(10) ** -12))
+
+    return mpmath.findroot(delta, mpmath.mpf(case.discontinuity_z))
+
+
+@pytest.mark.parametrize("kappa, alpha", [(1.0, 1 / 3), (1.03, 0.5)])
+@pytest.mark.parametrize("name, beta", [
+    (CASE_SYMMETRIC, None), (CASE_LOG_CORRECTED, 1.0), (CASE_ASYMMETRIC, 0.9)])
+def test_jump_matches_a_40_digit_tie(name, beta, kappa, alpha):
+    # 1e-12 is the xtol of the bracketed tie solve
+    case = ProfileCase(name, kappa, alpha, beta)
+    with mpmath.workdps(40):
+        ref = _mp_jump(case)
+        assert abs(case.discontinuity_z - ref) <= 1e-12
 
 
 def test_sign_flipped_jump_at_zero():
