@@ -605,20 +605,30 @@ class BatchKernel:
 
 
 def _origin_scale(weights, data):
-    """Length scale sup|g| / sup|g'| of f0 of the phase and of the
-    x-independent factors g of the weights over 1e-3 <= |y| <= 1e8, or 0.0
-    if all are constant.
+    """Length scale of the data and of the weights at y = 0, or 0.0 if all
+    are constant: the smaller of sup|g| / sup|g'| over f0 of the phase and
+    the x-independent factors g of the weights, and sup|f0'| / sup|f0''|,
+    each on y = 0 and 1e-3 <= |y| <= 1e8 (the second where it is positive
+    and finite).
 
     The data families vary near y = 0 (the kink of PowerC0, the bump of
     Gaussian data) and decay as powers of |y| away from it; a panel much
     wider than its distance to y = 0 is blind to that, and its G10 and G21
     values agree on a wrong integral.  f0 is graded whatever the weights
     (a unit weight too), so that every panel resolves the f0 whose integral
-    it passes outward (_integrate)."""
+    it passes outward (_integrate).  Its size over its slope can exceed the
+    distance to its singularities, which f0'' measures: PowerC1 has its
+    branch points at +-i, yet sup|f0| / sup|f0'| is 4.6 at alpha 1/2
+    (sup|f0'| / sup|f0''| is 0.43), and _resolved halves panels that wide
+    on every call.  At PowerC0's kink f0'' is its right-hand limit."""
     g = np.vstack([weights(_ORIGIN_YS), data.value(_ORIGIN_YS)])
     slope = np.max(np.abs(np.diff(g, axis=1)) / np.diff(_ORIGIN_YS), axis=1)
     vary = slope > 0.0
-    return float(np.max(np.abs(g[vary])) / np.max(slope)) if vary.any() else 0.0
+    scale = float(np.max(np.abs(g[vary])) / np.max(slope)) if vary.any() else 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = (np.max(np.abs(data.derivative(_ORIGIN_YS, 1)))
+                 / np.max(np.abs(data.derivative(_ORIGIN_YS, 2))))
+    return float(ratio) if 0.0 < ratio < scale else scale
 
 
 class _Phases:
@@ -868,8 +878,7 @@ def _resolved(data, pid, pa, pb):
     the 31 nodes then carries the integral of f0 to round-off: the G10
     error of y^-1/2 on [8, 32] is 8e-11, and its spectral integrals there
     are 4e-16 off.  Graded panels pass at once; the ones that split lie
-    where f0 varies on a scale below the origin scale, as PowerC1 does on
-    [0, 4.6] at alpha 1/2.
+    where f0 varies on a scale below the grading of _batch_edges.
 
     Returns (pid, pa, pb, ys, half, f0, ints) sorted by point and left
     end, with the nodes of _panel_nodes and the rows of _f0_rows."""
@@ -998,9 +1007,10 @@ def _batch_edges(ph, a, b, pt, y, is_max, d1, origin_scale):
     """Initial panels (point, left, right): the truncation ends, the
     critical points, and edges graded geometrically around each maximum
     (1, 3 and 8 peak widths, from G_t' = d1 there, then 4 times wider at
-    each step) and around y = 0 (the same steps of origin_scale; y = 0
-    alone if that is 0: the kink of PowerC0 data is in the phase whatever
-    the weights).
+    each step) and around y = 0 (the same steps of origin_scale, the
+    length on which f0 and the weights vary there, so that on PowerC1 data
+    _resolved halves none of these panels; y = 0 alone if that is 0: the
+    kink of PowerC0 data is in the phase whatever the weights).
 
     Where the phase flattens away from a narrow peak, or the data decay as
     a power of |y|, one panel out to the truncation end puts every node past

@@ -299,14 +299,15 @@ def test_starved_panel_budget_raises(monkeypatch, power_c1_half):
     # a point that misses its target within the budget raises, naming the
     # weight, x and t; the kernel has no second path to hide it
     # (at rel_tol 1e-9 these points converge on their initial panels, which
-    # resolve f0 near y = 0, so the budget is starved at rel_tol 1e-12)
+    # resolve f0 near y = 0, so the budget is starved at rel_tol 1e-12;
+    # x = -3 meets it on 12 panels, x = 0 is the first point to miss)
     xs = np.asarray([-3.0, 0.0, 5.0])
     t, rel_tol = 40.0, 1e-12
     assert np.all(np.isfinite(BatchKernel([burgers._F0], power_c1_half, t)(xs, rel_tol)))
-    with pytest.raises(NotConvergedError, match=r"^weight 0 .* at x=-3, t=40: error "):
+    with pytest.raises(NotConvergedError, match=r"^weight 0 .* at x=0, t=40: error "):
         starved_kernel(12)([burgers._F0], power_c1_half, t)(xs, rel_tol)
     monkeypatch.setattr(burgers, "BatchKernel", starved_kernel(12))
-    with pytest.raises(NotConvergedError, match=r"^weight 0 .* at x=-3, t=40: error "):
+    with pytest.raises(NotConvergedError, match=r"^weight 0 .* at x=0, t=40: error "):
         burgers.eval_batch(power_c1_half, xs, t, rel_tol)
     with pytest.raises(NotConvergedError, match=r"^weight 0 .* at x=5, t=40: error "):
         burgers.eval(power_c1_half, 5.0, t, rel_tol)

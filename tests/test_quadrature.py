@@ -14,6 +14,7 @@ from hopfcole.quadrature import (
     KIND_MAX,
     KIND_MIN,
     BatchKernel,
+    HermiteWeight,
     MomentWeight,
     NotConvergedError,
     _panel_eval,
@@ -621,3 +622,60 @@ def test_non_convergence_names_the_weight(gaussian_data, zero_data):
 def test_ratio_propagates_non_convergence(power_c1_half):
     with pytest.raises(NotConvergedError):
         ratio(MomentWeight.f0(), power_c1_half, 0.5, 100.0, rel_tol=1e-13, max_panels=4)
+
+
+def slope_scale(weights, data):
+    """sup|g| / sup|g'| of the weights and of f0 on the origin grid, by
+    differences: the origin scale before sup|f0'| / sup|f0''| bounded it."""
+    ys = quadrature._ORIGIN_YS
+    g = np.vstack([weights(ys), data.value(ys)])
+    slope = np.max(np.abs(np.diff(g, axis=1)) / np.diff(ys), axis=1)
+    vary = slope > 0.0
+    return float(np.max(np.abs(g[vary])) / np.max(slope)) if vary.any() else 0.0
+
+
+@pytest.mark.parametrize("spec", [
+    FamilySpec("PowerC0", alpha=0.5), FamilySpec("PowerC0", alpha=0.1),
+    FamilySpec("PowerC1", alpha=0.5), FamilySpec("PowerC1", alpha=0.1),
+    FamilySpec("PowerLog", alpha=1 / 3, beta=0.5), FamilySpec("SignFlipped", alpha=0.2),
+    FamilySpec("Asymmetric", alpha=1 / 3, beta=2 / 3),
+    FamilySpec("Gaussian", extra={"amplitude": 1.0, "sigma": 1.0}),
+], ids=lambda spec: f"{spec.family}-{spec.alpha:.3g}")
+def test_origin_scale_only_shrinks(spec):
+    # f0'' can only make the grading finer: no initial panel is wider than
+    # under sup|g| / sup|g'| alone
+    data = make_family(spec)
+    for gs in ([None], [burgers._F0, None]):
+        weights = compile_weights(gs, data, 2.0)
+        got, before = quadrature._origin_scale(weights, data), slope_scale(weights, data)
+        assert 0.0 < got <= before
+        if spec.family == "PowerC1":
+            # branch points at +-i: 0.43 to 0.48 against 4.6 to 20.7
+            assert got < 0.1 * before
+
+
+def test_origin_scale_of_heat_kernels_is_unchanged(power_c1_half, gaussian_data):
+    # the heat phase data is Zero, whose f0' and f0'' vanish
+    zero = make_family(FamilySpec("Zero"))
+    for data in (power_c1_half, gaussian_data):
+        for gs in ([data.value, None], [HermiteWeight(2, data.value), None]):
+            weights = compile_weights(gs, zero, 2.0)
+            assert quadrature._origin_scale(weights, zero) == slope_scale(weights, zero)
+    assert quadrature._origin_scale(compile_weights([None], zero, 2.0), zero) == 0.0
+
+
+def test_origin_grading_splits_no_panel_of_the_fd_reference(monkeypatch, power_c1_half):
+    # the Hopf-Cole reference of fd_compare (4,001 points, |x| <= L/2 = 12.5,
+    # t = 2) starts resolved; graded by sup|f0| / sup|f0'| = 4.6, _resolved
+    # halved its origin panels into 7,625 more
+    grown = []
+    real = quadrature._resolved
+
+    def counted(data, pid, pa, pb):
+        out = real(data, pid, pa, pb)
+        grown.append(out[1].size - pa.size)
+        return out
+
+    monkeypatch.setattr(quadrature, "_resolved", counted)
+    burgers.eval_batch(power_c1_half, np.linspace(-12.5, 12.5, 4001), 2.0)
+    assert grown and not any(grown)
