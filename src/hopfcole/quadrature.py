@@ -463,6 +463,8 @@ _EVAL_PANELS = 512  # panels per integrand call: bounds the temporaries of a lev
 _DOUBLINGS = 8  # truncation steps scored per call (_batch_truncation)
 _ORIGIN_YS = np.geomspace(1e-3, 1e8, 1101)
 _ORIGIN_YS = np.concatenate([-_ORIGIN_YS[::-1], [0.0], _ORIGIN_YS])  # the grid of _origin_scale
+_LADDER = np.concatenate([[1.0, 3.0, 8.0], 8.0 * 4.0 ** np.arange(1, 13)])
+_LADDER = np.concatenate([-_LADDER[::-1], [0.0], _LADDER])  # edges of _batch_edges, in widths
 
 
 def _log_grid(t, reach):
@@ -606,21 +608,19 @@ class BatchKernel:
 
 def _origin_scale(weights, data):
     """Length scale of the data and of the weights at y = 0, or 0.0 if all
-    are constant: the smaller of sup|g| / sup|g'| over f0 of the phase and
-    the x-independent factors g of the weights, and sup|f0'| / sup|f0''|,
-    each on y = 0 and 1e-3 <= |y| <= 1e8 (the second where it is positive
-    and finite).
+    are constant: sup|g| / sup|g'| over f0 of the phase and the
+    x-independent factors g of the weights on y = 0 and 1e-3 <= |y| <= 1e8,
+    or the smaller sup|f0'| / sup|f0''| there if the panels of _batch_edges
+    at the first scale do not resolve f0.
 
     The data families vary near y = 0 (the kink of PowerC0, the bump of
     Gaussian data) and decay as powers of |y| away from it; a panel much
     wider than its distance to y = 0 is blind to that, and its G10 and G21
     values agree on a wrong integral.  f0 is graded whatever the weights
     (a unit weight too), so that every panel resolves the f0 whose integral
-    it passes outward (_integrate).  Its size over its slope can exceed the
-    distance to its singularities, which f0'' measures: PowerC1 has its
-    branch points at +-i, yet sup|f0| / sup|f0'| is 4.6 at alpha 1/2
-    (sup|f0'| / sup|f0''| is 0.43), and _resolved halves panels that wide
-    on every call.  At PowerC0's kink f0'' is its right-hand limit."""
+    it passes outward (_integrate).  f0'' measures the distance to the
+    singularities of f0: PowerC1 has branch points at +-i, and at alpha 1/2
+    its scales are 4.6 and 0.43; PowerC0 resolves at 2.0 and keeps it."""
     g = np.vstack([weights(_ORIGIN_YS), data.value(_ORIGIN_YS)])
     slope = np.max(np.abs(np.diff(g, axis=1)) / np.diff(_ORIGIN_YS), axis=1)
     vary = slope > 0.0
@@ -628,7 +628,10 @@ def _origin_scale(weights, data):
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = (np.max(np.abs(data.derivative(_ORIGIN_YS, 1)))
                  / np.max(np.abs(data.derivative(_ORIGIN_YS, 2))))
-    return float(ratio) if 0.0 < ratio < scale else scale
+    if not 0.0 < ratio < scale:
+        return scale
+    ys, half = _panel_nodes(scale * _LADDER[:-1], scale * _LADDER[1:])
+    return scale if _f0_resolves(_f0_rows(data, ys, half)[1]).all() else float(ratio)
 
 
 class _Phases:
@@ -857,6 +860,11 @@ def _f0_rows(data, ys, half):
     return f0, half[:, None] * (f0 @ _SPECTRAL.T)
 
 
+def _f0_resolves(ints):
+    """Per panel: its G10 and G21 of f0 (_f0_rows) agree to _F0_RESOLUTION."""
+    return np.abs(ints[:, -2] - ints[:, -1]) <= _F0_RESOLUTION * np.abs(ints[:, -2])
+
+
 def _point_groups(pid):
     """Slices of the sorted panels of whole points, each of at most
     _EVAL_PANELS panels unless it is one point."""
@@ -886,8 +894,7 @@ def _resolved(data, pid, pa, pb):
     for depth in range(_F0_SPLITS + 1):
         ys, half = _panel_nodes(pa, pb)
         f0, ints = _f0_rows(data, ys, half)
-        ok = ((np.abs(ints[:, -2] - ints[:, -1]) <= _F0_RESOLUTION * np.abs(ints[:, -2]))
-              | (depth == _F0_SPLITS))
+        ok = _f0_resolves(ints) | (depth == _F0_SPLITS)
         if ok.all():
             done.append((pid, pa, pb, ys, half, f0, ints))
             break
@@ -1008,8 +1015,8 @@ def _batch_edges(ph, a, b, pt, y, is_max, d1, origin_scale):
     critical points, and edges graded geometrically around each maximum
     (1, 3 and 8 peak widths, from G_t' = d1 there, then 4 times wider at
     each step) and around y = 0 (the same steps of origin_scale, the
-    length on which f0 and the weights vary there, so that on PowerC1 data
-    _resolved halves none of these panels; y = 0 alone if that is 0: the
+    length on which f0 and the weights vary there, so that _resolved halves
+    none of these panels on PowerC1 data; y = 0 alone if that is 0: the
     kink of PowerC0 data is in the phase whatever the weights).
 
     Where the phase flattens away from a narrow peak, or the data decay as
@@ -1017,15 +1024,13 @@ def _batch_edges(ph, a, b, pt, y, is_max, d1, origin_scale):
     the integrand's mass, and its G10 and G21 agree on a wrong value
     (Asymmetric data, t = 5.3e6: 8e-12 for a true 0.27)."""
     m = a.size
-    steps = np.concatenate([[1.0, 3.0, 8.0], 8.0 * 4.0 ** np.arange(1, 13)])
-    steps = np.concatenate([-steps[::-1], [0.0], steps])
     centers = np.concatenate([y[is_max], np.zeros(m)])
     widths = np.concatenate([np.minimum(ph.width(d1[is_max]), ph.char_width),
                              np.full(centers.size - is_max.sum(), origin_scale)])
     ept = np.concatenate([np.arange(m), np.arange(m), pt,
-                          np.repeat(pt[is_max], steps.size),
-                          np.repeat(np.arange(centers.size - is_max.sum()), steps.size)])
-    ey = np.concatenate([a, b, y, (centers[:, None] + widths[:, None] * steps).ravel()])
+                          np.repeat(pt[is_max], _LADDER.size),
+                          np.repeat(np.arange(centers.size - is_max.sum()), _LADDER.size)])
+    ey = np.concatenate([a, b, y, (centers[:, None] + widths[:, None] * _LADDER).ravel()])
     inside = (np.arange(ept.size) < 2 * m) | ((ey > a[ept]) & (ey < b[ept]))
     ept, ey = ept[inside], ey[inside]
     order = np.lexsort((ey, ept))

@@ -634,24 +634,43 @@ def slope_scale(weights, data):
     return float(np.max(np.abs(g[vary])) / np.max(slope)) if vary.any() else 0.0
 
 
-@pytest.mark.parametrize("spec", [
-    FamilySpec("PowerC0", alpha=0.5), FamilySpec("PowerC0", alpha=0.1),
-    FamilySpec("PowerC1", alpha=0.5), FamilySpec("PowerC1", alpha=0.1),
-    FamilySpec("PowerLog", alpha=1 / 3, beta=0.5), FamilySpec("SignFlipped", alpha=0.2),
-    FamilySpec("Asymmetric", alpha=1 / 3, beta=2 / 3),
-    FamilySpec("Gaussian", extra={"amplitude": 1.0, "sigma": 1.0}),
-], ids=lambda spec: f"{spec.family}-{spec.alpha:.3g}")
-def test_origin_scale_only_shrinks(spec):
-    # f0'' can only make the grading finer: no initial panel is wider than
-    # under sup|g| / sup|g'| alone
+@pytest.mark.parametrize("spec, keeps", [
+    (FamilySpec("PowerC0", alpha=0.5), True), (FamilySpec("PowerC0", alpha=1 / 3), True),
+    (FamilySpec("PowerC0", alpha=0.1), False),
+    (FamilySpec("PowerC1", alpha=0.5), False), (FamilySpec("PowerC1", alpha=0.1), False),
+    (FamilySpec("PowerLog", alpha=1 / 3, beta=0.5), False),
+    (FamilySpec("SignFlipped", alpha=0.2), True),
+    (FamilySpec("Asymmetric", alpha=1 / 3, beta=2 / 3), False),
+    (FamilySpec("Gaussian", extra={"amplitude": 1.0, "sigma": 1.0}), False),
+], ids=lambda v: f"{v.family}-{v.alpha:.3g}" if isinstance(v, FamilySpec) else str(v))
+def test_origin_scale_shrinks_only_where_f0_is_not_resolved(spec, keeps):
+    # sup|f0'| / sup|f0''| can only make the origin panels near y = 0
+    # narrower (the ladder's outer reach shrinks with them), and only where
+    # the panels of _batch_edges at sup|g| / sup|g'| do not resolve f0:
+    # PowerC0 at alpha 1/2 and 1/3 keeps 2.0 and 3.0, SignFlipped has no
+    # smaller f0'' scale, and the others split at the coarser scale
     data = make_family(spec)
     for gs in ([None], [burgers._F0, None]):
         weights = compile_weights(gs, data, 2.0)
         got, before = quadrature._origin_scale(weights, data), slope_scale(weights, data)
         assert 0.0 < got <= before
+        edges = before * quadrature._LADDER
+        ys, half = quadrature._panel_nodes(edges[:-1], edges[1:])
+        resolves = quadrature._f0_resolves(quadrature._f0_rows(data, ys, half)[1]).all()
+        assert resolves == keeps
+        assert (got == before) == keeps
         if spec.family == "PowerC1":
             # branch points at +-i: 0.43 to 0.48 against 4.6 to 20.7
             assert got < 0.1 * before
+
+
+def test_power_c0_keeps_its_grading(monkeypatch, power_c0):
+    # its panels at sup|g| / sup|g'| = 2 resolve f0, so its values are
+    # those of that grading bit for bit
+    x = np.linspace(-40.0, 40.0, 33)
+    got = burgers.eval_batch(power_c0, x, 1e3)
+    monkeypatch.setattr(quadrature, "_origin_scale", slope_scale)
+    assert np.array_equal(got, burgers.eval_batch(power_c0, x, 1e3))
 
 
 def test_origin_scale_of_heat_kernels_is_unchanged(power_c1_half, gaussian_data):
@@ -667,7 +686,7 @@ def test_origin_scale_of_heat_kernels_is_unchanged(power_c1_half, gaussian_data)
 def test_origin_grading_splits_no_panel_of_the_fd_reference(monkeypatch, power_c1_half):
     # the Hopf-Cole reference of fd_compare (4,001 points, |x| <= L/2 = 12.5,
     # t = 2) starts resolved; graded by sup|f0| / sup|f0'| = 4.6, _resolved
-    # halved its origin panels into 7,625 more
+    # halved its 60,293 initial panels into 67,918 at kappa 1 (7,625 more)
     grown = []
     real = quadrature._resolved
 
