@@ -8,7 +8,7 @@ limiting phase value along a branch, the location of the profile jump
 mu(t), and the piecewise limit profile itself.  A branch is inverted by
 safeguarded Newton inside a bracket in closed form (invert_branch).  The
 SignFlipped and Asymmetric jumps are closed forms, and the Symmetric and
-LogCorrected ties are solved by Brent from the cusp.
+LogCorrected ties are solved by Newton on the envelope slope (envelope_tie).
 """
 from __future__ import annotations
 
@@ -260,27 +260,44 @@ def _branch_phase_case(case: ProfileCase, y: float, variant: str) -> float:
 
 
 class TiePointError(RuntimeError):
-    """The equal-phase tie equation has no root on its admissible window;
-    this signals an inconsistent phase-limit variant."""
+    """No root of the equal-phase tie was found: envelope_tie did not converge,
+    or the printed variant's scan saw no sign change (an inconsistent variant)."""
+
+
+def envelope_tie(pair, z: float, step: float) -> float:
+    """The root of a tie delta(z) = Ht(y+, z) - Ht(y-, z) between stationary
+    points y+ > y- of a phase with dHt/dz = -(z - y)/2: as dHt/dy = 0 there,
+    delta' = (y+ - y-)/2 > 0 exactly, and Newton takes it from the roots in
+    hand.  pair(z) gives (y+, y-, delta), or None where a branch is missing.
+    The first step goes from z by step, and a step to a z with no pair (the
+    first one too) is halved back.  It stops at a step of at most
+    1e-15 (1 + |z|), taking it, and raises TiePointError after 60 pair calls."""
+    for _ in range(60):
+        got = pair(z + step)
+        if got is None:
+            if step == 0.0:
+                break
+            step *= 0.5
+            continue
+        z += step
+        y_plus, y_minus, delta = got
+        step = -2.0 * delta / (y_plus - y_minus)
+        if abs(step) <= 1e-15 * (1.0 + abs(z)):
+            return float(z + step)
+    raise TiePointError(f"no root of the tie difference near z = {z}")
 
 
 def _first_sign_change(delta, anchor, step0):
     """Scan z = anchor + step0 * 2^k, up to 1e3 past the anchor, for a sign
     change of delta and polish the first one found by Brent."""
-    z_prev = anchor + step0
-    f_prev = delta(z_prev)
-    if f_prev == 0.0:
-        return z_prev
-    for k in range(1, 80):
+    for k in range(80):
         z = anchor + step0 * 2.0 ** k
         f = delta(z)
-        if f == 0.0:
-            return z
-        if f * f_prev < 0:
+        if k and f * f_prev <= 0:  # brentq returns an end where delta is 0
             return float(brentq(delta, z_prev, z, xtol=1e-12, rtol=1e-15))
-        z_prev, f_prev = z, f
         if z - anchor > 1e3:
             break
+        z_prev, f_prev = z, f
     raise TiePointError(
         "no tie point on the admissible window; the phase-limit variant "
         "appears inconsistent"
@@ -290,12 +307,13 @@ def _first_sign_change(delta, anchor, step0):
 def profile_jump_location(case: ProfileCase, variant: str = VARIANT_LIMIT_DERIVED) -> float:
     """z at which the dominant phase maximum switches branches (the profile
     discontinuity), the root of delta(z) = phase(y_plus(z)) - phase(y_minus(z)).
-    Symmetric and LogCorrected: Brent after geometric bracket growth from the
-    cusp.  SignFlipped: 0, as g is odd and the branch phase even in y, so
-    delta is odd.  Asymmetric: the left maximum value tends to -z^2/4, and on
-    the plus branch phase(y) + g(y)^2/4 = y^2/4 - kappa alpha y^{1-alpha} /
-    (2 (1-alpha)) (printed: y^2/4 + kappa alpha y^{1-alpha} / 2 > 0, no root),
-    so z = g(y) at y^{1+alpha} = 2 kappa alpha / (1 - alpha)."""
+    Symmetric and LogCorrected: envelope_tie, first step g(y0) -> g(y0) + 1
+    (the printed phase is not the limit of Ht at a stationary point: a scan).
+    SignFlipped: 0, as g is odd and the branch phase even in y, so delta is
+    odd.  Asymmetric: the left maximum value tends to -z^2/4, and on the plus
+    branch phase(y) + g(y)^2/4 = y^2/4 - kappa alpha y^{1-alpha} / (2 (1-alpha))
+    (printed: y^2/4 + kappa alpha y^{1-alpha} / 2 > 0, no root), so z = g(y)
+    at y^{1+alpha} = 2 kappa alpha / (1 - alpha)."""
     if variant not in (VARIANT_PRINTED, VARIANT_LIMIT_DERIVED):
         raise ValueError(f"unknown variant {variant!r}")
     if case.case == CASE_SIGN_FLIPPED:
@@ -311,12 +329,17 @@ def profile_jump_location(case: ProfileCase, variant: str = VARIANT_LIMIT_DERIVE
         k, a = case.kappa, case.alpha
         return critical_curve_limit(case, (2.0 * k * a / (1.0 - a)) ** (1.0 / (1.0 + a)))
 
-    def delta(z):
+    def pair(z):
+        if z <= case.g_y0:
+            return None
         yp = invert_branch(case, BRANCH_PLUS, z).y
         ym = invert_branch(case, BRANCH_MINUS, z).y
-        return _branch_phase_case(case, yp, variant) - _branch_phase_case(case, ym, variant)
+        hp, hm = (_branch_phase_case(case, y, variant) for y in (yp, ym))
+        return yp, ym, hp - hm
 
-    return _first_sign_change(delta, case.g_y0, 1e-6 * (1.0 + case.g_y0))
+    if variant == VARIANT_LIMIT_DERIVED:
+        return envelope_tie(pair, case.g_y0, 1.0)
+    return _first_sign_change(lambda z: pair(z)[2], case.g_y0, 1e-6 * (1.0 + case.g_y0))
 
 
 def log_corrected_scale(alpha: float, beta: float, t: float) -> float:

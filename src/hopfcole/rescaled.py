@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .initial_data import InitialData, negate_reflect
 from .quadrature import KIND_MIN, PhysicalPhase, integrate_moments, locate_critical_points
@@ -48,7 +47,7 @@ from .profiles import (
 
 
 class TieWindowError(RuntimeError):
-    """No sign change of the branch phase difference on the search window."""
+    """The Newton solve of the finite-time tie (phase_tie_point) failed."""
 
 
 def case_for_data(data: InitialData) -> ProfileCase | None:
@@ -175,48 +174,26 @@ def phase_tie_point(data: InitialData, t: float) -> float:
     g_t, which on Asymmetric data right of the cusp is the left maximum
     near y = 0.
 
-    The difference of the branch phase values, which is strictly monotone
-    in z, is scanned on one fixed z grid (symmetric about 0 for SignFlipped,
-    geometric right of the cusp otherwise), and Brent's method polishes the
-    first sign change; without one it raises TieWindowError."""
+    Both are stationary points of Ht, so their phase difference has the
+    slope (y_plus - y_minus)/2 in z: profiles.envelope_tie, one locator call
+    a step from z = g(y0) by 1, halved back while a branch is missing (from
+    z = 0 on SignFlipped data); a tie it does not find raises TieWindowError."""
     case = case_for_data(data)
     if case is None:
         raise ValueError("data family has no asymptotic profile case")
 
-    def diff(z):
+    def pair(z):
         bs = finite_branches(data, z, t)
         if bs.plus is None or bs.minus is None:
             return None
-        return (rescaled_phase(data, bs.plus.y, z, t)
-                - rescaled_phase(data, bs.minus.y, z, t))
+        yp, ym = bs.plus.y, bs.minus.y
+        return yp, ym, rescaled_phase(data, yp, z, t) - rescaled_phase(data, ym, z, t)
 
-    def diff_strict(z):
-        v = diff(z)
-        if v is None:
-            raise TieWindowError(
-                f"branches unavailable at z = {z}, t = {t}"
-            )
-        return v
-
-    if case.case == CASE_SIGN_FLIPPED:
-        zs = np.linspace(-8.0, 8.0, 33)
-    else:
-        zs = case.g_y0 + np.concatenate([[0.02], np.geomspace(0.05, 12.0, 24)])
-    prev = None
-    for z in zs:
-        v = diff(float(z))
-        if v is None:
-            continue
-        if v == 0.0:
-            return float(z)
-        if prev is not None and prev[1] * v < 0:
-            return float(brentq(diff_strict, prev[0], float(z),
-                                xtol=1e-10, rtol=1e-14))
-        prev = (float(z), v)
-    raise TieWindowError(
-        f"no sign change of the branch phase difference at t = {t} "
-        f"(scanned z in [{zs[0]:.4g}, {zs[-1]:.4g}])"
-    )
+    start = (0.0, 0.0) if case.case == CASE_SIGN_FLIPPED else (case.g_y0, 1.0)
+    try:
+        return profiles.envelope_tie(pair, *start)
+    except profiles.TiePointError as exc:
+        raise TieWindowError(f"{exc} at t = {t}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -261,8 +261,9 @@ def test_jump_location_positivity(sym_third):
 
 
 @pytest.mark.parametrize("case, want", [
-    (ProfileCase(CASE_SYMMETRIC, 1.0, 1 / 3), 2.1008116596919555),
-    (ProfileCase(CASE_LOG_CORRECTED, 1.0, 1 / 3, 1.0), 2.1008116596919555),
+    # the envelope-slope Newton's jump, 4.0e-17 from the 40-digit root
+    (ProfileCase(CASE_SYMMETRIC, 1.0, 1 / 3), 2.100811659691956),
+    (ProfileCase(CASE_LOG_CORRECTED, 1.0, 1 / 3, 1.0), 2.100811659691956),
     (ProfileCase(CASE_SIGN_FLIPPED, 1.0, 0.5), 0.0),
     # the closed-form tie; the bracketed solve gave 1.9999999999999998, 1.8e-16
     # from the 40-digit root 1.99999999999999995837 against 4.2e-17
@@ -288,6 +289,19 @@ def test_jump_delta_residual(sym_third):
 def test_printed_variant_has_no_tie(sym_third):
     with pytest.raises(TiePointError):
         profile_jump_location(sym_third, VARIANT_PRINTED)
+
+
+@pytest.mark.parametrize("case", [
+    *(ProfileCase(CASE_SYMMETRIC, kappa, alpha)
+      for kappa in (0.5, 2.0) for alpha in (0.1, 1 / 3, 0.5, 0.8, 0.95)),
+    ProfileCase(CASE_LOG_CORRECTED, 1.0, 0.5, 1.0),
+], ids=lambda case: f"{case.case}-{case.kappa}-{case.alpha:.3g}")
+def test_printed_variant_has_no_tie_across_the_class(case):
+    # the printed branch phase is not the limit of Ht at a stationary
+    # point, so the envelope slope does not apply to it; its sign-change
+    # scan is the one path left on _first_sign_change, and finds no root
+    with pytest.raises(TiePointError):
+        profile_jump_location(case, VARIANT_PRINTED)
 
 
 @pytest.mark.parametrize("alpha", [0.2, 1 / 3, 0.5, 0.8])
@@ -348,15 +362,16 @@ def _mp_jump(case):
     return mpmath.findroot(delta, mpmath.mpf(case.discontinuity_z))
 
 
-@pytest.mark.parametrize("kappa, alpha", [(1.0, 1 / 3), (1.03, 0.5)])
+@pytest.mark.parametrize("kappa, alpha", [(1.0, 1 / 3), (1.03, 0.5), (0.966, 1 / 3), (1.0, 0.8)])
 @pytest.mark.parametrize("name, beta", [
     (CASE_SYMMETRIC, None), (CASE_LOG_CORRECTED, 1.0), (CASE_ASYMMETRIC, 0.9)])
 def test_jump_matches_a_40_digit_tie(name, beta, kappa, alpha):
-    # 1e-12 is the xtol of the bracketed tie solve
+    # the envelope-slope Newton stops at a step of 1e-15 (1 + |z|), so the
+    # jump is good to a few ulps wherever the branch roots are
     case = ProfileCase(name, kappa, alpha, beta)
     with mpmath.workdps(40):
         ref = _mp_jump(case)
-        assert abs(case.discontinuity_z - ref) <= 1e-12
+        assert abs(case.discontinuity_z - ref) <= 1e-15 * (1.0 + abs(ref))
 
 
 def test_sign_flipped_jump_at_zero():

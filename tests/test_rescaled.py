@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.special import erf
 
-from hopfcole import profiles
+from hopfcole import profiles, rescaled
 from hopfcole.initial_data import FamilySpec, make_family, negate_reflect
 from hopfcole.profiles import BRANCH_MIDDLE, BRANCH_MINUS, BRANCH_PLUS, invert_branch
 from hopfcole.quadrature import KIND_DEGENERATE, KIND_MAX, KIND_MIN, PhysicalPhase
@@ -227,18 +228,77 @@ def test_asymmetric_tie_converges_to_the_jump():
 
 
 def test_branch_phase_derivative_identity(power_c1_third):
-    # d/dz of the branch phase value equals -(z - y_branch)/2
+    # d/dz of the branch phase value equals -(z - y_branch)/2: at finite t
+    # (on Asymmetric data the minus branch is the left maximum near y = 0)
+    # and for the limit-derived branch phase, so the tie difference has the
+    # slope (y_plus - y_minus)/2 that envelope_tie steps by
     t = 1e6
     h = 1e-4
-    for z in (2.5, 3.5):
-        for branch in (BRANCH_MINUS, BRANCH_PLUS):
-            def hval(zz):
-                bs = finite_branches(power_c1_third, zz, t)
-                return rescaled_phase(power_c1_third, bs.get(branch).y, zz, t)
+    for data in (power_c1_third, make_family(ASYMMETRIC)):
+        for z in (2.5, 3.5):
+            for branch in (BRANCH_MINUS, BRANCH_PLUS):
+                def hval(zz):
+                    bs = finite_branches(data, zz, t)
+                    return rescaled_phase(data, bs.get(branch).y, zz, t)
 
-            fd = (hval(z + h) - hval(z - h)) / (2 * h)
-            yb = finite_branches(power_c1_third, z, t).get(branch).y
-            assert fd == pytest.approx(-0.5 * (z - yb), abs=1e-6)
+                fd = (hval(z + h) - hval(z - h)) / (2 * h)
+                yb = finite_branches(data, z, t).get(branch).y
+                assert fd == pytest.approx(-0.5 * (z - yb), abs=1e-6), (data.spec, z, branch)
+    for case in (profiles.ProfileCase(profiles.CASE_SYMMETRIC, 1.0, 1 / 3),
+                 profiles.ProfileCase(profiles.CASE_LOG_CORRECTED, 1.0, 1 / 3, 1.0)):
+        for z in (2.5, 3.5):
+            for branch in (BRANCH_MINUS, BRANCH_PLUS):
+                def hlim(zz):
+                    y = invert_branch(case, branch, zz).y
+                    return profiles._branch_phase_case(case, y, profiles.VARIANT_LIMIT_DERIVED)
+
+                fd = (hlim(z + h) - hlim(z - h)) / (2 * h)
+                yb = invert_branch(case, branch, z).y
+                assert fd == pytest.approx(-0.5 * (z - yb), abs=1e-8), (case, z, branch)
+
+
+@pytest.mark.parametrize("t", [1e4, 1e6])
+@pytest.mark.parametrize("spec", [
+    FamilySpec("PowerC1", kappa=1.0, alpha=1.0 / 3.0),
+    ASYMMETRIC,
+    FamilySpec("PowerLog", kappa=1.0, alpha=1.0 / 3.0, beta=0.5),
+    FamilySpec("PowerC0", kappa=1.0, alpha=0.5),
+    FamilySpec("SignFlipped", kappa=1.0, alpha=0.5),
+], ids=lambda spec: spec.family)
+def test_tie_point_is_the_tight_root(monkeypatch, spec, t):
+    # the envelope-slope Newton lands within a few ulps of a Brent solve at
+    # xtol 1e-15 and takes at most 8 locator calls (one a step)
+    data = make_family(spec)
+    calls = []
+    locate = rescaled.locate_critical_points
+    monkeypatch.setattr(rescaled, "locate_critical_points",
+                        lambda *args: calls.append(args) or locate(*args))
+    zc = phase_tie_point(data, t)
+    assert len(calls) <= 8
+
+    def diff(z):
+        bs = finite_branches(data, z, t)
+        return (rescaled_phase(data, bs.plus.y, z, t)
+                - rescaled_phase(data, bs.minus.y, z, t))
+
+    ref = brentq(diff, zc - 1e-3, zc + 1e-3, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+    assert abs(zc - ref) <= 1e-14 * (1.0 + abs(zc)), (zc, ref)
+
+
+@pytest.mark.parametrize("spec", [FamilySpec("PowerC1", kappa=1.0, alpha=1.0 / 3.0), ASYMMETRIC],
+                         ids=lambda spec: spec.family)
+def test_tie_point_halves_a_first_step_past_the_minus_branch(spec):
+    # at t = 30 the minus branch ends below g(y0) + 1, so the first step
+    # from the cusp is halved back until both branches exist
+    data = make_family(spec)
+    t = 30.0
+    g_y0 = case_for_data(data).g_y0
+    assert finite_branches(data, g_y0 + 1.0, t).minus is None
+    zc = phase_tie_point(data, t)
+    assert g_y0 < zc < g_y0 + 1.0
+    bs = finite_branches(data, zc, t)
+    diff = rescaled_phase(data, bs.plus.y, zc, t) - rescaled_phase(data, bs.minus.y, zc, t)
+    assert abs(diff) <= 1e-14, diff
 
 
 def test_tie_error_for_family_without_case(zero_data):
