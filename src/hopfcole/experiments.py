@@ -12,7 +12,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +63,6 @@ class ExperimentConfig:
     x0: float = 0.0
     window_Z: float = 10.0
     n_coarse: int = 65
-    tolerances: dict = field(default_factory=dict)
     check: bool = False
 
     def __post_init__(self):
@@ -272,7 +271,7 @@ def run_decay(cfg: ExperimentConfig):
     theory = None
     if alpha is not None:
         theory = alpha / (1.0 + alpha) if cfg.equation == "burgers" else alpha / 2.0
-        tol = cfg.tolerances.get("exponent", 0.02)
+        tol = 0.02
         checks.append((
             "decay_exponent", abs(fit.exponent - theory) <= tol,
             f"fitted {fit.exponent:.4f} vs theory {theory:.4f} (tol {tol})",
@@ -357,10 +356,9 @@ def run_derivative_decay(cfg: ExperimentConfig):
                            f"final {scaled[-1]:.4g} vs 2x median {2 * np.median(scaled):.4g}"))
         else:
             rate = alpha / 2.0 + n + k / 2.0
-            tol = cfg.tolerances.get("exponent", 0.05)
             results["theory_exponent"] = rate
             checks.append(("derivative_exponent",
-                           abs(fit.exponent - rate) <= tol,
+                           abs(fit.exponent - rate) <= 0.05,
                            f"fitted {fit.exponent:.4f} vs theory {rate:.4f}"))
     return _emit(cfg, f"ddecay_{cfg.equation}_{n}_{k}",
                  ["t", "sup_norm", "argmax_x"], rows, results, checks,
@@ -395,15 +393,14 @@ def run_profile(cfg: ExperimentConfig):
         sups.append(max(errs))
         # spurious stationary points near the cusp are possible at finite t;
         # runs with more than 3 local maxima get flagged for inspection
-        for zprobe in (zc - 0.5, zc + 0.5):
-            cps = rescaled_critical_points(data, zprobe, float(t))
+        for cps in rescaled_critical_points(data, np.asarray([zc - 0.5, zc + 0.5]), float(t)):
             max_local_maxima = max(
                 max_local_maxima, sum(1 for c in cps if c.kind != KIND_MIN))
     results = {"jump_z": zc, "sup_errors": dict(zip(map(float, ts), sups)),
                "max_local_maxima": max_local_maxima,
                "spurious_maxima_flag": max_local_maxima > 3}
     checks = []
-    tol = cfg.tolerances.get("profile_sup", 0.05)
+    tol = 0.05
     checks.append(("profile_sup_error", sups[-1] <= tol,
                    f"sup error {sups[-1]:.4g} at t={ts[-1]:g} (tol {tol})"))
     if len(ts) >= 2 and all(s > 0 for s in sups):
@@ -475,9 +472,8 @@ def run_critical_z(cfg: ExperimentConfig):
     cauchy = [abs(finite_vals[a] - finite_vals[b])
               for a, b in zip(ftimes[:-1], ftimes[1:])]
     results["finite_tie_increments"] = cauchy
-    tol = cfg.tolerances.get("zc_agreement", 0.05)
     checks = [("finite_vs_limit_derived",
-               abs(results["finite_vs_limit_at_tmax"]) <= tol,
+               abs(results["finite_vs_limit_at_tmax"]) <= 0.05,
                f"|finite({t_last:g}) - limit| = {abs(results['finite_vs_limit_at_tmax']):.4g}"),
               ("printed_delta_reported", True,
                f"printed variant: {printed_val}")]
@@ -517,7 +513,7 @@ def run_properties(cfg: ExperimentConfig):
     reports = {}
     all_ok = True
     for t in cfg.t_grid():
-        rep = check_properties(data, float(t), tol=cfg.tolerances or None)
+        rep = check_properties(data, float(t))
         reports[str(float(t))] = rep.to_json()
         for i in range(1, 10):
             entry = rep.properties[f"property_{i}"]
@@ -577,7 +573,7 @@ def run_fd_compare(cfg: ExperimentConfig):
         (cfg.fd_L, n2, dx1 / 2.0, cfg.fd_scheme, d2),
     ]
     ratio = d1 / d2 if d2 > 0 else math.inf
-    tol = cfg.tolerances.get("fd_max", 5e-4)
+    tol = 5e-4
     results = {"max_discrepancy": d1, "halved_dx_discrepancy": d2,
                "ratio": ratio}
     checks = [

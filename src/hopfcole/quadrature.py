@@ -17,8 +17,9 @@ polished by safeguarded Newton (_batch_critical_points).  A point at a
 piece end, x = G_t(p) at a bound p of the pieces, has p itself as its one
 degenerate root there; a root that misses its checks raises
 InternalConsistencyError.  The last table is kept for its (data, t) and
-reach (_table), so locate_critical_points, which answers one x, and the
-kernels of one scan share it.
+reach (_table), so critical_points, which answers an array of x in one
+query (and locate_critical_points, its one-x case), and the kernels of one
+scan share it.
 
 There is one quadrature path.  The weights of a call are compiled once
 (compile_weights) into a function that evaluates f0, f0' and f0'' once per
@@ -311,10 +312,6 @@ class PhysicalPhase:
         y = np.asarray(y, dtype=float)
         return -((self.x - y) ** 2) / (4.0 * self.t) - 0.5 * self.data.primitive(y)
 
-    def dtotal(self, y):
-        y = np.asarray(y, dtype=float)
-        return (self.x - y) / (2.0 * self.t) - 0.5 * self.data.value(y)
-
 
 # ---------------------------------------------------------------------------
 # critical points
@@ -331,40 +328,53 @@ class CriticalPoint:
     pieces: int = 1  # the number of monotone pieces of G_t
 
 
-def locate_critical_points(phase) -> list:
-    """The critical points of a PhysicalPhase, sorted by y: the roots of
-    x = G_t(y), G_t(y) = y + t f0(y), one query of the piece table of
-    (data, t) (_table, _batch_critical_points).
+def critical_points(data: InitialData, xs, t) -> list:
+    """The critical points of the physical phase of (data, t) at every x of
+    xs, one list for each x, sorted by y: the roots of x = G_t(y),
+    G_t(y) = y + t f0(y), all from one query of the piece table of (data, t)
+    (_table, _batch_critical_points).
 
     A root on a rising piece of G_t is a maximum of the phase and one on a
     falling piece a minimum.  A root at a piece end, or where
     |G_t'| = |1 + t f0'| <= 1e-6 (|H''| <= 1e-6 / (2t)), is degenerate.
     Each root is labelled by the index of its piece, counted from the
     left among all pieces of G_t, and a root at a piece end by None.  The
-    global maximum is flagged, phase values are relative to it, and a
-    residual is |H'| at the point.  The critical points of the rescaled
-    phase are these in units of the space scale
-    (rescaled.rescaled_critical_points)."""
-    x, t = float(phase.x), phase.t
-    table = _table(phase.data, t, abs(x))
-    _pt, y, is_max, d1 = _batch_critical_points(
-        _Phases(phase.data, t, None), np.asarray([x]), *table)
-    order = np.argsort(y)
-    y, is_max, d1 = y[order], is_max[order], d1[order]
-    tots = phase.total(y)
-    res = np.abs(phase.dtotal(y))
-    top = int(np.argmax(tots))
+    global maximum of each x is flagged, phase values are relative to it,
+    and a residual is |H'| at the point.  Each root is found on its own, so
+    the list of an x does not depend on the other x of the call.  The
+    critical points of the rescaled phase are these in units of the space
+    scale (rescaled.rescaled_critical_points)."""
+    xs = np.asarray(xs, dtype=float).ravel()
+    table = _table(data, t, float(np.max(np.abs(xs), initial=0.0)))
+    ph = _Phases(data, t, None)
+    pt, y, is_max, d1 = _batch_critical_points(ph, xs, *table)
+    order = np.lexsort((y, pt))
+    pt, y, is_max, d1 = pt[order], y[order], is_max[order], d1[order]
+    x = xs[pt]
+    tots = ph.total(y, x)
+    res = np.abs((x - y) / (2.0 * t) - 0.5 * data.value(y))
     # a root at a piece end is the bound itself; every other root lies
     # strictly inside its piece
     bounds = table[2]
     piece = np.searchsorted(bounds, y, "left")
     inside = piece == np.searchsorted(bounds, y, "right")
-    return [CriticalPoint(float(y[j]), float(tots[j] - tots[top]),
-                          KIND_DEGENERATE if abs(d1[j]) <= 1e-6
-                          else KIND_MAX if is_max[j] else KIND_MIN,
-                          float(res[j]), j == top,
-                          int(piece[j]) if inside[j] else None, bounds.size + 1)
-            for j in range(y.size)]
+    ends = np.searchsorted(pt, np.arange(xs.size + 1)).tolist()
+    out = []
+    for lo, hi in zip(ends[:-1], ends[1:]):
+        top = lo + int(np.argmax(tots[lo:hi]))
+        out.append([CriticalPoint(float(y[j]), float(tots[j] - tots[top]),
+                                  KIND_DEGENERATE if abs(d1[j]) <= 1e-6
+                                  else KIND_MAX if is_max[j] else KIND_MIN,
+                                  float(res[j]), j == top,
+                                  int(piece[j]) if inside[j] else None, bounds.size + 1)
+                    for j in range(lo, hi)])
+    return out
+
+
+def locate_critical_points(phase) -> list:
+    """The critical points of a PhysicalPhase, sorted by y: critical_points
+    at its one x."""
+    return critical_points(phase.data, [phase.x], phase.t)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +577,7 @@ class BatchKernel:
     It holds what does not depend on x: the compiled weights and the origin
     scale of their x-independent factors (_origin_scale).  The critical
     points come from the piece table of (data, t) (_table), the one that
-    locate_critical_points queries: it keeps G_t on the scan grid of
+    critical_points queries: it keeps G_t on the scan grid of
     monotone_pieces (100 points a decade) and at the piece bounds, so each
     root starts in its grid cell with no new evaluation, and a scan's
     first call (its coarse grid spans the window) makes it for the whole

@@ -13,10 +13,12 @@ switches branch converges to the profile discontinuity.
 The reduced phase is the physical one in other units: at x = m z and
 y = m y~, H(m y~; m z) = (m^2 / t) Ht(y~, z).  So the rescaled critical
 points are the physical ones in units of m (rescaled_critical_points):
-quadrature.locate_critical_points at x = m z, one query of the piece table
-of (data, t) that every z of one t shares.  g_t is G_t(y) = y + t f0(y) in
-those units, so its monotone pieces are the table's, and the finite-time
-branches are the pieces the points lie on (finite_branches).  On
+quadrature.critical_points at x = m z, and an array of z of one t is
+answered by one query of the piece table of (data, t), which every z of
+that t shares.  g_t is G_t(y) = y + t f0(y) in those units, so its
+monotone pieces are the table's, and the finite-time branches are the
+pieces the points lie on (finite_branches), for one z or an array of z.
+The property report (check_properties) makes one such call per z grid.  On
 Asymmetric data right of the cusp the first piece holds the left maximum
 near y = 0, whose limit value -z^2/4 the limit tie uses, so the
 finite-time tie (phase_tie_point) converges to the jump for every case.
@@ -29,7 +31,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .initial_data import InitialData, negate_reflect
-from .quadrature import KIND_MIN, PhysicalPhase, integrate_moments, locate_critical_points
+from .quadrature import (KIND_MIN, PhysicalPhase, _table, critical_points, integrate_moments,
+                         locate_critical_points)
 from . import profiles
 from .profiles import (
     BRANCH_MIDDLE,
@@ -74,9 +77,9 @@ def default_space_scale(data: InitialData, t: float) -> float:
     return math.sqrt(t)
 
 
-def rescaled_phase(data: InitialData, y, z: float, t: float, dy_order: int = 0):
+def rescaled_phase(data: InitialData, y, z, t: float, dy_order: int = 0):
     """Ht(y, z) and its first two y derivatives (exact formulas), with
-    m = default_space_scale(data, t).
+    m = default_space_scale(data, t); y and z broadcast.
 
     dy_order 0: -(z-y)^2/4 - (t/(2 m^2)) int_0^{m y} f0
     dy_order 1: (z - y - (t/m) f0(m y)) / 2
@@ -104,15 +107,19 @@ def critical_curve_finite(data: InitialData, y, t: float):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def rescaled_critical_points(data: InitialData, z: float, t: float) -> list:
+def rescaled_critical_points(data: InitialData, z, t: float) -> list:
     """The stationary points of Ht(., z): the critical points of the physical
     phase at x = m z with each y divided by m and each residual, |H'|, made
     |dHt/dy| = (t/m) |H'|.  The kinds and phase values carry over: the
     total phase is the same function, and both units call a point
-    degenerate at a piece end of G_t or at |1 + t f0'| <= 1e-6."""
+    degenerate at a piece end of G_t or at |1 + t f0'| <= 1e-6.
+
+    z is a number, or a 1-d array of z for one list per z from one call of
+    quadrature.critical_points; element i is the list of z[i] alone."""
     m = default_space_scale(data, t)
-    cps = locate_critical_points(PhysicalPhase(data, m * float(z), float(t)))
-    return [replace(c, y=c.y / m, residual=c.residual * (t / m)) for c in cps]
+    out = [[replace(c, y=c.y / m, residual=c.residual * (t / m)) for c in cps]
+           for cps in critical_points(data, m * np.asarray(z, dtype=float).ravel(), float(t))]
+    return out if np.ndim(z) else out[0]
 
 
 @dataclass
@@ -134,9 +141,10 @@ def _near_origin_halfwidth(data: InitialData, t: float) -> float:
     return t ** (-1.0 / (1.0 + alpha) + 0.1)
 
 
-def finite_branches(data: InitialData, z: float, t: float) -> BranchSet:
+def finite_branches(data: InitialData, z, t: float):
     """The stationary points of the rescaled phase by the monotone piece of
-    g_t they lie on (CriticalPoint.piece).
+    g_t they lie on (CriticalPoint.piece): a BranchSet, or for a 1-d array
+    of z one BranchSet per z (rescaled_critical_points).
 
     The root on the first piece is the minus branch and the root on the
     last piece the plus branch.  A minimum on a piece between them is the
@@ -147,24 +155,27 @@ def finite_branches(data: InitialData, z: float, t: float) -> BranchSet:
     has no root on its piece at z.
     """
     case = case_for_data(data)
-    out = BranchSet()
-    for cp in rescaled_critical_points(data, z, t):
-        name = None
-        if case is not None and cp.piece is not None and cp.pieces > 1:
-            if cp.piece == 0:
-                name = BRANCH_MINUS
-            elif cp.piece == cp.pieces - 1:
-                name = BRANCH_PLUS
-            elif (cp.kind == KIND_MIN and case.case != CASE_SIGN_FLIPPED
-                  and out.middle is None):
-                name = BRANCH_MIDDLE
-        if name is None:
-            out.extras.append(cp)
-        else:
-            # the residual |dHt/dy| is |z - g_t(y)| / 2
-            setattr(out, name, BranchSolution(y=cp.y, branch=name,
-                                              residual=2.0 * cp.residual))
-    return out
+    sets = []
+    for cps in rescaled_critical_points(data, np.atleast_1d(z), t):
+        out = BranchSet()
+        for cp in cps:
+            name = None
+            if case is not None and cp.piece is not None and cp.pieces > 1:
+                if cp.piece == 0:
+                    name = BRANCH_MINUS
+                elif cp.piece == cp.pieces - 1:
+                    name = BRANCH_PLUS
+                elif (cp.kind == KIND_MIN and case.case != CASE_SIGN_FLIPPED
+                      and out.middle is None):
+                    name = BRANCH_MIDDLE
+            if name is None:
+                out.extras.append(cp)
+            else:
+                # the residual |dHt/dy| is |z - g_t(y)| / 2
+                setattr(out, name, BranchSolution(y=cp.y, branch=name,
+                                                  residual=2.0 * cp.residual))
+        sets.append(out)
+    return sets if np.ndim(z) else sets[0]
 
 
 def phase_tie_point(data: InitialData, t: float) -> float:
@@ -174,13 +185,22 @@ def phase_tie_point(data: InitialData, t: float) -> float:
     g_t, which on Asymmetric data right of the cusp is the left maximum
     near y = 0.
 
-    Both are stationary points of Ht, so their phase difference has the
-    slope (y_plus - y_minus)/2 in z: profiles.envelope_tie, one locator call
-    a step from z = g(y0) by 1, halved back while a branch is missing (from
-    z = 0 on SignFlipped data); a tie it does not find raises TieWindowError."""
+    Both branches exist exactly on the window (g_t(b_last), g_t(b_0)), b_0
+    ending the first piece of g_t and b_last starting the last, from the
+    piece table; an empty window raises TieWindowError at once.  Both are
+    stationary points of Ht, so their phase difference has the slope
+    (y_plus - y_minus)/2 in z: profiles.envelope_tie, one locator call a
+    step from z = min(g(y0), window midpoint) by 1, halved back while a
+    branch is missing (from z = 0 on SignFlipped data); a tie it does not
+    find raises TieWindowError."""
     case = case_for_data(data)
     if case is None:
         raise ValueError("data family has no asymptotic profile case")
+    g_bounds = _table(data, t, 0.0)[3] / default_space_scale(data, t)
+    lo, hi = (g_bounds[-1], g_bounds[0]) if g_bounds.size else (math.inf, -math.inf)
+    if not lo < hi:
+        raise TieWindowError(f"both branches exist on no z at t = {t}: "
+                             f"the window [{lo}, {hi}] is empty")
 
     def pair(z):
         bs = finite_branches(data, z, t)
@@ -189,7 +209,7 @@ def phase_tie_point(data: InitialData, t: float) -> float:
         yp, ym = bs.plus.y, bs.minus.y
         return yp, ym, rescaled_phase(data, yp, z, t) - rescaled_phase(data, ym, z, t)
 
-    start = (0.0, 0.0) if case.case == CASE_SIGN_FLIPPED else (case.g_y0, 1.0)
+    start = (0.0, 0.0) if case.case == CASE_SIGN_FLIPPED else (min(case.g_y0, 0.5 * (lo + hi)), 1.0)
     try:
         return profiles.envelope_tie(pair, *start)
     except profiles.TiePointError as exc:
@@ -222,25 +242,12 @@ class PropertyReport:
         return all(self.properties[f"property_{i}"]["pass"] for i in range(1, 10))
 
 
-_DEFAULT_TOL = {
-    "branch_sup": 0.05,     # property 2
-    "deriv_conv": 0.05,     # property 4
-    "window_mu": 0.1,       # z-window parameter
-    "eps_y": 0.2,           # |y| cutoff away from the origin strip
-    "delta": 0.2,           # property 9 box margin
-    "cusp_ball": 0.5,       # property 6 tolerance ball around the cusp
-    "branch_near": 0.1,     # membership distance in properties 6-8
-}
-
-
-def check_properties(data: InitialData, t: float, tol: dict | None = None) -> PropertyReport:
+def check_properties(data: InitialData, t: float) -> PropertyReport:
     """Numeric verification, on probe grids, of the nine structural
     properties of the rescaled phase (curve convergence, branch convergence,
     derivative bounds and sign partition, branch membership per z regime,
-    uniform concavity near the branches)."""
-    tols = dict(_DEFAULT_TOL)
-    if tol:
-        tols.update(tol)
+    uniform concavity near the branches).  The critical points of each z
+    grid come from one array call (rescaled_critical_points)."""
     case = case_for_data(data)
     props = {}
 
@@ -253,22 +260,18 @@ def check_properties(data: InitialData, t: float, tol: dict | None = None) -> Pr
         return PropertyReport(t=t, degenerate=True, properties=props)
 
     m = default_space_scale(data, t)
-    eps = tols["eps_y"]
-    mu_w = tols["window_mu"]
+    eps = 0.2  # |y| cutoff away from the origin strip
+    mu_w = 0.1  # z-window parameter
     y0 = case.y0 if case.y0 is not None else case.kappa ** (1.0 / (1.0 + case.alpha))
     g_y0 = case.g_y0 if case.g_y0 is not None else 0.0
     strip = _near_origin_halfwidth(data, t)
     glim = lambda y: profiles.critical_curve_limit(case, y)
-    gt = lambda y: critical_curve_finite(data, y, t)
 
     # 1: located critical points sit near the limit curve (reported only)
     w_max = 0.0
     w_arg = None
     z_grid = np.linspace(-5.0, 5.0, 21)
-    all_cps = {}
-    for z in z_grid:
-        cps = rescaled_critical_points(data, z, t)
-        all_cps[float(z)] = cps
+    for z, cps in zip(z_grid, rescaled_critical_points(data, z_grid, t)):
         for cp in cps:
             if abs(cp.y) >= eps:
                 slope = profiles._curve_slope(case, cp.y)
@@ -293,8 +296,7 @@ def check_properties(data: InitialData, t: float, tol: dict | None = None) -> Pr
         if case.case == CASE_ASYMMETRIC and branch == BRANCH_MINUS:
             zg = zg[zg < 0]
         errs = []
-        for z in zg:
-            bs = finite_branches(data, float(z), t)
+        for z, bs in zip(zg, finite_branches(data, zg, t)):
             sol = bs.get(branch)
             if sol is None:
                 continue
@@ -307,19 +309,15 @@ def check_properties(data: InitialData, t: float, tol: dict | None = None) -> Pr
         if errs:
             worst = max(worst, max(errs))
     props["property_2"] = {
-        "pass": worst <= tols["branch_sup"],
-        "margin": tols["branch_sup"] - worst,
+        "pass": worst <= 0.05,
+        "margin": 0.05 - worst,
         "details": {"sup_errors": sups},
     }
 
-    # 3: derivative bound on the near-origin strip
-    bound_margin = math.inf
-    tpow = (t / m) * data.sup_abs
-    ys = np.linspace(-strip, strip, 31)
-    for z in np.linspace(-5.0, 5.0, 11):
-        dh = np.abs(rescaled_phase(data, ys, float(z), t, dy_order=1))
-        bound = 1.0 + abs(float(z)) + tpow
-        bound_margin = min(bound_margin, float(bound - np.max(dh)))
+    # 3: derivative bound on the near-origin strip, one row per z
+    zs = np.linspace(-5.0, 5.0, 11)
+    dh = np.abs(rescaled_phase(data, np.linspace(-strip, strip, 31), zs[:, None], t, dy_order=1))
+    bound_margin = float(np.min(1.0 + np.abs(zs) + (t / m) * data.sup_abs - np.max(dh, axis=1)))
     props["property_3"] = {
         "pass": bound_margin >= 0.0, "margin": bound_margin,
         "details": {"strip_halfwidth": strip},
@@ -328,13 +326,12 @@ def check_properties(data: InitialData, t: float, tol: dict | None = None) -> Pr
     # 4: dHt converges to (z - g(y))/2 locally uniformly away from the strip
     box_y = np.concatenate([np.linspace(-1.0 / eps, -eps, 25),
                             np.linspace(eps, 1.0 / eps, 25)])
-    conv = 0.0
-    for z in np.linspace(-1.0 / eps, 1.0 / eps, 11):
-        dh = rescaled_phase(data, box_y, float(z), t, dy_order=1)
-        conv = max(conv, float(np.max(np.abs(dh - 0.5 * (float(z) - glim(box_y))))))
+    zs = np.linspace(-1.0 / eps, 1.0 / eps, 11)[:, None]
+    dh = rescaled_phase(data, box_y, zs, t, dy_order=1)
+    conv = float(np.max(np.abs(dh - 0.5 * (zs - glim(box_y)))))
     props["property_4"] = {
-        "pass": conv <= tols["deriv_conv"],
-        "margin": tols["deriv_conv"] - conv,
+        "pass": conv <= 0.05,
+        "margin": 0.05 - conv,
         "details": {"sup_error": conv},
     }
 
@@ -342,9 +339,8 @@ def check_properties(data: InitialData, t: float, tol: dict | None = None) -> Pr
     rng = np.random.default_rng(20240817)
     ptsy = rng.uniform(-3.0, 3.0, 200)
     ptsz = rng.uniform(-5.0, 5.0, 200)
-    dh = np.asarray([rescaled_phase(data, yy, float(zz), t, dy_order=1)
-                     for yy, zz in zip(ptsy, ptsz)])
-    side = ptsz - gt(ptsy)
+    dh = rescaled_phase(data, ptsy, ptsz, t, dy_order=1)
+    side = ptsz - critical_curve_finite(data, ptsy, t)
     mism = int(np.sum(np.sign(dh) * np.sign(side) < 0))
     props["property_5"] = {
         "pass": mism == 0, "margin": float(-mism),
@@ -353,7 +349,14 @@ def check_properties(data: InitialData, t: float, tol: dict | None = None) -> Pr
 
     # 6-8: membership of critical points per z regime
     def membership(z, cp, branches_allowed, also_unit_ball=False):
-        if abs(cp.y) <= max(2.0 * strip, 1e-3):
+        origin = max(2.0 * strip, 1e-3)
+        if case.case == CASE_ASYMMETRIC and z > 0.0:
+            # the left maximum on the first piece: z = g_t(y) at
+            # |y| ~ (kappa t^((alpha-beta)/(1+alpha)) / z)^(1/beta), the
+            # rescaled amplitude of the beta tail
+            amp = case.kappa * t ** ((case.alpha - case.beta) / (1.0 + case.alpha))
+            origin = max(origin, 2.0 * (amp / z) ** (1.0 / case.beta))
+        if abs(cp.y) <= origin:
             return True
         if also_unit_ball and abs(cp.y) <= 1.0:
             return True
@@ -362,23 +365,14 @@ def check_properties(data: InitialData, t: float, tol: dict | None = None) -> Pr
                 ref = invert_branch(case, br, float(z)).y
             except ValueError:
                 continue
-            if abs(cp.y - ref) <= tols["branch_near"]:
+            if abs(cp.y - ref) <= 0.1:
                 return True
-        if case.case not in (CASE_SIGN_FLIPPED,):
-            da = math.hypot(float(z) - g_y0, cp.y - y0)
-            if da <= tols["cusp_ball"]:
-                return True
-        return False
+        # the tolerance ball around the cusp
+        return case.case != CASE_SIGN_FLIPPED and math.hypot(z - g_y0, cp.y - y0) <= 0.5
 
     def regime_check(zs, branches_allowed, also_unit_ball=False):
-        strays = []
-        for z in zs:
-            key = float(z)
-            cps = all_cps.get(key) or rescaled_critical_points(data, key, t)
-            for cp in cps:
-                if not membership(key, cp, branches_allowed, also_unit_ball):
-                    strays.append((key, cp.y))
-        return strays
+        return [(float(z), cp.y) for z, cps in zip(zs, rescaled_critical_points(data, zs, t))
+                for cp in cps if not membership(float(z), cp, branches_allowed, also_unit_ball)]
 
     if case.case == CASE_SIGN_FLIPPED:
         s6 = regime_check(np.linspace(-5.0, -1.0, 5), [BRANCH_MINUS, BRANCH_PLUS])
@@ -397,7 +391,7 @@ def check_properties(data: InitialData, t: float, tol: dict | None = None) -> Pr
         }
 
     # 9: uniform concavity near the branches between the two z thresholds
-    delta = tols["delta"]
+    delta = 0.2  # box margin
     ybox = np.concatenate([np.linspace(-1.0 / delta, -delta, 40),
                            np.linspace(y0 + delta, 1.0 / delta, 40)])
     d2 = rescaled_phase(data, ybox, 0.0, t, dy_order=2)

@@ -91,6 +91,11 @@ def test_config_validation():
         ExperimentConfig.from_json({"experiment": "decay",
                                     "family": {"family": "Zero"},
                                     "bogus_field": 1})
+    # the check thresholds are constants, not config fields
+    with pytest.raises(ConfigError, match="tolerances"):
+        ExperimentConfig.from_json({"experiment": "decay",
+                                    "family": {"family": "Zero"},
+                                    "tolerances": {"exponent": 0.1}})
 
 
 def test_orders_above_two_raise():
@@ -304,6 +309,10 @@ def test_cli_exit_code_config_error(tmp_path):
     assert main(["decay", "--family", "PowerC1", "--alpha", "1.7",
                  "--out", str(tmp_path)]) == 2
     assert main(["decay", "--out", str(tmp_path)]) == 2
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"family": {"family": "PowerC0", "kappa": 1.0, "alpha": 0.5},
+                                    "tolerances": {"exponent": 0.1}}))
+    assert main(["decay", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
 
 
 def test_cli_exit_code_counts_below_one(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import erf
 
-from hopfcole import profiles, rescaled
+from hopfcole import profiles, quadrature, rescaled
 from hopfcole.initial_data import FamilySpec, make_family, negate_reflect
 from hopfcole.profiles import BRANCH_MIDDLE, BRANCH_MINUS, BRANCH_PLUS, invert_branch
 from hopfcole.quadrature import KIND_DEGENERATE, KIND_MAX, KIND_MIN, PhysicalPhase
@@ -21,6 +21,16 @@ from hopfcole.rescaled import (
     rescaled_critical_points,
     rescaled_phase,
 )
+
+
+@pytest.fixture
+def locator_calls(monkeypatch):
+    """The quadrature._batch_critical_points calls made while a test runs."""
+    calls = []
+    batch = quadrature._batch_critical_points
+    monkeypatch.setattr(quadrature, "_batch_critical_points",
+                        lambda *args: calls.append(args) or batch(*args))
+    return calls
 
 
 # -- rescaled phase ----------------------------------------------------------
@@ -128,6 +138,39 @@ def test_finite_branches_are_the_pieces_randomized():
         bs = finite_branches(data, z, 1e-2)
         assert bs.minus is None and bs.plus is None and bs.middle is None
         assert len(bs.extras) == 1 and bs.extras[0].pieces == 1, (spec, z)
+
+
+def test_arrays_of_z_are_batches_of_one():
+    # element i of an array call is the scalar call at z[i], field for field
+    # and bit for bit, on z arrays that hold piece ends of g_t; the scalar
+    # calls run after the array call, on whatever table it left behind
+    rng = np.random.default_rng(20261020)
+    families = ("PowerC1", "SignFlipped", "Asymmetric", "PowerC0", "PowerLog")
+    for i in range(40):
+        family = families[i % len(families)]
+        alpha = float(rng.uniform(0.2, 0.8))
+        beta = {"Asymmetric": float(rng.uniform(alpha, 1.0)),
+                "PowerLog": float(rng.uniform(0.5, 1.5))}.get(family)
+        spec = FamilySpec(family, kappa=float(rng.uniform(0.5, 2.0)), alpha=alpha, beta=beta)
+        data = make_family(spec)
+        t = 10.0 ** rng.uniform(2.0, 8.0)
+        ends = quadrature._table(data, t, 0.0)[3] / rescaled.default_space_scale(data, t)
+        zs = rng.uniform(-6.0, 12.0, int(rng.integers(1, 31)))
+        at_end = rng.choice(zs.size, min(ends.size, zs.size), replace=False)
+        zs[at_end] = ends[:zs.size]
+        cps = rescaled_critical_points(data, zs, t)
+        sets = finite_branches(data, zs, t)
+        assert len(cps) == len(sets) == zs.size
+        for z, got, bs in zip(zs, cps, sets):
+            assert repr(got) == repr(rescaled_critical_points(data, float(z), t)), (spec, t, z)
+            assert repr(bs) == repr(finite_branches(data, float(z), t)), (spec, t, z)
+        # a piece end is a root outside every piece
+        assert all(any(c.piece is None for c in cps[j]) for j in at_end), (spec, t)
+
+
+def test_check_properties_makes_one_locator_call_per_z_grid(locator_calls, power_c1_third):
+    check_properties(power_c1_third, 1e6)
+    assert len(locator_calls) <= 7
 
 
 def test_zero_data_goes_to_extras(zero_data):
@@ -265,16 +308,12 @@ def test_branch_phase_derivative_identity(power_c1_third):
     FamilySpec("PowerC0", kappa=1.0, alpha=0.5),
     FamilySpec("SignFlipped", kappa=1.0, alpha=0.5),
 ], ids=lambda spec: spec.family)
-def test_tie_point_is_the_tight_root(monkeypatch, spec, t):
+def test_tie_point_is_the_tight_root(locator_calls, spec, t):
     # the envelope-slope Newton lands within a few ulps of a Brent solve at
     # xtol 1e-15 and takes at most 8 locator calls (one a step)
     data = make_family(spec)
-    calls = []
-    locate = rescaled.locate_critical_points
-    monkeypatch.setattr(rescaled, "locate_critical_points",
-                        lambda *args: calls.append(args) or locate(*args))
     zc = phase_tie_point(data, t)
-    assert len(calls) <= 8
+    assert len(locator_calls) <= 8
 
     def diff(z):
         bs = finite_branches(data, z, t)
@@ -299,6 +338,27 @@ def test_tie_point_halves_a_first_step_past_the_minus_branch(spec):
     bs = finite_branches(data, zc, t)
     diff = rescaled_phase(data, bs.plus.y, zc, t) - rescaled_phase(data, bs.minus.y, zc, t)
     assert abs(diff) <= 1e-14, diff
+
+
+def test_tie_point_starts_inside_a_window_left_of_the_cusp():
+    # at t = 10.9 both branches exist only on a window left of g(y0), so
+    # the Newton starts at the window midpoint
+    data = make_family(FamilySpec("PowerC0", kappa=0.726, alpha=0.310))
+    t = 10.9
+    ends = quadrature._table(data, t, 0.0)[3] / rescaled.default_space_scale(data, t)
+    assert ends[-1] < ends[0] < case_for_data(data).g_y0
+    zc = phase_tie_point(data, t)
+    assert ends[-1] < zc < ends[0]
+    bs = finite_branches(data, zc, t)
+    diff = rescaled_phase(data, bs.plus.y, zc, t) - rescaled_phase(data, bs.minus.y, zc, t)
+    assert abs(diff) <= 1e-14, diff
+
+
+def test_tie_point_raises_at_once_on_an_empty_window(locator_calls, power_c1_third):
+    # at t = 1 g_t is monotone: no z has both branches, and no locator call is made
+    with pytest.raises(TieWindowError, match=r"window \[.*\] is empty"):
+        phase_tie_point(power_c1_third, 1.0)
+    assert locator_calls == []
 
 
 def test_tie_error_for_family_without_case(zero_data):
@@ -327,6 +387,21 @@ def test_properties_power_c1(power_c1_third):
     assert rep.properties["property_3"]["margin"] >= 0
     blob = json.dumps(rep.to_json())
     assert "property_1" in blob
+
+
+@pytest.mark.parametrize("t", [1e6, 1e8])
+def test_properties_pass_on_asymmetric_data(t):
+    # the left maximum on the first piece at z > 0 is within twice the
+    # rescaled amplitude of the beta tail of y = 0
+    rep = check_properties(make_family(ASYMMETRIC), t)
+    assert rep.all_pass(), {k: v for k, v in rep.properties.items() if not v["pass"]}
+
+
+def test_property_6_keeps_a_stray_off_the_identity_branch():
+    # at t = 1e4 the root at z = -0.43 is 0.145 off the minus branch y = z
+    rep = check_properties(make_family(ASYMMETRIC), 1e4)
+    (z, y), = rep.properties["property_6"]["details"]["stray_points"]
+    assert z < 0.0 and abs(y - z) == pytest.approx(0.145, abs=1e-3)
 
 
 def test_properties_json_keys_fixed(power_c1_third):
