@@ -18,12 +18,11 @@ alpha = 0.5
 data = make_family(FamilySpec("PowerC0", kappa=1.0, alpha=alpha))
 ts = np.geomspace(1e3, 1e7, 13)
 
-rows = []
-for t in ts:
-    rb = burgers.sup_norm(data, float(t), n_coarse=65)
-    rh = heat.heat_sup_norm(data, float(t), n_coarse=65)
-    rows.append((float(t), rb.value, rh.value))
-    print(f"t = {t:10.3g}   burgers sup = {rb.value:.6f}   heat sup = {rh.value:.6f}")
+# one sweep call per equation: the scans of all t run in lockstep
+rows = [(float(t), rb.value, rh.value) for t, rb, rh in
+        zip(ts, burgers.sup_norm(data, ts, n_coarse=65), heat.heat_sup_norm(data, ts, n_coarse=65))]
+for t, b, h in rows:
+    print(f"t = {t:10.3g}   burgers sup = {b:.6f}   heat sup = {h:.6f}")
 
 fit_b = fit_power_law([(t, v) for (t, v, _h) in rows])
 fit_h = fit_power_law([(t, h) for (t, _v, h) in rows])

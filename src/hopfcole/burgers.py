@@ -8,16 +8,18 @@ d_t f - d_x^2 f + f d_x f is a strong end-to-end self test.
 Every value comes from the one quadrature path, quadrature.BatchKernel.
 An array of x at one t is one batch (eval_batch): its points share the
 critical points of G_t(y) = y + t f0(y) and are integrated together, and a
-single point (eval, derivative_fields) is a batch of one.  A sup-norm scan
-(scan_max) scores its coarse grid as one batch.  A picked grid point that
-is a grid peak has its bracket refined; picks on the shoulder of a peak
-get sub-grids, all scored in one batch, and only a sub-grid peak above its
+single point (eval, derivative_fields) is a batch of one.  A sup-norm
+sweep (sup_norm on an array of t) scans the windows of all its t in
+lockstep (scan_max), each step one batch of the (t, x) pairs of every
+window: the coarse grids are one batch.  A picked grid point that is a
+grid peak has its bracket refined; picks on the shoulder of a peak get
+sub-grids, all scored in one batch, and only a sub-grid peak above its
 bracket ends is refined.  The refinements run in lockstep, each step one
-batch of the next x of every live bracket.
-The batches of one scan share one kernel setup (the compiled weights, the
-table of the pieces of G_t and the origin scale), held by the scan's scorer
-(_eval_scorer, derivative_fields_scorer); eval_batch and each single point
-are one call of a fresh scorer.
+batch of the next x of every live bracket of every window.  The batches
+of one sweep share one kernel setup (the compiled weights, the tables of
+the pieces of each G_t and the origin scale), held by the sweep's scorer
+(_eval_scorer, derivative_fields_scorer, on a number t or an array);
+eval_batch and each single point are one call of a fresh scorer.
 """
 from __future__ import annotations
 
@@ -89,25 +91,34 @@ def eval_batch(data: InitialData, xs, t: float, rel_tol: float = 1e-9):
     return _eval_scorer(data, t, rel_tol)(xs)
 
 
+def _scorer(kernel, t, rel_tol, take):
+    """The scores of a kernel: at one t a function of xs, take(quotients, t);
+    at a sweep of t (a 1-d array, kernel's sweep) a function of a list of
+    one x array per t, the list of take(quotients at t, t).  All calls run
+    on the one kernel setup."""
+    if np.ndim(t):
+        ts = np.asarray(t, dtype=float).tolist()
+        return lambda xs: [take(r, s) for r, s in zip(kernel(xs, rel_tol), ts)]
+    return lambda xs: take(kernel(xs, rel_tol), t)
+
+
 def _eval_scorer(data, t, rel_tol):
-    """eval_batch at one t as a function of xs, on one kernel setup
-    (quadrature.BatchKernel) for all its calls."""
-    if t < 0:
+    """eval_batch at t, a number or a sweep (_scorer), on one kernel setup
+    (quadrature.BatchKernel) for all its calls; f0 itself at t = 0."""
+    if np.any(np.asarray(t) < 0):
         raise ValueError("t must be nonnegative")
-    if t == 0:
+    if np.ndim(t) == 0 and t == 0:
         return lambda xs: data.value(np.asarray(xs, dtype=float))
-    kernel = BatchKernel([_F0], data, t)
-
-    return lambda xs: kernel(xs, rel_tol)[0]
+    return _scorer(BatchKernel([_F0], data, t), t, rel_tol, lambda r, _t: r[0])
 
 
-def derivative_fields_scorer(data: InitialData, t: float, rel_tol: float = 1e-10):
+def derivative_fields_scorer(data: InitialData, t, rel_tol: float = 1e-10):
     """derivative_fields for a 1-d array of x at one t > 0 as a function of
-    xs: the seven weights on one kernel setup (quadrature.BatchKernel) for
-    all its calls."""
-    kernel = BatchKernel(_FIELD_WEIGHTS, data, t)
-
-    return lambda xs: _fields(kernel(xs, rel_tol))
+    xs, or at a sweep of t > 0 (a 1-d array) as a function of a list of one
+    x array per t that returns one dict of fields per t (_scorer): the
+    seven weights on one kernel setup (quadrature.BatchKernel) for all its
+    calls."""
+    return _scorer(BatchKernel(_FIELD_WEIGHTS, data, t), t, rel_tol, lambda r, _t: _fields(r))
 
 
 # ---------------------------------------------------------------------------
@@ -194,84 +205,116 @@ def _bounded_brent(a, b, xatol, maxfun=500):
     return xf, fx
 
 
-def scan_max(fn, lo: float, hi: float, n_coarse: int):
-    """Max of fn on [lo, hi]: a coarse grid, then bounded Brent refinement
-    where the 3 best separated grid points show a peak.
+def scan_max(fn, lo, hi, n_coarse: int):
+    """Max of fn on each window [lo, hi]: a coarse grid, then bounded Brent
+    refinement where the 3 best separated grid points show a peak.
 
-    fn maps an array of x to an array of scores; the scores of sup_norm,
+    lo and hi are numbers (one window; returns (value, x)) or 1-d arrays
+    (one window each; returns one (value, x) per window).  The windows are
+    scanned in lockstep: fn maps a list of one x array per window, empty
+    where a window has nothing to score at that step, to a list of score
+    arrays, and each step is one call.  The scores of sup_norm,
     heat_sup_norm and the ddecay scans are batches on one kernel setup per
-    scan (quadrature.BatchKernel).  The grid is one call.  A picked point
-    that is >= both its grid neighbours (a peak or a plateau) refines its
-    bracket, the cells on either side of it.  Any other pick is a shoulder:
-    a neighbour outscores it, and refining its bracket would crawl to that
-    neighbour.  Every shoulder bracket is cut into 8 equal cells and their
-    7 interior points are scored, all shoulders in one call; a bracket is
-    refined, on the two cells around its sub-grid maximum, only if that
-    maximum beats both bracket ends.  Each refinement runs _bounded_brent
-    on -fn with xatol = 1e-6 (b - a) + 1e-12 of its grid bracket [a, b],
-    and the refinements run in lockstep: each step is one call on the next
-    x of every live one.  Returns (value, x) of the best point scored, with
-    the values fn gave."""
-    grid = np.linspace(lo, hi, n_coarse)
-    vals = np.asarray(fn(grid), dtype=float)
-    order = np.argsort(vals)[::-1]
-    picked = []
-    for i in order:
-        if all(abs(i - j) > 1 for j in picked):
-            picked.append(int(i))
-        if len(picked) == 3:
-            break
-    best = int(np.argmax(vals))
-    best_v, best_x = float(vals[best]), float(grid[best])
-    runs, shoulders = [], []
-    for i in picked:
-        ia, ib = max(i - 1, 0), min(i + 1, n_coarse - 1)
-        a, b = grid[ia], grid[ib]
-        if b <= a:
-            continue
-        xatol = 1e-6 * (b - a) + 1e-12
-        if vals[i] >= vals[ia] and vals[i] >= vals[ib]:
-            runs.append(_bounded_brent(a, b, xatol))
-        else:
-            shoulders.append((np.linspace(a, b, 9), max(vals[ia], vals[ib]), xatol))
-    if shoulders:
-        subs = np.concatenate([pts[1:-1] for pts, _edge, _xatol in shoulders])
-        scores = np.asarray(fn(subs), dtype=float).reshape(len(shoulders), 7)
-        for (pts, edge, xatol), row in zip(shoulders, scores):
-            k = int(np.argmax(row))
-            if row[k] > best_v:
-                best_v, best_x = float(row[k]), float(pts[k + 1])
-            if row[k] > edge:
-                runs.append(_bounded_brent(pts[k], pts[k + 2], xatol))
-    results = [None] * len(runs)
-    pending = {j: next(run) for j, run in enumerate(runs)}  # bracket -> next x
-    while pending:
-        scores = np.asarray(fn(np.asarray(list(pending.values()))), dtype=float)
-        for j, v in zip(list(pending), scores):
-            try:
-                pending[j] = runs[j].send(-v)
-            except StopIteration as stop:
-                results[j] = stop.value
-                del pending[j]
-    for x, fx in results:
-        if -fx > best_v:
-            best_v, best_x = float(-fx), float(x)
-    return best_v, best_x
+    sweep (quadrature.BatchKernel), and a window's scores depend on its own
+    x alone, so each window returns what its one-window scan returns.
+
+    The grids are one call.  A picked point that is >= both its grid
+    neighbours (a peak or a plateau) refines its bracket, the cells on
+    either side of it.  Any other pick is a shoulder: a neighbour outscores
+    it, and refining its bracket would crawl to that neighbour.  Every
+    shoulder bracket is cut into 8 equal cells and their 7 interior points
+    are scored, all shoulders in one call; a bracket is refined, on the two
+    cells around its sub-grid maximum, only if that maximum beats both
+    bracket ends.  Each refinement runs _bounded_brent on -fn with
+    xatol = 1e-6 (b - a) + 1e-12 of its grid bracket [a, b], and the
+    refinements of all windows run in lockstep: each step is one call on
+    the next x of every live one.  Each window's (value, x) is its best
+    point scored, with the values fn gave."""
+    one = np.ndim(lo) == 0 and np.ndim(hi) == 0
+    windows = list(zip(np.atleast_1d(np.asarray(lo, dtype=float)).tolist(),
+                       np.atleast_1d(np.asarray(hi, dtype=float)).tolist()))
+    grids = [np.linspace(a, b, n_coarse) for a, b in windows]
+    best, runs, shoulders = [], [], []
+    for grid, vals in zip(grids, fn(grids)):
+        vals = np.asarray(vals, dtype=float)
+        order = np.argsort(vals)[::-1]
+        picked = []
+        for i in order:
+            if all(abs(i - j) > 1 for j in picked):
+                picked.append(int(i))
+            if len(picked) == 3:
+                break
+        top = int(np.argmax(vals))
+        best.append([float(vals[top]), float(grid[top])])
+        runs.append([])
+        shoulders.append([])
+        for i in picked:
+            ia, ib = max(i - 1, 0), min(i + 1, n_coarse - 1)
+            a, b = grid[ia], grid[ib]
+            if b <= a:
+                continue
+            xatol = 1e-6 * (b - a) + 1e-12
+            if vals[i] >= vals[ia] and vals[i] >= vals[ib]:
+                runs[-1].append(_bounded_brent(a, b, xatol))
+            else:
+                shoulders[-1].append((np.linspace(a, b, 9), max(vals[ia], vals[ib]), xatol))
+    if any(shoulders):
+        subs = [np.concatenate([pts[1:-1] for pts, _edge, _xatol in sh]) if sh else np.empty(0)
+                for sh in shoulders]
+        for w, (sh, scores) in enumerate(zip(shoulders, fn(subs))):
+            for (pts, edge, xatol), row in zip(sh, np.asarray(scores, dtype=float).reshape(-1, 7)):
+                k = int(np.argmax(row))
+                if row[k] > best[w][0]:
+                    best[w] = [float(row[k]), float(pts[k + 1])]
+                if row[k] > edge:
+                    runs[w].append(_bounded_brent(pts[k], pts[k + 2], xatol))
+    results = [[None] * len(rw) for rw in runs]
+    pending = [{j: next(run) for j, run in enumerate(rw)} for rw in runs]  # bracket -> next x
+    while any(pending):
+        scores = fn([np.asarray(list(p.values()), dtype=float) for p in pending])
+        for rw, res, p, vals in zip(runs, results, pending, scores):
+            for j, v in zip(list(p), np.asarray(vals, dtype=float)):
+                try:
+                    p[j] = rw[j].send(-v)
+                except StopIteration as stop:
+                    res[j] = stop.value
+                    del p[j]
+    for b, res in zip(best, results):
+        for x, fx in res:
+            if -fx > b[0]:
+                b[:] = float(-fx), float(x)
+    out = [tuple(b) for b in best]
+    return out[0] if one else out
 
 
-def sup_norm(data: InitialData, t: float, Z: float = 10.0, n_coarse: int = 129,
-             rel_tol: float = 1e-9) -> SupNormResult:
-    """sup over |x| <= Z * scale(t) of |f(x, t)|.
+def _sup_scans(score, t, m, Z, n_coarse):
+    """The sup-norm scans of |score| on |x| <= Z m at every t, in lockstep
+    (scan_max): score is a scorer at t, a number (one SupNormResult) or a
+    1-d array (a list, one per t), and m the space scale of each t."""
+    def fn(xs):
+        return [np.abs(v) for v in score(xs)] if np.ndim(t) else [np.abs(score(xs[0]))]
+
+    found = scan_max(fn, [-Z * s for s in m], [Z * s for s in m], n_coarse)
+    out = [SupNormResult(value=v, argmax_x=ax, t=s, search_window=(Z, n_coarse))
+           for (v, ax), s in zip(found, np.atleast_1d(t).tolist())]
+    return out if np.ndim(t) else out[0]
+
+
+def sup_norm(data: InitialData, t, Z: float = 10.0, n_coarse: int = 129,
+             rel_tol: float = 1e-9):
+    """sup over |x| <= Z * scale(t) of |f(x, t)|, for t a number (a
+    SupNormResult) or a 1-d array of t (one SupNormResult per t).
 
     scale(t) is t^{1/(1+alpha)} for the power-tail families (the maximum
-    lives at x of that order) and sqrt(t) otherwise.  Every call of the scan
-    is an eval_batch on one kernel setup."""
+    lives at x of that order) and sqrt(t) otherwise.  The scans of all t
+    run in lockstep on one kernel setup for the sweep (_sup_scans), each
+    call one eval_batch of every t's points."""
     if n_coarse < 64:
         raise ValueError("n_coarse must be at least 64")
     if Z <= 0:
         raise ValueError("Z must be positive")
     score = _eval_scorer(data, t, rel_tol)
     alpha = data.alpha
-    m = t ** (1.0 / (1.0 + alpha)) if alpha is not None else math.sqrt(t)
-    v, ax = scan_max(lambda xs: np.abs(score(xs)), -Z * m, Z * m, n_coarse)
-    return SupNormResult(value=v, argmax_x=ax, t=t, search_window=(Z, n_coarse))
+    m = [s ** (1.0 / (1.0 + alpha)) if alpha is not None else math.sqrt(s)
+         for s in np.atleast_1d(np.asarray(t, dtype=float)).tolist()]
+    return _sup_scans(score, t, m, Z, n_coarse)

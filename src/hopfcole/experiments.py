@@ -253,15 +253,9 @@ def run_decay(cfg: ExperimentConfig):
     t0 = time.time()
     data = make_family(cfg.family)
     ts = cfg.t_grid()
-    rows = []
-    for t in ts:
-        if cfg.equation == "burgers":
-            r = burgers.sup_norm(data, float(t), Z=cfg.window_Z,
-                                 n_coarse=cfg.n_coarse)
-        else:
-            r = heat.heat_sup_norm(data, float(t), Z=cfg.window_Z,
-                                   n_coarse=cfg.n_coarse)
-        rows.append((float(t), r.value, r.argmax_x))
+    sup = burgers.sup_norm if cfg.equation == "burgers" else heat.heat_sup_norm
+    rows = [(float(t), r.value, r.argmax_x)
+            for t, r in zip(ts, sup(data, ts, Z=cfg.window_Z, n_coarse=cfg.n_coarse))]
     fit = fit_power_law([(t, v) for (t, v, _x) in rows])
     sup_bound = data.sup_abs * (1.0 + 1e-6)
     max_principle_ok = all(v <= sup_bound for (_t, v, _x) in rows)
@@ -281,31 +275,39 @@ def run_decay(cfg: ExperimentConfig):
                  rows, results, checks, time.time() - t0)
 
 
-def _derivative_sup(data, t, n, k, cfg):
-    """sup over the scaled window of |d_t^n d_x^k f|, including a dense scan
-    of the internal layer at the profile jump where the derivative peaks.
+def _derivative_sup(data, ts, n, k, cfg):
+    """sup over the scaled window of |d_t^n d_x^k f| at every t of ts,
+    including a dense scan of the internal layer at the profile jump where
+    the derivative peaks.
 
-    Returns (sup, argmax, tie_fallback): tie_fallback is True when the
-    finite-time tie point was not found and the layer scan is centred on the
-    limit jump case.discontinuity_z instead.  Both scans score on one
-    burgers.derivative_fields_scorer."""
-    m, _amp = _scales(data, t)
+    Returns (found, tie_fallback): one (sup, argmax) per t, and per t
+    whether the finite-time tie point was not found and the layer scan is
+    centred on the limit jump case.discontinuity_z instead.  The wide scans
+    of all t run in lockstep, then the tie points of each t, then the layer
+    scans in lockstep (burgers.scan_max), all scored on one
+    burgers.derivative_fields_scorer for the sweep."""
+    ts = [float(t) for t in ts]
+    ms = [_scales(data, t)[0] for t in ts]
     name = burgers.FIELD_OF_ORDER[(n, k)]
-    fields = burgers.derivative_fields_scorer(data, t, rel_tol=1e-8)
+    fields = burgers.derivative_fields_scorer(data, np.asarray(ts), rel_tol=1e-8)
 
     def fn(xs):
-        return np.abs(fields(xs)[name])
+        return [np.abs(f[name]) for f in fields(xs)]
 
-    best_v, best_x = burgers.scan_max(fn, -cfg.window_Z * m, cfg.window_Z * m,
-                                      cfg.n_coarse)
+    Z = cfg.window_Z
+    wide = burgers.scan_max(fn, [-Z * m for m in ms], [Z * m for m in ms], cfg.n_coarse)
     case = case_for_data(data)
-    fallback = False
-    if case is not None and (n, k) != (0, 0):
+    if case is None or (n, k) == (0, 0):
+        return wide, [False] * len(ts)
+    lo, hi, fallback = [], [], []
+    for t, m in zip(ts, ms):
         try:
             zc_t = phase_tie_point(data, t)
         except TieWindowError:
             zc_t = case.discontinuity_z
-            fallback = True
+            fallback.append(True)
+        else:
+            fallback.append(False)
         yp = invert_branch(case, BRANCH_PLUS, zc_t).y
         # Asymmetric data have no minus branch at z > 0: the competing
         # maximum is the left one, which tends to y = 0
@@ -313,10 +315,10 @@ def _derivative_sup(data, t, n, k, cfg):
               else invert_branch(case, BRANCH_MINUS, zc_t).y)
         amp_phase = t ** ((1.0 - case.alpha) / (1.0 + case.alpha))
         dz = min(0.2, 8.0 / (amp_phase * 0.5 * (yp - ym)))
-        v2, x2 = burgers.scan_max(fn, (zc_t - dz) * m, (zc_t + dz) * m, 41)
-        if v2 > best_v:
-            best_v, best_x = v2, x2
-    return best_v, best_x, fallback
+        lo.append((zc_t - dz) * m)
+        hi.append((zc_t + dz) * m)
+    layer = burgers.scan_max(fn, lo, hi, 41)
+    return [(v2, x2) if v2 > v else (v, x) for (v, x), (v2, x2) in zip(wide, layer)], fallback
 
 
 def run_derivative_decay(cfg: ExperimentConfig):
@@ -324,19 +326,17 @@ def run_derivative_decay(cfg: ExperimentConfig):
     n, k = cfg.n, cfg.k
     data = make_family(cfg.family)
     ts = cfg.t_grid()
-    rows = []
     tie_fallback_t = []
-    for t in ts:
-        if cfg.equation == "burgers":
-            v, ax, fallback = _derivative_sup(data, float(t), n, k, cfg)
-            if fallback:
-                tie_fallback_t.append(float(t))
-        else:
-            m = math.sqrt(t)
-            derivative = heat.heat_derivative_scorer(data, float(t), n, k, rel_tol=1e-8)
-            v, ax = burgers.scan_max(lambda xs: np.abs(derivative(xs)),
-                                     -cfg.window_Z * m, cfg.window_Z * m, cfg.n_coarse)
-        rows.append((float(t), v, ax))
+    if cfg.equation == "burgers":
+        found, fallback = _derivative_sup(data, ts, n, k, cfg)
+        tie_fallback_t = [float(t) for t, fb in zip(ts, fallback) if fb]
+    else:
+        derivative = heat.heat_derivative_scorer(data, ts, n, k, rel_tol=1e-8)
+        ms = [math.sqrt(t) for t in ts]
+        found = burgers.scan_max(lambda xs: [np.abs(v) for v in derivative(xs)],
+                                 [-cfg.window_Z * m for m in ms],
+                                 [cfg.window_Z * m for m in ms], cfg.n_coarse)
+    rows = [(float(t), v, ax) for t, (v, ax) in zip(ts, found)]
     fit = fit_power_law([(t, v) for (t, v, _x) in rows])
     alpha = data.alpha
     checks = []

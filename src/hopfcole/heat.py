@@ -3,7 +3,9 @@
 f(x,t) = (4 pi t)^{-1/2} int f0(y) exp(-(x-y)^2/4t) dy.  Every value comes
 from the one quadrature path of the Burgers evaluator (quadrature.BatchKernel
 under the pure Gaussian phase of Zero data); a single point is a batch of
-one.  The module also provides the continuous long-time profile
+one, and the scans of a sweep of t run in lockstep on one kernel setup
+(heat_sup_norm on an array of t, heat_derivative_scorer).  The module
+also provides the continuous long-time profile
 (kappa/sqrt(4 pi)) int |y|^-alpha exp(-(z-y)^2/4) dy for comparison with
 the discontinuous Burgers profile, in closed form through Kummer's
 function.
@@ -17,7 +19,7 @@ from scipy.special import gamma, hyp1f1
 
 from .initial_data import FamilySpec, InitialData, make_family, UnsupportedOrderError
 from .quadrature import BatchKernel, HermiteWeight
-from .burgers import SupNormResult, scan_max
+from .burgers import _scorer, _sup_scans
 
 _ZERO = make_family(FamilySpec("Zero"))
 
@@ -34,15 +36,14 @@ def heat_eval_batch(data: InitialData, xs, t: float, rel_tol: float = 1e-9):
 
 
 def _heat_eval_scorer(data, t, rel_tol):
-    """heat_eval_batch at one t as a function of xs, on one kernel setup
-    (quadrature.BatchKernel) for all its calls."""
-    if t < 0:
+    """heat_eval_batch at t, a number or a sweep (burgers._scorer), on one
+    kernel setup (quadrature.BatchKernel) for all its calls; f0 itself at
+    t = 0."""
+    if np.any(np.asarray(t) < 0):
         raise ValueError("t must be nonnegative")
-    if t == 0:
+    if np.ndim(t) == 0 and t == 0:
         return lambda xs: data.value(np.asarray(xs, dtype=float))
-    kernel = BatchKernel([data.value], _ZERO, t)
-
-    return lambda xs: kernel(xs, rel_tol)[0]
+    return _scorer(BatchKernel([data.value], _ZERO, t), t, rel_tol, lambda r, _t: r[0])
 
 
 def _hermite_order(n, k):
@@ -63,19 +64,19 @@ def heat_derivative(data: InitialData, x: float, t: float, n: int, k: int,
     return float(heat_derivative_scorer(data, t, n, k, rel_tol)(np.asarray([x], dtype=float))[0])
 
 
-def heat_derivative_scorer(data: InitialData, t: float, n: int, k: int,
+def heat_derivative_scorer(data: InitialData, t, n: int, k: int,
                            rel_tol: float = 1e-9):
     """heat_derivative for a 1-d array of x at one t > 0 as a function of
-    xs, on one kernel setup (quadrature.BatchKernel, whose weights take each
-    node's x) for all its calls; order 0 is the heat solution itself
-    (H_0 = 1), f0 at t = 0."""
+    xs, or at a sweep of t > 0 (a 1-d array) as a function of a list of one
+    x array per t (burgers._scorer), on one kernel setup
+    (quadrature.BatchKernel, whose weights take each node's x and t) for
+    all its calls; order 0 is the heat solution itself (H_0 = 1), f0 at
+    t = 0."""
     m = _hermite_order(n, k)
     if m == 0:
         return _heat_eval_scorer(data, t, rel_tol)
-    kernel = BatchKernel([HermiteWeight(m, data.value)], _ZERO, t)
-    scale = (-1.0 / (2.0 * math.sqrt(t))) ** m
-
-    return lambda xs: scale * kernel(xs, rel_tol)[0]
+    return _scorer(BatchKernel([HermiteWeight(m, data.value)], _ZERO, t), t, rel_tol,
+                   lambda r, s: (-1.0 / (2.0 * math.sqrt(s))) ** m * r[0])
 
 
 def heat_limit_profile(z: float, kappa: float, alpha: float) -> float:
@@ -96,13 +97,14 @@ def heat_profile_center_exact(kappa: float, alpha: float) -> float:
     return kappa * 2.0 ** (-alpha) * gamma((1.0 - alpha) / 2.0) / math.sqrt(math.pi)
 
 
-def heat_sup_norm(data: InitialData, t: float, Z: float = 10.0,
-                  n_coarse: int = 129, rel_tol: float = 1e-9) -> SupNormResult:
-    """sup over |x| <= Z sqrt(t) of |heat solution|; every call of the scan
-    (burgers.scan_max) is a heat_eval_batch on one kernel setup."""
+def heat_sup_norm(data: InitialData, t, Z: float = 10.0,
+                  n_coarse: int = 129, rel_tol: float = 1e-9):
+    """sup over |x| <= Z sqrt(t) of |heat solution|, for t a number (a
+    burgers.SupNormResult) or a 1-d array of t (one per t); the scans of
+    all t run in lockstep (burgers._sup_scans), every call a
+    heat_eval_batch of every t's points on one kernel setup."""
     if n_coarse < 64:
         raise ValueError("n_coarse must be at least 64")
     score = _heat_eval_scorer(data, t, rel_tol)
-    m = math.sqrt(t)
-    v, ax = scan_max(lambda xs: np.abs(score(xs)), -Z * m, Z * m, n_coarse)
-    return SupNormResult(value=v, argmax_x=ax, t=t, search_window=(Z, n_coarse))
+    m = [math.sqrt(s) for s in np.atleast_1d(np.asarray(t, dtype=float)).tolist()]
+    return _sup_scans(score, t, m, Z, n_coarse)

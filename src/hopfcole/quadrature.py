@@ -16,10 +16,10 @@ root is seeded in its grid cell by a searchsorted on stored values and
 polished by safeguarded Newton (_batch_critical_points).  A point at a
 piece end, x = G_t(p) at a bound p of the pieces, has p itself as its one
 degenerate root there; a root that misses its checks raises
-InternalConsistencyError.  The last table is kept for its (data, t) and
-reach (_table), so critical_points, which answers an array of x in one
-query (and locate_critical_points, its one-x case), and the kernels of one
-scan share it.
+InternalConsistencyError.  The tables of the last query are kept for
+their (data, t) and reach (_tables), so critical_points, which answers an
+array of x in one query (and locate_critical_points, its one-x case), and
+the kernel of a sweep share them.
 
 There is one quadrature path.  The weights of a call are compiled once
 (compile_weights) into a function that evaluates f0, f0' and f0'' once per
@@ -27,10 +27,12 @@ node array and every weight from them in one matrix product.  Its monomials
 f0^a (f0')^b (f0'')^c are products of one power table of those rows, each
 power one multiplication from the one below and a factor with exponent 1
 the data row itself, written into one preallocated array.  The compiled
-weights take each node's x too, for the one weight that depends on it: the
-Hermite factor H_m((x - y) / (2 sqrt t)) of the heat derivatives
-(HermiteWeight).  The non-nested 10- and 21-point Gauss-Legendre rules are
-applied to arrays of panels in one call (_rules).
+weights take each node's x and t too: x for the one weight that depends
+on it, the Hermite factor H_m((x - y) / (2 sqrt t)) of the heat
+derivatives (HermiteWeight), and t through one coefficient matrix per t
+(the factors t^-p) and its 2 sqrt t.  The non-nested 10- and 21-point
+Gauss-Legendre rules are applied to arrays of panels in one call
+(_rules).
 
 The phase is measured from its maximum.  From the root y0 where it is
 largest, H(y) - H(y0) = -(y - y0)(y + y0 - 2x)/(4t) - int_{y0}^y f0 / 2.
@@ -42,13 +44,17 @@ numbers of the size of the phase, whatever t.  data.primitive runs only at
 the roots and the truncation candidates, and f0 at the nodes is evaluated
 once, for the phase and the weights (_integrate).
 
-BatchKernel computes the quotients of the physical phase for many x at one
-t: the critical points of all of them come from the piece table in one
-call, and all panels of all points are refined level by level in one flat
-array (_batch_refine); a point that misses a quadrature check raises
-NotConvergedError.  What does not depend on x (the compiled weights and
-the origin scale) is set up once per (weights, data, t), so a scan calls
-one setup on each of its batches, and a single point is a batch of one.
+BatchKernel computes the quotients of the physical phase for many (t, x)
+pairs of a sweep of t: the critical points of all of them come from the
+piece tables of their t in one call, and all panels of all points are
+refined level by level in one flat array (_batch_refine); a point that
+misses a quadrature check raises NotConvergedError.  Every step takes each
+point at its own t, so a point gets the bits of its batch of one t (up to
+the position of its panels in the gemv of _rules, within one t as across
+t).  What does not depend on x (the compiled weights and the origin
+scale) is set up once per (weights, data, sweep), so the lockstep scans
+of a sweep (burgers.scan_max) call one setup on each of their steps, a
+number t is a sweep of one, and a single point a batch of one.
 integrate_moments is the same truncation, partition and refinement for one
 phase with given critical points (or a window, for concentration ratios),
 and adaptive_quadrature is that refinement with one plain function as its
@@ -208,8 +214,16 @@ class HermiteWeight:
     g: Callable
 
 
+def _runs(k):
+    """(start, end) of each run of equal indices k: the points of one t of
+    a sweep come in runs (a batch's points are sorted by t)."""
+    ends = (np.flatnonzero(k[1:] != k[:-1]) + 1).tolist()
+    return list(zip([0, *ends], [*ends, k.size]))
+
+
 def compile_weights(gs, data: InitialData, t):
-    """One function (y, x) -> array (len(gs), y.size) for a list of weights.
+    """One function (y, x, f0, k) -> array (len(gs), y.size) for a list of
+    weights at t, a number or a sweep of t (a 1-d array).
 
     Each MomentWeight term (a, b, c, p) is a monomial f0^a (f0')^b (f0'')^c
     with its coefficient times t^-p in a coefficient matrix; f0 and its
@@ -224,7 +238,15 @@ def compile_weights(gs, data: InitialData, t):
     with each node's own x (a scalar or an array like y).  With x None that
     row is its x-independent factor g(y) alone.  A caller that already holds
     the data row data.value(y) passes it as f0, and it is not evaluated
-    again."""
+    again.
+
+    k is the index in the sweep of each node's t (one index for all nodes,
+    or an array like y; 0 at one t).  Each t has its own coefficient matrix
+    and its own 2 sqrt t, and the product of a matrix takes the columns of
+    its nodes alone, so a node gets the bits it gets at its t alone.  The
+    function's groups maps each t of the sweep to its distinct matrix: t of
+    one group give the same rows at x None."""
+    ts = np.atleast_1d(np.asarray(t, dtype=float)).tolist()
     monomials = {}  # (a, b, c) -> column of the coefficient matrix
     coef = []
     fixed = []
@@ -233,7 +255,7 @@ def compile_weights(gs, data: InitialData, t):
         if isinstance(g, MomentWeight):
             for (a, b, c, p), v in g.terms.items():
                 col = monomials.setdefault((a, b, c), len(monomials))
-                coef.append((i, col, v * t ** (-p)))
+                coef.append((i, col, v, p))
         elif isinstance(g, HermiteWeight):
             hermite.append((i, g.g, [0.0] * g.m + [1.0]))
         elif g is None:
@@ -247,36 +269,49 @@ def compile_weights(gs, data: InitialData, t):
     factors = [[(k, e) for k, e in enumerate(abc) if e] for abc in monomials]
     top = [max((abc[k] for abc in monomials), default=0) for k in range(3)]
     order = max((k for k in range(3) if top[k]), default=0)
-    cmat = np.zeros((len(gs), len(monomials)))
-    for i, col, v in coef:
-        cmat[i, col] += v
-    root_t2 = 2.0 * math.sqrt(t)
+    cmats, groups = {}, []
+    for tk in ts:
+        cmat = np.zeros((len(gs), len(monomials)))
+        for i, col, v, p in coef:
+            cmat[i, col] += v * tk ** (-p)
+        groups.append(cmats.setdefault(cmat.tobytes(), (len(cmats), cmat))[0])
+    cmats = [cmat for _j, cmat in cmats.values()]
+    groups = np.asarray(groups, dtype=int)
+    root_t2 = np.asarray([2.0 * math.sqrt(tk) for tk in ts])
 
-    def weights(y, x=None, f0=None):
+    def weights(y, x=None, f0=None, k=0):
         y = np.asarray(y, dtype=float)
         if monomials:
             power = {}  # (k, e) -> f_k^e
-            for k in range(order + 1):
-                if k:
-                    power[k, 1] = data.derivative(y, k)
+            for kk in range(order + 1):
+                if kk:
+                    power[kk, 1] = data.derivative(y, kk)
                 else:
-                    power[k, 1] = data.value(y) if f0 is None else f0
-                for e in range(2, top[k] + 1):
-                    power[k, e] = power[k, e - 1] * power[k, 1]
+                    power[kk, 1] = data.value(y) if f0 is None else f0
+                for e in range(2, top[kk] + 1):
+                    power[kk, e] = power[kk, e - 1] * power[kk, 1]
             rows = np.empty((len(monomials), y.size))
             for row, fac in zip(rows, factors):
                 row[:] = power[fac[0]] if fac else 1.0
                 for f in fac[1:]:
                     row *= power[f]
-            out = cmat @ rows
+            group = np.atleast_1d(groups[k] if len(cmats) > 1 else 0)
+            runs = _runs(group)  # one product a run of nodes of one matrix
+            if len(runs) == 1:
+                out = cmats[group[0]] @ rows
+            else:
+                out = np.empty((len(gs), y.size))
+                for a, b in runs:
+                    out[:, a:b] = cmats[group[a]] @ rows[:, a:b]
         else:
             out = np.zeros((len(gs), y.size))  # a MomentWeight with no terms is 0
         for i, g in fixed:
             out[i] = g(y) if callable(g) else g
         for i, g, coeffs in hermite:
-            out[i] = g(y) if x is None else hermval((x - y) / root_t2, coeffs) * g(y)
+            out[i] = g(y) if x is None else hermval((x - y) / root_t2[k], coeffs) * g(y)
         return out
 
+    weights.groups = groups
     return weights
 
 
@@ -346,12 +381,12 @@ def critical_points(data: InitialData, xs, t) -> list:
     scale (rescaled.rescaled_critical_points)."""
     xs = np.asarray(xs, dtype=float).ravel()
     table = _table(data, t, float(np.max(np.abs(xs), initial=0.0)))
-    ph = _Phases(data, t, None)
-    pt, y, is_max, d1 = _batch_critical_points(ph, xs, *table)
+    ph = _Phases(data, [t], None)
+    pt, y, is_max, d1 = _batch_critical_points(ph, xs, np.zeros(xs.size, dtype=int), [table])
     order = np.lexsort((y, pt))
     pt, y, is_max, d1 = pt[order], y[order], is_max[order], d1[order]
     x = xs[pt]
-    tots = ph.total(y, x)
+    tots = ph.total(y, x, 0)
     res = np.abs((x - y) / (2.0 * t) - 0.5 * data.value(y))
     # a root at a piece end is the bound itself; every other root lies
     # strictly inside its piece
@@ -434,26 +469,26 @@ def integrate_moments(gs, phase, rel_tol=1e-8, cps=None, interval=None,
     if cps is None:
         cps = locate_critical_points(phase)
     weights = compile_weights(gs, phase.data, phase.t)
-    ph = _Phases(phase.data, phase.t, weights)
+    ph = _Phases(phase.data, [phase.t], weights)
     y = np.asarray([c.y for c in cps])
     total, err, tgt, conv, log_scale, a, b = _integrate(
-        ph, np.asarray([float(phase.x)]), np.zeros(len(cps), dtype=int), y,
-        np.asarray([c.kind != KIND_MIN for c in cps]), ph.slope(y),
-        _origin_scale(weights, phase.data), rel_tol, max_panels, interval)
+        ph, np.asarray([float(phase.x)]), np.zeros(1, dtype=int), np.zeros(len(cps), dtype=int),
+        y, np.asarray([c.kind != KIND_MIN for c in cps]), ph.slope(y, 0),
+        np.asarray([_origin_scale(weights, phase.data)]), rel_tol, max_panels, interval)
     return [StabilizedIntegral(float(log_scale[0]), float(total[i, 0]), float(err[i, 0]),
                                (float(a[0]), float(b[0])), bool(conv[i, 0]), float(tgt[i, 0]))
             for i in range(len(gs))]
 
 
 def _quotients(t, x, total, err, tgt, conv):
-    """total[:-1] / total[-1] at every point x, the last row being the
-    denominator.  The first point where a weight missed its target, or the
-    denominator is not positive, raises NotConvergedError naming the
+    """total[:-1] / total[-1] at every point x at its t, the last row being
+    the denominator.  The first point where a weight missed its target, or
+    the denominator is not positive, raises NotConvergedError naming the
     weight, x, t and the error against its target."""
     bad = ~np.all(conv, axis=0) | ~(total[-1] > 0.0)
     if bad.any():
         j = int(np.argmax(bad))
-        where = f"x={x[j]:.6g}, t={t:.6g}"
+        where = f"x={x[j]:.6g}, t={t[j]:.6g}"
         if conv[:, j].all():
             raise NotConvergedError(f"denominator integral vanished at {where}")
         i = int(np.argmax(~conv[:, j]))
@@ -525,29 +560,41 @@ def _piece_table(data: InitialData, t, reach):
     return nodes, rising, bounds, bounds + t * data.value(bounds)
 
 
-_TABLE = (None, None, 0.0, None)  # the last piece table: (data, t, reach, table)
+_TABLES = {}  # the tables of the last query that made one: (id(data), t) -> (data, reach, table)
+
+
+def _tables(data: InitialData, ts, x_max):
+    """The piece tables (_piece_table) of (data, t) for every t of ts, each
+    holding every root of x = G_t(y) for |x| <= its x_max.
+
+    Those roots lie in |y| <= x_max + t sup|f0|, so a table out to that
+    plus 1 holds them.  The tables of the last query that made one are
+    kept, keyed on the identity of data and on t, and a table is made
+    again only for a query beyond its reach, then out to twice the reach
+    that query needs, so a scan whose |x| grows does not tabulate at every
+    step.  A wider table only adds grid points and pieces beyond the old
+    reach (_log_grid), so no root depends on which table it came from.  A
+    kernel queries every t of its sweep, so the memo holds one table per t
+    of the last sweep, which the one-t queries of its tie points share.
+    The memo is one dict, read and replaced whole: threads that race on it
+    at worst build an equal table twice."""
+    global _TABLES
+    memo, used, made = _TABLES, {}, False
+    for t, x in zip(ts, x_max):
+        key = (id(data), t)
+        need = x + t * data.sup_abs + 1.0
+        hit = used.get(key) or memo.get(key)
+        if hit is None or hit[0] is not data or need > hit[1]:
+            hit, made = (data, 2.0 * need, _piece_table(data, t, 2.0 * need)), True
+        used[key] = hit
+    if made:
+        _TABLES = used
+    return [used[id(data), t][2] for t in ts]
 
 
 def _table(data: InitialData, t, x_max):
-    """The piece table (_piece_table) of (data, t) that holds every root of
-    x = G_t(y) for |x| <= x_max.
-
-    Those roots lie in |y| <= x_max + t sup|f0|, so a table out to that
-    plus 1 holds them.  The last table is kept, keyed on the identity of
-    data and on t, and made again only for a call beyond its reach, then
-    out to twice the reach that call needs, so a scan whose |x| grows does
-    not tabulate at every step.  A wider table only adds grid points and
-    pieces beyond the old reach (_log_grid), so no root depends on which
-    table it came from.  The memo is one tuple, read and replaced whole:
-    threads that race on it at worst build an equal table twice."""
-    global _TABLE
-    need = x_max + t * data.sup_abs + 1.0
-    memo_data, memo_t, reach, table = _TABLE
-    if memo_data is not data or memo_t != t or need > reach:
-        reach = 2.0 * need
-        table = _piece_table(data, t, reach)
-        _TABLE = (data, t, reach, table)
-    return table
+    """The piece table of (data, t) for |x| <= x_max (_tables)."""
+    return _tables(data, [t], [x_max])[0]
 
 
 def _log_gauss_tails(quad, dist):
@@ -572,56 +619,83 @@ def _sums(pid, v, n):
 
 class BatchKernel:
     """The setup of the batch quotients of the physical phase for one
-    (weights, data, t), built once and called on each batch of x.
+    (weights, data) and a sweep of t, built once and called on each batch
+    of (t, x) pairs; a number t is a sweep of one.
 
-    It holds what does not depend on x: the compiled weights and the origin
-    scale of their x-independent factors (_origin_scale).  The critical
-    points come from the piece table of (data, t) (_table), the one that
-    critical_points queries: it keeps G_t on the scan grid of
-    monotone_pieces (100 points a decade) and at the piece bounds, so each
-    root starts in its grid cell with no new evaluation, and a scan's
-    first call (its coarse grid spans the window) makes it for the whole
-    scan."""
+    It holds what does not depend on x: the compiled weights, with one
+    coefficient matrix per t (compile_weights), and the origin scale of
+    their x-independent factors (_origin_scale), made once for each
+    distinct matrix.  The critical points come from the piece tables of
+    (data, t) (_tables), the ones that critical_points queries: each keeps
+    G_t on the scan grid of monotone_pieces (100 points a decade) and at
+    the piece bounds, so each root starts in its grid cell with no new
+    evaluation, and a scan's first call (its coarse grids span the windows)
+    makes them for the whole scan."""
 
     def __init__(self, gs, data: InitialData, t):
-        if not t > 0:
+        self._sweep = np.ndim(t) > 0
+        ts = np.atleast_1d(np.asarray(t, dtype=float)).tolist()
+        if not all(v > 0 for v in ts):
             raise ValueError("t must be positive")
         self.n_weights = len(gs)
-        weights = compile_weights(list(gs) + [None], data, t)
-        self._ph = _Phases(data, t, weights)
-        self._origin_scale = _origin_scale(weights, data)
+        weights = compile_weights(list(gs) + [None], data, ts)
+        self._ph = _Phases(data, ts, weights)
+        groups = weights.groups.tolist()
+        scales = {j: _origin_scale(weights, data, groups.index(j)) for j in dict.fromkeys(groups)}
+        self._origin_scale = np.asarray([scales[j] for j in groups])
 
     def __call__(self, xs, rel_tol=1e-9, max_panels=4000):
-        """The quotients at every x of xs, of shape (n_weights, xs.size).
+        """The quotients at every x of xs, of shape (n_weights, xs.size); at
+        a sweep of t, xs is a sequence of one array of x per t, and the
+        quotients a list of one such array per t.
 
         Every piece of G_t is inverted for all x at once: rising pieces give
         the maxima, falling ones the minima (_batch_critical_points).  The
         ends drop the phase DROP e-folds below its maximum
         (_batch_truncation), the initial partition is graded around each
-        maximum and around y = 0 (_batch_edges), and blocks of BATCH_BLOCK
-        points are refined level by level against each weight's target
-        rel_tol * max(|I|, 1e-3 L1) (_batch_refine).
+        maximum and around y = 0 (_batch_edges), and blocks of at most
+        BATCH_BLOCK points, of any t and as equal as can be, are refined
+        level by level against each weight's target
+        rel_tol * max(|I|, 1e-3 L1) (_batch_refine).  Every step
+        takes each point at its own t, so a point gets the bits of its
+        batch of one.
 
         A point that misses a target within max_panels panels, whose tail
         bound is not finite or whose denominator is not positive raises
         NotConvergedError (_quotients)."""
-        xs = np.asarray(xs, dtype=float).ravel()
-        table = _table(self._ph.data, self._ph.t, float(np.max(np.abs(xs), initial=0.0)))
+        ph = self._ph
+        if self._sweep:
+            parts = [np.asarray(x, dtype=float).ravel() for x in xs]
+            if len(parts) != ph.t.size:
+                raise ValueError(f"{len(parts)} arrays of x for a sweep of {ph.t.size} t")
+            k = np.repeat(np.arange(len(parts)), [x.size for x in parts])
+            xs = np.concatenate(parts)
+        else:
+            xs = np.asarray(xs, dtype=float).ravel()
+            k = np.zeros(xs.size, dtype=int)
+        x_max = np.zeros(ph.t.size)
+        np.maximum.at(x_max, k, np.abs(xs))
+        tables = _tables(ph.data, ph.t.tolist(), x_max.tolist())
         ratios = np.empty((self.n_weights, xs.size))
-        for lo in range(0, xs.size, BATCH_BLOCK):
-            x = xs[lo:lo + BATCH_BLOCK]
-            rows = _batch_critical_points(self._ph, x, *table)
-            res = _integrate(self._ph, x, *rows, self._origin_scale, rel_tol, max_panels)
-            ratios[:, lo:lo + BATCH_BLOCK] = _quotients(self._ph.t, x, *res[:4])
+        n = -(-xs.size // BATCH_BLOCK)
+        for i in range(n):
+            block = slice(xs.size * i // n, xs.size * (i + 1) // n)
+            x, kb = xs[block], k[block]
+            rows = _batch_critical_points(ph, x, kb, tables)
+            res = _integrate(ph, x, kb, *rows, self._origin_scale[kb], rel_tol, max_panels)
+            ratios[:, block] = _quotients(ph.t[kb], x, *res[:4])
+        if self._sweep:
+            return np.split(ratios, np.cumsum([x.size for x in parts])[:-1], axis=1)
         return ratios
 
 
-def _origin_scale(weights, data):
+def _origin_scale(weights, data, k=0):
     """Length scale of the data and of the weights at y = 0, or 0.0 if all
     are constant: sup|g| / sup|g'| over f0 of the phase and the
-    x-independent factors g of the weights on y = 0 and 1e-3 <= |y| <= 1e8,
-    or the smaller sup|f0'| / sup|f0''| there if the panels of _batch_edges
-    at the first scale do not resolve f0.
+    x-independent factors g of the weights (at the t of index k of their
+    sweep) on y = 0 and 1e-3 <= |y| <= 1e8, or the smaller
+    sup|f0'| / sup|f0''| there if the panels of _batch_edges at the first
+    scale do not resolve f0.
 
     The data families vary near y = 0 (the kink of PowerC0, the bump of
     Gaussian data) and decay as powers of |y| away from it; a panel much
@@ -631,7 +705,7 @@ def _origin_scale(weights, data):
     it passes outward (_integrate).  f0'' measures the distance to the
     singularities of f0: PowerC1 has branch points at +-i, and at alpha 1/2
     its scales are 4.6 and 0.43; PowerC0 resolves at 2.0 and keeps it."""
-    g = np.vstack([weights(_ORIGIN_YS), data.value(_ORIGIN_YS)])
+    g = np.vstack([weights(_ORIGIN_YS, k=k), data.value(_ORIGIN_YS)])
     slope = np.max(np.abs(np.diff(g, axis=1)) / np.diff(_ORIGIN_YS), axis=1)
     vary = slope > 0.0
     scale = float(np.max(np.abs(g[vary])) / np.max(slope)) if vary.any() else 0.0
@@ -641,45 +715,51 @@ def _origin_scale(weights, data):
     if not 0.0 < ratio < scale:
         return scale
     ys, half = _panel_nodes(scale * _LADDER[:-1], scale * _LADDER[1:])
-    return scale if _f0_resolves(_f0_rows(data, ys, half)[1]).all() else float(ratio)
+    return scale if _f0_resolves(data, half, _f0_rows(data, ys, half)[1]).all() else float(ratio)
 
 
 class _Phases:
-    """The physical phases H(y; x) = -(x-y)^2/(4t) - P(y)/2 of one t for
-    arrays of x, with the compiled weights of a batch."""
+    """The physical phases H(y; x) = -(x-y)^2/(4t) - P(y)/2 of a sweep of t
+    for arrays of x, with the compiled weights of a batch.  Each method
+    takes k, the index in the sweep of the t of each element (an array
+    like y, or one index for all)."""
 
-    def __init__(self, data, t, weights):
-        self.data, self.t, self.weights = data, t, weights
-        self.char_width = math.sqrt(2.0 * t)
+    def __init__(self, data, ts, weights):
+        self.data, self.weights = data, weights
+        self.t = np.asarray(ts, dtype=float)
+        self.char_width = np.asarray([math.sqrt(2.0 * t) for t in ts])
 
-    def total(self, y, x):
-        return -((x - y) ** 2) / (4.0 * self.t) - 0.5 * self.data.primitive(y)
+    def total(self, y, x, k):
+        return -((x - y) ** 2) / (4.0 * self.t[k]) - 0.5 * self.data.primitive(y)
 
-    def slope(self, y):
+    def slope(self, y, k):
         """G_t'(y) = 1 + t f0'(y) = -2t H''(y)."""
-        return 1.0 + self.t * self.data.derivative(y, 1)
+        return 1.0 + self.t[k] * self.data.derivative(y, 1)
 
-    def width(self, d1):
+    def width(self, d1, k):
         """min(char_width, 1/sqrt(-H'')) where H'' < 0, else char_width, from
         the slope d1 = G_t' at the point."""
-        d2 = -0.5 * d1 / self.t
+        d2 = -0.5 * d1 / self.t[k]
         peak = d2 < 0.0
-        return np.where(peak, np.minimum(self.char_width, 1.0 / np.sqrt(np.where(peak, -d2, 1.0))),
-                        self.char_width)
+        char_width = self.char_width[k]
+        return np.where(peak, np.minimum(char_width, 1.0 / np.sqrt(np.where(peak, -d2, 1.0))),
+                        char_width)
 
-    def weight_mag(self, y, x):
-        return np.max(np.abs(self.weights(y, x)), axis=0)
+    def weight_mag(self, y, x, k):
+        return np.max(np.abs(self.weights(y, x, k=k)), axis=0)
 
 
-def _batch_critical_points(ph, xs, nodes, rising, bounds, g_bounds):
-    """Roots of G_t(y) = x on every piece whose range holds x, by
-    safeguarded Newton from the root's grid cell in the table (_piece_table).
+def _batch_critical_points(ph, xs, k, tables):
+    """Roots of G_t(y) = x on every piece whose range holds x, for every
+    point x at its t (the index k in the sweep of ph, whose piece table is
+    tables[k]), by safeguarded Newton from the root's grid cell in the
+    table (_piece_table).
 
-    A searchsorted per piece finds, from the stored values alone, the two
-    adjacent nodes of the piece whose G_t bracket x: a node where G_t is x
-    is the root, and otherwise Newton starts from the secant of the cell.
-    A step that leaves the bracket is a bisection, and one that does not
-    move y is the root.
+    A searchsorted per piece of each table finds, from the stored values
+    alone, the two adjacent nodes of the piece whose G_t bracket x: a node
+    where G_t is x is the root, and otherwise Newton starts from the secant
+    of the cell.  A step that leaves the bracket is a bisection, and one
+    that does not move y is the root.
 
     A point at a piece end, x = G_t(p) within 1e-12 (|x| + |G_t(p)| + 1)
     at a bound p, has p itself for the roots of the two pieces that meet
@@ -690,27 +770,43 @@ def _batch_critical_points(ph, xs, nodes, rising, bounds, g_bounds):
     maximum; otherwise InternalConsistencyError names the point's x and t.
 
     Returns (pt, y, is_max, d1): for each root its point, its y, whether it
-    is a maximum and G_t' there (0 at a piece end)."""
-    t, data, n = ph.t, ph.data, xs.size
-    sgn = np.where(rising, 1.0, -1.0)
-    # (point, piece) rows: the cell [lo, hi] with h = sgn (G_t - x) at its
-    # ends, h(lo) < 0 <= h(hi), where the piece's range holds x
-    lo, hi, h_lo, h_hi = np.empty((4, n, rising.size))
-    has = np.empty((n, rising.size), dtype=bool)
-    for j, (ny, key) in enumerate(nodes):
-        v = sgn[j] * xs
-        i = np.searchsorted(key, v)
-        has[:, j] = (i > 0) & (i < key.size)
-        i = np.minimum(np.maximum(i, 1), key.size - 1)
-        lo[:, j], hi[:, j] = ny[i - 1], ny[i]
-        h_lo[:, j], h_hi[:, j] = key[i - 1] - v, key[i] - v
-    has = has.ravel()
-    pt = np.repeat(np.arange(n), rising.size)[has]
-    piece = np.tile(np.arange(rising.size), n)[has]
-    x, sgn = xs[pt], sgn[piece]
-    lo, hi, h_lo, h_hi = (a.ravel()[has] for a in (lo, hi, h_lo, h_hi))
+    is a maximum and G_t' there (0 at a piece end); a point's roots are in
+    the order of its pieces, and those at piece ends last."""
+    data, n = ph.data, xs.size
+    cells, ends = [], []
+    for a, b in _runs(k):
+        nodes, rising, bounds, g_bounds = tables[k[a]]
+        x = xs[a:b]
+        sgn = np.where(rising, 1.0, -1.0)
+        # (point, piece) rows: the cell [lo, hi] with h = sgn (G_t - x) at
+        # its ends, h(lo) < 0 <= h(hi), where the piece's range holds x
+        lo, hi, h_lo, h_hi = np.empty((4, x.size, rising.size))
+        has = np.empty((x.size, rising.size), dtype=bool)
+        for i, (ny, key) in enumerate(nodes):
+            v = sgn[i] * x
+            c = np.searchsorted(key, v)
+            has[:, i] = (c > 0) & (c < key.size)
+            c = np.minimum(np.maximum(c, 1), key.size - 1)
+            lo[:, i], hi[:, i] = ny[c - 1], ny[c]
+            h_lo[:, i], h_hi[:, i] = key[c - 1] - v, key[c] - v
+        at_end = (np.abs(x[:, None] - g_bounds[None, :])
+                  <= 1e-12 * (np.abs(x)[:, None] + np.abs(g_bounds)[None, :] + 1.0))
+        if at_end.any():
+            # the bound is the root of the pieces that meet there: the
+            # bounds of piece i are columns i and i + 1
+            near = np.zeros((x.size, bounds.size + 2), dtype=bool)
+            near[:, 1:-1] = at_end
+            has &= ~(near[:, :-1] | near[:, 1:])
+            end_pt, end_b = np.nonzero(at_end)
+            ends.append((a + end_pt, bounds[end_b]))
+        pt, piece = np.nonzero(has)
+        cells.append((a + pt, sgn[piece], lo[has], hi[has], h_lo[has], h_hi[has]))
+    pt, sgn, lo, hi, h_lo, h_hi = (cells[0] if len(cells) == 1 else
+                                   (np.concatenate(c) for c in zip(*cells)))
+    x, kr = xs[pt], k[pt]
+    t = ph.t[kr]
 
-    def h(y, x, sgn):  # increasing on its piece, zero at the root
+    def h(y):  # increasing on its piece, zero at the root
         return sgn * (y + t * data.value(y) - x)
 
     y = lo - h_lo * ((hi - lo) / (h_hi - h_lo))
@@ -721,46 +817,41 @@ def _batch_critical_points(ph, xs, nodes, rising, bounds, g_bounds):
     for _ in range(100):
         if not live.any():
             break
-        g = h(y, x, sgn)
+        g = h(y)
         lo = np.where(g <= 0.0, y, lo)
         hi = np.where(g >= 0.0, y, hi)
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = y - g / (sgn * ph.slope(y))
+            step = y - g / (sgn * ph.slope(y, kr))
         # a step that lands on y itself is below its resolution: y is the root
         nxt = np.where(((step > lo) & (step < hi)) | (step == y), step, 0.5 * (lo + hi))
         moved = np.abs(nxt - y) > 1e-15 * np.abs(nxt) + 1e-300
         y = np.where(live, nxt, y)
         live &= moved
-    d1 = ph.slope(y)
+    d1 = ph.slope(y, kr)
     res = np.abs(y + t * data.value(y) - x)
     flat = np.abs(d1) <= 1e-6
     bad = ~flat & ((sgn * d1 <= 0.0) | ~(res <= 1e-6 * np.sqrt(2.0 * t * np.abs(d1))))
     is_max = (sgn > 0.0) | flat
-    at_end = (np.abs(xs[:, None] - g_bounds[None, :])
-              <= 1e-12 * (np.abs(xs)[:, None] + np.abs(g_bounds)[None, :] + 1.0))
-    end_pt, end_b = np.nonzero(at_end)
-    if end_pt.size:
-        near = np.zeros((n, bounds.size + 2), dtype=bool)
-        near[:, 1:-1] = at_end  # the bounds of piece j: columns j and j + 1
-        keep = ~(near[pt, piece] | near[pt, piece + 1])
-        ends = end_pt.size
-        pt, y, is_max, d1, bad = (np.concatenate([a[keep], b]) for a, b in (
-            (pt, end_pt), (y, bounds[end_b]), (is_max, np.ones(ends, dtype=bool)),
-            (d1, np.zeros(ends)), (bad, np.zeros(ends, dtype=bool))))
+    if ends:
+        end_pt, end_y = (np.concatenate(c) for c in zip(*ends))
+        pt, y, is_max, d1, bad = (np.concatenate([a, b]) for a, b in (
+            (pt, end_pt), (y, end_y), (is_max, np.ones(end_pt.size, dtype=bool)),
+            (d1, np.zeros(end_pt.size)), (bad, np.zeros(end_pt.size, dtype=bool))))
     miss = np.bincount(pt[bad], minlength=n) > 0
     fail = miss | (np.bincount(pt[is_max], minlength=n) == 0)
     if fail.any():
         i = int(np.argmax(fail))
         why = "a root misses its residual or slope check" if miss[i] else "no maximum"
         raise InternalConsistencyError(
-            f"critical points at x={float(xs[i])!r}, t={float(t)!r}: {why}")
+            f"critical points at x={float(xs[i])!r}, t={float(ph.t[k[i]])!r}: {why}")
     return pt, y, is_max, d1
 
 
-def _integrate(ph, x, pt, y, is_max, d1, origin_scale, rel_tol, max_panels,
+def _integrate(ph, x, k, pt, y, is_max, d1, origin_scale, rel_tol, max_panels,
                interval=None):
-    """The integrals of the weights of ph at every point x, from the roots
-    (pt, y, is_max, d1) of their phases, d1 being G_t' at each root.
+    """The integrals of the weights of ph at every point x at its t (the
+    index k in the sweep of ph), from the roots (pt, y, is_max, d1) of
+    their phases, d1 being G_t' at each root; origin_scale is per point.
 
     Over the whole line the log scale is the largest phase at a root, and
     the ends and tail bound are _batch_truncation's; over a window
@@ -788,20 +879,20 @@ def _integrate(ph, x, pt, y, is_max, d1, origin_scale, rel_tol, max_panels,
     tail bound is finite."""
     m = x.size
     if interval is None:
-        log_scale, y0 = _anchors(ph, x, pt, y)
-        a, b, log_tail = _batch_truncation(ph, x, log_scale, pt[is_max], y[is_max])
+        log_scale, y0 = _anchors(ph, x, k, pt, y)
+        a, b, log_tail = _batch_truncation(ph, x, k, log_scale, pt[is_max], y[is_max])
     else:
         a, b = np.full(m, float(interval[0])), np.full(m, float(interval[1]))
         inner = (y > a[pt]) & (y < b[pt])
         pt, y, is_max, d1 = pt[inner], y[inner], is_max[inner], d1[inner]
         ends = np.arange(m)
-        log_scale, y0 = _anchors(ph, x, np.concatenate([ends, ends, pt]),
+        log_scale, y0 = _anchors(ph, x, k, np.concatenate([ends, ends, pt]),
                                  np.concatenate([a, b, y]))
         log_tail = np.full(m, -np.inf)
-    t = ph.t
+    t = ph.t[k]
 
     def quad(a, d, p):  # the quadratic part of H(a + d) - H(a) at the points p
-        return d * (2.0 * (x[p] - a) - d) / (4.0 * t)
+        return d * (2.0 * (x[p] - a) - d) / (4.0 * t[p])
 
     def rules(pid, pa, ys, half, f0, ints, h):
         # the phase at the node a + half (1 + s) that the spectral rows
@@ -810,7 +901,9 @@ def _integrate(ph, x, pt, y, is_max, d1, origin_scale, rel_tol, max_panels,
         phase = (h.astype(float)[:, None]
                  + quad(pa[:, None], half[:, None] * (1.0 + _NODES), pid[:, None])
                  - 0.5 * ints[:, :31])
-        gv = ph.weights(ys.ravel(), np.repeat(x[pid], _NODES.size), f0.ravel())
+        kp = k[pid]  # one index for the nodes of panels of one t
+        gv = ph.weights(ys.ravel(), np.repeat(x[pid], _NODES.size), f0.ravel(),
+                        kp[0] if (kp == kp[0]).all() else np.repeat(kp, _NODES.size))
         gv *= np.exp(phase.ravel())
         return _rules(gv.reshape(gv.shape[0], -1, _NODES.size), half)
 
@@ -836,7 +929,7 @@ def _integrate(ph, x, pt, y, is_max, d1, origin_scale, rel_tol, max_panels,
 
     # the first level by groups of whole points: a point's offsets need the
     # integrals of all its panels
-    pid, pa, pb = _batch_edges(ph, a, b, pt, y, is_max, d1, origin_scale)
+    pid, pa, pb = _batch_edges(ph, a, b, k, pt, y, is_max, d1, origin_scale)
     several = np.bincount(pt[is_max], minlength=m) > 1
     level = []
     for s in _point_groups(pid):
@@ -845,16 +938,17 @@ def _integrate(ph, x, pt, y, is_max, d1, origin_scale, rel_tol, max_panels,
              - 0.5 * _offsets(g_pid, g_pa, half, f0, ints, y0, several))
         level.append((g_pid, g_pa, g_pb, h, *rules(g_pid, g_pa, ys, half, f0, ints, h),
                       right_half(g_pid, g_pa, g_pb, f0, ints, h)))
-    pid, pa, pb, h, i10, i21, h_right = (level[0] if len(level) == 1 else
-                                        (np.concatenate(q, axis=-1) for q in zip(*level)))
-    total, err, tgt = _batch_refine(evaluate, (i10, i21, h_right), pid, pa, pb, h, m,
-                                    rel_tol, max_panels)
+    panels = list(level[0] if len(level) == 1 else
+                  (np.concatenate(q, axis=-1) for q in zip(*level)))
+    del level
+    total, err, tgt = _batch_refine(evaluate, panels, m, rel_tol, max_panels)
     tail = np.where(log_tail < 700.0, np.exp(np.minimum(log_tail, 700.0)), np.inf)
     return total, err + tail, tgt, (err <= tgt) & np.isfinite(tail), log_scale, a, b
 
 
 _F0_RESOLUTION = 1e-10  # G10 against G21 of f0 on a panel that resolves it
 _F0_SPLITS = 30  # halvings of a panel that does not
+_EPS = np.finfo(float).eps
 
 
 def _f0_rows(data, ys, half):
@@ -870,9 +964,15 @@ def _f0_rows(data, ys, half):
     return f0, half[:, None] * (f0 @ _SPECTRAL.T)
 
 
-def _f0_resolves(ints):
-    """Per panel: its G10 and G21 of f0 (_f0_rows) agree to _F0_RESOLUTION."""
-    return np.abs(ints[:, -2] - ints[:, -1]) <= _F0_RESOLUTION * np.abs(ints[:, -2])
+def _f0_resolves(data, half, ints):
+    """Per panel of half width half: its G10 and G21 of f0 (_f0_rows) agree
+    to _F0_RESOLUTION of the G21 one, or to eps sup|f0| times its width.
+    That floor passes the panels where f0 is negligible, where a relative
+    test cannot be met (the super-exponential tail of Gaussian data); f0
+    there adds below round-off of sup|f0| to the integral it passes on."""
+    diff = np.abs(ints[:, -2] - ints[:, -1])
+    return ((diff <= _F0_RESOLUTION * np.abs(ints[:, -2]))
+            | (diff <= _EPS * data.sup_abs * 2.0 * half))
 
 
 def _point_groups(pid):
@@ -891,12 +991,12 @@ def _point_groups(pid):
 
 def _resolved(data, pid, pa, pb):
     """The panels of whole points, halved until each resolves f0: until
-    its G10 and G21 integrals of f0 agree to _F0_RESOLUTION of the G21 one,
-    or it was halved _F0_SPLITS times.  The polynomial of degree 30 through
-    the 31 nodes then carries the integral of f0 to round-off: the G10
-    error of y^-1/2 on [8, 32] is 8e-11, and its spectral integrals there
-    are 4e-16 off.  Graded panels pass at once; the ones that split lie
-    where f0 varies on a scale below the grading of _batch_edges.
+    its G10 and G21 integrals of f0 agree (_f0_resolves), or it was halved
+    _F0_SPLITS times.  The polynomial of degree 30 through the 31 nodes then
+    carries the integral of f0 to round-off: the G10 error of y^-1/2 on
+    [8, 32] is 8e-11, and its spectral integrals there are 4e-16 off.
+    Graded panels pass at once; the ones that split lie where f0 varies on
+    a scale below the grading of _batch_edges.
 
     Returns (pid, pa, pb, ys, half, f0, ints) sorted by point and left
     end, with the nodes of _panel_nodes and the rows of _f0_rows."""
@@ -904,7 +1004,7 @@ def _resolved(data, pid, pa, pb):
     for depth in range(_F0_SPLITS + 1):
         ys, half = _panel_nodes(pa, pb)
         f0, ints = _f0_rows(data, ys, half)
-        ok = _f0_resolves(ints) | (depth == _F0_SPLITS)
+        ok = _f0_resolves(data, half, ints) | (depth == _F0_SPLITS)
         if ok.all():
             done.append((pid, pa, pb, ys, half, f0, ints))
             break
@@ -919,12 +1019,12 @@ def _resolved(data, pid, pa, pb):
     return tuple(v[order] for v in rows)
 
 
-def _anchors(ph, x, pt, y):
+def _anchors(ph, x, k, pt, y):
     """(log_scale, y0): for every point the largest phase over its
     candidates (pt, y), by the closed-form primitive, and the first
     candidate where it is attained.  Only candidates (roots, window ends)
     call data.primitive, never the quadrature nodes."""
-    h = ph.total(y, x[pt])
+    h = ph.total(y, x[pt], k[pt])
     log_scale = np.full(x.size, -np.inf)
     np.maximum.at(log_scale, pt, h)
     top = np.flatnonzero(h == log_scale[pt])
@@ -962,13 +1062,13 @@ def _offsets(pid, pa, half, f0, ints, y0, several):
     return table[pid, col] - table[pid, at_y0[pid]]
 
 
-def _batch_truncation(ph, x, log_scale, max_pt, max_y):
-    """(a, b, log of the tail bound) for every point: from the outermost
-    maxima, steps of 1, 2, 4, ... peak widths out to where the phase is
-    DROP + 5 e-folds (and the log of the weights' size) below log_scale, and
-    beyond the Gaussian domination threshold of the primitive's growth
-    bound; the window doubles until the bound of the Gaussian tails beyond
-    it is DROP / 2 e-folds below.
+def _batch_truncation(ph, x, k, log_scale, max_pt, max_y):
+    """(a, b, log of the tail bound) for every point at its t (the index k
+    in the sweep of ph): from the outermost maxima, steps of 1, 2, 4, ...
+    peak widths out to where the phase is DROP + 5 e-folds (and the log of
+    the weights' size) below log_scale, and beyond the Gaussian domination
+    threshold of the primitive's growth bound; the window doubles until the
+    bound of the Gaussian tails beyond it is DROP / 2 e-folds below.
 
     The steps are scored _DOUBLINGS at a time, 2^k for k0 <= k < k0 +
     _DOUBLINGS in one call, and each end is the first that hits: the ends
@@ -980,16 +1080,16 @@ def _batch_truncation(ph, x, log_scale, max_pt, max_y):
     np.maximum.at(y_hi, max_pt, max_y)
     y0 = np.concatenate([y_lo, y_hi])
     direction = np.repeat([-1.0, 1.0], m)
-    x2, ls2 = np.tile(x, 2), np.tile(log_scale, 2)
-    w = np.maximum(ph.width(ph.slope(y0)), 1e-12 * (1.0 + np.abs(y0)))
+    x2, k2, ls2 = np.tile(x, 2), np.tile(k, 2), np.tile(log_scale, 2)
+    w = np.maximum(ph.width(ph.slope(y0, k2), k2), 1e-12 * (1.0 + np.abs(y0)))
     edge = y0 + direction * w * 2.0 ** 60
     todo = np.arange(2 * m)
     for k0 in range(0, 200, _DOUBLINGS):
         cand = (y0[todo, None] + (direction[todo] * w[todo])[:, None]
                 * 2.0 ** np.arange(k0, k0 + _DOUBLINGS))
-        xc = np.repeat(x2[todo], _DOUBLINGS)
-        hit = (ph.total(cand.ravel(), xc) - np.repeat(ls2[todo], _DOUBLINGS)
-               <= -(DROP + 5.0 + np.log1p(ph.weight_mag(cand.ravel(), xc))))
+        xc, kc = np.repeat(x2[todo], _DOUBLINGS), np.repeat(k2[todo], _DOUBLINGS)
+        hit = (ph.total(cand.ravel(), xc, kc) - np.repeat(ls2[todo], _DOUBLINGS)
+               <= -(DROP + 5.0 + np.log1p(ph.weight_mag(cand.ravel(), xc, kc))))
         hit = hit.reshape(cand.shape)
         done = hit.any(axis=1)
         edge[todo[done]] = cand[done, np.argmax(hit[done], axis=1)]
@@ -997,17 +1097,22 @@ def _batch_truncation(ph, x, log_scale, max_pt, max_y):
         if not todo.size:
             break
     k_growth, p = ph.data.primitive_growth()
-    quad = 1.0 / (8.0 * ph.t)
-    thr = 1.0 if k_growth == 0.0 else (32.0 * ph.t * k_growth) ** (1.0 / (2.0 - p)) * 2.0
+    ts = ph.t.tolist()
+    thr = np.asarray([1.0 if k_growth == 0.0 else (32.0 * t * k_growth) ** (1.0 / (2.0 - p)) * 2.0
+                      for t in ts])[k]
     thr = np.maximum(np.maximum(thr, 2.0 * np.abs(x) + 1.0), 1.0)
     a = np.minimum(edge[:m], x - thr)
     b = np.maximum(edge[m:], x + thr)
+    runs = [(lo, hi, 1.0 / (8.0 * ts[k2[lo]])) for lo, hi in _runs(k2)]
 
-    def tail_log(a, b):  # both ends in one call each
-        gmax = np.maximum(ph.weight_mag(np.concatenate([a, b]), x2).reshape(2, m).max(axis=0),
+    def tail_log(a, b):  # both ends in one call each, and one call a run of one t
+        gmax = np.maximum(ph.weight_mag(np.concatenate([a, b]), x2, k2).reshape(2, m).max(axis=0),
                           1e-300)
-        return (_log_gauss_tails(quad, np.concatenate([b - x, x - a])).reshape(2, m).max(axis=0)
-                + np.log(8.0 * gmax) - log_scale)
+        dist = np.concatenate([b - x, x - a])
+        tails = np.empty(2 * m)
+        for lo, hi, quad in runs:
+            tails[lo:hi] = _log_gauss_tails(quad, dist[lo:hi])
+        return tails.reshape(2, m).max(axis=0) + np.log(8.0 * gmax) - log_scale
 
     log_tail = tail_log(a, b)
     for _ in range(16):
@@ -1020,14 +1125,14 @@ def _batch_truncation(ph, x, log_scale, max_pt, max_y):
     return a, b, log_tail
 
 
-def _batch_edges(ph, a, b, pt, y, is_max, d1, origin_scale):
+def _batch_edges(ph, a, b, k, pt, y, is_max, d1, origin_scale):
     """Initial panels (point, left, right): the truncation ends, the
     critical points, and edges graded geometrically around each maximum
     (1, 3 and 8 peak widths, from G_t' = d1 there, then 4 times wider at
-    each step) and around y = 0 (the same steps of origin_scale, the
-    length on which f0 and the weights vary there, so that _resolved halves
-    none of these panels on PowerC1 data; y = 0 alone if that is 0: the
-    kink of PowerC0 data is in the phase whatever the weights).
+    each step) and around y = 0 (the same steps of origin_scale, per point
+    the length on which f0 and the weights vary there, so that _resolved
+    halves none of these panels on PowerC1 data; y = 0 alone if that is 0:
+    the kink of PowerC0 data is in the phase whatever the weights).
 
     Where the phase flattens away from a narrow peak, or the data decay as
     a power of |y|, one panel out to the truncation end puts every node past
@@ -1035,11 +1140,12 @@ def _batch_edges(ph, a, b, pt, y, is_max, d1, origin_scale):
     (Asymmetric data, t = 5.3e6: 8e-12 for a true 0.27)."""
     m = a.size
     centers = np.concatenate([y[is_max], np.zeros(m)])
-    widths = np.concatenate([np.minimum(ph.width(d1[is_max]), ph.char_width),
-                             np.full(centers.size - is_max.sum(), origin_scale)])
+    k_max = k[pt[is_max]]
+    widths = np.concatenate([np.minimum(ph.width(d1[is_max], k_max), ph.char_width[k_max]),
+                             origin_scale])
     ept = np.concatenate([np.arange(m), np.arange(m), pt,
                           np.repeat(pt[is_max], _LADDER.size),
-                          np.repeat(np.arange(centers.size - is_max.sum()), _LADDER.size)])
+                          np.repeat(np.arange(m), _LADDER.size)])
     ey = np.concatenate([a, b, y, (centers[:, None] + widths[:, None] * _LADDER).ravel()])
     inside = (np.arange(ept.size) < 2 * m) | ((ey > a[ept]) & (ey < b[ept]))
     ept, ey = ept[inside], ey[inside]
@@ -1052,19 +1158,21 @@ def _batch_edges(ph, a, b, pt, y, is_max, d1, origin_scale):
     return ept[:-1][same], ey[:-1][same], ey[1:][same]
 
 
-def _batch_refine(evaluate, first, pid, pa, pb, h, m, rel_tol, max_panels):
+def _batch_refine(evaluate, panels, m, rel_tol, max_panels):
     """Level-by-level refinement of the flat (point, panel) arrays of m
     points, each panel carrying a value h (the phase at its left end, in
     _integrate).  evaluate(pid, pa, pb, h) gives (i10, i21, h_right) for
     panels of the points pid: the values of the two rules, each of shape
     (n_weights, n_panels), and the h of each panel's right half (its left
-    half keeps h).  first is that of the given panels.  Every panel of an unconverged point whose error
-    is above its share of the point's target is split, all of them in one
-    evaluate call.  Returns the per-point totals, errors and targets
+    half keeps h).  panels is the list [pid, pa, pb, h, i10, i21, h_right]
+    of the given panels, emptied here so that no level outlives the next.
+    Every panel of an unconverged point whose error is above its share of
+    the point's target is split, all of them in one evaluate call.  Returns the per-point totals, errors and targets
     rel_tol * max(|I|, 1e-3 L1), each of shape (n_weights, m); a point
     stops when every weight meets its target or it has max_panels
     panels."""
-    i10, i21, h_right = first
+    pid, pa, pb, h, i10, i21, h_right = panels
+    panels.clear()
     created = np.bincount(pid, minlength=m)
     while True:
         # rules that differ by a tenth of the panel's value do not bound its
@@ -1073,9 +1181,9 @@ def _batch_refine(evaluate, first, pid, pa, pb, h, m, rel_tol, max_panels):
         e = np.abs(i21 - i10)
         with np.errstate(divide="ignore", invalid="ignore"):
             e = e * np.fmin(10.0, np.fmax(1.0, 10.0 * e / np.abs(i21)))
-        k = i21.shape[0]
-        sums = _sums(pid, np.concatenate([i21, np.abs(i21), e]), m)
-        total, l1, err = sums[:k], sums[k:2 * k], sums[2 * k:]
+        # one _sums call a quantity: the same sums as one call on the three
+        # stacked, with a third of its temporaries
+        total, l1, err = (_sums(pid, v, m) for v in (i21, np.abs(i21), e))
         tgt = np.maximum(rel_tol * np.abs(total), 1e-3 * rel_tol * l1 + 1e-300)
         conv = np.all(err <= tgt, axis=0)
         share = tgt / np.bincount(pid, minlength=m)
@@ -1116,6 +1224,6 @@ def adaptive_quadrature(fn, edges, rel_tol=1e-9, max_panels=2000):
                 np.concatenate([q[1] for q in parts], axis=1), h)
 
     pid, h = np.zeros(pa.size, dtype=int), np.zeros(pa.size)
-    total, err, tgt = _batch_refine(evaluate, evaluate(pid, pa, pb, h),
-                                    pid, pa, pb, h, 1, rel_tol, max_panels)
+    total, err, tgt = _batch_refine(evaluate, [pid, pa, pb, h, *evaluate(pid, pa, pb, h)],
+                                    1, rel_tol, max_panels)
     return float(total[0, 0]), float(err[0, 0]), bool(err[0, 0] <= tgt[0, 0])

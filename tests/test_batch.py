@@ -279,7 +279,7 @@ def test_point_at_a_piece_end_is_one_degenerate_root(family):
 def test_a_root_that_misses_its_checks_raises(monkeypatch):
     # no root is replaced silently: one whose G_t' has the wrong sign for
     # its piece raises, naming the point (in a batch, the first that fails)
-    monkeypatch.setattr(quadrature._Phases, "slope", lambda self, y: -np.ones_like(y))
+    monkeypatch.setattr(quadrature._Phases, "slope", lambda self, y, k: -np.ones_like(y))
     with pytest.raises(quadrature.InternalConsistencyError,
                        match=r"^critical points at x=2\.5, t=10\.0: a root misses "):
         locate_critical_points(PhysicalPhase(ZERO, 2.5, 10.0))
@@ -314,10 +314,10 @@ def test_starved_panel_budget_raises(monkeypatch, power_c1_half):
 
 
 def pointwise(fn):
-    """A scan_max score from a function of one float: the array of x is
-    scored point by point."""
+    """A scan_max score from a function of one float: the array of x of
+    each window is scored point by point."""
     def score(xs):
-        return np.asarray([fn(v) for v in xs], dtype=float)
+        return [np.asarray([fn(v) for v in x], dtype=float) for x in xs]
     return score
 
 
@@ -402,8 +402,8 @@ def test_monotone_shoulders_start_no_refinement():
     calls = []
 
     def fn(xs):
-        calls.append(np.array(xs))
-        return np.exp(xs)
+        calls.append(np.array(xs[0]))
+        return [np.exp(xs[0])]
 
     v, x = burgers.scan_max(fn, 0.0, 1.0, 11)
     top = minimize_scalar(lambda u: -math.exp(u), bounds=(grid[9], grid[10]),
@@ -836,9 +836,14 @@ def test_starved_heat_derivative_raises_the_scalar_error(monkeypatch, power_c1_h
 
 
 def reset_table(monkeypatch):
-    """Empty the memo of the last piece table (quadrature._table), so that
-    the next query of any (data, t) tabulates."""
-    monkeypatch.setattr(quadrature, "_TABLE", (None, None, 0.0, None))
+    """Empty the memo of the last piece tables (quadrature._tables), so
+    that the next query of any (data, t) tabulates."""
+    monkeypatch.setattr(quadrature, "_TABLES", {})
+
+
+def table_reach(data, t):
+    """The reach of the memo's piece table of (data, t)."""
+    return quadrature._TABLES[id(data), t][1]
 
 
 def test_sup_norm_sets_up_its_kernel_once(monkeypatch, power_c0):
@@ -886,12 +891,12 @@ def test_kernel_tabulates_again_beyond_its_reach(monkeypatch, power_c1_third):
     reset_table(monkeypatch)
     kernel = BatchKernel([burgers._F0], power_c1_third, t)
     kernel(np.asarray([-10.0, 5.0]))
-    assert quadrature._TABLE[2] == 2.0 * (10.0 + t + 1.0)
+    assert table_reach(power_c1_third, t) == 2.0 * (10.0 + t + 1.0)
     tables = []
     monkeypatch.setattr(quadrature, "monotone_pieces",
                         lambda *args: tables.append(args) or monotone_pieces(*args))
     got = kernel(xs)
-    assert len(tables) == 1 and quadrature._TABLE[2] == 2.0 * (5e6 + t + 1.0)
+    assert len(tables) == 1 and table_reach(power_c1_third, t) == 2.0 * (5e6 + t + 1.0)
     assert np.array_equal(got, want)
     kernel(xs[:1])
     assert len(tables) == 1
@@ -909,10 +914,10 @@ def counted_slopes(mp):
     counts = {"calls": 0, "slopes": 0, "outside": 0, "inside": False}
     slope, critical = quadrature._Phases.slope, quadrature._batch_critical_points
 
-    def counted_slope(self, y):
+    def counted_slope(self, y, k):
         counts["slopes"] += counts["inside"]
         counts["outside"] += not counts["inside"]
-        return slope(self, y)
+        return slope(self, y, k)
 
     def counted_critical(*args):
         counts["calls"] += 1
@@ -934,7 +939,8 @@ def kernel_roots(mp, data, t, x):
     kernel = BatchKernel([burgers._F0], data, t)
     table = quadrature._table(data, t, abs(x))
     counts = counted_slopes(mp)
-    return counts, quadrature._batch_critical_points(kernel._ph, np.asarray([x]), *table)
+    return counts, quadrature._batch_critical_points(kernel._ph, np.asarray([x]),
+                                                     np.zeros(1, dtype=int), [table])
 
 
 def test_newton_stops_at_a_step_that_does_not_move(monkeypatch):
@@ -1013,7 +1019,7 @@ def test_heat_sup_norm_scan_makes_8_kernel_calls(power_c0):
     assert got.argmax_x == 0.0
 
 
-def truncation_one_step(ph, x, log_scale, max_pt, max_y):
+def truncation_one_step(ph, x, k, log_scale, max_pt, max_y):
     """_batch_truncation with one doubling a call and one call a tail
     bound end: the reference of its blocks."""
     drop = quadrature.DROP
@@ -1024,27 +1030,28 @@ def truncation_one_step(ph, x, log_scale, max_pt, max_y):
     np.maximum.at(y_hi, max_pt, max_y)
     y0 = np.concatenate([y_lo, y_hi])
     direction = np.repeat([-1.0, 1.0], m)
-    x2, ls2 = np.tile(x, 2), np.tile(log_scale, 2)
-    w = np.maximum(ph.width(ph.slope(y0)), 1e-12 * (1.0 + np.abs(y0)))
+    x2, k2, ls2 = np.tile(x, 2), np.tile(k, 2), np.tile(log_scale, 2)
+    w = np.maximum(ph.width(ph.slope(y0, k2), k2), 1e-12 * (1.0 + np.abs(y0)))
     edge = y0 + direction * w * 2.0 ** 60
     todo = np.arange(2 * m)
-    for k in range(200):
-        cand = y0[todo] + direction[todo] * w[todo] * 2.0 ** k
-        hit = (ph.total(cand, x2[todo]) - ls2[todo]
-               <= -(drop + 5.0 + np.log1p(ph.weight_mag(cand, x2[todo]))))
+    for j in range(200):
+        cand = y0[todo] + direction[todo] * w[todo] * 2.0 ** j
+        hit = (ph.total(cand, x2[todo], k2[todo]) - ls2[todo]
+               <= -(drop + 5.0 + np.log1p(ph.weight_mag(cand, x2[todo], k2[todo]))))
         edge[todo[hit]] = cand[hit]
         todo = todo[~hit]
         if not todo.size:
             break
     k_growth, p = ph.data.primitive_growth()
-    quad = 1.0 / (8.0 * ph.t)
-    thr = 1.0 if k_growth == 0.0 else (32.0 * ph.t * k_growth) ** (1.0 / (2.0 - p)) * 2.0
+    t = float(ph.t[k[0]])  # a batch of one t
+    quad = 1.0 / (8.0 * t)
+    thr = 1.0 if k_growth == 0.0 else (32.0 * t * k_growth) ** (1.0 / (2.0 - p)) * 2.0
     thr = np.maximum(np.maximum(thr, 2.0 * np.abs(x) + 1.0), 1.0)
     a = np.minimum(edge[:m], x - thr)
     b = np.maximum(edge[m:], x + thr)
 
     def tail_log(a, b):
-        gmax = np.maximum(np.maximum(ph.weight_mag(a, x), ph.weight_mag(b, x)), 1e-300)
+        gmax = np.maximum(np.maximum(ph.weight_mag(a, x, k), ph.weight_mag(b, x, k)), 1e-300)
         return (np.maximum(quadrature._log_gauss_tails(quad, b - x),
                            quadrature._log_gauss_tails(quad, x - a))
                 + np.log(8.0 * gmax) - log_scale)
@@ -1080,14 +1087,14 @@ def test_truncation_blocks_equal_one_doubling_at_a_time(case, weights, order, lo
     truncation = quadrature._batch_truncation
     seen = []
 
-    def checked(ph, x, log_scale, max_pt, max_y):
+    def checked(ph, x, k, log_scale, max_pt, max_y):
         for ls in (log_scale, log_scale - lower):
-            got = truncation(ph, x, ls, max_pt, max_y)
-            want = truncation_one_step(ph, x, ls, max_pt, max_y)
+            got = truncation(ph, x, k, ls, max_pt, max_y)
+            want = truncation_one_step(ph, x, k, ls, max_pt, max_y)
             for u, v in zip(got, want):
                 assert np.array_equal(u, v, equal_nan=True), (data.spec, t, x, ls)
         seen.append(x.size)
-        return truncation(ph, x, log_scale, max_pt, max_y)
+        return truncation(ph, x, k, log_scale, max_pt, max_y)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quadrature, "_batch_truncation", checked)
@@ -1110,3 +1117,110 @@ def test_sums_equal_one_bincount_a_row(k, m, n_panels, seed):
          * 10.0 ** rng.integers(-200, 201, (k, n_panels)).astype(float))
     want = np.stack([np.bincount(pid, weights=row, minlength=m) for row in v])
     assert np.array_equal(quadrature._sums(pid, v, m), want)
+
+
+# ---------------------------------------------------------------------------
+# sweeps of t in lockstep
+
+
+CLASSES = ("PowerC1", "SignFlipped", "Asymmetric", "PowerC0", "PowerLog")
+
+
+def random_sweep(rng, i):
+    """(data, ts, xs): data of the class i (mod 5) at random kappa, alpha
+    (and beta), 1 to 6 distinct t in 1e2..1e8, and 1 to 5 x a t spread
+    over |x| <= 3 scale(t)."""
+    family = CLASSES[i % len(CLASSES)]
+    alpha = float(rng.uniform(0.2, 0.8))
+    beta = {"Asymmetric": float(rng.uniform(alpha, 1.0)),
+            "PowerLog": float(rng.uniform(0.5, 1.5))}.get(family)
+    data = make_family(FamilySpec(family, kappa=float(rng.uniform(0.5, 2.0)), alpha=alpha,
+                                  beta=beta))
+    ts = np.unique(10.0 ** rng.uniform(2.0, 8.0, int(rng.integers(1, 7))))
+    xs = [rng.uniform(-3.0, 3.0, int(rng.integers(1, 6))) * t ** (1.0 / (1.0 + alpha))
+          for t in ts]
+    return data, ts, xs
+
+
+def fixed_order_rules(gv, half):
+    """quadrature._rules with each panel's sums in one fixed order
+    (np.einsum), whatever its row in the product: OpenBLAS's gemv gives a
+    row bits that depend on its position among the rows of the call."""
+    return (half * np.einsum("wpn,n->wp", gv[:, :, :10], quadrature._GL10[1]),
+            half * np.einsum("wpn,n->wp", gv[:, :, 10:], quadrature._GL21[1]))
+
+
+def test_a_sweep_gives_each_t_its_batch_of_one(monkeypatch):
+    # a kernel call on a sweep of t gives every point the bits of the call
+    # of its t alone, for the weights of the Burgers value, of its
+    # derivative fields and of a heat derivative (a HermiteWeight, which
+    # takes each node's x and t).  The rule sums of quadrature._rules take
+    # a last bit from a panel's position in their gemv, as between the
+    # batches of one t: with them, 28 of 5,625 values of 60 such draws
+    # moved, by at most 9.6e-15 of their row's size; with the sums in a
+    # fixed order, none
+    rng = np.random.default_rng(20261024)
+    for i in range(15):
+        data, ts, xs = random_sweep(rng, i)
+        m = int(rng.integers(1, 4))
+        for gs, phase_data in (([burgers._F0], data), (burgers._FIELD_WEIGHTS, data),
+                               ([quadrature.HermiteWeight(m, data.value)], ZERO)):
+            for fixed in (False, True):
+                with monkeypatch.context() as mp:
+                    if fixed:
+                        mp.setattr(quadrature, "_rules", fixed_order_rules)
+                    got = BatchKernel(gs, phase_data, ts)(xs)
+                    assert len(got) == ts.size
+                    for t, x, g in zip(ts, xs, got):
+                        want = BatchKernel(gs, phase_data, float(t))(x)
+                        where = (data.spec, t, len(gs))
+                        if fixed:
+                            assert repr(g.tolist()) == repr(want.tolist()), where
+                        else:
+                            size = np.max(np.abs(want), axis=1, keepdims=True)
+                            assert np.all(np.abs(g - want) <= 1e-13 * size), where
+
+
+def test_sup_norm_sweeps_equal_their_one_t_scans(monkeypatch):
+    # the scans of a sweep run in lockstep, and each t's result is that of
+    # its one-t scan, field for field (with the rule sums in a fixed order,
+    # so that no score moves by the last bit of a gemv)
+    monkeypatch.setattr(quadrature, "_rules", fixed_order_rules)
+    rng = np.random.default_rng(20261025)
+    for i in range(5):
+        data, ts, _xs = random_sweep(rng, i)
+        for sup in (burgers.sup_norm, heat.heat_sup_norm):
+            got = sup(data, ts, n_coarse=65)
+            assert [repr(r) for r in got] == [repr(sup(data, float(t), n_coarse=65))
+                                              for t in ts], (data.spec, ts)
+
+
+def kernel_calls(monkeypatch):
+    """The number of BatchKernel calls made from now on, in a list."""
+    calls = [0]
+    real = BatchKernel.__call__
+
+    def counted(self, *args, **kwargs):
+        calls[0] += 1
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(BatchKernel, "__call__", counted)
+    return calls
+
+
+def test_a_decay_sweep_makes_the_calls_of_its_longest_scan(monkeypatch, power_c0, tmp_path):
+    # one kernel call a lockstep step: a 5-t decay grid makes at most one
+    # call more than its longest one-t scan (the shoulder step), where one
+    # scan per t made their sum (13, 14, 15, 18 and 20 calls here)
+    from hopfcole.experiments import ExperimentConfig, run_decay
+    cfg = ExperimentConfig(experiment="decay", family=power_c0.spec, t_min=1e3, t_max=1e7,
+                           t_count=5, out_dir=str(tmp_path))
+    calls = kernel_calls(monkeypatch)
+    singles = []
+    for t in cfg.t_grid():
+        before = calls[0]
+        burgers.sup_norm(power_c0, float(t), n_coarse=cfg.n_coarse)
+        singles.append(calls[0] - before)
+    before = calls[0]
+    run_decay(cfg)
+    assert calls[0] - before <= max(singles) + 1

@@ -436,8 +436,9 @@ def _cheap_ddecay(monkeypatch, tmp_path, tie_error):
     def tie(data, t):
         raise tie_error
 
-    def fields(data, t, rel_tol):
-        return lambda xs: {name: np.ones(np.size(xs)) for name in burgers.FIELD_OF_ORDER.values()}
+    def fields(data, t, rel_tol):  # a sweep scorer: one x array per t
+        return lambda xs: [{name: np.ones(np.size(x)) for name in burgers.FIELD_OF_ORDER.values()}
+                           for x in xs]
 
     monkeypatch.setattr(burgers, "derivative_fields_scorer", fields)
     monkeypatch.setattr(experiments, "phase_tie_point", tie)

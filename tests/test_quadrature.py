@@ -396,7 +396,7 @@ def test_eval_near_a_piece_end(family, delta):
 def counted_tables(monkeypatch):
     """Empty the memo of the last piece table and count the tables made
     (monotone_pieces calls) from then on."""
-    monkeypatch.setattr(quadrature, "_TABLE", (None, None, 0.0, None))
+    monkeypatch.setattr(quadrature, "_TABLES", {})
     made = []
     monkeypatch.setattr(quadrature, "monotone_pieces",
                         lambda *args: made.append(args) or monotone_pieces(*args))
@@ -421,7 +421,7 @@ def test_table_memo_rebuilds_once_beyond_its_reach(monkeypatch, power_c1_third):
     locate_critical_points(PhysicalPhase(power_c1_third, -1e6, t))
     assert len(made) == 2 and made[1][2] == 2.0 * (1e6 + t + 1.0)
     # a table made for the far point alone finds the same points
-    monkeypatch.setattr(quadrature, "_TABLE", (None, None, 0.0, None))
+    monkeypatch.setattr(quadrature, "_TABLES", {})
     assert locate_critical_points(PhysicalPhase(power_c1_third, 1e6, t)) == far
 
 
@@ -446,7 +446,7 @@ def test_table_memo_under_threads(monkeypatch):
     want = {}
     for i, (data, t) in enumerate(cases):
         for z in zs:
-            monkeypatch.setattr(quadrature, "_TABLE", (None, None, 0.0, None))
+            monkeypatch.setattr(quadrature, "_TABLES", {})
             want[i, z] = locate_critical_points(PhysicalPhase(data, z * t ** 0.75, t))
     wrong = []
 
@@ -469,6 +469,40 @@ def test_table_memo_under_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert wrong == []
+
+
+def test_sweep_memo_under_threads():
+    # four threads run sweeps on two data objects and different t grids:
+    # the memo holds the tables of one sweep, at most 4 of their 14
+    # (data, t), so they replace one another's tables all the time; the
+    # memo never holds more, and every sweep equals the serial one
+    datas = [make_family(FamilySpec(family, kappa=1.0, alpha=1.0 / 3.0))
+             for family in ("PowerC1", "SignFlipped")]
+    jobs = [(data, ts) for data in datas
+            for ts in (np.geomspace(1e3, 1e5, 3), np.geomspace(2e3, 2e6, 4))]
+    want = [burgers.sup_norm(data, ts, n_coarse=65) for data, ts in jobs]
+    wrong, sizes = [], []
+
+    def work(i):
+        data, ts = jobs[i]
+        for _ in range(3):
+            sizes.append(len(quadrature._TABLES))
+            if burgers.sup_norm(data, ts, n_coarse=65) != want[i]:
+                wrong.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(jobs))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert wrong == []
+    assert max(sizes + [len(quadrature._TABLES)]) <= 4
 
 
 # -- stabilized integrals ----------------------------------------------------
@@ -624,11 +658,12 @@ def test_ratio_propagates_non_convergence(power_c1_half):
         ratio(MomentWeight.f0(), power_c1_half, 0.5, 100.0, rel_tol=1e-13, max_panels=4)
 
 
-def slope_scale(weights, data):
-    """sup|g| / sup|g'| of the weights and of f0 on the origin grid, by
-    differences: the origin scale before sup|f0'| / sup|f0''| bounded it."""
+def slope_scale(weights, data, k=0):
+    """sup|g| / sup|g'| of the weights (at the t of index k of their sweep)
+    and of f0 on the origin grid, by differences: the origin scale before
+    sup|f0'| / sup|f0''| bounded it."""
     ys = quadrature._ORIGIN_YS
-    g = np.vstack([weights(ys), data.value(ys)])
+    g = np.vstack([weights(ys, k=k), data.value(ys)])
     slope = np.max(np.abs(np.diff(g, axis=1)) / np.diff(ys), axis=1)
     vary = slope > 0.0
     return float(np.max(np.abs(g[vary])) / np.max(slope)) if vary.any() else 0.0
@@ -656,7 +691,8 @@ def test_origin_scale_shrinks_only_where_f0_is_not_resolved(spec, keeps):
         assert 0.0 < got <= before
         edges = before * quadrature._LADDER
         ys, half = quadrature._panel_nodes(edges[:-1], edges[1:])
-        resolves = quadrature._f0_resolves(quadrature._f0_rows(data, ys, half)[1]).all()
+        ints = quadrature._f0_rows(data, ys, half)[1]
+        resolves = quadrature._f0_resolves(data, half, ints).all()
         assert resolves == keeps
         assert (got == before) == keeps
         if spec.family == "PowerC1":
@@ -698,3 +734,45 @@ def test_origin_grading_splits_no_panel_of_the_fd_reference(monkeypatch, power_c
     monkeypatch.setattr(quadrature, "_resolved", counted)
     burgers.eval_batch(power_c1_half, np.linspace(-12.5, 12.5, 4001), 2.0)
     assert grown and not any(grown)
+
+
+def resolved_panels(monkeypatch):
+    """[panels in, panels out] of every quadrature._resolved call from now on."""
+    count = [0, 0]
+    real = quadrature._resolved
+
+    def counted(data, pid, pa, pb):
+        out = real(data, pid, pa, pb)
+        count[0] += pa.size
+        count[1] += out[1].size
+        return out
+
+    monkeypatch.setattr(quadrature, "_resolved", counted)
+    return count
+
+
+def gaussian_batch(t):
+    """Gaussian data (amplitude 1, sigma 1) and 201 x in |x| <= 5 t^0.6."""
+    data = make_family(FamilySpec("Gaussian", extra={"amplitude": 1.0, "sigma": 1.0}))
+    return data, np.linspace(-5.0, 5.0, 201) * t ** 0.6
+
+
+def test_negligible_gaussian_panels_are_not_split(monkeypatch):
+    # a relative test of G10 against G21 cannot pass where the super-
+    # exponential tail leaves f0 negligible, and those panels were halved
+    # _F0_SPLITS times: 5,739 panels grew into 41,718 at t = 1e4.  The
+    # floor of eps sup|f0| times the width passes them
+    data, xs = gaussian_batch(1e4)
+    count = resolved_panels(monkeypatch)
+    burgers.eval_batch(data, xs, 1e4)
+    assert count == [5739, 6579]
+
+
+@pytest.mark.parametrize("t", [1e4, 1e8])
+def test_gaussian_values_without_the_splits(t):
+    # the panels the floor passes add nothing the values need: within
+    # 1e-14 of an evaluation at rel_tol 1e-12 (2.0e-15 at most, measured)
+    data, xs = gaussian_batch(t)
+    got = burgers.eval_batch(data, xs, t)
+    want = burgers.eval_batch(data, xs, t, 1e-12)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
