@@ -83,7 +83,8 @@ def pde_residual(data: InitialData, x: float, t: float,
 
 
 def eval_batch(data: InitialData, xs, t: float, rel_tol: float = 1e-9):
-    """f(x, t) for a 1-d array of x at one t.
+    """f(x, t) for a 1-d array of x at one t, a number (f0 itself at t = 0;
+    only a sweep's scorer, _eval_scorer, takes an array of t, all > 0).
 
     The points share one table of the monotone pieces of
     G_t(y) = y + t f0(y), whose inverses are the critical points of every
@@ -107,6 +108,8 @@ def _eval_scorer(data, t, rel_tol):
     (quadrature.BatchKernel) for all its calls; f0 itself at t = 0."""
     if np.any(np.asarray(t) < 0):
         raise ValueError("t must be nonnegative")
+    if np.ndim(t) and not np.all(np.asarray(t) > 0):
+        raise ValueError("every t of a sweep must be positive; t = 0 is served only as a number")
     if np.ndim(t) == 0 and t == 0:
         return lambda xs: data.value(np.asarray(xs, dtype=float))
     return _scorer(BatchKernel([_F0], data, t), t, rel_tol, lambda r, _t: r[0])
@@ -303,7 +306,8 @@ def _sup_scans(score, t, m, Z, n_coarse):
 def sup_norm(data: InitialData, t, Z: float = 10.0, n_coarse: int = 129,
              rel_tol: float = 1e-9):
     """sup over |x| <= Z * scale(t) of |f(x, t)|, for t a number (a
-    SupNormResult) or a 1-d array of t (one SupNormResult per t).
+    SupNormResult) or a 1-d array of t > 0 (one SupNormResult per t); at
+    the number t = 0 it is |f0(0)|, and a sweep with t = 0 raises.
 
     scale(t) is t^{1/(1+alpha)} for the power-tail families (the maximum
     lives at x of that order) and sqrt(t) otherwise.  The scans of all t

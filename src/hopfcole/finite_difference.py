@@ -2,10 +2,11 @@
 
 Cross-validates the Hopf-Cole evaluator at moderate times on a truncated
 domain with Dirichlet values pinned to f0(+-L).  Diffusion is second-order
-central (explicit, or Crank-Nicolson by one LAPACK band solve a step); the
-quadratic flux f^2/2 is advanced with the first-order Godunov upwind flux
-(LeVeque, Finite Volume Methods for Hyperbolic Problems, 2002), which
-handles either sign of f unconditionally.
+central (explicit, or Crank-Nicolson by one LAPACK tridiagonal solve a
+step: dpttrs on the LDL^T factor dpttrf computes once); the quadratic
+flux f^2/2 is advanced with the first-order Godunov upwind flux (LeVeque,
+Finite Volume Methods for Hyperbolic Problems, 2002), which handles
+either sign of f unconditionally.  A step allocates nothing.
 """
 from __future__ import annotations
 
@@ -13,8 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cholesky_banded
-from scipy.linalg.lapack import dpbtrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .initial_data import InitialData
 from . import burgers
@@ -42,12 +42,14 @@ class GridField:
         return 2.0 * self.L / (self.n - 1)
 
 
-def _godunov_flux(fl, fr):
+def _godunov_flux(fl, fr, up=None, down=None, out=None):
     """Exact Riemann flux of u^2/2 between left/right states, in LeVeque's
     closed form for a convex flux, max(f(max(fl, 0)), f(min(fr, 0))): 0 at
-    a sonic rarefaction, else 0.5 (u u) of the state a Riemann case picks."""
-    up, down = np.maximum(fl, 0.0), np.minimum(fr, 0.0)
-    return 0.5 * np.maximum(up * up, down * down)
+    a sonic rarefaction, else 0.5 (u u) of the state a Riemann case picks.
+    up, down and out, if given, are its work arrays and its result."""
+    up, down = np.maximum(fl, 0.0, out=up), np.minimum(fr, 0.0, out=down)
+    out = np.maximum(np.multiply(up, up, out=up), np.multiply(down, down, out=down), out=out)
+    return np.multiply(out, 0.5, out=out)
 
 
 def integrate(data: InitialData, L: float, n: int, t_end: float,
@@ -96,34 +98,40 @@ def integrate(data: InitialData, L: float, n: int, t_end: float,
     mass0 = dx * float(np.sum(f[1:-1]))
     boundary_flux = 0.0
 
+    # the step's arrays; Crank-Nicolson builds its right-hand side in f's
+    # interior, which dpttrs overwrites with the solution
+    up, down, flux = np.empty(n - 1), np.empty(n - 1), np.empty(n - 1)
+    div, lap, inner = np.zeros(n - 2), np.empty(n - 2), f[1:-1]
     if scheme == SCHEME_CRANK_NICOLSON:
         r = step / (dx * dx)
-        # (I - r/2 L) with Dirichlet rows removed; SPD banded Cholesky
-        nin = n - 2
-        ab = np.zeros((2, nin))
-        ab[0, 1:] = -0.5 * r
-        ab[1, :] = 1.0 + r
-        factor = cholesky_banded(ab, lower=False)
+        # (I - r/2 L) with Dirichlet rows removed: SPD tridiagonal LDL^T
+        d, e, info = dpttrf(np.full(n - 2, 1.0 + r), np.full(n - 3, -0.5 * r))
+        if info:
+            raise ValueError(f"dpttrf failed with info = {info}")
 
     for _ in range(n_steps):
         if advection:
-            flux = _godunov_flux(f[:-1], f[1:])
-            div = (flux[1:] - flux[:-1]) / dx
+            flux = _godunov_flux(f[:-1], f[1:], up, down, flux)
+            np.subtract(flux[1:], flux[:-1], out=div)
+            div /= dx
             boundary_flux += step * (flux[0] - flux[-1])
-        else:
-            div = 0.0
-        lap = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / (dx * dx)
-        boundary_flux += step * ((f[1] - f[0]) - (f[-1] - f[-2])) / dx * (-1.0)
+        np.add(np.subtract(f[2:], np.multiply(inner, 2.0, out=lap), out=lap), f[:-2], out=lap)
+        lap /= dx * dx
+        edge = (f[1] - f[0]) - (f[-1] - f[-2])
 
         if scheme == SCHEME_EXPLICIT_UPWIND:
-            f[1:-1] += step * (lap - div)
+            boundary_flux -= step * edge / dx
+            inner += np.multiply(np.subtract(lap, div, out=lap), step, out=lap)
         else:
-            rhs = f[1:-1] + 0.5 * step * lap - step * div
-            rhs[0] += 0.5 * r * left
-            rhs[-1] += 0.5 * r * right
-            f[1:-1], info = dpbtrs(factor, rhs, lower=0, overwrite_b=1)
+            inner += np.multiply(lap, 0.5 * step, out=lap)
+            inner -= np.multiply(div, step, out=div)
+            inner[0] += 0.5 * r * left
+            inner[-1] += 0.5 * r * right
+            _, info = dpttrs(d, e, inner, overwrite_b=1)
             if info:
-                raise ValueError(f"illegal value in argument {-info} of dpbtrs")
+                raise ValueError(f"illegal value in argument {-info} of dpttrs")
+            # diffusion is the mean of the old and new levels, so is its flux
+            boundary_flux -= 0.5 * step * (edge + (f[1] - f[0]) - (f[-1] - f[-2])) / dx
     if not np.all(np.isfinite(f)):
         raise ValueError(f"field not finite at t_end = {t_end} (step {step:.6g})")
 

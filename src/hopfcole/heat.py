@@ -41,6 +41,8 @@ def _heat_eval_scorer(data, t, rel_tol):
     t = 0."""
     if np.any(np.asarray(t) < 0):
         raise ValueError("t must be nonnegative")
+    if np.ndim(t) and not np.all(np.asarray(t) > 0):
+        raise ValueError("every t of a sweep must be positive; t = 0 is served only as a number")
     if np.ndim(t) == 0 and t == 0:
         return lambda xs: data.value(np.asarray(xs, dtype=float))
     return _scorer(BatchKernel([data.value], _ZERO, t), t, rel_tol, lambda r, _t: r[0])
@@ -100,9 +102,10 @@ def heat_profile_center_exact(kappa: float, alpha: float) -> float:
 def heat_sup_norm(data: InitialData, t, Z: float = 10.0,
                   n_coarse: int = 129, rel_tol: float = 1e-9):
     """sup over |x| <= Z sqrt(t) of |heat solution|, for t a number (a
-    burgers.SupNormResult) or a 1-d array of t (one per t); the scans of
-    all t run in lockstep (burgers._sup_scans), every call a
-    heat_eval_batch of every t's points on one kernel setup."""
+    burgers.SupNormResult; |f0(0)| at t = 0) or a 1-d array of t > 0 (one
+    per t; a sweep with t = 0 raises); the scans of all t run in lockstep
+    (burgers._sup_scans), every call a heat_eval_batch of every t's points
+    on one kernel setup."""
     if n_coarse < 64:
         raise ValueError("n_coarse must be at least 64")
     score = _heat_eval_scorer(data, t, rel_tol)

@@ -866,6 +866,16 @@ def test_sup_norms_at_t_0_are_the_initial_value_at_0(power_c0, gaussian_data):
         assert heat.heat_sup_norm(data, 0.0).value == want
 
 
+def test_a_sweep_with_t_0_raises(power_c0):
+    # t = 0 is served as a number only; a sweep names the rule, not the kernel
+    for sup in (burgers.sup_norm, heat.heat_sup_norm):
+        for ts in ([0.0, 10.0], np.asarray([10.0, 0.0])):
+            with pytest.raises(ValueError, match="every t of a sweep must be positive"):
+                sup(power_c0, ts)
+        with pytest.raises(ValueError, match="t must be nonnegative"):
+            sup(power_c0, [-1.0, 10.0])
+
+
 @pytest.mark.parametrize("t", [1e3, 1e6])
 def test_reused_kernel_equals_a_fresh_one(power_c0, t):
     # the table of a window-wide setup has more pieces than that of one

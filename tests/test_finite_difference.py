@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
-from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from hopfcole import finite_difference as fd
 from hopfcole import burgers, heat
@@ -23,11 +22,12 @@ def test_zero_stays_zero(zero_data):
 
 
 def test_exact_discrete_mass_balance(power_c1_half):
-    out = fd.integrate(power_c1_half, 30.0, 301, 2.0,
-                       scheme=fd.SCHEME_EXPLICIT_UPWIND)
-    drift = out.diagnostics["mass_drift"]
-    flux = out.diagnostics["boundary_flux_accum"]
-    assert drift == pytest.approx(flux, abs=1e-10)
+    # Crank-Nicolson's boundary flux is the mean of its old and new levels
+    for scheme in fd.SCHEMES:
+        out = fd.integrate(power_c1_half, 30.0, 301, 2.0, scheme=scheme)
+        drift = out.diagnostics["mass_drift"]
+        flux = out.diagnostics["boundary_flux_accum"]
+        assert drift == pytest.approx(flux, abs=1e-10), scheme
 
 
 def test_pure_heat_second_order(gaussian_data):
@@ -104,12 +104,34 @@ def where_flux(fl, fr):
     return np.where(fl <= fr, fmin, fmax)
 
 
+def ldlt_factor(d, e):
+    """dpttrf's LDL^T factor of the SPD tridiagonal matrix with diagonal d
+    and off-diagonal e, in its arithmetic: (d of D, e of L) as lists."""
+    d, e = [float(v) for v in d], [float(v) for v in e]
+    for i, ei in enumerate(e):
+        e[i] = ei / d[i]
+        d[i + 1] -= e[i] * ei
+    return d, e
+
+
+def ldlt_solve(d, e, b):
+    """dpttrs's solve on the factor (d, e) of ldlt_factor, in its arithmetic
+    (LAPACK's dptts2 for one right-hand side)."""
+    b = [float(v) for v in b]
+    for i in range(1, len(b)):
+        b[i] -= b[i - 1] * e[i - 1]
+    b[-1] /= d[-1]
+    for i in range(len(b) - 2, -1, -1):
+        b[i] = b[i] / d[i] - b[i + 1] * e[i]
+    return np.asarray(b)
+
+
 def reference_integrate(data, L, n, t_end, scheme, advection):
-    """(values, diagnostics) of fd.integrate by the step it replaced: the
-    three-np.where flux, full-size zero arrays for div and lap every step,
-    and cho_solve_banded.  That step raised IndexError on Crank-Nicolson
-    without advection (it sliced the scalar div = 0.0); here div is a zero
-    array there, which changes no bit."""
+    """(values, diagnostics) of fd.integrate by a step written out plainly:
+    the three-np.where flux, new full-size arrays for div and lap every
+    step, the Crank-Nicolson solve by the LDL^T recurrence in Python, and
+    the diffusive boundary flux at the old level (explicit) or the mean of
+    the old and new levels (Crank-Nicolson)."""
     x = np.linspace(-L, L, n)
     dx = x[1] - x[0]
     f = np.asarray(data.value(x), dtype=float).copy()
@@ -125,10 +147,7 @@ def reference_integrate(data, L, n, t_end, scheme, advection):
     mass0 = dx * float(np.sum(f[1:-1]))
     boundary_flux = 0.0
     r = step / (dx * dx)
-    ab = np.zeros((2, n - 2))
-    ab[0, 1:] = -0.5 * r
-    ab[1, :] = 1.0 + r
-    factor = cholesky_banded(ab, lower=False)
+    factor = ldlt_factor(np.full(n - 2, 1.0 + r), np.full(n - 3, -0.5 * r))
     for _ in range(n_steps):
         div = np.zeros_like(f)
         if advection:
@@ -137,19 +156,57 @@ def reference_integrate(data, L, n, t_end, scheme, advection):
             boundary_flux += step * (flux[0] - flux[-1])
         lap = np.zeros_like(f)
         lap[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / (dx * dx)
-        boundary_flux += step * ((f[1] - f[0]) - (f[-1] - f[-2])) / dx * (-1.0)
         if scheme == fd.SCHEME_EXPLICIT_UPWIND:
+            boundary_flux += step * ((f[1] - f[0]) - (f[-1] - f[-2])) / dx * (-1.0)
             f = f + step * (lap - div)
         else:
             rhs = f[1:-1] + 0.5 * step * lap[1:-1] - step * div[1:-1]
             rhs[0] += 0.5 * r * left
             rhs[-1] += 0.5 * r * right
+            edge = (f[1] - f[0]) - (f[-1] - f[-2])
             f = f.copy()
-            f[1:-1] = cho_solve_banded((factor, False), rhs)
+            f[1:-1] = ldlt_solve(*factor, rhs)
+            boundary_flux += 0.5 * step * (edge + (f[1] - f[0]) - (f[-1] - f[-2])) / dx * (-1.0)
         f[0], f[-1] = left, right
     mass1 = dx * float(np.sum(f[1:-1]))
     return f, {"mass_initial": mass0, "mass_final": mass1, "mass_drift": mass1 - mass0,
                "boundary_flux_accum": boundary_flux, "n_steps": n_steps, "dt": step}
+
+
+def toeplitz_system(rng, n, r):
+    """Diagonal 1 + r, off-diagonal -r/2 (the Crank-Nicolson matrix on n
+    unknowns) and a right-hand side of mixed scales."""
+    return (np.full(n, 1.0 + r), np.full(n - 1, -0.5 * r),
+            rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0, n))
+
+
+@pytest.mark.parametrize("n", [5, 399, 7999])
+def test_ldlt_recurrence_is_dpttrf_dpttrs_bit_for_bit(n):
+    # the reference step's solve is LAPACK's, bit for bit, so a build that
+    # fuses its multiply-adds fails here and not in the step test
+    rng = np.random.default_rng(n)
+    for r in (1e-3, 0.7, 10.0 ** rng.uniform(0.0, 3.0)):
+        d, e, b = toeplitz_system(rng, n, r)
+        fd_d, fd_e, info = fd.dpttrf(d, e)
+        assert info == 0
+        x, info = fd.dpttrs(fd_d, fd_e, b)
+        assert info == 0
+        ref_d, ref_e = ldlt_factor(d, e)
+        assert np.array_equal(fd_d, ref_d) and np.array_equal(fd_e, ref_e)
+        assert np.array_equal(x, ldlt_solve(ref_d, ref_e, b))
+
+
+def test_ldlt_solve_against_a_dense_solve():
+    # the eigenvalues of the matrix lie in [1, 1 + 2r], so both solves are
+    # within a few eps (1 + 2r) ||x|| of the solution and of each other
+    rng = np.random.default_rng(20261020)
+    eps = np.finfo(float).eps
+    for _ in range(40):
+        n, r = int(rng.integers(2, 300)), 10.0 ** rng.uniform(-4.0, 4.0)
+        d, e, b = toeplitz_system(rng, n, r)
+        x = fd.dpttrs(*fd.dpttrf(d, e)[:2], b)[0]
+        dense = np.linalg.solve(np.diag(d) + np.diag(e, 1) + np.diag(e, -1), b)
+        assert np.max(np.abs(x - dense)) <= 4.0 * eps * (1.0 + 2.0 * r) * np.max(np.abs(x))
 
 
 @pytest.mark.parametrize("scheme", fd.SCHEMES)
@@ -167,7 +224,7 @@ def test_integrate_equals_the_reference_step_bit_for_bit(scheme, advection,
 
 def test_a_field_that_is_not_finite_raises(power_c1_half, monkeypatch):
     # a NaN stays a NaN through the step, so one check at the end names it
-    monkeypatch.setattr(fd, "_godunov_flux", lambda fl, fr: np.full(fl.shape, np.nan))
+    monkeypatch.setattr(fd, "_godunov_flux", lambda fl, fr, *work: np.full(fl.shape, np.nan))
     for scheme in fd.SCHEMES:
         with pytest.raises(ValueError, match=r"not finite at t_end = 2\.0 \(step "):
             fd.integrate(power_c1_half, 25.0, 201, 2.0, scheme=scheme)
