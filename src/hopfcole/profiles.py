@@ -17,7 +17,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
+
+from .quadrature import brentq_lockstep
 
 CASE_SYMMETRIC = "SymmetricPositive"
 CASE_SIGN_FLIPPED = "SignFlipped"
@@ -289,12 +290,14 @@ def envelope_tie(pair, z: float, step: float) -> float:
 
 def _first_sign_change(delta, anchor, step0):
     """Scan z = anchor + step0 * 2^k, up to 1e3 past the anchor, for a sign
-    change of delta and polish the first one found by Brent."""
+    change of delta, and solve the first one found as a bracket of one of
+    quadrature.brentq_lockstep, from the scan's values at its ends."""
     for k in range(80):
         z = anchor + step0 * 2.0 ** k
         f = delta(z)
-        if k and f * f_prev <= 0:  # brentq returns an end where delta is 0
-            return float(brentq(delta, z_prev, z, xtol=1e-12, rtol=1e-15))
+        if k and f * f_prev <= 0:  # an end where delta is 0 is the root
+            return float(brentq_lockstep(lambda zs: [delta(v) for v in zs.tolist()],
+                                         [z_prev], [z], [f_prev], [f], 1e-12, 1e-15)[0])
         if z - anchor > 1e3:
             break
         z_prev, f_prev = z, f

@@ -69,7 +69,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.hermite import hermval
-from scipy.optimize import brentq
 from scipy.special import erfc
 
 from .initial_data import InitialData, UnsupportedOrderError
@@ -521,22 +520,88 @@ def _log_grid(t, reach):
     return np.concatenate([-logs[::-1], [0.0], logs]), r_min
 
 
+def _brentq(a, b, fa, fb, xtol, rtol, maxiter, where):
+    """scipy's brentq (Brent 1973) on [a, b], given the values fa and fb at
+    its ends, as a generator that yields each x to evaluate and is sent its
+    value: scipy's C code step for step, with its stopping rule (xtol + rtol
+    |x|) / 2 and cap of maxiter steps.  Ends without a sign change, or a nan
+    value, raise ValueError, and the cap NotConvergedError; where ends each
+    message."""
+    if fa == 0.0 or fb == 0.0:
+        return a if fa == 0.0 else b
+    if (fa < 0.0) == (fb < 0.0) or math.isnan(fa) or math.isnan(fb):
+        raise ValueError(f"f({a!r}) = {fa!r} and f({b!r}) = {fb!r} "
+                         f"do not bracket a sign change{where}")
+    xpre, xcur, fpre, fcur = a, b, fa, fb
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep the best value at xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        short = abs(spre) > delta and abs(fcur) < abs(fpre)
+        if short:
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            short = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+        spre, scur = (scur, stry) if short else (sbis, sbis)  # a good short step, or bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = yield xcur
+        if math.isnan(fcur):
+            raise ValueError(f"f({xcur!r}) is nan{where}")
+    raise NotConvergedError(f"brentq took {maxiter} steps on [{a!r}, {b!r}] "
+                            f"without converging{where}")
+
+
+def brentq_lockstep(f, a, b, fa, fb, xtol, rtol, maxiter=100, where=""):
+    """The roots _brentq finds on the brackets [a[i], b[i]], given the values
+    fa[i] and fb[i] at their ends, in lockstep: f maps an array of x to their
+    values, and each step is one call on the next x of every live bracket."""
+    runs = [_brentq(*ends, xtol, rtol, maxiter, where) for ends in zip(a, b, fa, fb)]
+    roots = np.empty(len(runs))
+    sent = dict.fromkeys(range(len(runs)))  # bracket -> value to send it, None to start
+    while sent:
+        xs = {}
+        for j, value in sent.items():
+            try:
+                xs[j] = runs[j].send(value)
+            except StopIteration as stop:
+                roots[j] = stop.value
+        values = np.asarray(f(np.array(list(xs.values()))), float).tolist() if xs else []
+        sent = dict(zip(xs, values))
+    return roots
+
+
 def monotone_pieces(data: InitialData, t, reach):
     """Monotone pieces of G_t(y) = y + t f0(y) on |y| <= reach.
 
     The stationary points of the physical phase at (x, t) solve x = G_t(y),
     and G_t does not depend on x.  Returns (bounds, rising): the sign
-    changes of G_t' = 1 + t f0' in increasing order, found on the scan grid
-    _log_grid (geometric towards 0) and polished by Brent, and for each of
-    the len(bounds) + 1 pieces between them whether G_t increases on it."""
+    changes of G_t' = 1 + t f0' in increasing order, bracketed on the scan
+    grid _log_grid (geometric towards 0) and found by brentq_lockstep from
+    the grid's values of G_t', one data.derivative call a step for all the
+    brackets; and for each of the len(bounds) + 1 pieces between them
+    whether G_t increases on it."""
     grid, r_min = _log_grid(t, reach)
-    up = 1.0 + t * np.asarray(data.derivative(grid, 1)) > 0.0
-    bounds = [brentq(lambda y: 1.0 + t * data.derivative(y, 1),
-                     float(grid[i]), float(grid[i + 1]),
-                     xtol=1e-3 * r_min, rtol=1e-15)
-              for i in np.nonzero(up[:-1] != up[1:])[0]]
+    slope = 1.0 + t * np.asarray(data.derivative(grid, 1))
+    up = slope > 0.0
+    cut = np.nonzero(up[:-1] != up[1:])[0]
+    ends = (v.tolist() for v in (grid[cut], grid[cut + 1], slope[cut], slope[cut + 1]))
+    bounds = brentq_lockstep(lambda y: 1.0 + t * np.asarray(data.derivative(y, 1)), *ends,
+                             1e-3 * r_min, 1e-15, where=f" in the table at t={t!r}")
     rising = (np.arange(len(bounds) + 1) % 2 == 0) == bool(up[0])
-    return np.asarray(bounds, dtype=float), rising
+    return bounds, rising
 
 
 def _piece_table(data: InitialData, t, reach):

@@ -4,7 +4,9 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
+from hopfcole import profiles
 from hopfcole.profiles import (
     BRANCH_MIDDLE,
     BRANCH_MINUS,
@@ -302,6 +304,30 @@ def test_printed_variant_has_no_tie_across_the_class(case):
     # scan is the one path left on _first_sign_change, and finds no root
     with pytest.raises(TiePointError):
         profile_jump_location(case, VARIANT_PRINTED)
+
+
+@pytest.mark.parametrize("case", [
+    ProfileCase(CASE_SYMMETRIC, 1.0, 1 / 3),
+    ProfileCase(CASE_SYMMETRIC, 2.0, 0.8),
+    ProfileCase(CASE_LOG_CORRECTED, 1.0, 0.5, 1.0),
+], ids=lambda case: f"{case.case}-{case.kappa}-{case.alpha:.3g}")
+def test_the_printed_tie_is_brentqs_root_on_its_bracket(monkeypatch, case):
+    # the printed phase has no tie (above), so the limit-derived phase
+    # stands in for it: the scan then brackets a root, and the printed tie
+    # is the root scipy's brentq returns on that bracket
+    phase = profiles._branch_phase_case
+    monkeypatch.setattr(profiles, "_branch_phase_case",
+                        lambda case, y, variant: phase(case, y, VARIANT_LIMIT_DERIVED))
+
+    def delta(z):
+        return (phase(case, invert_branch(case, BRANCH_PLUS, z).y, VARIANT_LIMIT_DERIVED)
+                - phase(case, invert_branch(case, BRANCH_MINUS, z).y, VARIANT_LIMIT_DERIVED))
+
+    zs = [case.g_y0 + 1e-6 * (1.0 + case.g_y0) * 2.0 ** k for k in range(80)]
+    k = next(k for k in range(1, 80) if delta(zs[k]) * delta(zs[k - 1]) <= 0)
+    got = profile_jump_location(case, VARIANT_PRINTED)
+    assert got == brentq(delta, zs[k - 1], zs[k], xtol=1e-12, rtol=1e-15)
+    assert got == pytest.approx(profile_jump_location(case), abs=1e-10)
 
 
 @pytest.mark.parametrize("alpha", [0.2, 1 / 3, 0.5, 0.8])

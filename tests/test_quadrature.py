@@ -390,6 +390,125 @@ def test_eval_near_a_piece_end(family, delta):
         assert got == pytest.approx(want, rel=2.0 * RTOL), (p, x)
 
 
+# -- the table bounds: scipy's brentq in lockstep ----------------------------
+
+
+def on_arrays(f):
+    """f of one x through a one-element array, as brentq_lockstep calls f:
+    numpy's array and scalar powers may round differently."""
+    return lambda x: float(f(np.array([x]))[0])
+
+
+def family_draw(rng, family):
+    kappa, alpha = float(rng.uniform(0.3, 3.0)), float(rng.uniform(0.1, 0.9))
+    beta = {"PowerLog": float(rng.uniform(0.5, 2.0)),
+            "Asymmetric": float(rng.uniform(alpha, 1.0))}.get(family)
+    return make_family(FamilySpec(family, kappa=kappa, alpha=alpha, beta=beta))
+
+
+def test_table_bounds_are_scipys_brentq_bits():
+    # every bound of 100 random tables is the root scipy's brentq returns on
+    # its grid bracket, at the table's xtol = 1e-3 r_min and rtol = 1e-15
+    rng = np.random.default_rng(26)
+    for family in ("PowerC0", "PowerC1", "SignFlipped", "Asymmetric", "PowerLog"):
+        for _ in range(20):
+            data, t = family_draw(rng, family), float(10.0 ** rng.uniform(-1.0, 9.0))
+            reach = 10.0 * (1.0 + t)
+            grid, r_min = quadrature._log_grid(t, reach)
+            slope = on_arrays(lambda y: 1.0 + t * data.derivative(y, 1))
+            up = np.array([slope(y) > 0.0 for y in grid.tolist()])
+            want = [brentq(slope, grid[i], grid[i + 1], xtol=1e-3 * r_min, rtol=1e-15)
+                    for i in np.nonzero(up[:-1] != up[1:])[0]]
+            bounds, rising = monotone_pieces(data, t, reach)
+            assert np.array_equal(bounds, want), (data.spec, t)
+            assert rising.tolist() == [bool(up[0]) == (j % 2 == 0) for j in range(len(want) + 1)]
+
+
+@pytest.mark.parametrize("t", [1e3, 1e6])
+def test_power_c0_kink_is_a_bound_at_exactly_0(power_c0, t):
+    # G_t' jumps across 0 at the kink of f0; brentq takes 11 steps on the
+    # jump at t = 1e3 and 1e6 and lands on 0.0 itself
+    bounds, rising = monotone_pieces(power_c0, t, 10.0 * t)
+    assert bounds[0] == 0.0 and len(bounds) == 2
+    assert rising.tolist() == [True, False, True]
+
+
+def test_sign_flipped_bounds_at_an_exact_zero_of_the_slope():
+    # at kappa = 1, alpha = 1/2, t = 1, G_t' is exactly 0 at the grid point
+    # 0, the end of both brackets around it, and both bounds are that end
+    data = make_family(FamilySpec("SignFlipped", kappa=1.0, alpha=0.5))
+    bounds, rising = monotone_pieces(data, 1.0, 1e4)
+    assert bounds.tolist() == [0.0, 0.0]
+    assert rising.tolist() == [True, False, True]
+
+
+@st.composite
+def brackets(draw, center):
+    """(f, a, b) with a sign change of f on [a, b], within 2e3 of center:
+    a smooth monotone f, a jump, or an exact zero at either end.  f maps
+    arrays to arrays."""
+    a = center + draw(st.floats(-1e3, 1e3))
+    b = a + draw(st.floats(1e-6, 1e3))
+    r = a + draw(st.floats(1e-3, 1.0)) * (b - a)  # a < r <= b
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    kind = draw(st.sampled_from(["smooth", "jump", "zero at a", "zero at b"]))
+    if kind == "smooth":
+        s, c = draw(st.floats(1e-3, 1e2)), draw(st.floats(0.0, 1e-3))
+        return (lambda x: sign * (np.tanh(s * (x - r)) + c * (x - r) ** 3)), a, b
+    if kind == "jump":
+        lo, hi = draw(st.floats(-1e3, -1e-300)), draw(st.floats(1e-300, 1e3))
+        return (lambda x: sign * np.where(x < r, lo, hi)), a, b
+    end = a if kind == "zero at a" else b
+    return (lambda x: sign * (x - end) * (2.0 + np.sin(x))), a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(*(brackets(1e4 * j) for j in range(n)))),
+       st.floats(1e-15, 1e-3), st.sampled_from([1e-15, 4 * np.finfo(float).eps, 1e-9]))
+def test_lockstep_brentq_is_scipys_brentq(cases, xtol, rtol):
+    # brackets solved in lockstep, bracket j on its own function near
+    # x = 1e4 j, give the roots brentq gives each alone
+    def f(xs):
+        return np.array([cases[round(x / 1e4)][0](np.array([x]))[0] for x in xs.tolist()])
+
+    a, b = [c[1] for c in cases], [c[2] for c in cases]
+    fa, fb = f(np.array(a)).tolist(), f(np.array(b)).tolist()
+    got = quadrature.brentq_lockstep(f, a, b, fa, fb, xtol, rtol)
+    want = [brentq(on_arrays(g), lo, hi, xtol=xtol, rtol=rtol) for g, lo, hi in cases]
+    assert got.tolist() == want
+
+
+def test_ends_that_do_not_bracket_raise_like_brentq():
+    f = np.exp  # positive at both ends
+    with pytest.raises(ValueError):
+        brentq(f, 0.0, 1.0)
+    with pytest.raises(ValueError, match=r"^f\(0\.0\) = 1\.0 and f\(1\.0\) = 2\.718281828459045 "
+                                         r"do not bracket a sign change$"):
+        quadrature.brentq_lockstep(f, [0.0], [1.0], [1.0], [math.e], 1e-12, 1e-15)
+    with pytest.raises(ValueError, match=r"^f\(0\.5\) is nan in here$"):
+        quadrature.brentq_lockstep(lambda x: np.full_like(x, np.nan), [0.0], [1.0], [-1.0], [1.0],
+                                   1e-12, 1e-15, where=" in here")
+
+
+def test_running_out_of_steps_raises_not_converged_like_brentq():
+    with pytest.raises(RuntimeError):
+        brentq(np.sin, 3.0, 4.0, maxiter=3)
+    with pytest.raises(NotConvergedError,
+                       match=r"^brentq took 3 steps on \[3\.0, 4\.0\] without converging$"):
+        quadrature.brentq_lockstep(np.sin, [3.0], [4.0], [math.sin(3.0)], [math.sin(4.0)],
+                                   1e-12, 1e-15, maxiter=3)
+
+
+def test_a_table_that_runs_out_of_steps_names_its_bracket_and_t(monkeypatch, power_c1_half):
+    lockstep = quadrature.brentq_lockstep
+    monkeypatch.setattr(quadrature, "brentq_lockstep",
+                        lambda *args, **kw: lockstep(*args, maxiter=2, **kw))
+    with pytest.raises(NotConvergedError,
+                       match=r"^brentq took 2 steps on \[\S+, \S+\] without converging "
+                             r"in the table at t=1000\.0$"):
+        monotone_pieces(power_c1_half, 1e3, 1e4)
+
+
 # -- the memo of the piece table ---------------------------------------------
 
 
