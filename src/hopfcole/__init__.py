@@ -3,7 +3,7 @@ decaying initial data, computed through the Hopf-Cole solution formula.
 
 Modules:
     initial_data        concrete data families (value/derivatives/primitive)
-    quadrature          stabilized exponential integrals and weight algebra
+    quadrature          stabilized exponential integrals and their weights
     burgers             the Burgers field, derivatives, PDE residual, sup norm
     heat                heat-equation counterpart and its closed-form profile
     profiles            limit branches, jump locations, limit profiles
@@ -30,8 +30,6 @@ from .quadrature import (
     NotConvergedError,
     PhysicalPhase,
     StabilizedIntegral,
-    derive_t,
-    derive_x,
     integrate_moments,
     locate_critical_points,
 )

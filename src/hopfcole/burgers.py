@@ -1,9 +1,10 @@
 """The viscous Burgers field f(x, t) through the Hopf-Cole quotient.
 
 f(x,t) = int f0(y) e^{H(y)} dy / int e^{H(y)} dy with
-H(y) = -(x-y)^2/(4t) - (1/2) int_0^y f0.  Space and time derivatives are
-exact quotient-rule expansions over the weight algebra, so the PDE residual
-d_t f - d_x^2 f + f d_x f is a strong end-to-end self test.
+H(y) = -(x-y)^2/(4t) - (1/2) int_0^y f0.  Its derivatives come from the
+cumulants of y under the measure e^H dy / int e^H, with no derivative of f0
+(derivative_fields_scorer).  They satisfy the PDE identically, so the
+residual d_t f - d_x^2 f + f d_x f checks rounding only.
 
 Every value comes from the one quadrature path, quadrature.BatchKernel.
 An array of x at one t is one batch (eval_batch): its points share the
@@ -29,17 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .initial_data import InitialData
-from .quadrature import BatchKernel, MomentWeight, derive_x, derive_t
+from .quadrature import BatchKernel, CenteredWeight, MomentWeight
 
-_U = MomentWeight.unit()
 _F0 = MomentWeight.f0()
-_DX_F0 = derive_x(_F0)
-_DT_F0 = derive_t(_F0)
-_DX_U = derive_x(_U)
-_DT_U = derive_t(_U)
-_DX2_F0 = derive_x(_DX_F0)
-_DX2_U = derive_x(_DX_U)
-_FIELD_WEIGHTS = [_F0, _DX_F0, _DT_F0, _DX_U, _DT_U, _DX2_F0, _DX2_U]
+_MOMENTS = [CenteredWeight(1), CenteredWeight(2), CenteredWeight(3)]
 # (n, k) of d_t^n d_x^k -> its key in derivative_fields
 FIELD_OF_ORDER = {(0, 0): "f", (0, 1): "f_x", (1, 0): "f_t", (0, 2): "f_xx"}
 
@@ -51,29 +45,20 @@ def eval(data: InitialData, x: float, t: float, rel_tol: float = 1e-9) -> float:
 
 def derivative_fields(data: InitialData, x: float, t: float,
                       rel_tol: float = 1e-10) -> dict:
-    """f, f_x, f_t, f_xx at one point from a single shared quadrature.
-
-    Uses d(A_g/A_1) = (A_{Dg} - (A_g/A_1) A_{D1}) / A_1 recursively with the
-    x/t derivation maps of the weight algebra."""
+    """f, f_x, f_t, f_xx at one point, from the cumulants of y under the
+    Hopf-Cole measure (derivative_fields_scorer, a batch of one)."""
     fields = derivative_fields_scorer(data, t, rel_tol)(np.asarray([x], dtype=float))
     return {name: float(v[0]) for name, v in fields.items()}
 
 
-def _fields(r):
-    """f, f_x, f_t, f_xx from the quotients of _FIELD_WEIGHTS (floats or
-    arrays)."""
-    f = r[0]
-    fx = r[1] - f * r[3]
-    ft = r[2] - f * r[4]
-    fxx = r[5] - r[1] * r[3] - fx * r[3] - f * (r[6] - r[3] ** 2)
-    return {"f": f, "f_x": fx, "f_t": ft, "f_xx": fxx}
-
-
 def pde_residual(data: InitialData, x: float, t: float,
                  rel_tol: float = 1e-10) -> float:
-    """d_t f - d_x^2 f + f d_x f with exact-mode derivatives.
+    """d_t f - d_x^2 f + f d_x f of derivative_fields.
 
-    Analytically zero; numerically bounded by the quadrature budget."""
+    The cumulant forms of the fields satisfy the equation identically, for
+    any measure of the Hopf-Cole form, so this is zero up to rounding: it
+    checks the arithmetic, not the integrals.  Differences of eval_batch in
+    x and t check the fields themselves."""
     fields = derivative_fields(data, x, t, rel_tol)
     return fields["f_t"] - fields["f_xx"] + fields["f"] * fields["f_x"]
 
@@ -93,14 +78,15 @@ def eval_batch(data: InitialData, xs, t: float, rel_tol: float = 1e-9):
 
 
 def _scorer(kernel, t, rel_tol, take):
-    """The scores of a kernel: at one t a function of xs, take(quotients, t);
-    at a sweep of t (a 1-d array, kernel's sweep) a function of a list of
-    one x array per t, the list of take(quotients at t, t).  All calls run
-    on the one kernel setup."""
+    """The scores of a kernel: at one t a function of xs,
+    take(quotients, xs, t); at a sweep of t (a 1-d array, kernel's sweep) a
+    function of a list of one x array per t, the list of
+    take(quotients at t, x array, t).  All calls run on the one kernel
+    setup."""
     if np.ndim(t):
         ts = np.asarray(t, dtype=float).tolist()
-        return lambda xs: [take(r, s) for r, s in zip(kernel(xs, rel_tol), ts)]
-    return lambda xs: take(kernel(xs, rel_tol), t)
+        return lambda xs: [take(r, np.ravel(x), s) for r, x, s in zip(kernel(xs, rel_tol), xs, ts)]
+    return lambda xs: take(kernel(xs, rel_tol), np.ravel(xs), t)
 
 
 def _eval_scorer(data, t, rel_tol):
@@ -112,16 +98,40 @@ def _eval_scorer(data, t, rel_tol):
         raise ValueError("every t of a sweep must be positive; t = 0 is served only as a number")
     if np.ndim(t) == 0 and t == 0:
         return lambda xs: data.value(np.asarray(xs, dtype=float))
-    return _scorer(BatchKernel([_F0], data, t), t, rel_tol, lambda r, _t: r[0])
+    return _scorer(BatchKernel([_F0], data, t), t, rel_tol, lambda r, _x, _t: r[0])
 
 
 def derivative_fields_scorer(data: InitialData, t, rel_tol: float = 1e-10):
     """derivative_fields for a 1-d array of x at one t > 0 as a function of
     xs, or at a sweep of t > 0 (a 1-d array) as a function of a list of one
-    x array per t that returns one dict of fields per t (_scorer): the
-    seven weights on one kernel setup (quadrature.BatchKernel) for all its
-    calls."""
-    return _scorer(BatchKernel(_FIELD_WEIGHTS, data, t), t, rel_tol, lambda r, _t: _fields(r))
+    x array per t that returns one dict of fields per t (_scorer).
+
+    x enters the measure e^H dy / int e^H only through the tilt
+    e^(xy/(2t)), so d/dx of its n-th cumulant kappa_n is
+    kappa_(n+1) / (2t); and d/dt of its log density is (x - y)^2/(4t^2).
+    Hence, with no derivative of f0,
+        f = (x - kappa_1)/t,        f_x = 1/t - kappa_2/(2t^2),
+        f_xx = -kappa_3/(4t^3),     f_t = -f/t - (kappa_3 - 2t f kappa_2)/(4t^3),
+    and f_t = f_xx - f f_x.  The cumulants come from the moments m_j of
+    y - c about each point's center c, the anchor of its integrals
+    (quadrature.CenteredWeight), where they do not cancel as raw moments
+    would: kappa_1 = c + m_1, kappa_2 = m_2 - m_1^2 and
+    kappa_3 = m_3 - 3 m_1 m_2 + 2 m_1^3.  The four weights 1 and
+    (y - c)^j, j = 1, 2, 3, run on one kernel setup
+    (quadrature.BatchKernel) for all its calls."""
+    return _scorer(BatchKernel(_MOMENTS, data, t), t, rel_tol, _cumulant_fields)
+
+
+def _cumulant_fields(r, x, t):
+    """The fields of derivative_fields_scorer at the points x at t, from the
+    kernel's moments m_1, m_2, m_3 and centers c (the rows of r)."""
+    m1, m2, m3, c = r
+    k2 = m2 - m1 * m1
+    k3 = m3 - m1 * (3.0 * m2 - 2.0 * m1 * m1)
+    f = ((x - c) - m1) / t
+    f_x = 1.0 / t - k2 / (2.0 * t * t)
+    f_xx = -k3 / (4.0 * t ** 3)
+    return {"f": f, "f_x": f_x, "f_t": f_xx - f * f_x, "f_xx": f_xx}
 
 
 # ---------------------------------------------------------------------------

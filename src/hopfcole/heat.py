@@ -45,7 +45,7 @@ def _heat_eval_scorer(data, t, rel_tol):
         raise ValueError("every t of a sweep must be positive; t = 0 is served only as a number")
     if np.ndim(t) == 0 and t == 0:
         return lambda xs: data.value(np.asarray(xs, dtype=float))
-    return _scorer(BatchKernel([data.value], _ZERO, t), t, rel_tol, lambda r, _t: r[0])
+    return _scorer(BatchKernel([data.value], _ZERO, t), t, rel_tol, lambda r, _x, _t: r[0])
 
 
 def _hermite_order(n, k):
@@ -78,7 +78,7 @@ def heat_derivative_scorer(data: InitialData, t, n: int, k: int,
     if m == 0:
         return _heat_eval_scorer(data, t, rel_tol)
     return _scorer(BatchKernel([HermiteWeight(m, data.value)], _ZERO, t), t, rel_tol,
-                   lambda r, s: (-1.0 / (2.0 * math.sqrt(s))) ** m * r[0])
+                   lambda r, _x, s: (-1.0 / (2.0 * math.sqrt(s))) ** m * r[0])
 
 
 def heat_limit_profile(z: float, kappa: float, alpha: float) -> float:

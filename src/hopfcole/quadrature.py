@@ -22,16 +22,16 @@ array of x in one query (and locate_critical_points, its one-x case), and
 the kernel of a sweep share them.
 
 There is one quadrature path.  The weights of a call are compiled once
-(compile_weights) into a function that evaluates f0, f0' and f0'' once per
-node array and every weight from them in one matrix product.  Its monomials
-f0^a (f0')^b (f0'')^c are products of one power table of those rows, each
-power one multiplication from the one below and a factor with exponent 1
-the data row itself, written into one preallocated array.  The compiled
-weights take each node's x and t too: x for the one weight that depends
-on it, the Hermite factor H_m((x - y) / (2 sqrt t)) of the heat
-derivatives (HermiteWeight), and t through one coefficient matrix per t
-(the factors t^-p) and its 2 sqrt t.  The non-nested 10- and 21-point
-Gauss-Legendre rules are applied to arrays of panels in one call
+(compile_weights) into one function of a node array.  A MomentWeight is a
+polynomial in f0, f0' and f0'' with a coefficient matrix per t (the factors
+t^-p): its rows are one matrix product on one power table of the data rows,
+and the Burgers value's weight f0 is the data row itself.  The two other
+weights depend on the point of the phase, and take each node's own value
+for it: its x for the Hermite factor H_m((x - y) / (2 sqrt t)) of the heat
+derivatives (HermiteWeight), and its point's center c, the anchor y0 below,
+for the powers (y - c)^j whose quotients are the centered moments behind
+the Burgers derivative fields (CenteredWeight).  The non-nested 10- and
+21-point Gauss-Legendre rules are applied to arrays of panels in one call
 (_rules).
 
 The phase is measured from its maximum.  From the root y0 where it is
@@ -71,7 +71,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermval
 from scipy.special import erfc
 
-from .initial_data import InitialData, UnsupportedOrderError
+from .initial_data import InitialData
 
 DROP = 40.0  # e-folds below the peak at which the integrand is truncated
 
@@ -110,19 +110,14 @@ class InternalConsistencyError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# weight algebra
+# weights
 
 
 class MomentWeight:
     """Weight of a moment integral: polynomial in (f0, f0', f0'') with
-    coefficients polynomial in 1/t.
-
-    The algebra is closed under the two derivation maps
-        derive_x: g -> g' - g f0 / 2
-        derive_t: g -> g/(2t) + g'' - g' f0 - g f0'/2 + g f0^2/4
-    which express d/dx and d/dt of int g e^Phi as new moment integrals.
-    Terms are keyed by (a, b, c, p) meaning f0^a (f0')^b (f0'')^c t^-p.
-    """
+    coefficients polynomial in 1/t, the terms keyed by (a, b, c, p)
+    meaning f0^a (f0')^b (f0'')^c t^-p.  The Burgers value is the quotient
+    of f0 (MomentWeight.f0())."""
 
     __slots__ = ("terms",)
 
@@ -130,43 +125,8 @@ class MomentWeight:
         self.terms = {k: float(v) for k, v in (terms or {}).items() if v != 0.0}
 
     @classmethod
-    def constant(cls, c):
-        return cls({(0, 0, 0, 0): c})
-
-    @classmethod
-    def unit(cls):
-        return cls.constant(1.0)
-
-    @classmethod
     def f0(cls):
         return cls({(1, 0, 0, 0): 1.0})
-
-    def _combine(self, other, sign):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0.0) + sign * v
-        return MomentWeight(out)
-
-    def __add__(self, other):
-        return self._combine(other, 1.0)
-
-    def __sub__(self, other):
-        return self._combine(other, -1.0)
-
-    def __neg__(self):
-        return MomentWeight({k: -v for k, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, MomentWeight):
-            out = {}
-            for (a1, b1, c1, p1), v1 in self.terms.items():
-                for (a2, b2, c2, p2), v2 in other.terms.items():
-                    k = (a1 + a2, b1 + b2, c1 + c2, p1 + p2)
-                    out[k] = out.get(k, 0.0) + v1 * v2
-            return MomentWeight(out)
-        return MomentWeight({k: other * v for k, v in self.terms.items()})
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         return isinstance(other, MomentWeight) and self.terms == other.terms
@@ -174,28 +134,22 @@ class MomentWeight:
     def __repr__(self):
         return f"MomentWeight({self.terms!r})"
 
-    def shift_inv_t(self, n=1):
-        return MomentWeight({(a, b, c, p + n): v for (a, b, c, p), v in self.terms.items()})
-
-    def diff_y(self):
-        out = {}
-        for (a, b, c, p), v in self.terms.items():
-            if c:
-                raise UnsupportedOrderError(
-                    "differentiating this weight would require f0'''"
-                )
-            if a:
-                k = (a - 1, b + 1, c, p)
-                out[k] = out.get(k, 0.0) + v * a
-            if b:
-                k = (a, b - 1, c + 1, p)
-                out[k] = out.get(k, 0.0) + v * b
-        return MomentWeight(out)
-
     def evaluate(self, data: InitialData, y, t):
         """The weight at y (any shape, at least 1-d out) for data at time t."""
         y = np.atleast_1d(np.asarray(y, dtype=float))
         return compile_weights([self], data, t)(y.ravel())[0].reshape(y.shape)
+
+
+@dataclass(frozen=True)
+class CenteredWeight:
+    """The weight (y - c)^j, c the center of the point of the phase: the
+    anchor y0 of each point's integrals (_anchors), which the compiled
+    weights take for each node as they take its x.  The quotients of
+    j = 1, 2, 3 are the moments of y about c under the measure
+    e^H dy / int e^H, whose cumulants give the Burgers derivative fields
+    (burgers.derivative_fields)."""
+
+    j: int
 
 
 @dataclass(frozen=True)
@@ -221,8 +175,8 @@ def _runs(k):
 
 
 def compile_weights(gs, data: InitialData, t):
-    """One function (y, x, f0, k) -> array (len(gs), y.size) for a list of
-    weights at t, a number or a sweep of t (a 1-d array).
+    """One function (y, x, f0, k, c) -> array (len(gs), y.size) for a list
+    of weights at t, a number or a sweep of t (a 1-d array).
 
     Each MomentWeight term (a, b, c, p) is a monomial f0^a (f0')^b (f0'')^c
     with its coefficient times t^-p in a coefficient matrix; f0 and its
@@ -233,9 +187,12 @@ def compile_weights(gs, data: InitialData, t):
     itself (so the monomial f0 is data.value(y) bit for bit), and every
     monomial is written into one array of shape (n_monomials, y.size).
     None (unit weight), scalars and plain callables y -> g(y) fill their
-    own rows, and so does a HermiteWeight, from s = (x - y) / (2 sqrt t)
-    with each node's own x (a scalar or an array like y).  With x None that
-    row is its x-independent factor g(y) alone.  A caller that already holds
+    own rows.  So do the two weights that depend on the point of the phase,
+    each from its nodes' own values (scalars or arrays like y): a
+    HermiteWeight from s = (x - y) / (2 sqrt t) with each node's x, and a
+    CenteredWeight (y - c)^j with each node's center c, its powers one
+    multiplication apart.  With x None or c None such a row is its
+    x-independent factor alone: g(y), or 1.  A caller that already holds
     the data row data.value(y) passes it as f0, and it is not evaluated
     again.
 
@@ -244,12 +201,14 @@ def compile_weights(gs, data: InitialData, t):
     and its own 2 sqrt t, and the product of a matrix takes the columns of
     its nodes alone, so a node gets the bits it gets at its t alone.  The
     function's groups maps each t of the sweep to its distinct matrix: t of
-    one group give the same rows at x None."""
+    one group give the same rows at x None; its centered is whether a
+    weight takes the center."""
     ts = np.atleast_1d(np.asarray(t, dtype=float)).tolist()
     monomials = {}  # (a, b, c) -> column of the coefficient matrix
     coef = []
     fixed = []
     hermite = []
+    centered = []
     for i, g in enumerate(gs):
         if isinstance(g, MomentWeight):
             for (a, b, c, p), v in g.terms.items():
@@ -257,6 +216,8 @@ def compile_weights(gs, data: InitialData, t):
                 coef.append((i, col, v, p))
         elif isinstance(g, HermiteWeight):
             hermite.append((i, g.g, [0.0] * g.m + [1.0]))
+        elif isinstance(g, CenteredWeight):
+            centered.append((i, g.j))
         elif g is None:
             fixed.append((i, 1.0))
         elif np.isscalar(g):
@@ -278,7 +239,9 @@ def compile_weights(gs, data: InitialData, t):
     groups = np.asarray(groups, dtype=int)
     root_t2 = np.asarray([2.0 * math.sqrt(tk) for tk in ts])
 
-    def weights(y, x=None, f0=None, k=0):
+    top_j = max((j for _i, j in centered), default=0)
+
+    def weights(y, x=None, f0=None, k=0, c=None):
         y = np.asarray(y, dtype=float)
         if monomials:
             power = {}  # (k, e) -> f_k^e
@@ -308,22 +271,17 @@ def compile_weights(gs, data: InitialData, t):
             out[i] = g(y) if callable(g) else g
         for i, g, coeffs in hermite:
             out[i] = g(y) if x is None else hermval((x - y) / root_t2[k], coeffs) * g(y)
+        if centered:
+            power = [1.0, 1.0 if c is None else y - c]  # (y - c)^j
+            for _j in range(2, top_j + 1):
+                power.append(power[-1] * power[1])
+            for i, j in centered:
+                out[i] = power[j]
         return out
 
     weights.groups = groups
+    weights.centered = bool(centered)
     return weights
-
-
-def derive_x(g: MomentWeight) -> MomentWeight:
-    """Weight of d/dx [int g e^H]: g' - g f0 / 2."""
-    return g.diff_y() + (-0.5) * (g * MomentWeight.f0())
-
-
-def derive_t(g: MomentWeight) -> MomentWeight:
-    """Weight of d/dt [int g e^H]: g/(2t) + g'' - g' f0 - g f0'/2 + g f0^2/4.
-
-    Algebraically this equals g/(2t) + derive_x(derive_x(g))."""
-    return 0.5 * g.shift_inv_t() + derive_x(derive_x(g))
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +428,7 @@ def integrate_moments(gs, phase, rel_tol=1e-8, cps=None, interval=None,
     weights = compile_weights(gs, phase.data, phase.t)
     ph = _Phases(phase.data, [phase.t], weights)
     y = np.asarray([c.y for c in cps])
-    total, err, tgt, conv, log_scale, a, b = _integrate(
+    total, err, tgt, conv, log_scale, a, b, _y0 = _integrate(
         ph, np.asarray([float(phase.x)]), np.zeros(1, dtype=int), np.zeros(len(cps), dtype=int),
         y, np.asarray([c.kind != KIND_MIN for c in cps]), ph.slope(y, 0),
         np.asarray([_origin_scale(weights, phase.data)]), rel_tol, max_panels, interval)
@@ -704,14 +662,16 @@ class BatchKernel:
             raise ValueError("t must be positive")
         self.n_weights = len(gs)
         weights = compile_weights(list(gs) + [None], data, ts)
+        self._centered = weights.centered
         self._ph = _Phases(data, ts, weights)
         groups = weights.groups.tolist()
         scales = {j: _origin_scale(weights, data, groups.index(j)) for j in dict.fromkeys(groups)}
         self._origin_scale = np.asarray([scales[j] for j in groups])
 
     def __call__(self, xs, rel_tol=1e-9, max_panels=4000):
-        """The quotients at every x of xs, of shape (n_weights, xs.size); at
-        a sweep of t, xs is a sequence of one array of x per t, and the
+        """The quotients at every x of xs, of shape (n_weights, xs.size),
+        and with centered weights a last row of each point's center c; at a
+        sweep of t, xs is a sequence of one array of x per t, and the
         quotients a list of one such array per t.
 
         Every piece of G_t is inverted for all x at once: rising pieces give
@@ -741,14 +701,16 @@ class BatchKernel:
         x_max = np.zeros(ph.t.size)
         np.maximum.at(x_max, k, np.abs(xs))
         tables = _tables(ph.data, ph.t.tolist(), x_max.tolist())
-        ratios = np.empty((self.n_weights, xs.size))
+        ratios = np.empty((self.n_weights + self._centered, xs.size))
         n = -(-xs.size // BATCH_BLOCK)
         for i in range(n):
             block = slice(xs.size * i // n, xs.size * (i + 1) // n)
             x, kb = xs[block], k[block]
             rows = _batch_critical_points(ph, x, kb, tables)
             res = _integrate(ph, x, kb, *rows, self._origin_scale[kb], rel_tol, max_panels)
-            ratios[:, block] = _quotients(ph.t[kb], x, *res[:4])
+            ratios[:self.n_weights, block] = _quotients(ph.t[kb], x, *res[:4])
+            if self._centered:
+                ratios[-1, block] = res[-1]
         if self._sweep:
             return np.split(ratios, np.cumsum([x.size for x in parts])[:-1], axis=1)
         return ratios
@@ -810,8 +772,8 @@ class _Phases:
         return np.where(peak, np.minimum(char_width, 1.0 / np.sqrt(np.where(peak, -d2, 1.0))),
                         char_width)
 
-    def weight_mag(self, y, x, k):
-        return np.max(np.abs(self.weights(y, x, k=k)), axis=0)
+    def weight_mag(self, y, x, k, c):
+        return np.max(np.abs(self.weights(y, x, k=k, c=c)), axis=0)
 
 
 def _batch_critical_points(ph, xs, k, tables):
@@ -936,16 +898,17 @@ def _integrate(ph, x, k, pt, y, is_max, d1, origin_scale, rel_tol, max_panels,
     split panel passes its h to its left half, and its h plus the phase
     from a to its midpoint to its right half.  f0 at the nodes is
     evaluated once, for the phase and the weights, and the phase factor
-    multiplies the weight rows in place.
+    multiplies the weight rows in place.  The weights take each node's x
+    and its point's anchor y0 as the center c (CenteredWeight).
 
     Returns (total, error, target, converged), each of shape
-    (n_weights, x.size), then log_scale, a and b; the error includes the
-    tail bound, and a weight has converged if it met its target and the
-    tail bound is finite."""
+    (n_weights, x.size), then log_scale, a, b and y0; the error includes
+    the tail bound, and a weight has converged if it met its target and
+    the tail bound is finite."""
     m = x.size
     if interval is None:
         log_scale, y0 = _anchors(ph, x, k, pt, y)
-        a, b, log_tail = _batch_truncation(ph, x, k, log_scale, pt[is_max], y[is_max])
+        a, b, log_tail = _batch_truncation(ph, x, k, log_scale, pt[is_max], y[is_max], y0)
     else:
         a, b = np.full(m, float(interval[0])), np.full(m, float(interval[1]))
         inner = (y > a[pt]) & (y < b[pt])
@@ -968,7 +931,8 @@ def _integrate(ph, x, k, pt, y, is_max, d1, origin_scale, rel_tol, max_panels,
                  - 0.5 * ints[:, :31])
         kp = k[pid]  # one index for the nodes of panels of one t
         gv = ph.weights(ys.ravel(), np.repeat(x[pid], _NODES.size), f0.ravel(),
-                        kp[0] if (kp == kp[0]).all() else np.repeat(kp, _NODES.size))
+                        kp[0] if (kp == kp[0]).all() else np.repeat(kp, _NODES.size),
+                        np.repeat(y0[pid], _NODES.size) if ph.weights.centered else None)
         gv *= np.exp(phase.ravel())
         return _rules(gv.reshape(gv.shape[0], -1, _NODES.size), half)
 
@@ -1008,7 +972,7 @@ def _integrate(ph, x, k, pt, y, is_max, d1, origin_scale, rel_tol, max_panels,
     del level
     total, err, tgt = _batch_refine(evaluate, panels, m, rel_tol, max_panels)
     tail = np.where(log_tail < 700.0, np.exp(np.minimum(log_tail, 700.0)), np.inf)
-    return total, err + tail, tgt, (err <= tgt) & np.isfinite(tail), log_scale, a, b
+    return total, err + tail, tgt, (err <= tgt) & np.isfinite(tail), log_scale, a, b, y0
 
 
 _F0_RESOLUTION = 1e-10  # G10 against G21 of f0 on a panel that resolves it
@@ -1127,13 +1091,14 @@ def _offsets(pid, pa, half, f0, ints, y0, several):
     return table[pid, col] - table[pid, at_y0[pid]]
 
 
-def _batch_truncation(ph, x, k, log_scale, max_pt, max_y):
+def _batch_truncation(ph, x, k, log_scale, max_pt, max_y, c):
     """(a, b, log of the tail bound) for every point at its t (the index k
     in the sweep of ph): from the outermost maxima, steps of 1, 2, 4, ...
     peak widths out to where the phase is DROP + 5 e-folds (and the log of
-    the weights' size) below log_scale, and beyond the Gaussian domination
-    threshold of the primitive's growth bound; the window doubles until the
-    bound of the Gaussian tails beyond it is DROP / 2 e-folds below.
+    the weights' size, at the point's center c) below log_scale, and beyond
+    the Gaussian domination
+    threshold of the primitive's growth bound; the window doubles until
+    the bound of the Gaussian tails beyond it is DROP / 2 e-folds below.
 
     The steps are scored _DOUBLINGS at a time, 2^k for k0 <= k < k0 +
     _DOUBLINGS in one call, and each end is the first that hits: the ends
@@ -1145,16 +1110,16 @@ def _batch_truncation(ph, x, k, log_scale, max_pt, max_y):
     np.maximum.at(y_hi, max_pt, max_y)
     y0 = np.concatenate([y_lo, y_hi])
     direction = np.repeat([-1.0, 1.0], m)
-    x2, k2, ls2 = np.tile(x, 2), np.tile(k, 2), np.tile(log_scale, 2)
+    x2, k2, ls2, c2 = (np.tile(v, 2) for v in (x, k, log_scale, c))
     w = np.maximum(ph.width(ph.slope(y0, k2), k2), 1e-12 * (1.0 + np.abs(y0)))
     edge = y0 + direction * w * 2.0 ** 60
     todo = np.arange(2 * m)
     for k0 in range(0, 200, _DOUBLINGS):
         cand = (y0[todo, None] + (direction[todo] * w[todo])[:, None]
                 * 2.0 ** np.arange(k0, k0 + _DOUBLINGS))
-        xc, kc = np.repeat(x2[todo], _DOUBLINGS), np.repeat(k2[todo], _DOUBLINGS)
+        xc, kc, cc = (np.repeat(v[todo], _DOUBLINGS) for v in (x2, k2, c2))
         hit = (ph.total(cand.ravel(), xc, kc) - np.repeat(ls2[todo], _DOUBLINGS)
-               <= -(DROP + 5.0 + np.log1p(ph.weight_mag(cand.ravel(), xc, kc))))
+               <= -(DROP + 5.0 + np.log1p(ph.weight_mag(cand.ravel(), xc, kc, cc))))
         hit = hit.reshape(cand.shape)
         done = hit.any(axis=1)
         edge[todo[done]] = cand[done, np.argmax(hit[done], axis=1)]
@@ -1171,7 +1136,7 @@ def _batch_truncation(ph, x, k, log_scale, max_pt, max_y):
     runs = [(lo, hi, 1.0 / (8.0 * ts[k2[lo]])) for lo, hi in _runs(k2)]
 
     def tail_log(a, b):  # both ends in one call each, and one call a run of one t
-        gmax = np.maximum(ph.weight_mag(np.concatenate([a, b]), x2, k2).reshape(2, m).max(axis=0),
+        gmax = np.maximum(ph.weight_mag(np.concatenate([a, b]), x2, k2, c2).reshape(2, m).max(axis=0),
                           1e-300)
         dist = np.concatenate([b - x, x - a])
         tails = np.empty(2 * m)

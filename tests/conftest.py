@@ -1,7 +1,16 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from hopfcole.initial_data import FamilySpec, make_family
+
+# CI keeps no example database: a draw that fails there prints the blob
+# that replays it (@reproduce_failure)
+settings.register_profile("ci", print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -169,6 +169,10 @@ def check_against_single(batch, single, data, t, xs, pick, heat_eq):
 # 2 RTOL size underflows to 0, below the spacing of doubles there
 @example(case=(make_family(FamilySpec("Constant", extra={"level": 5e-324})),
                1.0, np.linspace(-1.0, 1.0, 5)), pick=0)
+# QUADPACK raised IntegrationWarning on the pieces near y = 0, 1e-322 of
+# the peak, until the pieces 700 e-folds below the peak were left out
+@example(case=(make_family(FamilySpec("PowerC0", kappa=0.90625, alpha=0.6195974116551339)),
+               1e8, np.linspace(-478477.825715082, 478477.825715082, 5)), pick=0)
 def test_eval_batch_matches_eval(case, pick):
     data, t, xs = case
     check_against_single(burgers.eval_batch, burgers.eval, data, t, xs, pick, heat_eq=False)
@@ -470,28 +474,32 @@ FIELDS = ("f", "f_x", "f_t", "f_xx")
 
 
 def moment_sizes(data, xs, t):
-    """(r, a): the quotients r_i of burgers._FIELD_WEIGHTS at every x, and
-    the size a_i = |r_i| + 1e-3 L1_i against which each meets rel_tol (the
-    quadrature's target is rel_tol max(|I|, 1e-3 L1) per moment).  Both to
+    """(r, a): the kernel's rows of the derivative fields at every x (the
+    moments m_j of y - c, j = 1, 2, 3, about the point's center c, and c;
+    burgers._MOMENTS), and the size a_j = |m_j| + 1e-3 L1_j against which
+    each moment meets rel_tol (the quadrature's target is
+    rel_tol max(|I|, 1e-3 L1) per moment).  L1_2 is m_2, and L1_1 and L1_3
+    are bounded by Cauchy-Schwarz, by sqrt(m_2) and sqrt(m_2 m_4).  All to
     rel_tol 1e-6, which is plenty for a budget."""
-    n = len(burgers._FIELD_WEIGHTS)
-    w = quadrature.compile_weights(burgers._FIELD_WEIGHTS, data, t)
-    gs = burgers._FIELD_WEIGHTS + [lambda y, i=i: np.abs(w(y)[i]) for i in range(n)]
-    q = BatchKernel(gs, data, t)(xs, 1e-6)
-    return q[:n], np.abs(q[:n]) + 1e-3 * q[n:]
+    m1, m2, m3, m4, c = BatchKernel(burgers._MOMENTS + [quadrature.CenteredWeight(4)],
+                                    data, t)(xs, 1e-6)
+    return (np.stack([m1, m2, m3, c]),
+            np.stack([np.abs(m1) + 1e-3 * np.sqrt(m2), (1.0 + 1e-3) * m2,
+                      np.abs(m3) + 1e-3 * np.sqrt(m2 * m4)]))
 
 
-def field_scales(r, a):
-    """First-order sizes of the errors of f, f_x, f_t and f_xx
-    (burgers._fields) when each quotient r_i is off by a_i: the fields
-    cancel far below the terms of their quotient-rule expansions."""
-    f, fx = np.abs(r[0]), np.abs(r[1] - r[0] * r[3])
-    s_fx = a[1] + f * a[3] + a[0] * np.abs(r[3])
-    return {"f": a[0], "f_x": s_fx,
-            "f_t": a[2] + f * a[4] + a[0] * np.abs(r[4]),
-            "f_xx": (a[5] + a[1] * np.abs(r[3]) + np.abs(r[1]) * a[3] + s_fx * np.abs(r[3])
-                     + fx * a[3] + a[0] * np.abs(r[6] - r[3] ** 2)
-                     + f * (a[6] + 2.0 * np.abs(r[3]) * a[3]))}
+def field_scales(r, a, xs, t):
+    """First-order sizes of the errors of f, f_x, f_t and f_xx at the points
+    xs at t (burgers._cumulant_fields) when each moment m_j is off by a_j:
+    through the cumulants kappa_2 = m_2 - m_1^2 and
+    kappa_3 = m_3 - 3 m_1 m_2 + 2 m_1^3, and f_t = f_xx - f f_x."""
+    m1, m2 = np.abs(r[0]), np.abs(r[1])
+    fields = burgers._cumulant_fields(r, xs, t)
+    s_f = a[0] / t
+    s_fx = (a[1] + 2.0 * m1 * a[0]) / (2.0 * t * t)
+    s_fxx = (a[2] + 3.0 * m1 * a[1] + (3.0 * m2 + 6.0 * m1 * m1) * a[0]) / (4.0 * t ** 3)
+    return {"f": s_f, "f_x": s_fx, "f_xx": s_fxx,
+            "f_t": s_fxx + np.abs(fields["f"]) * s_fx + np.abs(fields["f_x"]) * s_f}
 
 
 # the zeros of the Hermite polynomials H_1 to H_6, where the weights of the
@@ -570,7 +578,7 @@ def phase_40(data, x, t):
 
 
 def quadpack_moments(data, x, t, gs=None, heat_eq=False):
-    """The quotients of the weights gs (default burgers._FIELD_WEIGHTS) under
+    """The quotients of the weights gs (default burgers._MOMENTS) under
     the phase of data (the Gaussian phase of the heat equation with
     heat_eq) by QUADPACK (scipy's quad) between the breaks of
     oracle_breaks, and with heat_eq at the zeros of the Hermite weights of
@@ -581,7 +589,14 @@ def quadpack_moments(data, x, t, gs=None, heat_eq=False):
     exp(H - top) is taken from the phase at 40 digits (phase_40) where the
     terms of H at the peak, (x - y)^2/(4t) and |P(y)|/2, add up to more than
     4: the rounding of a double phase, eps times those terms, would come
-    near QUADPACK's tolerance.
+    near QUADPACK's tolerance.  A piece whose higher end lies more than 700
+    e-folds below the top (the phase is monotone between breaks) is left
+    out: e^(H - top) <= 1e-304 on it, so with weights below 1e27 on pieces
+    below 1e9 wide it adds less than 1e-268 of the peak's scale, and its
+    values are subnormal doubles, on which QUADPACK's relative tolerances
+    fail to round-off (PowerC0 kappa 0.906, alpha 0.620 at t = 1e8,
+    x = -4.78e5: the pieces between -64 and -8 are 1e-322 of the peak
+    there, and their L1 raised IntegrationWarning).
 
     Each piece is taken to rel 1e-13, or where it is larger to abs 1e-15
     of the integral of |g| e^Phi over the line, or 3e-14 of it over the
@@ -595,8 +610,13 @@ def quadpack_moments(data, x, t, gs=None, heat_eq=False):
     tolerance raises IntegrationWarning, which the test settings make an
     error.  Not tanh-sinh: it assumes an
     analytic integrand and stalls on the tabulated primitive of Gaussian
-    data (6e-4 off at t = 3.73e6, x = -55339.67)."""
-    gs = burgers._FIELD_WEIGHTS if gs is None else gs
+    data (6e-4 off at t = 3.73e6, x = -55339.67).
+
+    A CenteredWeight (y - c)^j is taken about the global maximum of the
+    phase, a break, so that no piece holds its sign change; with such
+    weights that center follows the quotients, as the kernel's center row
+    does."""
+    gs = burgers._MOMENTS if gs is None else gs
     phase = PhysicalPhase(ZERO if heat_eq else data, x, t)
     top, breaks = oracle_breaks(phase)
     if heat_eq:
@@ -609,22 +629,24 @@ def quadpack_moments(data, x, t, gs=None, heat_eq=False):
     peak = max((c.y for c in locate_critical_points(phase)), key=phase.total)
     if exact is None or (x - peak) ** 2 / (4.0 * t) + abs(phase.data.primitive(peak)) / 2.0 <= 4.0:
         @functools.lru_cache(maxsize=None)  # the moments share most of their nodes
-        def e(y):
-            return math.exp(float(phase.total(y)) - top)
+        def rel(y):  # the phase less its top
+            return float(phase.total(y)) - top
     else:
         top40 = exact(peak)
 
         @functools.lru_cache(maxsize=None)
-        def e(y):
-            return math.exp(float(exact(y) - top40))
+        def rel(y):
+            return exact(y) - top40
 
-    pieces = list(zip(breaks[:-1], breaks[1:]))
+    # the pieces whose higher end lies within 700 e-folds of the top
+    pieces = [(a, b) for a, b in zip(breaks[:-1], breaks[1:])
+              if max(float(rel(v)) for v in (a, b) if math.isfinite(v)) > -700.0]
 
     def moment(g):
         w = quadrature.compile_weights([g], phase.data, t)
 
         def integrand(y):
-            return float(w(np.asarray([y]), x)[0, 0]) * e(y)
+            return float(w(np.asarray([y]), x, c=peak)[0, 0]) * math.exp(float(rel(y)))
         l1 = [integrate.quad(lambda y: abs(integrand(y)), a, b, epsabs=0.0, epsrel=1e-3,
                              limit=200)[0] for a, b in pieces]
         whole = math.fsum(l1)
@@ -633,7 +655,13 @@ def quadpack_moments(data, x, t, gs=None, heat_eq=False):
                          for (a, b), m in zip(pieces, l1))
 
     den = moment(None)
-    return [moment(g) / den for g in gs]
+    centered = any(isinstance(g, quadrature.CenteredWeight) for g in gs)
+    return [moment(g) / den for g in gs] + ([peak] if centered else [])
+
+
+def quadpack_fields(data, x, t):
+    """The derivative fields at (x, t) from QUADPACK's moments."""
+    return burgers._cumulant_fields(np.asarray(quadpack_moments(data, x, t)), x, t)
 
 
 def settled_fields(data, x, t):
@@ -644,7 +672,7 @@ def settled_fields(data, x, t):
         yield burgers.derivative_fields(data, x, t, 1e-12)
     except NotConvergedError:
         yield None
-    yield burgers._fields(quadpack_moments(data, x, t))
+    yield quadpack_fields(data, x, t)
 
 
 @settings(max_examples=25, deadline=None)
@@ -655,7 +683,8 @@ def settled_fields(data, x, t):
                                       alpha=0.38614512533537343, beta=0.6857939927555262)),
                25491280.014810264, np.linspace(-1584040.81614137, 1584040.81614137, 9)),
          rel_tol=1e-8, pick=5)
-# f_xx of Constant data is 1.5e-323 against 0 here: the budget underflows
+# tiny Constant data: f_xx was 1.5e-323 against 0 here, with a budget that
+# underflowed; the cumulant fields are round-off of the moments' sizes
 @example(case=(make_family(FamilySpec("Constant", extra={"level": 1.9171692939822443e-106})),
                1.0, np.linspace(-1.0, 1.0, 5)),
          rel_tol=1e-8, pick=0)
@@ -667,7 +696,7 @@ def test_derivative_fields_batch_matches_derivative_fields(case, rel_tol, pick):
     size (field_scales of moment_sizes).  At the point pick both are within
     10 rel_tol of that size of the fields at rel_tol 1e-12 or else of
     QUADPACK's (settled_fields): each moment meets rel_tol, and the
-    cancellation in f_x, f_t and f_xx amplifies that.  Failures as in
+    cumulants and the fields amplify that (field_scales).  Failures as in
     batch_and_singles."""
     data, t, xs = case
     got, singles = batch_and_singles(
@@ -675,7 +704,7 @@ def test_derivative_fields_batch_matches_derivative_fields(case, rel_tol, pick):
         lambda d, x, tt: burgers.derivative_fields(d, x, tt, rel_tol), data, xs, t)
     if got is None:
         return
-    scales = field_scales(*moment_sizes(data, xs, t))
+    scales = field_scales(*moment_sizes(data, xs, t), xs, t)
     for i, w in enumerate(singles):
         for name in FIELDS:
             assert abs(got[name][i] - w[name]) <= 1e-11 * scales[name][i], \
@@ -701,8 +730,8 @@ def test_derivative_fields_batch_at_a_piece_end(power_c0):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = burgers.derivative_fields_scorer(power_c0, t)(xs)
-    want = burgers._fields(quadpack_moments(power_c0, float(xs[0]), t))
-    scales = field_scales(*moment_sizes(power_c0, xs[:1], t))
+    want = quadpack_fields(power_c0, float(xs[0]), t)
+    scales = field_scales(*moment_sizes(power_c0, xs[:1], t), xs[:1], t)
     for name in FIELDS:
         assert abs(got[name][0] - want[name]) <= 10.0 * 1e-10 * scales[name][0]
 
@@ -728,11 +757,18 @@ def heat_derivative_and_size(data, x, t, m, exact=False):
     eps |x|, so s is off by eps |x| / (2 sqrt t), and H_m(s) cancels to a
     small r there (PowerC0 alpha 1/4, m = 2, x = -3.5e7, t = 1e8: both
     paths and QUADPACK are 5e-6 relative off the convolution of f0'' by
-    mpmath at 40 digits).
+    mpmath at 40 digits).  It adds 16 spacings of doubles at 0 (2^-1074)
+    times (2 sqrt t)^-m, the floor of that rounding on subnormal data: each
+    node's integrand is then rounded to a multiple of 2^-1074, up to 2 such
+    steps, over a window about 8 times the denominator sqrt(4 pi t) wide
+    (Constant data at level 2.2e-313, t = 0.316, m = 2: -2e-323 for an
+    exact 0).
 
     The weight is written out here with numpy's hermval.  The quotients are
     taken on the kernel (a batch of one) to rel_tol 1e-6, which is plenty for
-    a budget, and with exact r is QUADPACK's (quadpack_moments)."""
+    a budget, and with exact r is QUADPACK's (quadpack_moments), or 0 where
+    it is exactly 0: every derivative of constant data (QUADPACK returns
+    its round-off there, 1e-323 on subnormal data)."""
     coeffs = [0.0] * m + [1.0]
 
     def signed(y):
@@ -740,10 +776,11 @@ def heat_derivative_and_size(data, x, t, m, exact=False):
 
     r, l1 = BatchKernel([signed, lambda y: np.abs(signed(y))], ZERO, t)([x], 1e-6)[:, 0]
     if exact:
-        r = quadpack_moments(data, x, t, [signed], heat_eq=True)[0]
+        r = (0.0 if m and data.spec.family == "Constant"
+             else quadpack_moments(data, x, t, [signed], heat_eq=True)[0])
     scale = (2.0 * math.sqrt(t)) ** -m
     return ((-1.0) ** m * scale * r, scale * (abs(r) + 1e-3 * l1),
-            1e-15 * abs(x) / (2.0 * math.sqrt(t)) * scale * l1)
+            scale * (1e-15 * abs(x) / (2.0 * math.sqrt(t)) * l1 + 16.0 * 2.0 ** -1074))
 
 
 @settings(max_examples=30, deadline=None)
@@ -754,15 +791,27 @@ def heat_derivative_and_size(data, x, t, m, exact=False):
 @example(case=(make_family(FamilySpec("Constant", extra={"level": 2.2250738585e-313})),
                1.0, np.linspace(-1.0, 1.0, 5)),
          order=(0, 2), rel_tol=1e-8, pick=0)
+# QUADPACK's round-off read -1e-323 for d_x here, against -0.0 on both
+# paths: the truth of constant data is 0, and d_xx and d_t read -2e-323
+@example(case=(make_family(FamilySpec("Constant", extra={"level": 2.2250738585e-313})),
+               0.31622776601683794, np.linspace(-0.4217559938927618, 0.4217559938927618, 5)),
+         order=(0, 1), rel_tol=1e-8, pick=0)
+@example(case=(make_family(FamilySpec("Constant", extra={"level": 2.2250738585e-313})),
+               0.31622776601683794, np.linspace(-0.4217559938927618, 0.4217559938927618, 5)),
+         order=(0, 2), rel_tol=1e-8, pick=0)
+@example(case=(make_family(FamilySpec("Constant", extra={"level": 2.2250738585e-313})),
+               0.31622776601683794, np.linspace(-0.4217559938927618, 0.4217559938927618, 5)),
+         order=(1, 0), rel_tol=1e-8, pick=0)
 def test_heat_derivative_batch_matches_heat_derivative(case, order, rel_tol, pick):
     """heat_derivative_scorer against heat_derivative (a batch of one) at
-    every x, and both against QUADPACK at the point pick.
+    every x, and both against QUADPACK at the point pick (the exact 0 of
+    constant data at every order >= 1).
 
     Each single value is the batch's up to round-off, 1e-11 of its size
     (heat_derivative_and_size).  At the point pick both are within
-    2 rel_tol size + 2 roundoff of QUADPACK, or within one spacing of
-    doubles at the QUADPACK value where that is larger: a value of
-    subnormal data cannot be nearer to it.  Failures as in
+    2 rel_tol size + 2 roundoff of the truth, or within one spacing of
+    doubles at the truth where that is larger: a value of subnormal data
+    cannot be nearer to it.  Failures as in
     batch_and_singles."""
     data, t, xs = case
     n, k = order
@@ -881,10 +930,10 @@ def test_reused_kernel_equals_a_fresh_one(power_c0, t):
     # the table of a window-wide setup has more pieces than that of one
     # call; no ratio depends on it
     m = t ** (1.0 / 1.5)
-    kernel = BatchKernel(burgers._FIELD_WEIGHTS, power_c0, t)
+    kernel = BatchKernel(burgers._MOMENTS, power_c0, t)
     for xs in (np.linspace(-10.0 * m, 10.0 * m, 9), np.asarray([0.3 * m, 1.1 * m]),
                np.asarray([t * power_c0.value(0.0)])):
-        want = BatchKernel(burgers._FIELD_WEIGHTS, power_c0, t)(xs)
+        want = BatchKernel(burgers._MOMENTS, power_c0, t)(xs)
         assert np.array_equal(kernel(xs), want)
 
 
@@ -1029,7 +1078,7 @@ def test_heat_sup_norm_scan_makes_8_kernel_calls(power_c0):
     assert got.argmax_x == 0.0
 
 
-def truncation_one_step(ph, x, k, log_scale, max_pt, max_y):
+def truncation_one_step(ph, x, k, log_scale, max_pt, max_y, c):
     """_batch_truncation with one doubling a call and one call a tail
     bound end: the reference of its blocks."""
     drop = quadrature.DROP
@@ -1040,14 +1089,14 @@ def truncation_one_step(ph, x, k, log_scale, max_pt, max_y):
     np.maximum.at(y_hi, max_pt, max_y)
     y0 = np.concatenate([y_lo, y_hi])
     direction = np.repeat([-1.0, 1.0], m)
-    x2, k2, ls2 = np.tile(x, 2), np.tile(k, 2), np.tile(log_scale, 2)
+    x2, k2, ls2, c2 = np.tile(x, 2), np.tile(k, 2), np.tile(log_scale, 2), np.tile(c, 2)
     w = np.maximum(ph.width(ph.slope(y0, k2), k2), 1e-12 * (1.0 + np.abs(y0)))
     edge = y0 + direction * w * 2.0 ** 60
     todo = np.arange(2 * m)
     for j in range(200):
         cand = y0[todo] + direction[todo] * w[todo] * 2.0 ** j
         hit = (ph.total(cand, x2[todo], k2[todo]) - ls2[todo]
-               <= -(drop + 5.0 + np.log1p(ph.weight_mag(cand, x2[todo], k2[todo]))))
+               <= -(drop + 5.0 + np.log1p(ph.weight_mag(cand, x2[todo], k2[todo], c2[todo]))))
         edge[todo[hit]] = cand[hit]
         todo = todo[~hit]
         if not todo.size:
@@ -1061,7 +1110,7 @@ def truncation_one_step(ph, x, k, log_scale, max_pt, max_y):
     b = np.maximum(edge[m:], x + thr)
 
     def tail_log(a, b):
-        gmax = np.maximum(np.maximum(ph.weight_mag(a, x, k), ph.weight_mag(b, x, k)), 1e-300)
+        gmax = np.maximum(np.maximum(ph.weight_mag(a, x, k, c), ph.weight_mag(b, x, k, c)), 1e-300)
         return (np.maximum(quadrature._log_gauss_tails(quad, b - x),
                            quadrature._log_gauss_tails(quad, x - a))
                 + np.log(8.0 * gmax) - log_scale)
@@ -1091,20 +1140,20 @@ def test_truncation_blocks_equal_one_doubling_at_a_time(case, weights, order, lo
     # `lower` e-folds below it (the phase then drops past it further out),
     # gives the ends and tail bound of the one-step reference bit for bit
     data, t, xs = case
-    gs = {"f0": [burgers._F0], "fields": burgers._FIELD_WEIGHTS,
+    gs = {"f0": [burgers._F0], "fields": burgers._MOMENTS,
           "hermite": [quadrature.HermiteWeight(order, data.value)]}[weights]
     phase_data = ZERO if weights == "hermite" else data
     truncation = quadrature._batch_truncation
     seen = []
 
-    def checked(ph, x, k, log_scale, max_pt, max_y):
+    def checked(ph, x, k, log_scale, max_pt, max_y, c):
         for ls in (log_scale, log_scale - lower):
-            got = truncation(ph, x, k, ls, max_pt, max_y)
-            want = truncation_one_step(ph, x, k, ls, max_pt, max_y)
+            got = truncation(ph, x, k, ls, max_pt, max_y, c)
+            want = truncation_one_step(ph, x, k, ls, max_pt, max_y, c)
             for u, v in zip(got, want):
                 assert np.array_equal(u, v, equal_nan=True), (data.spec, t, x, ls)
         seen.append(x.size)
-        return truncation(ph, x, k, log_scale, max_pt, max_y)
+        return truncation(ph, x, k, log_scale, max_pt, max_y, c)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quadrature, "_batch_truncation", checked)
@@ -1173,7 +1222,7 @@ def test_a_sweep_gives_each_t_its_batch_of_one(monkeypatch):
     for i in range(15):
         data, ts, xs = random_sweep(rng, i)
         m = int(rng.integers(1, 4))
-        for gs, phase_data in (([burgers._F0], data), (burgers._FIELD_WEIGHTS, data),
+        for gs, phase_data in (([burgers._F0], data), (burgers._MOMENTS, data),
                                ([quadrature.HermiteWeight(m, data.value)], ZERO)):
             for fixed in (False, True):
                 with monkeypatch.context() as mp:

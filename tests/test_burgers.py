@@ -138,3 +138,34 @@ def test_pde_residual_other_c1_families():
             f = burgers.derivative_fields(data, x, t)
             res = f["f_t"] - f["f_xx"] + f["f"] * f["f_x"]
             assert abs(res) <= 1e-6 * (1.0 + abs(f["f_t"]) + abs(f["f_xx"]))
+
+
+@pytest.mark.parametrize("t", [1e2, 1e3, 1e4, 1e5])
+def test_fields_match_differences_of_eval_batch(power_c0, t):
+    # f, f_x, f_xx and f_t on PowerC0, whose kink at y = 0 put a point mass
+    # in f0'' that the quotient-rule fields left out (at t = 1e3,
+    # z = 2.055 they read f_xx = +4.444e-3), against 5-point differences
+    # of eval_batch at rel_tol 1e-13, in x with step 0.025 t^(1/3) and in t
+    # with step 1e-3 t.  Each field meets 1e-6 of its difference plus 1e-9
+    # of its scale, |f| over powers of the space scale t^(2/3) and of t
+    m = t ** (2.0 / 3.0)
+    zs = np.asarray([-1.5, 0.4, 1.0, 2.055, 3.0])
+    xs = zs * m
+    h = 0.025 * t ** (1.0 / 3.0)
+    u = burgers.eval_batch(power_c0, (xs[:, None] + h * np.arange(-2.0, 3.0)).ravel(), t,
+                           1e-13).reshape(-1, 5)
+    ht = 1e-3 * t
+    ut = np.stack([burgers.eval_batch(power_c0, xs, t + j * ht, 1e-13) for j in (-2, -1, 1, 2)],
+                  axis=1)
+    want = {"f": u[:, 2],
+            "f_x": (8.0 * (u[:, 3] - u[:, 1]) - (u[:, 4] - u[:, 0])) / (12.0 * h),
+            "f_xx": (16.0 * (u[:, 1] + u[:, 3]) - (u[:, 0] + u[:, 4]) - 30.0 * u[:, 2])
+            / (12.0 * h * h),
+            "f_t": (8.0 * (ut[:, 2] - ut[:, 1]) - (ut[:, 3] - ut[:, 0])) / (12.0 * ht)}
+    got = burgers.derivative_fields_scorer(power_c0, t)(xs)
+    scale = {"f": 1.0, "f_x": 1.0 / m, "f_xx": 1.0 / (m * m), "f_t": 1.0 / t}
+    for name, w in want.items():
+        size = np.abs(u[:, 2]) * scale[name]
+        assert np.all(np.abs(got[name] - w) <= 1e-6 * np.abs(w) + 1e-9 * size), (name, got[name], w)
+    if t == 1e3:
+        assert got["f_xx"][3] == pytest.approx(-9.5645e-5, rel=1e-4)

@@ -23,7 +23,7 @@ from hopfcole.experiments import (
     run_heat_profile,
     run_properties,
 )
-from hopfcole.initial_data import FamilySpec
+from hopfcole.initial_data import FamilySpec, make_family
 
 
 # -- fitting -----------------------------------------------------------------
@@ -478,3 +478,35 @@ def test_ddecay_propagates_other_tie_point_errors(monkeypatch, tmp_path):
     from hopfcole.quadrature import NotConvergedError
     with pytest.raises(NotConvergedError, match="budget"):
         _cheap_ddecay(monkeypatch, tmp_path, NotConvergedError("budget"))
+
+
+def five_point_fxx(data, t, h):
+    """xs -> the 5-point difference of eval_batch at rel_tol 1e-13 for
+    f_xx at every x of xs, step h."""
+    def fxx(xs):
+        pts = (np.asarray(xs, dtype=float)[:, None] + h * np.arange(-2.0, 3.0)).ravel()
+        u = burgers.eval_batch(data, pts, t, 1e-13).reshape(-1, 5)
+        return (16.0 * (u[:, 1] + u[:, 3]) - (u[:, 0] + u[:, 4]) - 30.0 * u[:, 2]) / (12.0 * h * h)
+    return fxx
+
+
+def test_ddecay_f_xx_sups_match_differences_of_f(tmp_path):
+    # PowerC0 has a kink at y = 0, and the f0'' of the quotient-rule fields
+    # missed its point mass: sup|f_xx| read 4.44e-3 at t = 1e3 and 2.13e-4
+    # at t = 1e4, where differences of f give 1.24e-4 and 1.58e-5.  The
+    # reference is a scan of 5-point differences of eval_batch (step
+    # 0.025 t^(1/3)), over the experiment's window and, 513 points, over
+    # 1 <= x / t^(2/3) <= 4, where the jump layer lies
+    fam = FamilySpec("PowerC0", kappa=1.0, alpha=0.5)
+    cfg = ExperimentConfig(experiment="ddecay", family=fam, equation="burgers",
+                           t_min=1e3, t_max=1e6, t_count=4, n=0, k=2, out_dir=str(tmp_path))
+    rows = run(cfg)["rows"]
+    data = make_family(fam)
+    for (t, v, argmax), want in zip(rows[:2], (1.24e-4, 1.58e-5)):
+        m = t ** (2.0 / 3.0)
+        fxx = five_point_fxx(data, t, 0.025 * t ** (1.0 / 3.0))
+        scans = burgers.scan_max(lambda xs: [np.abs(fxx(x)) for x in xs],
+                                 [-cfg.window_Z * m, m], [cfg.window_Z * m, 4.0 * m], 513)
+        assert v == pytest.approx(max(scans)[0], rel=1e-6), t
+        assert v == pytest.approx(abs(fxx([argmax])[0]), rel=1e-6), t
+        assert v == pytest.approx(want, rel=0.01), t

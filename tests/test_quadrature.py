@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq
 
 from hopfcole import burgers, quadrature
-from hopfcole.initial_data import FamilySpec, UnsupportedOrderError, make_family
+from hopfcole.initial_data import FamilySpec, make_family
 from hopfcole.quadrature import (
     KIND_MAX,
     KIND_MIN,
@@ -20,8 +20,6 @@ from hopfcole.quadrature import (
     _panel_eval,
     compile_weights,
     PhysicalPhase,
-    derive_t,
-    derive_x,
     integrate_moments,
     locate_critical_points,
     adaptive_quadrature,
@@ -34,44 +32,11 @@ from conftest import brute_force_ratio
 from test_batch import RTOL, quadpack_moments
 
 
-# -- weight algebra ----------------------------------------------------------
-
-
-def test_derive_x_of_unit():
-    # d/dx A_1 = A_{-f0/2}
-    assert derive_x(MomentWeight.unit()) == MomentWeight({(1, 0, 0, 0): -0.5})
-
-
-def test_derive_x_of_f0():
-    # d/dx A_{f0} = A_{f0' - f0^2/2}
-    assert derive_x(MomentWeight.f0()) == MomentWeight(
-        {(0, 1, 0, 0): 1.0, (2, 0, 0, 0): -0.5}
-    )
-
-
-def test_derive_t_of_unit():
-    # d/dt A_1 = A_{1/(2t) - f0'/2 + f0^2/4}
-    assert derive_t(MomentWeight.unit()) == MomentWeight(
-        {(0, 0, 0, 1): 0.5, (0, 1, 0, 0): -0.5, (2, 0, 0, 0): 0.25}
-    )
-
-
-def test_derive_t_of_f0():
-    # d/dt A_{f0} = A_{f0/(2t) + f0'' - 3 f0 f0'/2 + f0^3/4}
-    assert derive_t(MomentWeight.f0()) == MomentWeight(
-        {(1, 0, 0, 1): 0.5, (0, 0, 1, 0): 1.0, (1, 1, 0, 0): -1.5,
-         (3, 0, 0, 0): 0.25}
-    )
-
-
-def test_weight_order_overflow():
-    g = MomentWeight({(0, 0, 1, 0): 1.0})  # f0''
-    with pytest.raises(Exception):
-        derive_x(g)  # would need f0'''
+# -- weights -----------------------------------------------------------------
 
 
 def test_weight_evaluation(power_c1_half):
-    g = derive_x(MomentWeight.f0())
+    g = MomentWeight({(0, 1, 0, 0): 1.0, (2, 0, 0, 0): -0.5})  # f0' - f0^2/2
     y = np.asarray([0.3, -2.0])
     want = power_c1_half.derivative(y, 1) - 0.5 * power_c1_half.value(y) ** 2
     got = g.evaluate(power_c1_half, y, t=7.0)
@@ -106,23 +71,16 @@ _KERNEL_DATA = {
 
 
 @st.composite
-def derived_weights(draw):
-    """Sums of scalar multiples of derive_x / derive_t compositions applied
-    to 1 or f0; a step that would need a third derivative is skipped."""
-    out = MomentWeight()
-    for _ in range(draw(st.integers(1, 3))):
-        g = draw(st.sampled_from([MomentWeight.unit(), MomentWeight.f0()]))
-        for op in draw(st.lists(st.sampled_from([derive_x, derive_t]), max_size=3)):
-            try:
-                g = op(g)
-            except UnsupportedOrderError:
-                pass
-        out = out + draw(st.floats(-10.0, 10.0)) * g
-    return out
+def moment_weights(draw):
+    """Sums of 1 to 6 terms f0^a (f0')^b (f0'')^c t^-p with a <= 4, b <= 2,
+    c <= 2 and p <= 3, at coefficients in [-10, 10]."""
+    keys = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 2), st.integers(0, 2),
+                                   st.integers(0, 3)), min_size=1, max_size=6))
+    return MomentWeight({key: draw(st.floats(-10.0, 10.0)) for key in keys})
 
 
 @settings(max_examples=150, deadline=None)
-@given(g=derived_weights(),
+@given(g=moment_weights(),
        family=st.sampled_from(sorted(_KERNEL_DATA)),
        ys=st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=8),
        log_t=st.floats(-2.0, 8.0))
@@ -153,19 +111,23 @@ def spread_nodes(n, seed=3):
 @pytest.mark.parametrize("family", sorted(_KERNEL_DATA))
 @pytest.mark.parametrize("t", [1e6, 1e7, 1e8])
 def test_compiled_field_weights_on_large_node_arrays(family, t):
-    # the field weights hold the monomials f0^3 and f0 f0' as well as f0,
-    # f0', f0'' and 1; 20,000 nodes is above numpy's 8,192-element buffer,
-    # where elementwise loops run in chunks
+    # the field weights (y - c)^j, j = 1, 2, 3, about each node's own
+    # center c, a few widths sqrt(2t) from it, beside the data row and the
+    # unit weight; with no center each is its x-independent factor 1.
+    # 20,000 nodes is above numpy's 8,192-element buffer, where elementwise
+    # loops run in chunks
     data = _KERNEL_DATA[family]
-    monomials = {k[:3] for g in burgers._FIELD_WEIGHTS for k in g.terms}
-    assert {(3, 0, 0), (1, 1, 0), (0, 0, 0)} <= monomials
     y = spread_nodes(20000)
-    got = compile_weights(burgers._FIELD_WEIGHTS + [None], data, t)(y)
-    assert got.shape == (8, y.size)
-    for g, row in zip(burgers._FIELD_WEIGHTS, got):
-        want, scale = reference_evaluate(g, data, y, t)
-        assert np.all(np.abs(row - want) <= 1e-13 * scale + 1e-300), g
+    c = y + math.sqrt(2.0 * t) * np.random.default_rng(4).uniform(-5.0, 5.0, y.size)
+    weights = compile_weights([burgers._F0] + burgers._MOMENTS + [None], data, t)
+    got = weights(y, c=c)
+    assert weights.centered and got.shape == (5, y.size)
+    assert np.array_equal(got[0], data.value(y))
+    for j, row in zip((1, 2, 3), got[1:]):
+        want = (y - c) ** j
+        assert np.all(np.abs(row - want) <= 1e-15 * np.abs(want)), j
     assert np.all(got[-1] == 1.0)
+    assert np.all(weights(y)[1:] == 1.0)
 
 
 @pytest.mark.parametrize("family", sorted(_KERNEL_DATA))
@@ -207,8 +169,9 @@ def test_f0_rows_do_not_depend_on_their_batch(power_c1_half, n):
 def test_panel_eval_batch_matches_single_panels(power_c1_half):
     # k panels in one call equal k one-panel calls, per weight and panel,
     # relative to the panel's L1
-    gs = [burgers._F0, burgers._DX_F0, burgers._DT_F0, burgers._DX_U,
-          burgers._DT_U, burgers._DX2_F0, burgers._DX2_U, None]
+    gs = [burgers._F0, MomentWeight({(0, 1, 0, 0): 1.0, (2, 0, 0, 0): -0.5}),
+          MomentWeight({(0, 0, 1, 0): 1.0, (1, 1, 0, 0): -1.5, (1, 0, 0, 1): 0.5}),
+          power_c1_half.value, lambda y: np.abs(power_c1_half.value(y)) ** 3, None]
     phase = PhysicalPhase(power_c1_half, 3.0, 40.0)
     weights = compile_weights(gs, power_c1_half, phase.t)
     peak = next(c.y for c in locate_critical_points(phase) if c.is_global_max)
@@ -665,8 +628,8 @@ def test_ratio_trivial(constant_07, power_c1_half):
 def test_linearity(power_c1_half):
     phase = PhysicalPhase(power_c1_half, 1.5, 25.0)
     g1 = MomentWeight.f0()
-    g2 = derive_x(MomentWeight.f0())
-    combo = 2.0 * g1 + (-3.0) * g2
+    g2 = MomentWeight({(0, 1, 0, 0): 1.0, (2, 0, 0, 0): -0.5})
+    combo = MomentWeight({(1, 0, 0, 0): 2.0, (0, 1, 0, 0): -3.0, (2, 0, 0, 0): 1.5})
     r = integrate_moments([g1, g2, combo], phase)
     lhs = r[2].mantissa
     rhs = 2.0 * r[0].mantissa - 3.0 * r[1].mantissa
