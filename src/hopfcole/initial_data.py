@@ -114,7 +114,7 @@ class _PrimitiveCache:
     """Cumulative int_0^y f over the blocks with edges 0, +-0.5, +-1, +-2, ...,
     extended lazily.
 
-    Block sums are adaptive_quadrature values to 1e-12; a query adds the G21
+    Block sums are adaptive_quadrature values to 1e-12; a query adds the K21
     value of one partial panel from the nearest cached edge (_panel_eval), so
     each call costs one vectorized batch of f evaluations per _QUERY_CHUNK
     query points.  The state is one tuple (edges, cumulative sums at +edges,
@@ -159,7 +159,7 @@ class _PrimitiveCache:
         arrays = self._arrays
         flat = y.ravel()
         out = np.empty(flat.shape)
-        # each query point costs a (31,) row of temporaries: chunk the query
+        # each query point costs a (21,) row of temporaries: chunk the query
         for lo in range(0, flat.size, _QUERY_CHUNK):
             out[lo:lo + _QUERY_CHUNK] = self._partial(flat[lo:lo + _QUERY_CHUNK], arrays)
         return out.reshape(y.shape)

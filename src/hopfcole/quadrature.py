@@ -30,15 +30,16 @@ weights depend on the point of the phase, and take each node's own value
 for it: its x for the Hermite factor H_m((x - y) / (2 sqrt t)) of the heat
 derivatives (HermiteWeight), and its point's center c, the anchor y0 below,
 for the powers (y - c)^j whose quotients are the centered moments behind
-the Burgers derivative fields (CenteredWeight).  The non-nested 10- and
-21-point Gauss-Legendre rules are applied to arrays of panels in one call
-(_rules).
+the Burgers derivative fields (CenteredWeight).  The nested Gauss-Kronrod
+pair G10/K21 (QUADPACK's qk21) is applied to arrays of panels in one call
+(_rules): K21 holds the 10 Gauss nodes, so a panel takes 21 nodes, the
+value is its K21 and the error estimate its difference from G10.
 
 The phase is measured from its maximum.  From the root y0 where it is
 largest, H(y) - H(y0) = -(y - y0)(y + y0 - 2x)/(4t) - int_{y0}^y f0 / 2.
 Each panel carries its phase at its left end, from the integrals of f0
 over the panels summed from y0 in extended precision, and a node adds the
-phase from there, with int f0 from f0 at the panel's 31 nodes through one
+phase from there, with int f0 from f0 at the panel's 21 nodes through one
 fixed spectral-integration matrix (_SPECTRAL).  So no node subtracts two
 numbers of the size of the phase, whatever t.  data.primitive runs only at
 the roots and the truncation candidates, and f0 at the nodes is evaluated
@@ -79,23 +80,43 @@ KIND_MAX = "local_max"
 KIND_MIN = "local_min"
 KIND_DEGENERATE = "degenerate"
 
-_GL10 = np.polynomial.legendre.leggauss(10)
-_GL21 = np.polynomial.legendre.leggauss(21)
-_NODES = np.concatenate([_GL10[0], _GL21[0]])  # both rules, 31 nodes a panel
+# The nested Gauss-Kronrod pair G10/K21 of QUADPACK's qk21 (Kronrod 1965;
+# Piessens et al. 1983) on [-1, 1]: the 11 nodes y >= 0 and their K21 and
+# G10 weights, from 0 up.  The G10 nodes are every second K21 node, so in
+# ascending order they sit at the odd indices of the 21 nodes a panel.
+_XK = np.array([0.0,
+                0.148874338981631210884826001129720, 0.294392862701460198131126603103866,
+                0.433395394129247190799265943165784, 0.562757134668604683339000099272694,
+                0.679409568299024406234327365114874, 0.780817726586416897063717578345042,
+                0.865063366688984510732096688423493, 0.930157491355708226001207180059508,
+                0.973906528517171720077964012084452, 0.995657163025808080735527280689003])
+_WK = np.array([0.149445554002916905664936468389821,
+                0.147739104901338491374841515972068, 0.142775938577060080797094273138717,
+                0.134709217311473325928054001771707, 0.123491976262065851077958109831074,
+                0.109387158802297641899210590325805, 0.093125454583697605535065465083366,
+                0.075039674810919952767043140916190, 0.054755896574351996031381300244580,
+                0.032558162307964727478818972459390, 0.011694638867371874278064396062192])
+_WG = np.array([0.0,
+                0.295524224714752870173892994651338, 0.0,
+                0.269266719309996355091226921569469, 0.0,
+                0.219086362515982043995534934228163, 0.0,
+                0.149451349150580593145776339657697, 0.0,
+                0.066671344308688137593568809893332, 0.0])
+_NODES = np.concatenate([-_XK[:0:-1], _XK])  # 21 nodes a panel; node 10 is 0
+_W21 = np.concatenate([_WK[:0:-1], _WK])  # K21
+_W10 = np.concatenate([_WG[::-1], _WG[1:]])  # G10, 0 at the Kronrod nodes
 
 
 def _spectral_rows():
-    """The (34, 31) spectral-integration matrix of the panel [-1, 1]
-    (Greengard, SIAM J. Numer. Anal. 28, 1991): f at the 31 nodes of _NODES
-    to the integral from -1 of the polynomial of degree 30 through them, at
-    those nodes and at the midpoint 0; then the G21 and the G10 rule over
-    the whole panel."""
+    """The (23, 21) spectral-integration matrix of the panel [-1, 1]
+    (Greengard, SIAM J. Numer. Anal. 28, 1991): f at the 21 nodes of _NODES
+    to the integral from -1 of the polynomial of degree 20 through them, at
+    those nodes (node 10 is the midpoint 0); then the K21 and the G10 rule
+    over the whole panel."""
     leg = np.polynomial.legendre
-    targets = np.concatenate([_NODES, [0.0]])
-    integrals = leg.legval(targets, leg.legint(np.eye(31), lbnd=-1.0)).T
-    rows = np.linalg.solve(leg.legvander(_NODES, 30).T, integrals.T).T
-    return np.ascontiguousarray(np.vstack([rows, np.concatenate([np.zeros(10), _GL21[1]]),
-                                           np.concatenate([_GL10[1], np.zeros(21)])]))
+    integrals = leg.legval(_NODES, leg.legint(np.eye(21), lbnd=-1.0)).T
+    rows = np.linalg.solve(leg.legvander(_NODES, 20).T, integrals.T).T
+    return np.ascontiguousarray(np.vstack([rows, _W21, _W10]))
 
 
 _SPECTRAL = _spectral_rows()
@@ -386,16 +407,17 @@ class StabilizedIntegral:
 
 
 def _panel_nodes(a, b):
-    """(nodes, half): the 31 nodes of each panel [a[j], b[j]], of shape
-    (n_panels, 31), and the half widths."""
+    """(nodes, half): the 21 nodes of each panel [a[j], b[j]], of shape
+    (n_panels, 21), and the half widths."""
     half = 0.5 * (b - a)
     return (0.5 * (a + b))[:, None] + half[:, None] * _NODES, half
 
 
 def _rules(gv, half):
-    """(I10, I21), each of shape (n_weights, n_panels), from the values gv
-    of shape (n_weights, n_panels, 31) at the nodes of the panels."""
-    return half * (gv[:, :, :10] @ _GL10[1]), half * (gv[:, :, 10:] @ _GL21[1])
+    """(I10, I21), the G10 and K21 values, each of shape (n_weights,
+    n_panels), from the values gv of shape (n_weights, n_panels, 21) at the
+    nodes of the panels."""
+    return half * (gv @ _W10), half * (gv @ _W21)
 
 
 def _panel_eval(integrand, a, b):
@@ -621,13 +643,13 @@ def _table(data: InitialData, t, x_max):
 
 
 def _log_gauss_tails(quad, dist):
-    """log of int_dist^inf exp(-quad s^2) ds (one tail) for an array of
-    distances."""
-    xi = dist * math.sqrt(quad)
+    """log of int_dist^inf exp(-quad s^2) ds (one tail) for arrays of
+    distances and of their quad (or one quad for all)."""
+    xi = dist * np.sqrt(quad)
     with np.errstate(divide="ignore"):
-        near = np.log(0.5 * math.sqrt(math.pi / quad) * erfc(np.minimum(xi, 25.0)))
+        near = np.log(0.5 * np.sqrt(math.pi / quad) * erfc(np.minimum(xi, 25.0)))
     far = (-xi * xi - np.log(np.maximum(xi, 25.0) * math.sqrt(math.pi))
-           - 0.5 * math.log(quad) + math.log(0.5) + 0.5 * math.log(math.pi))
+           - 0.5 * np.log(quad) + math.log(0.5) + 0.5 * math.log(math.pi))
     return np.where(xi < 25.0, near, far)
 
 
@@ -726,7 +748,7 @@ def _origin_scale(weights, data, k=0):
 
     The data families vary near y = 0 (the kink of PowerC0, the bump of
     Gaussian data) and decay as powers of |y| away from it; a panel much
-    wider than its distance to y = 0 is blind to that, and its G10 and G21
+    wider than its distance to y = 0 is blind to that, and its G10 and K21
     values agree on a wrong integral.  f0 is graded whatever the weights
     (a unit weight too), so that every panel resolves the f0 whose integral
     it passes outward (_integrate).  f0'' measures the distance to the
@@ -894,9 +916,9 @@ def _integrate(ph, x, k, pt, y, is_max, d1, origin_scale, rel_tol, max_panels,
     integral by spectral integration of f0 at the panel's nodes
     (_SPECTRAL): no node subtracts numbers of the size of the offsets.  The
     initial panels are split until each resolves f0 (_resolved), and their
-    h come from their G21 integrals of f0 summed from y0 (_offsets); a
+    h come from their K21 integrals of f0 summed from y0 (_offsets); a
     split panel passes its h to its left half, and its h plus the phase
-    from a to its midpoint to its right half.  f0 at the nodes is
+    from a to its midpoint, node 10, to its right half.  f0 at the nodes is
     evaluated once, for the phase and the weights, and the phase factor
     multiplies the weight rows in place.  The weights take each node's x
     and its point's anchor y0 as the center c (CenteredWeight).
@@ -928,7 +950,7 @@ def _integrate(ph, x, k, pt, y, is_max, d1, origin_scale, rel_tol, max_panels,
         # f0 ulp(y) is far above the phase's rounding (1e-11 at y = 4e6)
         phase = (h.astype(float)[:, None]
                  + quad(pa[:, None], half[:, None] * (1.0 + _NODES), pid[:, None])
-                 - 0.5 * ints[:, :31])
+                 - 0.5 * ints[:, :21])
         kp = k[pid]  # one index for the nodes of panels of one t
         gv = ph.weights(ys.ravel(), np.repeat(x[pid], _NODES.size), f0.ravel(),
                         kp[0] if (kp == kp[0]).all() else np.repeat(kp, _NODES.size),
@@ -938,12 +960,12 @@ def _integrate(ph, x, k, pt, y, is_max, d1, origin_scale, rel_tol, max_panels,
 
     def right_half(pid, pa, pb, f0, ints, h):
         # H(mid) - H(y0) at the double midpoint, which is off the middle
-        # node a + half of the spectral rows by half the rounding of a + b
+        # node a + half (node 10) by half the rounding of a + b
         s = pa + pb
         bb = s - pa
         mid = 0.5 * s
         return h + (quad(pa, mid - pa, pid)
-                    - 0.5 * (ints[:, 31] - 0.5 * f0[:, 20] * ((pa - (s - bb)) + (pb - bb))))
+                    - 0.5 * (ints[:, 10] - 0.5 * f0[:, 10] * ((pa - (s - bb)) + (pb - bb))))
 
     def evaluate(pid, pa, pb, h):
         # a level is both halves of each split panel, so every chunk holds an
@@ -975,15 +997,15 @@ def _integrate(ph, x, k, pt, y, is_max, d1, origin_scale, rel_tol, max_panels,
     return total, err + tail, tgt, (err <= tgt) & np.isfinite(tail), log_scale, a, b, y0
 
 
-_F0_RESOLUTION = 1e-10  # G10 against G21 of f0 on a panel that resolves it
+_F0_RESOLUTION = 1e-10  # G10 against K21 of f0 on a panel that resolves it
 _F0_SPLITS = 30  # halvings of a panel that does not
 _EPS = np.finfo(float).eps
 
 
 def _f0_rows(data, ys, half):
     """(f0, ints) at the nodes ys of panels of half widths half: f0 there,
-    of shape (n_panels, 31), and its integrals from each panel's left end
-    by the rows of _SPECTRAL, of shape (n_panels, 34).  A product of two
+    of shape (n_panels, 21), and its integrals from each panel's left end
+    by the rows of _SPECTRAL, of shape (n_panels, 23).  A product of two
     panels or more gives each panel's row the same bits in any batch, so no
     panel depends on its batch; one panel alone is another BLAS call, and so
     is _SPECTRAL in Fortran order, whose rows can differ in the last bit."""
@@ -994,8 +1016,8 @@ def _f0_rows(data, ys, half):
 
 
 def _f0_resolves(data, half, ints):
-    """Per panel of half width half: its G10 and G21 of f0 (_f0_rows) agree
-    to _F0_RESOLUTION of the G21 one, or to eps sup|f0| times its width.
+    """Per panel of half width half: its G10 and K21 of f0 (_f0_rows) agree
+    to _F0_RESOLUTION of the K21 one, or to eps sup|f0| times its width.
     That floor passes the panels where f0 is negligible, where a relative
     test cannot be met (the super-exponential tail of Gaussian data); f0
     there adds below round-off of sup|f0| to the integral it passes on."""
@@ -1020,10 +1042,13 @@ def _point_groups(pid):
 
 def _resolved(data, pid, pa, pb):
     """The panels of whole points, halved until each resolves f0: until
-    its G10 and G21 integrals of f0 agree (_f0_resolves), or it was halved
-    _F0_SPLITS times.  The polynomial of degree 30 through the 31 nodes then
-    carries the integral of f0 to round-off: the G10 error of y^-1/2 on
-    [8, 32] is 8e-11, and its spectral integrals there are 4e-16 off.
+    its G10 and K21 integrals of f0 agree (_f0_resolves), or it was halved
+    _F0_SPLITS times.  The polynomial of degree 20 through the 21 nodes then
+    carries the integral of f0 to about 1e-12 of the panel's, not to
+    round-off: on the panel [8, 32] of the origin ladder, y^-1/2 has a G10
+    error of 5.2e-11, and its spectral integrals at the nodes are up to
+    5.7e-13 of the panel's integral off (4.7e-16 through the 31 nodes of
+    two separate Gauss rules).
     Graded panels pass at once; the ones that split lie where f0 varies on
     a scale below the grading of _batch_edges.
 
@@ -1062,13 +1087,13 @@ def _anchors(ph, x, k, pt, y):
     return log_scale, y[first]
 
 
-_W21 = _GL21[1].astype(np.longdouble)
+_W21_LONG = _W21.astype(np.longdouble)
 
 
 def _offsets(pid, pa, half, f0, ints, y0, several):
     """int_{y0}^{pa} f0 for every panel of the sorted (point, left end)
     arrays of the points, with f0 and its integrals (_f0_rows) at their
-    nodes: the G21 integrals of the panels summed over each point's panels
+    nodes: the K21 integrals of the panels summed over each point's panels
     from its first one, less that sum at its anchor y0, an edge of its
     panels.  A point's sums run over its own panels alone, one row of a
     (point, panel) table each, so no point depends on its batch.
@@ -1082,7 +1107,7 @@ def _offsets(pid, pa, half, f0, ints, y0, several):
         return np.zeros(pid.size, dtype=np.longdouble)
     full = ints[:, -2].astype(np.longdouble)
     far = several[pid]
-    full[far] = half[far] * (f0[far, 10:].astype(np.longdouble) @ _W21)
+    full[far] = half[far] * (f0[far].astype(np.longdouble) @ _W21_LONG)
     col = np.arange(pid.size) - np.searchsorted(pid, pid)
     table = np.zeros((several.size, int(col.max()) + 2), dtype=np.longdouble)
     table[pid, col + 1] = full
@@ -1133,15 +1158,12 @@ def _batch_truncation(ph, x, k, log_scale, max_pt, max_y, c):
     thr = np.maximum(np.maximum(thr, 2.0 * np.abs(x) + 1.0), 1.0)
     a = np.minimum(edge[:m], x - thr)
     b = np.maximum(edge[m:], x + thr)
-    runs = [(lo, hi, 1.0 / (8.0 * ts[k2[lo]])) for lo, hi in _runs(k2)]
+    quad = 1.0 / (8.0 * ph.t[k2])  # each end at its own t
 
-    def tail_log(a, b):  # both ends in one call each, and one call a run of one t
+    def tail_log(a, b):  # both ends in one call each
         gmax = np.maximum(ph.weight_mag(np.concatenate([a, b]), x2, k2, c2).reshape(2, m).max(axis=0),
                           1e-300)
-        dist = np.concatenate([b - x, x - a])
-        tails = np.empty(2 * m)
-        for lo, hi, quad in runs:
-            tails[lo:hi] = _log_gauss_tails(quad, dist[lo:hi])
+        tails = _log_gauss_tails(quad, np.concatenate([b - x, x - a]))
         return tails.reshape(2, m).max(axis=0) + np.log(8.0 * gmax) - log_scale
 
     log_tail = tail_log(a, b)
@@ -1166,7 +1188,7 @@ def _batch_edges(ph, a, b, k, pt, y, is_max, d1, origin_scale):
 
     Where the phase flattens away from a narrow peak, or the data decay as
     a power of |y|, one panel out to the truncation end puts every node past
-    the integrand's mass, and its G10 and G21 agree on a wrong value
+    the integrand's mass, and its G10 and K21 agree on a wrong value
     (Asymmetric data, t = 5.3e6: 8e-12 for a true 0.27)."""
     m = a.size
     centers = np.concatenate([y[is_max], np.zeros(m)])
@@ -1206,8 +1228,8 @@ def _batch_refine(evaluate, panels, m, rel_tol, max_panels):
     created = np.bincount(pid, minlength=m)
     while True:
         # rules that differ by a tenth of the panel's value do not bound its
-        # error (a 2e5-wide tail panel read 1.0e-6 on G21, 1.7e-5 exact):
-        # such an estimate counts up to tenfold
+        # error (a 2e5-wide tail panel read 1.0e-6 on its finer rule, 1.7e-5
+        # exact): such an estimate counts up to tenfold
         e = np.abs(i21 - i10)
         with np.errstate(divide="ignore", invalid="ignore"):
             e = e * np.fmin(10.0, np.fmax(1.0, 10.0 * e / np.abs(i21)))
@@ -1239,8 +1261,8 @@ def _batch_refine(evaluate, panels, m, rel_tol, max_panels):
 
 
 def adaptive_quadrature(fn, edges, rel_tol=1e-9, max_panels=2000):
-    """Adaptive Gauss-Legendre of one plain function over a fixed edge list,
-    on the level-by-level refinement of the moment integrals.
+    """Adaptive G10/K21 quadrature of one plain function over a fixed edge
+    list, on the level-by-level refinement of the moment integrals.
 
     Returns (value, abs_error, converged)."""
     edges = np.asarray(edges, dtype=float)

@@ -1205,8 +1205,8 @@ def fixed_order_rules(gv, half):
     """quadrature._rules with each panel's sums in one fixed order
     (np.einsum), whatever its row in the product: OpenBLAS's gemv gives a
     row bits that depend on its position among the rows of the call."""
-    return (half * np.einsum("wpn,n->wp", gv[:, :, :10], quadrature._GL10[1]),
-            half * np.einsum("wpn,n->wp", gv[:, :, 10:], quadrature._GL21[1]))
+    return (half * np.einsum("wpn,n->wp", gv, quadrature._W10),
+            half * np.einsum("wpn,n->wp", gv, quadrature._W21))
 
 
 def test_a_sweep_gives_each_t_its_batch_of_one(monkeypatch):
@@ -1215,8 +1215,8 @@ def test_a_sweep_gives_each_t_its_batch_of_one(monkeypatch):
     # derivative fields and of a heat derivative (a HermiteWeight, which
     # takes each node's x and t).  The rule sums of quadrature._rules take
     # a last bit from a panel's position in their gemv, as between the
-    # batches of one t: with them, 28 of 5,625 values of 60 such draws
-    # moved, by at most 9.6e-15 of their row's size; with the sums in a
+    # batches of one t: with them, 26 of 3,750 values of 60 such draws
+    # moved, by at most 1.7e-15 of their row's size; with the sums in a
     # fixed order, none
     rng = np.random.default_rng(20261024)
     for i in range(15):

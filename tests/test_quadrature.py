@@ -141,17 +141,46 @@ def test_compiled_f0_row_is_the_data_row(family, n):
     assert np.array_equal(got[0], data.value(y))
 
 
-def test_spectral_rows_integrate_polynomials_of_degree_30():
-    # the rows of _SPECTRAL take a polynomial of degree <= 30 at the 31
-    # nodes of a panel to its integrals from -1 at those nodes and at 0;
-    # the last two rows are the G21 and G10 rules over the panel
-    targets = np.concatenate([quadrature._NODES, [0.0]])
-    for deg in range(31):
-        exact = (targets ** (deg + 1) - (-1.0) ** (deg + 1)) / (deg + 1)
+def test_rule_constants_are_the_nested_gauss_kronrod_pair():
+    # G10 sits on the odd nodes of K21 with Gauss-Legendre's nodes and
+    # weights; K21 is exact through degree 31 and G10 through degree 19
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    assert np.all(np.abs(quadrature._NODES[1::2] - nodes) <= 2e-16)
+    assert np.all(np.abs(quadrature._W10[1::2] - weights) <= 2e-16)
+    assert not quadrature._W10[::2].any()
+    assert np.all(np.diff(quadrature._NODES) > 0.0) and quadrature._NODES[10] == 0.0
+    for deg in range(32):
+        exact = (1.0 - (-1.0) ** (deg + 1)) / (deg + 1)
+        assert abs(quadrature._W21 @ quadrature._NODES ** deg - exact) <= 2e-15, deg
+        if deg <= 19:
+            assert abs(quadrature._W10 @ quadrature._NODES ** deg - exact) <= 2e-15, deg
+
+
+def test_spectral_rows_integrate_polynomials_of_degree_20():
+    # the rows of _SPECTRAL take a polynomial of degree <= 20 at the 21
+    # nodes of a panel to its integrals from -1 at those nodes (node 10 is
+    # the midpoint 0); the last two rows are the K21 and G10 rules over the
+    # panel
+    for deg in range(21):
+        exact = (quadrature._NODES ** (deg + 1) - (-1.0) ** (deg + 1)) / (deg + 1)
         got = quadrature._SPECTRAL @ quadrature._NODES ** deg
-        assert np.all(np.abs(got[:32] - exact) <= 2e-15), deg
-    assert np.array_equal(quadrature._SPECTRAL[32, 10:], quadrature._GL21[1])
-    assert np.array_equal(quadrature._SPECTRAL[33, :10], quadrature._GL10[1])
+        assert np.all(np.abs(got[:21] - exact) <= 2e-15), deg
+    assert np.array_equal(quadrature._SPECTRAL[21], quadrature._W21)
+    assert np.array_equal(quadrature._SPECTRAL[22], quadrature._W10)
+
+
+def test_spectral_integrals_of_an_origin_ladder_panel():
+    # degree-20 spectral integrals are not exact to round-off: f0 = y^-1/2
+    # on the panel [8, 32] of the origin ladder gets integrals at its nodes
+    # up to 5.7e-13 of the panel's integral off (4.7e-16 through 31 nodes),
+    # while its G10 is 5.2e-11 off and the panel still resolves f0
+    ys, half = quadrature._panel_nodes(np.array([8.0]), np.array([32.0]))
+    ints = half[:, None] * (ys ** -0.5 @ quadrature._SPECTRAL.T)
+    whole = 2.0 * (math.sqrt(32.0) - math.sqrt(8.0))
+    exact = 2.0 * (np.sqrt(ys) - math.sqrt(8.0))
+    assert np.all(np.abs(ints[:, :21] - exact) <= 1e-12 * whole)
+    assert abs(ints[0, 21] - whole) <= 1e-15 * whole
+    assert abs(ints[0, 22] - whole) <= quadrature._F0_RESOLUTION * whole
 
 
 @pytest.mark.parametrize("n", [2, 3, 17, 512])
@@ -840,7 +869,7 @@ def gaussian_batch(t):
 
 
 def test_negligible_gaussian_panels_are_not_split(monkeypatch):
-    # a relative test of G10 against G21 cannot pass where the super-
+    # a relative test of G10 against K21 cannot pass where the super-
     # exponential tail leaves f0 negligible, and those panels were halved
     # _F0_SPLITS times: 5,739 panels grew into 41,718 at t = 1e4.  The
     # floor of eps sup|f0| times the width passes them
