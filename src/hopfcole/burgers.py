@@ -146,6 +146,7 @@ class SupNormResult:
     search_window: tuple  # (Z, n_coarse)
 
 
+_EPS = float(np.finfo(float).eps)
 _SQRT_EPS = math.sqrt(2.2e-16)
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
@@ -241,13 +242,16 @@ def scan_max(fn, lo, hi, n_coarse: int):
     bracket ends.  Each refinement runs _bounded_brent on -fn with
     xatol = 1e-6 (b - a) + 1e-12 of its grid bracket [a, b], and the
     refinements of all windows run in lockstep: each step is one call on
-    the next x of every live one.  Each window's (value, x) is its best
-    point scored, with the values fn gave."""
+    the next x of every live one.  Each window's (value, x) is a point
+    scored, with the value fn gave: of the grid maximum, the sub-grid
+    maxima and the refined points, the one of least x among those within
+    8 eps |best| of the best, so that mirror peaks of even data, equal up
+    to round-off, give the negative x whichever of them wins by an ulp."""
     one = np.ndim(lo) == 0 and np.ndim(hi) == 0
     windows = list(zip(np.atleast_1d(np.asarray(lo, dtype=float)).tolist(),
                        np.atleast_1d(np.asarray(hi, dtype=float)).tolist()))
     grids = [np.linspace(a, b, n_coarse) for a, b in windows]
-    best, runs, shoulders = [], [], []
+    found, runs, shoulders = [], [], []
     for grid, vals in zip(grids, fn(grids)):
         vals = np.asarray(vals, dtype=float)
         order = np.argsort(vals)[::-1]
@@ -258,7 +262,7 @@ def scan_max(fn, lo, hi, n_coarse: int):
             if len(picked) == 3:
                 break
         top = int(np.argmax(vals))
-        best.append([float(vals[top]), float(grid[top])])
+        found.append([(float(vals[top]), float(grid[top]))])
         runs.append([])
         shoulders.append([])
         for i in picked:
@@ -277,8 +281,7 @@ def scan_max(fn, lo, hi, n_coarse: int):
         for w, (sh, scores) in enumerate(zip(shoulders, fn(subs))):
             for (pts, edge, xatol), row in zip(sh, np.asarray(scores, dtype=float).reshape(-1, 7)):
                 k = int(np.argmax(row))
-                if row[k] > best[w][0]:
-                    best[w] = [float(row[k]), float(pts[k + 1])]
+                found[w].append((float(row[k]), float(pts[k + 1])))
                 if row[k] > edge:
                     runs[w].append(_bounded_brent(pts[k], pts[k + 2], xatol))
     results = [[None] * len(rw) for rw in runs]
@@ -292,11 +295,12 @@ def scan_max(fn, lo, hi, n_coarse: int):
                 except StopIteration as stop:
                     res[j] = stop.value
                     del p[j]
-    for b, res in zip(best, results):
-        for x, fx in res:
-            if -fx > b[0]:
-                b[:] = float(-fx), float(x)
-    out = [tuple(b) for b in best]
+    out = []
+    for pairs, res in zip(found, results):
+        pairs += [(float(-fx), float(x)) for x, fx in res]
+        top = max(v for v, _x in pairs)
+        out.append(min((p for p in pairs if p[0] >= top - 8.0 * _EPS * abs(top)),
+                       key=lambda p: (p[1], -p[0])))
     return out[0] if one else out
 
 

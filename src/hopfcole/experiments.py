@@ -283,9 +283,10 @@ def _derivative_sup(data, ts, n, k, cfg):
     Returns (found, tie_fallback): one (sup, argmax) per t, and per t
     whether the finite-time tie point was not found and the layer scan is
     centred on the limit jump case.discontinuity_z instead.  The wide scans
-    of all t run in lockstep, then the tie points of each t, then the layer
-    scans in lockstep (burgers.scan_max), all scored on one
-    burgers.derivative_fields_scorer for the sweep."""
+    of all t run in lockstep (burgers.scan_max), then the tie points of all
+    t (rescaled.phase_tie_point on the array of t), then the layer scans in
+    lockstep, all scored on one burgers.derivative_fields_scorer for the
+    sweep."""
     ts = [float(t) for t in ts]
     ms = [_scales(data, t)[0] for t in ts]
     name = burgers.FIELD_OF_ORDER[(n, k)]
@@ -300,14 +301,10 @@ def _derivative_sup(data, ts, n, k, cfg):
     if case is None or (n, k) == (0, 0):
         return wide, [False] * len(ts)
     lo, hi, fallback = [], [], []
-    for t, m in zip(ts, ms):
-        try:
-            zc_t = phase_tie_point(data, t)
-        except TieWindowError:
+    for t, m, zc_t in zip(ts, ms, phase_tie_point(data, ts)):
+        fallback.append(isinstance(zc_t, TieWindowError))
+        if fallback[-1]:
             zc_t = case.discontinuity_z
-            fallback.append(True)
-        else:
-            fallback.append(False)
         yp = invert_branch(case, BRANCH_PLUS, zc_t).y
         # Asymmetric data have no minus branch at z > 0: the competing
         # maximum is the left one, which tends to y = 0
@@ -380,22 +377,22 @@ def run_profile(cfg: ExperimentConfig):
     ps = [profile_value(case, z) for z in zs]  # p does not depend on t
     rows = []
     sups = []
-    max_local_maxima = 0
-    for t in ts:
-        m, amp = _scales(data, float(t))
+    scales = [_scales(data, float(t)) for t in ts]
+    score = burgers._eval_scorer(data, ts, 1e-9)
+    for t, (_m, amp), vals in zip(ts, scales, score([np.asarray(zs) * m for m, _amp in scales])):
         errs = []
-        vals = amp * burgers.eval_batch(data, np.asarray(zs) * m, float(t))
-        for z, v, p in zip(zs, vals, ps):
+        for z, v, p in zip(zs, amp * vals, ps):
             v = float(v)
             err = abs(v - p)
             errs.append(err)
             rows.append((float(t), z, v, p, err))
         sups.append(max(errs))
-        # spurious stationary points near the cusp are possible at finite t;
-        # runs with more than 3 local maxima get flagged for inspection
-        for cps in rescaled_critical_points(data, np.asarray([zc - 0.5, zc + 0.5]), float(t)):
-            max_local_maxima = max(
-                max_local_maxima, sum(1 for c in cps if c.kind != KIND_MIN))
+    # spurious stationary points near the cusp are possible at finite t;
+    # runs with more than 3 local maxima get flagged for inspection
+    max_local_maxima = max(
+        sum(1 for c in cps if c.kind != KIND_MIN)
+        for cps in rescaled_critical_points(data, np.tile([zc - 0.5, zc + 0.5], len(ts)),
+                                            np.repeat(ts, 2)))
     results = {"jump_z": zc, "sup_errors": dict(zip(map(float, ts), sups)),
                "max_local_maxima": max_local_maxima,
                "spurious_maxima_flag": max_local_maxima > 3}
@@ -455,8 +452,10 @@ def run_critical_z(cfg: ExperimentConfig):
         printed_val = None
         rows.append(("printed", "", "no_root"))
     finite_vals = {}
-    for t in cfg.t_grid():
-        zt = phase_tie_point(data, float(t))
+    ts = cfg.t_grid()
+    for t, zt in zip(ts, phase_tie_point(data, ts)):
+        if isinstance(zt, TieWindowError):
+            raise zt
         finite_vals[float(t)] = zt
         rows.append(("finite_tie", float(t), zt))
     t_last = max(finite_vals)
@@ -484,10 +483,8 @@ def run_critical_z(cfg: ExperimentConfig):
 def run_concentration(cfg: ExperimentConfig):
     t0 = time.time()
     data = make_family(cfg.family)
-    rows = []
-    for t in cfg.t_grid():
-        r = concentration_ratio(data, cfg.x0, float(t), cfg.mu1, cfg.mu2)
-        rows.append((float(t), r.ratio, r.log_ratio, r.c0))
+    rows = [(r.t, r.ratio, r.log_ratio, r.c0)
+            for r in concentration_ratio(data, cfg.x0, cfg.t_grid(), cfg.mu1, cfg.mu2)]
     ts = np.asarray([r[0] for r in rows])
     logs = np.asarray([r[2] for r in rows])
     alpha = data.alpha if data.alpha is not None else 1.0
@@ -543,10 +540,10 @@ def run_heat_profile(cfg: ExperimentConfig):
     prof = {float(z): heat.heat_limit_profile(float(z), kappa, alpha) for z in zs}
     rows = []
     sups = []
-    for t in ts:
+    score = heat._heat_eval_scorer(data, ts, 1e-9)
+    for t, vals in zip(ts, score([zs * math.sqrt(t) for t in ts])):
         errs = []
-        vals = t ** (alpha / 2.0) * heat.heat_eval_batch(data, zs * math.sqrt(t), float(t))
-        for z, v in zip(zs, vals):
+        for z, v in zip(zs, t ** (alpha / 2.0) * vals):
             v = float(v)
             err = abs(v - prof[float(z)])
             errs.append(err)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import brentq_lockstep
+from .quadrature import brentq_lockstep, lockstep
 
 CASE_SYMMETRIC = "SymmetricPositive"
 CASE_SIGN_FLIPPED = "SignFlipped"
@@ -265,16 +265,10 @@ class TiePointError(RuntimeError):
     or the printed variant's scan saw no sign change (an inconsistent variant)."""
 
 
-def envelope_tie(pair, z: float, step: float) -> float:
-    """The root of a tie delta(z) = Ht(y+, z) - Ht(y-, z) between stationary
-    points y+ > y- of a phase with dHt/dz = -(z - y)/2: as dHt/dy = 0 there,
-    delta' = (y+ - y-)/2 > 0 exactly, and Newton takes it from the roots in
-    hand.  pair(z) gives (y+, y-, delta), or None where a branch is missing.
-    The first step goes from z by step, and a step to a z with no pair (the
-    first one too) is halved back.  It stops at a step of at most
-    1e-15 (1 + |z|), taking it, and raises TiePointError after 60 pair calls."""
+def _envelope_tie(z, step):
+    """envelope_tie's Newton on one tie, as a generator (quadrature.lockstep)."""
     for _ in range(60):
-        got = pair(z + step)
+        got = yield z + step
         if got is None:
             if step == 0.0:
                 break
@@ -286,6 +280,28 @@ def envelope_tie(pair, z: float, step: float) -> float:
         if abs(step) <= 1e-15 * (1.0 + abs(z)):
             return float(z + step)
     raise TiePointError(f"no root of the tie difference near z = {z}")
+
+
+def envelope_tie(pairs, z, step):
+    """The roots of ties delta(z) = Ht(y+, z) - Ht(y-, z) between stationary
+    points y+ > y- of a phase with dHt/dz = -(z - y)/2: as dHt/dy = 0 there,
+    delta' = (y+ - y-)/2 > 0 exactly, and Newton takes it from the roots in
+    hand.  The first step of a tie goes from z by step, and a step to a z
+    with no pair (the first one too) is halved back.  A tie stops at a step
+    of at most 1e-15 (1 + |z|), taking it, and fails after 60 queries.
+
+    z and step are numbers (one tie: returns its root or raises) or 1-d
+    arrays (a list of one root, or TiePointError, per tie), the ties in
+    lockstep (quadrature.lockstep): pairs(j, zs) answers the live ties j at
+    their next z with (y+, y-, delta) each, or None where a branch is missing."""
+    out = lockstep([_envelope_tie(a, b) for a, b in zip(np.atleast_1d(z).tolist(),
+                                                        np.atleast_1d(step).tolist())],
+                   pairs, TiePointError)
+    if np.ndim(z) or np.ndim(step):
+        return out
+    if isinstance(out[0], TiePointError):
+        raise out[0]
+    return out[0]
 
 
 def _first_sign_change(delta, anchor, step0):
@@ -341,7 +357,7 @@ def profile_jump_location(case: ProfileCase, variant: str = VARIANT_LIMIT_DERIVE
         return yp, ym, hp - hm
 
     if variant == VARIANT_LIMIT_DERIVED:
-        return envelope_tie(pair, case.g_y0, 1.0)
+        return envelope_tie(lambda _j, zs: [pair(v) for v in zs.tolist()], case.g_y0, 1.0)
     return _first_sign_change(lambda z: pair(z)[2], case.g_y0, 1e-6 * (1.0 + case.g_y0))
 
 

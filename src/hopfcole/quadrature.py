@@ -18,8 +18,8 @@ piece end, x = G_t(p) at a bound p of the pieces, has p itself as its one
 degenerate root there; a root that misses its checks raises
 InternalConsistencyError.  The tables of the last query are kept for
 their (data, t) and reach (_tables), so critical_points, which answers an
-array of x in one query (and locate_critical_points, its one-x case), and
-the kernel of a sweep share them.
+array of x, at one t or one t per x, in one query (locate_critical_points is
+its one-x case), and the kernel of a sweep share them.
 
 There is one quadrature path.  The weights of a call are compiled once
 (compile_weights) into one function of a node array.  A MomentWeight is a
@@ -56,11 +56,12 @@ t).  What does not depend on x (the compiled weights and the origin
 scale) is set up once per (weights, data, sweep), so the lockstep scans
 of a sweep (burgers.scan_max) call one setup on each of their steps, a
 number t is a sweep of one, and a single point a batch of one.
-integrate_moments is the same truncation, partition and refinement for one
-phase with given critical points (or a window, for concentration ratios),
-and adaptive_quadrature is that refinement with one plain function as its
-only weight, for the block sums of the primitive cache of quadrature-only
-data (initial_data).
+log_partition is that path for the unit weight alone, over the whole line
+or over a window given per point (the concentration ratios of a sweep);
+integrate_moments, the same for one phase with given critical points, has
+no caller in the package.  adaptive_quadrature is that refinement with one
+plain function as its only weight, for the block sums of the primitive
+cache of quadrature-only data (initial_data).
 """
 from __future__ import annotations
 
@@ -344,8 +345,9 @@ class CriticalPoint:
 def critical_points(data: InitialData, xs, t) -> list:
     """The critical points of the physical phase of (data, t) at every x of
     xs, one list for each x, sorted by y: the roots of x = G_t(y),
-    G_t(y) = y + t f0(y), all from one query of the piece table of (data, t)
-    (_table, _batch_critical_points).
+    G_t(y) = y + t f0(y).  t is a number, or an array like xs of one t per
+    x; the x of all t are one query of the piece tables of their t (_tables,
+    _batch_critical_points).
 
     A root on a rising piece of G_t is a maximum of the phase and one on a
     falling piece a minimum.  A root at a piece end, or where
@@ -354,23 +356,26 @@ def critical_points(data: InitialData, xs, t) -> list:
     left among all pieces of G_t, and a root at a piece end by None.  The
     global maximum of each x is flagged, phase values are relative to it,
     and a residual is |H'| at the point.  Each root is found on its own, so
-    the list of an x does not depend on the other x of the call.  The
+    the list of an x does not depend on the other x, or t, of the call.  The
     critical points of the rescaled phase are these in units of the space
     scale (rescaled.rescaled_critical_points)."""
     xs = np.asarray(xs, dtype=float).ravel()
-    table = _table(data, t, float(np.max(np.abs(xs), initial=0.0)))
-    ph = _Phases(data, [t], None)
-    pt, y, is_max, d1 = _batch_critical_points(ph, xs, np.zeros(xs.size, dtype=int), [table])
+    ts, k, tables = _sweep_tables(data, xs, t)
+    ph = _Phases(data, ts, None)
+    pt, y, is_max, d1 = _batch_critical_points(ph, xs, k, tables)
     order = np.lexsort((y, pt))
     pt, y, is_max, d1 = pt[order], y[order], is_max[order], d1[order]
-    x = xs[pt]
-    tots = ph.total(y, x, 0)
-    res = np.abs((x - y) / (2.0 * t) - 0.5 * data.value(y))
+    x, kr = xs[pt], k[pt]
+    tots = ph.total(y, x, kr)
+    res = np.abs((x - y) / (2.0 * ph.t[kr]) - 0.5 * data.value(y))
     # a root at a piece end is the bound itself; every other root lies
     # strictly inside its piece
-    bounds = table[2]
-    piece = np.searchsorted(bounds, y, "left")
-    inside = piece == np.searchsorted(bounds, y, "right")
+    piece, inside, pieces = (np.empty(y.size, dtype=int) for _ in range(3))
+    for j, (_nodes, _rising, bounds, _g) in enumerate(tables):
+        on = kr == j
+        piece[on] = np.searchsorted(bounds, y[on], "left")
+        inside[on] = piece[on] == np.searchsorted(bounds, y[on], "right")
+        pieces[on] = bounds.size + 1
     ends = np.searchsorted(pt, np.arange(xs.size + 1)).tolist()
     out = []
     for lo, hi in zip(ends[:-1], ends[1:]):
@@ -379,7 +384,7 @@ def critical_points(data: InitialData, xs, t) -> list:
                                   KIND_DEGENERATE if abs(d1[j]) <= 1e-6
                                   else KIND_MAX if is_max[j] else KIND_MIN,
                                   float(res[j]), j == top,
-                                  int(piece[j]) if inside[j] else None, bounds.size + 1)
+                                  int(piece[j]) if inside[j] else None, int(pieces[j]))
                     for j in range(lo, hi)])
     return out
 
@@ -441,7 +446,7 @@ def integrate_moments(gs, phase, rel_tol=1e-8, cps=None, interval=None,
     (by locate_critical_points when not given).
 
     With interval=(a, b) the integration is restricted to that window (its
-    own max subtraction, no tail bound) -- used for concentration ratios.
+    own max subtraction, no tail bound).
     """
     if not isinstance(phase, PhysicalPhase):
         raise TypeError("integrals are taken under the physical phase only")
@@ -544,23 +549,34 @@ def _brentq(a, b, fa, fb, xtol, rtol, maxiter, where):
                             f"without converging{where}")
 
 
-def brentq_lockstep(f, a, b, fa, fb, xtol, rtol, maxiter=100, where=""):
-    """The roots _brentq finds on the brackets [a[i], b[i]], given the values
-    fa[i] and fb[i] at their ends, in lockstep: f maps an array of x to their
-    values, and each step is one call on the next x of every live bracket."""
-    runs = [_brentq(*ends, xtol, rtol, maxiter, where) for ends in zip(a, b, fa, fb)]
-    roots = np.empty(len(runs))
-    sent = dict.fromkeys(range(len(runs)))  # bracket -> value to send it, None to start
+def lockstep(runs, f, failure=()):
+    """Run the generators runs in lockstep, each yielding the next x it
+    needs and sent the answer there: f(j, xs) is given the indices j of the
+    live runs and their x, both arrays, and answers each, so each step is
+    one call.  Returns what each run returns, or the exception of the
+    types failure that it raised; any other exception propagates."""
+    out = [None] * len(runs)
+    sent = dict.fromkeys(range(len(runs)))  # run -> value to send it, None to start
     while sent:
         xs = {}
         for j, value in sent.items():
             try:
                 xs[j] = runs[j].send(value)
             except StopIteration as stop:
-                roots[j] = stop.value
-        values = np.asarray(f(np.array(list(xs.values()))), float).tolist() if xs else []
-        sent = dict(zip(xs, values))
-    return roots
+                out[j] = stop.value
+            except failure as exc:
+                out[j] = exc
+        sent = dict(zip(xs, f(np.asarray(list(xs), dtype=int), np.asarray(list(xs.values())))
+                        if xs else []))
+    return out
+
+
+def brentq_lockstep(f, a, b, fa, fb, xtol, rtol, maxiter=100, where=""):
+    """The roots _brentq finds on the brackets [a[i], b[i]], given the values
+    fa[i] and fb[i] at their ends, in lockstep: f maps an array of x to their
+    values, and each step is one call on the next x of every live bracket."""
+    runs = [_brentq(*ends, xtol, rtol, maxiter, where) for ends in zip(a, b, fa, fb)]
+    return np.asarray(lockstep(runs, lambda _j, xs: np.asarray(f(xs), float).tolist()), dtype=float)
 
 
 def monotone_pieces(data: InitialData, t, reach):
@@ -637,9 +653,13 @@ def _tables(data: InitialData, ts, x_max):
     return [used[id(data), t][2] for t in ts]
 
 
-def _table(data: InitialData, t, x_max):
-    """The piece table of (data, t) for |x| <= x_max (_tables)."""
-    return _tables(data, [t], [x_max])[0]
+def _sweep_tables(data: InitialData, xs, t):
+    """(ts, k, tables) for the points xs at t, a number or an array like xs:
+    the distinct t, each point's index in ts, and the tables of ts (_tables)."""
+    ts, k = (np.unique(np.asarray(t, dtype=float).ravel(), return_inverse=True) if np.ndim(t)
+             else (np.asarray([float(t)]), np.zeros(xs.size, dtype=int)))
+    x_max = [float(np.max(np.abs(xs[k == j]), initial=0.0)) for j in range(ts.size)]
+    return ts.tolist(), k, _tables(data, ts.tolist(), x_max)
 
 
 def _log_gauss_tails(quad, dist):
@@ -736,6 +756,23 @@ class BatchKernel:
         if self._sweep:
             return np.split(ratios, np.cumsum([x.size for x in parts])[:-1], axis=1)
         return ratios
+
+
+def log_partition(data: InitialData, xs, t, rel_tol=1e-9, interval=None, max_panels=4000):
+    """int e^H dy of the physical phase at every x of xs at its t (a number,
+    or an array like xs), over the whole line or over interval=(a, b), its
+    ends numbers or arrays like xs (_integrate): the arrays (log_scale,
+    mantissa, error, target) of the integrals mantissa e^log_scale.  A sweep
+    of t is one query of the piece tables and one _integrate call."""
+    xs = np.asarray(xs, dtype=float).ravel()
+    ts, k, tables = _sweep_tables(data, xs, t)
+    ph = _Phases(data, ts, compile_weights([None], data, ts))
+    pt, y, is_max, d1 = _batch_critical_points(ph, xs, k, tables)
+    order = np.lexsort((y, pt))  # the order of critical_points
+    total, err, tgt, _conv, log_scale = _integrate(
+        ph, xs, k, pt[order], y[order], is_max[order], d1[order],
+        np.full(xs.size, _origin_scale(ph.weights, data)), rel_tol, max_panels, interval)[:5]
+    return log_scale, total[0], err[0], tgt[0]
 
 
 def _origin_scale(weights, data, k=0):
@@ -904,9 +941,9 @@ def _integrate(ph, x, k, pt, y, is_max, d1, origin_scale, rel_tol, max_panels,
 
     Over the whole line the log scale is the largest phase at a root, and
     the ends and tail bound are _batch_truncation's; over a window
-    interval=(a, b) they are the window's ends, the log scale is the
-    largest phase at those ends and at the roots inside, and there is no
-    tail.
+    interval=(a, b), its ends numbers or one per point, they are the
+    window's ends, the log scale is the largest phase at those ends and at
+    the roots inside, and there is no tail.
 
     The phase at the nodes is measured from the anchor y0 where the log
     scale is attained (_anchors), with no closed-form primitive:
@@ -932,7 +969,7 @@ def _integrate(ph, x, k, pt, y, is_max, d1, origin_scale, rel_tol, max_panels,
         log_scale, y0 = _anchors(ph, x, k, pt, y)
         a, b, log_tail = _batch_truncation(ph, x, k, log_scale, pt[is_max], y[is_max], y0)
     else:
-        a, b = np.full(m, float(interval[0])), np.full(m, float(interval[1]))
+        a, b = (np.broadcast_to(np.asarray(end, dtype=float), (m,)) for end in interval)
         inner = (y > a[pt]) & (y < b[pt])
         pt, y, is_max, d1 = pt[inner], y[inner], is_max[inner], d1[inner]
         ends = np.arange(m)

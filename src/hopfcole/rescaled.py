@@ -13,26 +13,28 @@ switches branch converges to the profile discontinuity.
 The reduced phase is the physical one in other units: at x = m z and
 y = m y~, H(m y~; m z) = (m^2 / t) Ht(y~, z).  So the rescaled critical
 points are the physical ones in units of m (rescaled_critical_points):
-quadrature.critical_points at x = m z, and an array of z of one t is
-answered by one query of the piece table of (data, t), which every z of
-that t shares.  g_t is G_t(y) = y + t f0(y) in those units, so its
-monotone pieces are the table's, and the finite-time branches are the
-pieces the points lie on (finite_branches), for one z or an array of z.
-The property report (check_properties) makes one such call per z grid.  On
-Asymmetric data right of the cusp the first piece holds the left maximum
-near y = 0, whose limit value -z^2/4 the limit tie uses, so the
-finite-time tie (phase_tie_point) converges to the jump for every case.
+quadrature.critical_points at x = m z, and an array of z, at one t or one
+t per z, is answered by one query of the piece tables of its t.  g_t is
+G_t(y) = y + t f0(y) in those units, so its monotone pieces are the
+table's, and the finite-time branches are the pieces the points lie on
+(finite_branches), for one z or an array of z.  The property report
+(check_properties) makes one such call per z grid.  On Asymmetric data
+right of the cusp the first piece holds the left maximum near y = 0, whose
+limit value -z^2/4 the limit tie uses, so the finite-time tie
+(phase_tie_point) converges to the jump for every case.  The ties of an
+array of t run in lockstep, and so do the concentration integrals of an
+array of t (concentration_ratio, quadrature.log_partition).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .initial_data import InitialData, negate_reflect
-from .quadrature import (KIND_MIN, PhysicalPhase, _table, critical_points, integrate_moments,
-                         locate_critical_points)
+from .quadrature import (KIND_MIN, CriticalPoint, NotConvergedError, _tables, critical_points,
+                         log_partition)
 from . import profiles
 from .profiles import (
     BRANCH_MIDDLE,
@@ -44,6 +46,7 @@ from .profiles import (
     CASE_SIGN_FLIPPED,
     CASE_SYMMETRIC,
     ProfileCase,
+    TiePointError,
     invert_branch,
     log_corrected_scale,
 )
@@ -107,7 +110,7 @@ def critical_curve_finite(data: InitialData, y, t: float):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def rescaled_critical_points(data: InitialData, z, t: float) -> list:
+def rescaled_critical_points(data: InitialData, z, t) -> list:
     """The stationary points of Ht(., z): the critical points of the physical
     phase at x = m z with each y divided by m and each residual, |H'|, made
     |dHt/dy| = (t/m) |H'|.  The kinds and phase values carry over: the
@@ -115,10 +118,16 @@ def rescaled_critical_points(data: InitialData, z, t: float) -> list:
     degenerate at a piece end of G_t or at |1 + t f0'| <= 1e-6.
 
     z is a number, or a 1-d array of z for one list per z from one call of
-    quadrature.critical_points; element i is the list of z[i] alone."""
-    m = default_space_scale(data, t)
-    out = [[replace(c, y=c.y / m, residual=c.residual * (t / m)) for c in cps]
-           for cps in critical_points(data, m * np.asarray(z, dtype=float).ravel(), float(t))]
+    quadrature.critical_points; element i is the list of z[i] alone.  t is
+    a number, or an array like z of one t per z, each z in the units m of
+    its own t."""
+    ts = np.broadcast_to(np.asarray(t, dtype=float), np.shape(z)).ravel().tolist()
+    scale = {s: default_space_scale(data, s) for s in set(ts)}
+    m = np.asarray([scale[s] for s in ts])
+    out = [[CriticalPoint(c.y / mi, c.phase_value, c.kind, c.residual * (s / mi),
+                          c.is_global_max, c.piece, c.pieces) for c in cps]
+           for cps, mi, s in zip(critical_points(data, m * np.asarray(z, dtype=float).ravel(), t),
+                                 m.tolist(), ts)]
     return out if np.ndim(z) else out[0]
 
 
@@ -141,10 +150,11 @@ def _near_origin_halfwidth(data: InitialData, t: float) -> float:
     return t ** (-1.0 / (1.0 + alpha) + 0.1)
 
 
-def finite_branches(data: InitialData, z, t: float):
+def finite_branches(data: InitialData, z, t):
     """The stationary points of the rescaled phase by the monotone piece of
     g_t they lie on (CriticalPoint.piece): a BranchSet, or for a 1-d array
-    of z one BranchSet per z (rescaled_critical_points).
+    of z one BranchSet per z, at one t or at one t per z
+    (rescaled_critical_points).
 
     The root on the first piece is the minus branch and the root on the
     last piece the plus branch.  A minimum on a piece between them is the
@@ -178,7 +188,7 @@ def finite_branches(data: InitialData, z, t: float):
     return sets if np.ndim(z) else sets[0]
 
 
-def phase_tie_point(data: InitialData, t: float) -> float:
+def phase_tie_point(data: InitialData, t):
     """The z at which the two competing phase maxima have equal height at
     finite t (the finite-time location of the profile jump): the plus
     branch and the minus branch, the root on the first monotone piece of
@@ -187,33 +197,47 @@ def phase_tie_point(data: InitialData, t: float) -> float:
 
     Both branches exist exactly on the window (g_t(b_last), g_t(b_0)), b_0
     ending the first piece of g_t and b_last starting the last, from the
-    piece table; an empty window raises TieWindowError at once.  Both are
+    piece table; an empty window is a TieWindowError at once.  Both are
     stationary points of Ht, so their phase difference has the slope
-    (y_plus - y_minus)/2 in z: profiles.envelope_tie, one locator call a
-    step from z = min(g(y0), window midpoint) by 1, halved back while a
-    branch is missing (from z = 0 on SignFlipped data); a tie it does not
-    find raises TieWindowError."""
+    (y_plus - y_minus)/2 in z: profiles.envelope_tie, from
+    z = min(g(y0), window midpoint) by 1, halved back while a branch is
+    missing (from z = 0 on SignFlipped data); a tie it does not find is a
+    TieWindowError.
+
+    t is a number (returns the tie or raises) or a 1-d array: the ties of
+    all t run in lockstep, each Newton step one finite_branches query for
+    every live tie, into a list of one tie, or TieWindowError, per t."""
     case = case_for_data(data)
     if case is None:
         raise ValueError("data family has no asymptotic profile case")
-    g_bounds = _table(data, t, 0.0)[3] / default_space_scale(data, t)
-    lo, hi = (g_bounds[-1], g_bounds[0]) if g_bounds.size else (math.inf, -math.inf)
-    if not lo < hi:
-        raise TieWindowError(f"both branches exist on no z at t = {t}: "
-                             f"the window [{lo}, {hi}] is empty")
+    ts = np.atleast_1d(np.asarray(t, dtype=float)).tolist()
+    out, starts = [None] * len(ts), {}
+    for i, (s, table) in enumerate(zip(ts, _tables(data, ts, [0.0] * len(ts)))):
+        g_bounds = table[3] / default_space_scale(data, s)
+        lo, hi = (g_bounds[-1], g_bounds[0]) if g_bounds.size else (math.inf, -math.inf)
+        if lo < hi:
+            starts[i] = ((0.0, 0.0) if case.case == CASE_SIGN_FLIPPED
+                         else (min(case.g_y0, 0.5 * (lo + hi)), 1.0))
+        else:
+            out[i] = TieWindowError(f"both branches exist on no z at t = {s}: "
+                                    f"the window [{lo}, {hi}] is empty")
+    live = list(starts)
 
-    def pair(z):
-        bs = finite_branches(data, z, t)
-        if bs.plus is None or bs.minus is None:
-            return None
-        yp, ym = bs.plus.y, bs.minus.y
-        return yp, ym, rescaled_phase(data, yp, z, t) - rescaled_phase(data, ym, z, t)
+    def pairs(j, zs):
+        tz = [ts[live[i]] for i in j.tolist()]
+        return [None if bs.plus is None or bs.minus is None
+                else (bs.plus.y, bs.minus.y, rescaled_phase(data, bs.plus.y, z, s)
+                      - rescaled_phase(data, bs.minus.y, z, s))
+                for z, s, bs in zip(zs.tolist(), tz, finite_branches(data, zs, np.asarray(tz)))]
 
-    start = (0.0, 0.0) if case.case == CASE_SIGN_FLIPPED else (min(case.g_y0, 0.5 * (lo + hi)), 1.0)
-    try:
-        return profiles.envelope_tie(pair, *start)
-    except profiles.TiePointError as exc:
-        raise TieWindowError(f"{exc} at t = {t}") from exc
+    ties = profiles.envelope_tie(pairs, *np.reshape(list(starts.values()), (-1, 2)).T)
+    for i, z in zip(live, ties):
+        out[i] = TieWindowError(f"{z} at t = {ts[i]}") if isinstance(z, TiePointError) else z
+    if np.ndim(t):
+        return out
+    if isinstance(out[0], TieWindowError):
+        raise out[0]
+    return out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -420,33 +444,43 @@ class ConcentrationResult:
     c0: float
 
 
-def concentration_ratio(data: InitialData, x: float, t: float,
-                        mu1: float, mu2: float,
-                        rel_tol: float = 1e-9) -> ConcentrationResult:
+def concentration_ratio(data: InitialData, x: float, t, mu1: float, mu2: float,
+                        rel_tol: float = 1e-9):
     """Mass fraction of int e^H over the strip (mu1 T, mu2 T), T = t^{1/(1+alpha)}.
 
     The analysis orientation has negative data (mass escaping to y > 0);
     positive families are reflected internally, which mirrors the strip.
     c0 is the scaled maximum t^{-(1-alpha)/(1+alpha)} max H, bounded in t.
-    """
+
+    t is a number (one ConcentrationResult) or a 1-d array (a list, one per
+    t).  The integrals over the whole line and over the strip of every t
+    are two sweeps of quadrature.log_partition, the strip's ends given per
+    t.  An integral that missed its target raises NotConvergedError naming
+    x, t, the integral and its error against its target."""
     if not mu1 < 0.0 < mu2:
         raise ValueError("need mu1 < 0 < mu2")
     wdata, wx = data, float(x)
     if data.spec.sign_at_plus > 0 and data.spec.family != "Zero":
         wdata, wx = negate_reflect(data), -float(x)
     alpha = wdata.alpha
-    T = t ** (1.0 / (1.0 + alpha)) if alpha is not None else math.sqrt(t)
-    phase = PhysicalPhase(wdata, wx, float(t))
-    cps = locate_critical_points(phase)
-    full = integrate_moments([None], phase, rel_tol=rel_tol, cps=cps)[0]
-    strip = integrate_moments([None], phase, rel_tol=rel_tol, cps=cps,
-                              interval=(mu1 * T, mu2 * T))[0]
-    log_ratio = (strip.log_scale - full.log_scale
-                 + math.log(max(strip.mantissa, 1e-300))
-                 - math.log(max(full.mantissa, 1e-300)))
-    ratio = min(max(math.exp(log_ratio) if log_ratio < 0 else 1.0, 0.0), 1.0)
+    ts = np.atleast_1d(np.asarray(t, dtype=float)).tolist()
+    T = np.asarray([s ** (1.0 / (1.0 + alpha)) if alpha is not None else math.sqrt(s)
+                    for s in ts])
+    full, strip = ([v.tolist() for v in log_partition(wdata, [wx] * len(ts), ts, rel_tol, ends)]
+                   for ends in (None, (mu1 * T, mu2 * T)))
     expo = (1.0 - alpha) / (1.0 + alpha) if alpha is not None else 0.0
-    c0 = full.log_scale * t ** (-expo)
-    return ConcentrationResult(x=float(x), t=float(t), mu1=float(mu1),
-                               mu2=float(mu2), ratio=ratio,
-                               log_ratio=log_ratio, c0=float(c0))
+    out = []
+    for i, s in enumerate(ts):
+        for name, (_ls, _mant, err, tgt) in (("whole-line", full), ("window", strip)):
+            if not err[i] <= tgt[i]:
+                raise NotConvergedError(
+                    f"{name} integral of the concentration ratio did not converge at "
+                    f"x={float(x):.6g}, t={s:.6g}: error {err[i]:.3g} against target {tgt[i]:.3g}")
+        log_ratio = (strip[0][i] - full[0][i]
+                     + math.log(max(strip[1][i], 1e-300))
+                     - math.log(max(full[1][i], 1e-300)))
+        ratio = min(max(math.exp(log_ratio) if log_ratio < 0 else 1.0, 0.0), 1.0)
+        out.append(ConcentrationResult(x=float(x), t=s, mu1=float(mu1), mu2=float(mu2),
+                                       ratio=ratio, log_ratio=log_ratio,
+                                       c0=float(full[0][i] * s ** (-expo))))
+    return out if np.ndim(t) else out[0]

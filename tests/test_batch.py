@@ -327,7 +327,9 @@ def pointwise(fn):
 
 def reference_scan_max(fn, lo, hi, n_coarse, n_refine=3):
     """scan_max with its coarse grid and its shoulder sub-grids scored point
-    by point on fn, and each bracket refined by minimize_scalar."""
+    by point on fn, and each bracket refined by minimize_scalar; of the grid
+    maximum, the sub-grid maxima and the refined points it returns the one
+    of least x within 8 eps |best| of the best."""
     grid = np.linspace(lo, hi, n_coarse)
     vals = np.asarray([fn(g) for g in grid])
     order = np.argsort(vals)[::-1]
@@ -337,8 +339,7 @@ def reference_scan_max(fn, lo, hi, n_coarse, n_refine=3):
             picked.append(int(i))
         if len(picked) == n_refine:
             break
-    best_v = float(np.max(vals))
-    best_x = float(grid[int(np.argmax(vals))])
+    found = [(float(np.max(vals)), float(grid[int(np.argmax(vals))]))]
     peaks, shoulders = [], []
     for i in picked:
         ia, ib = max(i - 1, 0), min(i + 1, n_coarse - 1)
@@ -354,17 +355,16 @@ def reference_scan_max(fn, lo, hi, n_coarse, n_refine=3):
         pts = np.linspace(a, b, 9)
         sub = [fn(v) for v in pts[1:-1]]
         k = int(np.argmax(sub))
-        if sub[k] > best_v:
-            best_v, best_x = float(sub[k]), float(pts[k + 1])
+        found.append((float(sub[k]), float(pts[k + 1])))
         if sub[k] > max(vals[ia], vals[ib]):
             shoulders.append((pts[k], pts[k + 2], xatol))
     for a, b, xatol in peaks + shoulders:
         res = minimize_scalar(lambda v: -fn(v), bounds=(a, b), method="bounded",
                               options={"xatol": xatol})
-        if -res.fun > best_v:
-            best_v = float(-res.fun)
-            best_x = float(res.x)
-    return best_v, best_x
+        found.append((float(-res.fun), float(res.x)))
+    best = max(v for v, _x in found)
+    return min((p for p in found if p[0] >= best - 8.0 * np.finfo(float).eps * abs(best)),
+               key=lambda p: (p[1], -p[0]))
 
 
 @settings(max_examples=30, deadline=None)
@@ -377,6 +377,33 @@ def test_lockstep_brent_takes_scipys_steps(c, hi, n):
 
     assert burgers.scan_max(pointwise(fn), -3.0, hi, n) == \
         reference_scan_max(fn, -3.0, hi, n)
+
+
+def mirror_plateaus(ulps):
+    """An even score with flat-topped peaks at x = +-2, 0.21 wide, whose
+    right top is moved ulps ulps off the left one (1.0)."""
+    top = 1.0
+    for _ in range(abs(ulps)):
+        top = float(np.nextafter(top, math.copysign(math.inf, ulps)))
+
+    def fn(x):
+        v = min(1.0, 3.0 * math.exp(-(abs(x) - 2.0) ** 2 / 0.01))
+        return top * v if x > 0.0 else v
+    return fn
+
+
+@pytest.mark.parametrize("ulps", [-2, -1, 1, 2])
+def test_mirror_peaks_give_the_negative_x(ulps):
+    # both tops are scored, on the grid and by the refinement of each peak
+    # bracket; whichever wins by an ulp or two, the point of least x within
+    # 8 eps |best| of the best is reported, with its own score
+    fn = mirror_plateaus(ulps)
+    v, x = burgers.scan_max(pointwise(fn), -4.0, 4.0, 17)
+    assert (v, x) == reference_scan_max(fn, -4.0, 4.0, 17)
+    assert x < -1.0 and v == fn(x) >= max(1.0, fn(2.0)) - 8.0 * np.finfo(float).eps
+    # windows in lockstep, each with its own rule
+    scans = burgers.scan_max(pointwise(fn), [-4.0, -4.0], [4.0, 4.0], 17)
+    assert scans == [(v, x), (v, x)]
 
 
 def test_scan_finds_a_narrow_bump_in_a_shoulder_cell():
@@ -993,10 +1020,10 @@ def counted_slopes(mp):
 
 def kernel_roots(mp, data, t, x):
     """(counts, (pt, y, is_max, d1)): the roots of _batch_critical_points at
-    the one point x, on the piece table of (data, t) (quadrature._table),
+    the one point x, on the piece table of (data, t) (quadrature._tables),
     and the slope evaluations of that call (counted_slopes)."""
     kernel = BatchKernel([burgers._F0], data, t)
-    table = quadrature._table(data, t, abs(x))
+    table = quadrature._tables(data, [t], [abs(x)])[0]
     counts = counted_slopes(mp)
     return counts, quadrature._batch_critical_points(kernel._ph, np.asarray([x]),
                                                      np.zeros(1, dtype=int), [table])

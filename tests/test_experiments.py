@@ -430,10 +430,14 @@ def test_profile_runner_reports_spurious_maxima_flag(tmp_path):
 
 def _cheap_ddecay(monkeypatch, tmp_path, tie_error):
     """ddecay on PowerC0 with constant derivative fields and a tie-point
-    search that raises tie_error: only the fallback handling is exercised."""
+    search that fails with tie_error: only the fallback handling is
+    exercised."""
     from hopfcole import burgers, experiments
+    from hopfcole.rescaled import TieWindowError
 
-    def tie(data, t):
+    def tie(data, ts):  # the array form: a TieWindowError per t, other errors raised
+        if isinstance(tie_error, TieWindowError):
+            return [tie_error for _t in ts]
         raise tie_error
 
     def fields(data, t, rel_tol):  # a sweep scorer: one x array per t
@@ -456,6 +460,22 @@ def test_ddecay_records_tie_point_fallback(monkeypatch, tmp_path):
     assert out["results"]["tie_fallback_t"] == pytest.approx(ts)
     meta = json.loads(Path(out["json"]).read_text())
     assert meta["results"]["tie_fallback_t"] == pytest.approx(ts)
+
+
+def test_a_t_without_a_tie_falls_back_alone(tmp_path):
+    # the ties of all t run in lockstep: at t = 1 g_t is monotone and the
+    # tie window is empty, so that t alone falls back to the limit jump in
+    # ddecay, while zc raises naming it
+    from hopfcole import experiments
+    from hopfcole.rescaled import TieWindowError
+    family = FamilySpec("PowerC1", kappa=1.0, alpha=1.0 / 3.0)
+    cfg = ExperimentConfig(experiment="ddecay", family=family, t_min=1.0, t_max=1e6,
+                           t_count=4, n=0, k=1, out_dir=str(tmp_path))
+    assert experiments.run_derivative_decay(cfg)["results"]["tie_fallback_t"] == [1.0]
+    cfg = ExperimentConfig(experiment="zc", family=family, t_min=1.0, t_max=1e4, t_count=3,
+                           out_dir=str(tmp_path))
+    with pytest.raises(TieWindowError, match=r"at t = 1\.0: the window .* is empty"):
+        experiments.run_critical_z(cfg)
 
 
 def test_ddecay_on_asymmetric_data(tmp_path):

@@ -339,7 +339,7 @@ def test_locator_against_a_bracketing_scan(case):
     for r, c in zip(roots, cond):
         if c <= 1e-14:  # a fold leaves the root ill-posed in y
             assert np.min(np.abs(ys - r)) <= 1e-12 * (1.0 + abs(r)), (data.spec, x, t, r, ys)
-    bounds = quadrature._table(data, t, abs(x))[2]
+    bounds = quadrature._tables(data, [t], [abs(x)])[0][2]
     for y in ys:
         slack = 1e-12 * (1.0 + abs(y))
         assert (np.any(y == bounds)

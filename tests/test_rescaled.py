@@ -9,7 +9,8 @@ from scipy.special import erf
 from hopfcole import profiles, quadrature, rescaled
 from hopfcole.initial_data import FamilySpec, make_family, negate_reflect
 from hopfcole.profiles import BRANCH_MIDDLE, BRANCH_MINUS, BRANCH_PLUS, invert_branch
-from hopfcole.quadrature import KIND_DEGENERATE, KIND_MAX, KIND_MIN, PhysicalPhase
+from hopfcole.quadrature import (KIND_DEGENERATE, KIND_MAX, KIND_MIN, NotConvergedError,
+                                 PhysicalPhase)
 from hopfcole.rescaled import (
     TieWindowError,
     case_for_data,
@@ -21,6 +22,8 @@ from hopfcole.rescaled import (
     rescaled_critical_points,
     rescaled_phase,
 )
+
+from test_batch import fixed_order_rules
 
 
 @pytest.fixture
@@ -154,7 +157,7 @@ def test_arrays_of_z_are_batches_of_one():
         spec = FamilySpec(family, kappa=float(rng.uniform(0.5, 2.0)), alpha=alpha, beta=beta)
         data = make_family(spec)
         t = 10.0 ** rng.uniform(2.0, 8.0)
-        ends = quadrature._table(data, t, 0.0)[3] / rescaled.default_space_scale(data, t)
+        ends = quadrature._tables(data, [t], [0.0])[0][3] / rescaled.default_space_scale(data, t)
         zs = rng.uniform(-6.0, 12.0, int(rng.integers(1, 31)))
         at_end = rng.choice(zs.size, min(ends.size, zs.size), replace=False)
         zs[at_end] = ends[:zs.size]
@@ -197,6 +200,41 @@ def test_branches_below_cusp(power_c1_third):
     bs = finite_branches(power_c1_third, case.g_y0 - 0.5, 1e8)
     assert bs.minus is not None
     assert bs.plus is None and bs.middle is None
+
+
+def test_one_t_per_z_is_the_one_t_calls(monkeypatch):
+    # critical_points, rescaled_critical_points and finite_branches with one
+    # t per x (or z), the t interleaved, give each x what the call at its t
+    # alone gives, on z that hold piece ends of g_t.  The phase values of
+    # PowerLog data come from its quadrature primitive, whose partial panels
+    # are rule sums of quadrature._rules: with OpenBLAS's gemv a root's
+    # value took a last bit from its row among the roots of all t, so the
+    # sums run in a fixed order here
+    monkeypatch.setattr(quadrature, "_rules", fixed_order_rules)
+    rng = np.random.default_rng(20261029)
+    families = ("PowerC1", "SignFlipped", "Asymmetric", "PowerC0", "PowerLog")
+    for i in range(20):
+        family = families[i % len(families)]
+        alpha = float(rng.uniform(0.2, 0.8))
+        beta = {"Asymmetric": float(rng.uniform(alpha, 1.0)),
+                "PowerLog": float(rng.uniform(0.5, 1.5))}.get(family)
+        data = make_family(FamilySpec(family, kappa=float(rng.uniform(0.5, 2.0)), alpha=alpha,
+                                      beta=beta))
+        zs, tz = [], []
+        for t in 10.0 ** rng.uniform(2.0, 8.0, int(rng.integers(1, 4))):
+            ends = quadrature._tables(data, [t], [0.0])[0][3]
+            ends = ends / rescaled.default_space_scale(data, t)
+            zs.append(np.concatenate([rng.uniform(-6.0, 12.0, int(rng.integers(1, 8))), ends[:2]]))
+            tz.append(np.full(zs[-1].size, t))
+        order = rng.permutation(sum(z.size for z in zs))
+        zs, tz = np.concatenate(zs)[order], np.concatenate(tz)[order]
+        xs = zs * np.asarray([rescaled.default_space_scale(data, t) for t in tz])
+        got = zip(quadrature.critical_points(data, xs, tz), rescaled_critical_points(data, zs, tz),
+                  finite_branches(data, zs, tz))
+        for x, z, t, (cps, rcps, bs) in zip(xs, zs, tz, got):
+            assert cps == quadrature.critical_points(data, [x], t)[0], (data.spec, t, z)
+            assert rcps == rescaled_critical_points(data, float(z), t), (data.spec, t, z)
+            assert repr(bs) == repr(finite_branches(data, float(z), t)), (data.spec, t, z)
 
 
 def test_branch_set_invariants(power_c1_third):
@@ -345,7 +383,7 @@ def test_tie_point_starts_inside_a_window_left_of_the_cusp():
     # the Newton starts at the window midpoint
     data = make_family(FamilySpec("PowerC0", kappa=0.726, alpha=0.310))
     t = 10.9
-    ends = quadrature._table(data, t, 0.0)[3] / rescaled.default_space_scale(data, t)
+    ends = quadrature._tables(data, [t], [0.0])[0][3] / rescaled.default_space_scale(data, t)
     assert ends[-1] < ends[0] < case_for_data(data).g_y0
     zc = phase_tie_point(data, t)
     assert ends[-1] < zc < ends[0]
@@ -364,6 +402,59 @@ def test_tie_point_raises_at_once_on_an_empty_window(locator_calls, power_c1_thi
 def test_tie_error_for_family_without_case(zero_data):
     with pytest.raises(ValueError):
         phase_tie_point(zero_data, 100.0)
+
+
+@pytest.mark.parametrize("family", ["PowerC1", "SignFlipped", "Asymmetric"])
+def test_the_ties_of_an_array_of_t_are_the_one_t_ties(family):
+    # the ties of all t run in lockstep, one finite_branches query a Newton
+    # step for every live tie, and each lands on the bits of its one-t tie
+    rng = np.random.default_rng({"PowerC1": 11, "SignFlipped": 12, "Asymmetric": 13}[family])
+    for _ in range(2):
+        alpha = float(rng.uniform(0.2, 0.6))
+        beta = float(rng.uniform(alpha, 1.0)) if family == "Asymmetric" else None
+        data = make_family(FamilySpec(family, kappa=float(rng.uniform(0.5, 2.0)), alpha=alpha,
+                                      beta=beta))
+        ts = np.sort(10.0 ** rng.uniform(3.0, 7.0, 4))
+        assert phase_tie_point(data, ts) == [phase_tie_point(data, float(t)) for t in ts], \
+            (data.spec, ts)
+
+
+def test_lockstep_ties_make_the_queries_of_the_longest_tie(locator_calls, power_c1_third):
+    # one locator query a Newton step for all live ties: as many as the
+    # longest one-t tie makes, where one tie per t made their sum
+    ts = [1e4, 1e5, 1e6, 1e7]
+    singles = []
+    for t in ts:
+        before = len(locator_calls)
+        phase_tie_point(power_c1_third, t)
+        singles.append(len(locator_calls) - before)
+    before = len(locator_calls)
+    phase_tie_point(power_c1_third, ts)
+    assert len(locator_calls) - before == max(singles) < sum(singles)
+
+
+def test_a_t_without_a_tie_does_not_stop_the_others(monkeypatch, power_c1_third):
+    # an empty window at t = 1, and a tie whose minus branch is hidden at
+    # t = 1e4 so that its Newton never finds a pair: each t is its own
+    # TieWindowError, and the other ties are their one-t ties
+    ts = [1.0, 1e4, 1e5, 1e6]
+    want = {t: phase_tie_point(power_c1_third, t) for t in ts[2:]}
+    real = rescaled.finite_branches
+
+    def hidden(data, z, t):
+        return [rescaled.BranchSet(plus=bs.plus) if s == 1e4 else bs
+                for bs, s in zip(real(data, z, t), np.broadcast_to(t, np.shape(z)))]
+
+    monkeypatch.setattr(rescaled, "finite_branches", hidden)
+    got = phase_tie_point(power_c1_third, ts)
+    assert isinstance(got[0], TieWindowError)
+    assert str(got[0]).startswith("both branches exist on no z at t = 1.0")
+    assert isinstance(got[1], TieWindowError)
+    assert str(got[1]).startswith("no root of the tie difference")
+    assert str(got[1]).endswith("at t = 10000.0")
+    assert got[2:] == [want[t] for t in ts[2:]]
+    with pytest.raises(TieWindowError, match="at t = 10000.0"):
+        phase_tie_point(power_c1_third, 1e4)
 
 
 # -- property report ---------------------------------------------------------
@@ -422,6 +513,35 @@ def test_concentration_zero_data_closed_form(zero_data):
     r2 = concentration_ratio(zero_data, 0.0, 4.0, -1.0, 1.0)
     # T = sqrt(t) = 2, kernel variance 2t = 8: erf(2 / sqrt(8) / sqrt(2))
     assert r2.ratio == pytest.approx(float(erf(2.0 / (2.0 * 2.0))), abs=1e-8)
+
+
+def test_concentration_of_an_array_of_t_is_the_one_t_calls(monkeypatch, zero_data, power_c0):
+    # the whole-line and strip integrals of all t are two log_partition
+    # sweeps; with the rule sums in a fixed order (OpenBLAS's gemv gives a
+    # panel's sum bits that depend on its row in the product) each t's
+    # result is its one-t call, field for field
+    monkeypatch.setattr(quadrature, "_rules", fixed_order_rules)
+    for data, ts in ((power_c0, 10.0 ** np.arange(2.0, 5.01, 0.5)),
+                     (negate_reflect(power_c0), np.asarray([3e2, 4e4, 5e6]))):
+        got = concentration_ratio(data, 0.5, ts, -0.1, 0.2)
+        assert got == [concentration_ratio(data, 0.5, float(t), -0.1, 0.2) for t in ts]
+    # the pure Gaussian's closed form holds for every t of an array
+    got = concentration_ratio(zero_data, 0.0, [1.0, 4.0], -1.0, 1.0)
+    assert [r.ratio for r in got] == pytest.approx([float(erf(0.5)), float(erf(2.0 / 4.0))],
+                                                   abs=1e-8)
+
+
+def test_concentration_raises_for_an_integral_off_its_target(power_c0):
+    # at rel_tol 1e-30 the whole-line integral ends 3e9 above its target,
+    # where it returned log_ratio -12.525040098425997 as if converged; at
+    # 1e-25 the whole line meets its target and the strip misses its own
+    # by a factor of about 20
+    with pytest.raises(NotConvergedError,
+                       match=r"whole-line integral .* at x=0, t=10000: error .* against target"):
+        concentration_ratio(power_c0, 0.0, 1e4, -0.1, 0.1, rel_tol=1e-30)
+    with pytest.raises(NotConvergedError,
+                       match=r"window integral .* at x=0, t=10000: error .* against target"):
+        concentration_ratio(power_c0, 0.0, 1e4, -0.1, 0.1, rel_tol=1e-25)
 
 
 def test_concentration_bounds_and_monotonicity(power_c0):
