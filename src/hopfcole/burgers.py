@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .initial_data import InitialData
-from .quadrature import BatchKernel, CenteredWeight, MomentWeight
+from .quadrature import _EPS, BatchKernel, CenteredWeight, MomentWeight
 
 _F0 = MomentWeight.f0()
 _MOMENTS = [CenteredWeight(1), CenteredWeight(2), CenteredWeight(3)]
@@ -146,7 +146,6 @@ class SupNormResult:
     search_window: tuple  # (Z, n_coarse)
 
 
-_EPS = float(np.finfo(float).eps)
 _SQRT_EPS = math.sqrt(2.2e-16)
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 

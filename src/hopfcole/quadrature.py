@@ -57,11 +57,10 @@ scale) is set up once per (weights, data, sweep), so the lockstep scans
 of a sweep (burgers.scan_max) call one setup on each of their steps, a
 number t is a sweep of one, and a single point a batch of one.
 log_partition is that path for the unit weight alone, over the whole line
-or over a window given per point (the concentration ratios of a sweep);
-integrate_moments, the same for one phase with given critical points, has
-no caller in the package.  adaptive_quadrature is that refinement with one
-plain function as its only weight, for the block sums of the primitive
-cache of quadrature-only data (initial_data).
+or over a window given per point; integrate_moments, the same for one phase
+with given critical points, has no caller in the package.  adaptive_quadrature
+is that refinement with one plain function as its only weight, for the block
+sums of the primitive cache of quadrature-only data (initial_data).
 """
 from __future__ import annotations
 
@@ -488,6 +487,7 @@ def _quotients(t, x, total, err, tgt, conv):
 
 
 BATCH_BLOCK = 256  # points refined together; bounds the kernel's memory
+MAX_PANELS = 4000  # panels a point may refine to before NotConvergedError
 _EVAL_PANELS = 512  # panels per integrand call: bounds the temporaries of a level
 _DOUBLINGS = 8  # truncation steps scored per call (_batch_truncation)
 _ORIGIN_YS = np.geomspace(1e-3, 1e8, 1101)
@@ -710,7 +710,7 @@ class BatchKernel:
         scales = {j: _origin_scale(weights, data, groups.index(j)) for j in dict.fromkeys(groups)}
         self._origin_scale = np.asarray([scales[j] for j in groups])
 
-    def __call__(self, xs, rel_tol=1e-9, max_panels=4000):
+    def __call__(self, xs, rel_tol=1e-9, max_panels=MAX_PANELS):
         """The quotients at every x of xs, of shape (n_weights, xs.size),
         and with centered weights a last row of each point's center c; at a
         sweep of t, xs is a sequence of one array of x per t, and the
@@ -758,21 +758,27 @@ class BatchKernel:
         return ratios
 
 
-def log_partition(data: InitialData, xs, t, rel_tol=1e-9, interval=None, max_panels=4000):
+def log_partition(data: InitialData, xs, t, rel_tol=1e-9, interval=None):
     """int e^H dy of the physical phase at every x of xs at its t (a number,
     or an array like xs), over the whole line or over interval=(a, b), its
     ends numbers or arrays like xs (_integrate): the arrays (log_scale,
     mantissa, error, target) of the integrals mantissa e^log_scale.  A sweep
-    of t is one query of the piece tables and one _integrate call."""
+    of t is one query of the piece tables, refined in BatchKernel's blocks."""
     xs = np.asarray(xs, dtype=float).ravel()
     ts, k, tables = _sweep_tables(data, xs, t)
     ph = _Phases(data, ts, compile_weights([None], data, ts))
-    pt, y, is_max, d1 = _batch_critical_points(ph, xs, k, tables)
-    order = np.lexsort((y, pt))  # the order of critical_points
-    total, err, tgt, _conv, log_scale = _integrate(
-        ph, xs, k, pt[order], y[order], is_max[order], d1[order],
-        np.full(xs.size, _origin_scale(ph.weights, data)), rel_tol, max_panels, interval)[:5]
-    return log_scale, total[0], err[0], tgt[0]
+    scale = np.full(xs.size, _origin_scale(ph.weights, data))
+    ends = [np.broadcast_to(np.asarray(end, dtype=float), xs.shape) for end in interval or ()]
+    out = np.empty((4, xs.size))
+    n = -(-xs.size // BATCH_BLOCK)
+    for block in (slice(xs.size * i // n, xs.size * (i + 1) // n) for i in range(n)):
+        pt, y, is_max, d1 = _batch_critical_points(ph, xs[block], k[block], tables)
+        order = np.lexsort((y, pt))  # the order of critical_points
+        total, err, tgt, _conv, log_scale = _integrate(
+            ph, xs[block], k[block], pt[order], y[order], is_max[order], d1[order], scale[block],
+            rel_tol, MAX_PANELS, [end[block] for end in ends] or None)[:5]
+        out[:, block] = log_scale, total[0], err[0], tgt[0]
+    return tuple(out)
 
 
 def _origin_scale(weights, data, k=0):

@@ -21,9 +21,8 @@ table's, and the finite-time branches are the pieces the points lie on
 (check_properties) makes one such call per z grid.  On Asymmetric data
 right of the cusp the first piece holds the left maximum near y = 0, whose
 limit value -z^2/4 the limit tie uses, so the finite-time tie
-(phase_tie_point) converges to the jump for every case.  The ties of an
-array of t run in lockstep, and so do the concentration integrals of an
-array of t (concentration_ratio, quadrature.log_partition).
+(phase_tie_point) converges to the jump for every case.  The ties and the
+concentration integrals (concentration_ratio) of an array of t run in lockstep.
 """
 from __future__ import annotations
 
@@ -118,9 +117,8 @@ def rescaled_critical_points(data: InitialData, z, t) -> list:
     degenerate at a piece end of G_t or at |1 + t f0'| <= 1e-6.
 
     z is a number, or a 1-d array of z for one list per z from one call of
-    quadrature.critical_points; element i is the list of z[i] alone.  t is
-    a number, or an array like z of one t per z, each z in the units m of
-    its own t."""
+    quadrature.critical_points; element i is the list of z[i] alone.  t is a
+    number, or an array like z of one t per z, each z in the units of its t."""
     ts = np.broadcast_to(np.asarray(t, dtype=float), np.shape(z)).ravel().tolist()
     scale = {s: default_space_scale(data, s) for s in set(ts)}
     m = np.asarray([scale[s] for s in ts])
@@ -453,10 +451,9 @@ def concentration_ratio(data: InitialData, x: float, t, mu1: float, mu2: float,
     c0 is the scaled maximum t^{-(1-alpha)/(1+alpha)} max H, bounded in t.
 
     t is a number (one ConcentrationResult) or a 1-d array (a list, one per
-    t).  The integrals over the whole line and over the strip of every t
-    are two sweeps of quadrature.log_partition, the strip's ends given per
-    t.  An integral that missed its target raises NotConvergedError naming
-    x, t, the integral and its error against its target."""
+    t): two sweeps of quadrature.log_partition, the whole line and the strip.
+    An integral that missed its target raises NotConvergedError naming x, t,
+    the integral and its error against its target."""
     if not mu1 < 0.0 < mu2:
         raise ValueError("need mu1 < 0 < mu2")
     wdata, wx = data, float(x)

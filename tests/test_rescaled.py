@@ -531,17 +531,50 @@ def test_concentration_of_an_array_of_t_is_the_one_t_calls(monkeypatch, zero_dat
                                                    abs=1e-8)
 
 
-def test_concentration_raises_for_an_integral_off_its_target(power_c0):
+def test_concentration_raises_for_an_integral_off_its_target(monkeypatch, power_c0):
     # at rel_tol 1e-30 the whole-line integral ends 3e9 above its target,
-    # where it returned log_ratio -12.525040098425997 as if converged; at
-    # 1e-25 the whole line meets its target and the strip misses its own
-    # by a factor of about 20
+    # where it returned log_ratio -12.525040098425997 as if converged
     with pytest.raises(NotConvergedError,
                        match=r"whole-line integral .* at x=0, t=10000: error .* against target"):
         concentration_ratio(power_c0, 0.0, 1e4, -0.1, 0.1, rel_tol=1e-30)
+
+    # a window sweep whose error at t = 1e4 alone is twice its target
+    def window_misses(data, xs, t, rel_tol=1e-9, interval=None):
+        log_scale, mant, err, tgt = quadrature.log_partition(data, xs, t, rel_tol, interval)
+        if interval is not None:
+            err = np.where(np.asarray(t) == 1e4, 2.0 * tgt, err)
+        return log_scale, mant, err, tgt
+
+    monkeypatch.setattr(rescaled, "log_partition", window_misses)
+    concentration_ratio(power_c0, 0.0, [1e2, 1e6], -0.1, 0.1)
     with pytest.raises(NotConvergedError,
                        match=r"window integral .* at x=0, t=10000: error .* against target"):
-        concentration_ratio(power_c0, 0.0, 1e4, -0.1, 0.1, rel_tol=1e-25)
+        concentration_ratio(power_c0, 0.0, [1e2, 1e4, 1e6], -0.1, 0.1)
+
+
+def test_log_partition_refines_in_blocks(monkeypatch, power_c0):
+    # a sweep larger than BATCH_BLOCK is refined block by block, each point
+    # as in its batch of one (rule sums in a fixed order, as above)
+    monkeypatch.setattr(quadrature, "_rules", fixed_order_rules)
+    monkeypatch.setattr(quadrature, "BATCH_BLOCK", 3)
+    sizes = []
+    integrate = quadrature._integrate
+
+    def counted(ph, x, *args):
+        sizes.append(x.size)
+        return integrate(ph, x, *args)
+
+    monkeypatch.setattr(quadrature, "_integrate", counted)
+    xs = np.linspace(-0.5, 0.5, 7)
+    ts = np.asarray([1e2, 1e3, 1e4, 1e2, 1e5, 1e3, 1e6])
+    for interval in (None, (-0.1 * np.sqrt(ts), 0.2 * np.sqrt(ts))):
+        sizes.clear()
+        got = quadrature.log_partition(power_c0, xs, ts, 1e-9, interval)
+        assert sizes == [2, 2, 3]
+        for i in range(xs.size):
+            ends = None if interval is None else tuple(end[i:i + 1] for end in interval)
+            one = quadrature.log_partition(power_c0, xs[i:i + 1], ts[i], 1e-9, ends)
+            assert [v[i] for v in got] == [v[0] for v in one]
 
 
 def test_concentration_bounds_and_monotonicity(power_c0):
